@@ -28,7 +28,7 @@ from time import perf_counter
 
 from bench_fig8_scaling import sweep_specs
 
-from repro.runner import run_experiments
+from repro.runner import run_experiments, store
 
 ENGINES = ("legacy", "batch", "vectorized")
 REFERENCE = ENGINES[0]
@@ -59,6 +59,9 @@ def main(argv: list[str] | None = None) -> int:
     specs = sweep_specs()
     if args.limit is not None:
         specs = specs[: args.limit]
+    # The result store does not hash the engine (engines are identical
+    # by contract), so it would replay one engine's record for another.
+    store.configure(enabled=False)
 
     records = {}
     timings = {}

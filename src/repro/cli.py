@@ -443,10 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     def engine_option(sp):
         sp.add_argument(
             "--engine",
-            default="batch",
+            default="vectorized",
             choices=["batch", "vectorized", "legacy"],
-            help="DES engine: calendar-queue batch dispatch (default), "
-            "compiled vectorized dispatch, or the binary-heap reference; "
+            help="DES engine: compiled vectorized dispatch (default), "
+            "calendar-queue batch dispatch, or the binary-heap reference; "
             "outcomes are bit-identical",
         )
 

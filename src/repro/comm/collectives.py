@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..simulate.machine import Machine, Message
-from .trees import CommTree, TreeArrays
+from .trees import CommTree, CompiledTree, TreeArrays
 
 __all__ = ["TreeBroadcast", "TreeReduce", "ArrayBroadcast", "ArrayReduce"]
 
@@ -232,8 +232,10 @@ class TreeReduce:
 # ---------------------------------------------------------------------------
 # Array-based collectives (the batch engine's protocol layer)
 #
-# Same state machines as above, but over the positional
-# :class:`~repro.comm.trees.TreeArrays` view: ranks are looked up by
+# Same state machines as above, but over a positional tree view
+# (:class:`~repro.comm.trees.TreeArrays`, or the
+# :class:`~repro.comm.trees.CompiledTree` the vectorized engine caches --
+# both answer the same four accessors): ranks are looked up by
 # construction-order *position*, adjacency comes from the shared per-shape
 # CSR memo (no per-tree dicts), and every forwarded message carries the
 # receiver's position in the machine's ``aux`` slot together with a direct
@@ -274,7 +276,7 @@ class ArrayBroadcast:
     def __init__(
         self,
         machine,
-        arrays: TreeArrays,
+        arrays: TreeArrays | CompiledTree,
         tag: Any,
         nbytes: int,
         category: str,
@@ -378,7 +380,7 @@ class ArrayReduce:
     def __init__(
         self,
         machine,
-        arrays: TreeArrays,
+        arrays: TreeArrays | CompiledTree,
         tag: Any,
         nbytes: int,
         category: str,

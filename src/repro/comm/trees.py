@@ -508,8 +508,8 @@ class _TreeStructure:
     offset: int = 0
     perm: tuple[int, ...] | None = None
 
-    def relabel(self, root: int, others: tuple[int, ...]) -> TreeArrays:
-        """Compose this structure with a concrete rank set.
+    def order(self, root: int, others: Sequence[int]) -> list[int]:
+        """Construction order over a concrete rank set.
 
         Reproduces the construction order of the dict-based builders bit
         for bit: root first, then the sorted non-root participants under
@@ -517,14 +517,16 @@ class _TreeStructure:
         """
         if self.offset:
             k = self.offset
-            order = (root, *others[k:], *others[:k])
-        elif self.perm is not None:
-            order = (root, *(others[i] for i in self.perm))
-        else:
-            order = (root, *others)
+            return [root, *others[k:], *others[:k]]
+        if self.perm is not None:
+            return [root, *(others[i] for i in self.perm)]
+        return [root, *others]
+
+    def relabel(self, root: int, others: tuple[int, ...]) -> TreeArrays:
+        """Compose this structure with a concrete rank set (ndarray view)."""
         return TreeArrays(
             root=root,
-            ranks=_freeze(np.asarray(order, dtype=np.int64)),
+            ranks=_freeze(np.asarray(self.order(root, others), dtype=np.int64)),
             parent_pos=self.parent_pos,
             child_counts=self.child_counts,
             max_degree=self.max_degree,
@@ -823,12 +825,18 @@ class CompiledTree:
     position 0); ``indptr``/``childpos`` give each position's children in
     ascending position -- the exact forwarding order of the dict-based
     builders.
+
+    It also answers the :class:`TreeArrays` accessors the array
+    collectives read (``ranks_list``/``children_csr``/
+    ``parent_positions``/``depth``), so the vectorized engine's numeric
+    and telemetry fallback runs over the same cached trees.
     """
 
     __slots__ = (
         "root",
         "ranks",
         "size",
+        "family",
         "indptr",
         "childpos",
         "parentpos",
@@ -846,6 +854,7 @@ class CompiledTree:
         self.root = root
         self.ranks = ranks
         self.size = p
+        self.family = family
         self.indptr, self.childpos = _children_csr(family, p)
         self.parentpos = _parent_positions(family, p)
         self.child_counts = _child_counts_list(family, p)
@@ -858,6 +867,22 @@ class CompiledTree:
             pos = self._pos = dict(zip(self.ranks, range(self.size)))
         return pos
 
+    def ranks_list(self) -> list[int]:
+        """The ranks in construction order (shared, do not mutate)."""
+        return self.ranks
+
+    def children_csr(self) -> tuple[list[int], list[int]]:
+        """``(indptr, child_positions)`` adjacency of the shape."""
+        return self.indptr, self.childpos
+
+    def parent_positions(self) -> list[int]:
+        """Parent position per position (root -1), shared per shape."""
+        return self.parentpos
+
+    def depth(self) -> int:
+        """Longest root-to-leaf path length in edges."""
+        return _shape_depth(self.family, self.size)
+
 
 def compiled_tree(
     scheme: str,
@@ -867,32 +892,28 @@ def compiled_tree(
     *,
     hybrid_threshold: int = 8,
 ) -> CompiledTree:
-    """Build the :class:`CompiledTree` for one collective (any scheme).
+    """Cached :class:`CompiledTree` for one collective (any scheme).
 
     ``participants`` is expected in the planner's canonical form: a
     sorted tuple that includes the root (``CollectiveSpec.participants``).
-    The orderings produced are bit-identical to :func:`tree_arrays` /
+    The structure comes from the same :func:`structure_tree_key` cache as
+    :func:`tree_arrays` (so DES lookups show in :func:`tree_cache_info`),
+    and the orderings produced are bit-identical to :func:`tree_arrays` /
     :func:`build_tree` for the same arguments (pinned by tests); only the
     container types differ.
     """
     root = int(root)
     i = participants.index(root)
-    others = [*participants[:i], *participants[i + 1 :]]
-    n = len(others)
-    scheme = _resolve_scheme(scheme, n, hybrid_threshold)
-    if scheme == "shifted":
-        if n > 1:
-            k = rotation_offset(seed, n)
-            others = others[k:] + others[:k]
-    elif scheme == "randperm":
-        if n > 1:
-            perm = permutation_indices(seed, n)
-            others = [others[i] for i in perm]
-    elif scheme not in ("flat", "binary", "binomial"):
-        raise ValueError(
-            f"unknown tree scheme {scheme!r}; expected one of {TREE_SCHEMES}"
-        )
-    return CompiledTree(root, [root, *others], _FAMILY_OF[scheme])
+    others = participants[:i] + participants[i + 1 :]
+    key = structure_tree_key(
+        scheme, len(others), seed, hybrid_threshold=hybrid_threshold
+    )
+    cache = _cache()
+    struct_ = cache.get(key)
+    if struct_ is None:
+        struct_ = _build_structure(key)
+        cache.put(key, struct_)
+    return CompiledTree(root, struct_.order(root, others), struct_.family)
 
 
 def build_tree(

@@ -39,13 +39,8 @@ Two modes share all protocol code:
 
 Three interchangeable execution engines (``engine=``):
 
-* ``"batch"`` (default) -- the calendar-queue
-  :class:`~repro.simulate.engine.BatchSimulator` +
-  :class:`~repro.simulate.machine.BatchMachine` stack with array-based
-  collectives (:class:`~repro.comm.collectives.ArrayBroadcast` /
-  :class:`~repro.comm.collectives.ArrayReduce`) routed over positional
-  :class:`~repro.comm.trees.TreeArrays`.
-* ``"vectorized"`` -- the :class:`~repro.simulate.vec.VecMachine` /
+* ``"vectorized"`` (default) -- the
+  :class:`~repro.simulate.vec.VecMachine` /
   :class:`~repro.simulate.vec.VecSimulator` stack plus a *compiled*
   protocol layer: on window entry every per-event quantity of a
   supernode (GEMM/normalize/diag durations, send destinations, tags,
@@ -55,7 +50,14 @@ Three interchangeable execution engines (``engine=``):
   shared :class:`~repro.comm.trees.CompiledTree` tables, and the hot
   handlers are closure-free (pre-registered handler ids + tuple
   arguments).  Numeric or telemetry-instrumented runs transparently
-  fall back to the batch protocol on the same machine.
+  fall back to the batch protocol on the same machine, over the same
+  cached :class:`~repro.comm.trees.CompiledTree` tables.
+* ``"batch"`` -- the calendar-queue
+  :class:`~repro.simulate.engine.BatchSimulator` +
+  :class:`~repro.simulate.machine.BatchMachine` stack with array-based
+  collectives (:class:`~repro.comm.collectives.ArrayBroadcast` /
+  :class:`~repro.comm.collectives.ArrayReduce`) routed over positional
+  :class:`~repro.comm.trees.TreeArrays`.
 * ``"legacy"`` -- the original heapq :class:`Simulator` + per-message
   :class:`Message` objects + dict-based collectives.
 
@@ -63,7 +65,7 @@ All three produce bit-identical results -- same event count, same final
 timestamps, same per-rank stats -- which the engine-equivalence tests,
 ``benchmarks/check_engine_identity.py`` and
 ``benchmarks/bench_runner_scaling.py`` assert; the vectorized engine is
-simply fastest.
+the fastest, hence the default.
 """
 
 from __future__ import annotations
@@ -88,6 +90,13 @@ from .plan import BYTES_PER_ENTRY, SupernodePlan, iter_plans
 from .volume import collective_seed
 
 __all__ = ["PSelInvResult", "SimulatedPSelInv", "run_pselinv"]
+
+# Tree representation per engine (see :meth:`SimulatedPSelInv._tree`).
+_TREE_BUILDERS = {
+    "legacy": build_tree,
+    "batch": tree_arrays,
+    "vectorized": compiled_tree,
+}
 
 
 @dataclass
@@ -178,7 +187,7 @@ class SimulatedPSelInv:
         tree_cache: dict | None = None,
         event_log: list | None = None,
         telemetry=None,
-        engine: str = "batch",
+        engine: str = "vectorized",
     ) -> None:
         if engine not in ("batch", "legacy", "vectorized"):
             raise ValueError(
@@ -271,8 +280,8 @@ class SimulatedPSelInv:
         self.done_diag = 0
         self._ran = False
         # Trees depend on (scheme, seed, grid, struct) -- and on the
-        # engine, which determines the cached representation (positional
-        # TreeArrays vs dict CommTree); callers sweeping over jitter/
+        # engine, which determines the cached representation (dict
+        # CommTree, TreeArrays or CompiledTree); callers sweeping over jitter/
         # placement seeds may share a cache across runs with identical
         # configuration.  A guard key catches accidental reuse.
         self._tree_cache = tree_cache if tree_cache is not None else {}
@@ -309,13 +318,14 @@ class SimulatedPSelInv:
 
     def _tree(self, spec) -> Any:
         """The spec's communication tree, in the engine's representation
-        (positional :class:`TreeArrays` for batch, dict
-        :class:`CommTree` for legacy), memoized per run/config."""
+        (dict :class:`CommTree` for legacy, positional
+        :class:`TreeArrays` for batch, :class:`CompiledTree` for
+        vectorized -- compiled and fallback protocols alike), memoized
+        per run/config."""
         key = spec.key
         tree = self._tree_cache.get(key)
         if tree is None:
-            build = build_tree if self.engine == "legacy" else tree_arrays
-            tree = build(
+            tree = _TREE_BUILDERS[self.engine](
                 self.scheme,
                 spec.root,
                 spec.participants,
@@ -528,24 +538,6 @@ class SimulatedPSelInv:
         self._vec_cb: dict[int, Any] = {}
         self._nsup = self.struct.nsup
 
-    def _ctree(self, spec) -> Any:
-        """The spec's :class:`CompiledTree`, memoized like :meth:`_tree`
-        but under a distinct key prefix -- the same run-level cache may
-        also hold :class:`TreeArrays` (numeric/telemetry fallback) for
-        identical specs, and the two representations must not collide."""
-        key = ("v", spec.key)
-        tree = self._tree_cache.get(key)
-        if tree is None:
-            tree = compiled_tree(
-                self.scheme,
-                spec.root,
-                spec.participants,
-                collective_seed(self.seed, spec.key),
-                hybrid_threshold=self.hybrid_threshold,
-            )
-            self._tree_cache[key] = tree
-        return tree
-
     def _setup_supernode_vec(self, plan: SupernodePlan) -> None:
         """Window entry: compile supernode ``plan.k``'s whole protocol.
 
@@ -604,7 +596,7 @@ class SimulatedPSelInv:
         # part of the bit-identity contract.
         spec = plan.diag_bcast
         diag_bc = VecBroadcast(
-            m, self._ctree(spec), spec.key, spec.nbytes, self._cid_db,
+            m, self._tree(spec), spec.key, spec.nbytes, self._cid_db,
             self._on_diag_delivery_vec, st,
         )
         vcb = self._vec_cb
@@ -618,7 +610,7 @@ class SimulatedPSelInv:
         for spec in plan.col_bcasts:
             i = spec.key[2]
             vcb[kn + i] = VecBroadcast(
-                m, self._ctree(spec), spec.key, spec.nbytes, self._cid_cb,
+                m, self._tree(spec), spec.key, spec.nbytes, self._cid_cb,
                 self._on_colbcast_delivery_vec, (st, secs[idx_of[i]], i),
             )
         gl: dict[int, int] = {}
@@ -626,7 +618,7 @@ class SimulatedPSelInv:
         fin_args: dict[int, tuple] = {}
         for spec in plan.row_reduces:
             j = spec.key[2]
-            tree = self._ctree(spec)
+            tree = self._tree(spec)
             pos = tree.pos_of()
             jrow_j = (j % pr) * pc
             jn = j * nranks
@@ -645,7 +637,7 @@ class SimulatedPSelInv:
         for jrow, g in rowgroups.items():
             dl[jrow + kc] = len(g)
         spec = plan.col_reduce
-        tree = self._ctree(spec)
+        tree = self._tree(spec)
         pos = tree.pos_of()
         cr = VecReduce(
             m, tree, spec.key, spec.nbytes, self._cid_cr,

@@ -112,13 +112,14 @@ def get_tree_cache(
     scheme: str,
     seed: int,
     hybrid_threshold: int = 8,
-    engine: str = "batch",
+    engine: str = "vectorized",
 ) -> dict:
     """Shared communication-tree cache for one simulation configuration.
 
     Trees depend on ``(struct, grid, scheme, seed, hybrid_threshold)``
     -- and on the engine, which fixes the cached representation
-    (positional ``TreeArrays`` for batch, dict ``CommTree`` for legacy)
+    (``CompiledTree`` for the default vectorized engine, positional
+    ``TreeArrays`` for batch, dict ``CommTree`` for legacy)
     -- but not on jitter/placement seeds, so repeated runs of a sweep
     point share one cache -- the same sharing the serial Fig. 8 loop
     used.  Problems outside the memo get a fresh private cache.

@@ -62,13 +62,14 @@ class ExperimentSpec:
     # snapshot back in ``RunRecord.metrics``.  Off by default; the
     # simulated outcome is bit-identical either way.
     telemetry: bool = False
-    # DES engine: "batch" (calendar-queue scheduler, SoA message
-    # records), "vectorized" (batch plus compiled collective state
-    # machines and batched delivery), or "legacy" (binary-heap
-    # reference).  The simulated outcome is bit-identical across
-    # engines; this knob exists for head-to-head benchmarking and as an
-    # escape hatch / oracle.
-    engine: str = "batch"
+    # DES engine: "vectorized" (default: calendar-queue scheduler plus
+    # compiled collective state machines and batched delivery), "batch"
+    # (calendar-queue scheduler, SoA message records), or "legacy"
+    # (binary-heap reference).  The simulated outcome is bit-identical
+    # across engines, so the result store does not hash this field; it
+    # exists for head-to-head benchmarking and as an escape hatch /
+    # oracle.
+    engine: str = "vectorized"
 
     def describe(self) -> str:
         """One line naming the experiment (used in progress and errors)."""

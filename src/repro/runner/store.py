@@ -18,6 +18,8 @@ Stability rules for the hash (documented in ``docs/caching.md``):
   and platform-independent;
 * ``label`` is excluded -- it is an opaque caller tag that does not
   influence execution, so relabeled sweeps still hit;
+* ``engine`` is excluded -- the DES engines are bit-identical by
+  contract, so a record computed on one engine serves them all;
 * the spec class name and a :data:`FORMAT_VERSION` are included, so any
   semantic change to the record layout or the simulation contract is a
   one-line invalidation (bump the version).
@@ -155,6 +157,10 @@ def configure(
 # -- spec hashing ------------------------------------------------------------
 
 
+#: Spec fields that do not influence the simulated outcome.
+_UNHASHED_FIELDS = ("label", "engine")
+
+
 def _canonical(value):
     """JSON-safe canonical form of a spec field value (exact, stable)."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -163,7 +169,7 @@ def _canonical(value):
             **{
                 f.name: _canonical(getattr(value, f.name))
                 for f in dataclasses.fields(value)
-                if f.name != "label"
+                if f.name not in _UNHASHED_FIELDS
             },
         }
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
@@ -184,7 +190,8 @@ def spec_hash(spec) -> str:
     """Stable content hash of one spec (hex sha256).
 
     Equal hashes mean "the simulation would produce the same record";
-    the ``label`` field is excluded and floats are hashed exactly.
+    the ``label`` and ``engine`` fields are excluded and floats are
+    hashed exactly.
     """
     doc = {"format": FORMAT_VERSION, "spec": _canonical(spec)}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -26,6 +26,7 @@ messages per run), so per-rank clocks and counters are plain Python lists
 
 from __future__ import annotations
 
+import gc
 from bisect import insort
 from heapq import heappush
 from typing import Any, Callable, NamedTuple
@@ -364,8 +365,27 @@ class Machine:
     # -- lifecycle ---------------------------------------------------------------
 
     def run(self, max_events: int | None = None) -> float:
-        """Drain all events; returns the makespan (final virtual time)."""
-        return self.sim.run(max_events=max_events)
+        """Drain all events; returns the makespan (final virtual time).
+
+        The cyclic garbage collector is paused for the drain and its
+        previous state restored afterwards: the live simulator holds
+        hundreds of thousands of containers that every full collection
+        re-walks while reclaiming almost nothing (the event records are
+        acyclic and freed by reference counting).  One full collection
+        runs first, while the collector is enabled: a drain's
+        allocations no longer advance the collector's generation
+        counters, so without it the cyclic object graphs of finished
+        simulations would pile up across runs.
+        """
+        was_enabled = gc.isenabled()
+        if was_enabled:
+            gc.collect()
+        gc.disable()
+        try:
+            return self.sim.run(max_events=max_events)
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class BatchMachine(Machine):

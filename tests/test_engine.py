@@ -1,5 +1,8 @@
 """Tests for the DES kernel, network model, and machine."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -219,6 +222,63 @@ class TestMachine:
         m.post_send(0, 3, "t", 10**6, "x")
         end = m.run()
         assert end > 0
+
+
+class TestRunPausesCollector:
+    """``Machine.run`` disables the cyclic GC for the drain only."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_gc(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def _machine(self):
+        m = Machine(2, Network(2, NetworkConfig()))
+        seen = []
+        m.post_compute(0, 1.0, lambda: seen.append(gc.isenabled()))
+        return m, seen
+
+    def test_reenabled_after_drain(self):
+        gc.enable()
+        m, seen = self._machine()
+        m.run()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_frees_earlier_cyclic_garbage_first(self):
+        # A paused drain never advances the collector's generations, so
+        # run() collects once up front or dead simulations pile up.
+        gc.enable()
+
+        class Node:
+            pass
+
+        node = Node()
+        node.cycle = node
+        ref = weakref.ref(node)
+        del node
+        m, _ = self._machine()
+        m.run()
+        assert ref() is None
+
+    def test_reenabled_after_max_events_error(self):
+        gc.enable()
+        m, _ = self._machine()
+        m.post_compute(1, 1.0, lambda: None)
+        with pytest.raises(RuntimeError, match="exceeded 1 events"):
+            m.run(max_events=1)
+        assert gc.isenabled()
+
+    def test_stays_disabled_when_caller_disabled_it(self):
+        gc.disable()
+        m, seen = self._machine()
+        m.run()
+        assert seen == [False]
+        assert not gc.isenabled()
 
 
 class TestNetworkConfigImmutability:

@@ -3,7 +3,8 @@
 The store's contract (see ``docs/caching.md``) has three legs:
 
 1. **Spec-hash stability** -- the hash keys on exactly the fields that
-   influence execution: ``label`` is excluded, floats are exact, nested
+   influence the outcome: ``label`` and ``engine`` are excluded, floats
+   are exact, nested
    ``NetworkConfig`` fields count, and telemetry specs are uncacheable.
 2. **Round-trip fidelity** -- a stored record replays bit-identically
    (``same_outcome``) with the caller's spec re-attached.
@@ -58,6 +59,15 @@ class TestSpecHash:
         relabeled = dataclasses.replace(SPEC, label="fig8/run3")
         assert spec_hash(relabeled) == spec_hash(SPEC)
 
+    def test_engine_excluded(self):
+        # The engines are bit-identical, so the choice must not split
+        # the store.
+        hashes = {
+            spec_hash(dataclasses.replace(SPEC, engine=engine))
+            for engine in ("legacy", "batch", "vectorized")
+        }
+        assert hashes == {spec_hash(SPEC)}
+
     def test_every_execution_field_matters(self):
         variants = [
             dataclasses.replace(SPEC, scheme="flat"),
@@ -66,7 +76,6 @@ class TestSpecHash:
             dataclasses.replace(SPEC, jitter_seed=SPEC.jitter_seed + 1),
             dataclasses.replace(SPEC, placement_seed=5),
             dataclasses.replace(SPEC, lookahead=8),
-            dataclasses.replace(SPEC, engine="legacy"),
             dataclasses.replace(SPEC, per_message_cpu_overhead=1e-9),
             dataclasses.replace(
                 SPEC, network=NetworkConfig(jitter_sigma=0.2)

@@ -22,7 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm.trees import TREE_SCHEMES
 from repro.core import ProcessorGrid, SimulatedPSelInv
+from repro.obs import HotSpotMonitor, MetricsRegistry, Telemetry
+from repro.runner import ExperimentSpec, RunRecord, cache
 from repro.simulate import (
     BatchMachine,
     CommStats,
@@ -35,6 +38,7 @@ from repro.simulate import (
 )
 from repro.simulate.machine import Message
 from repro.sparse import analyze
+from repro.sparse.factor import factorize
 from repro.workloads import dg_hamiltonian
 
 ALL_SCHEMES = ("flat", "binary", "binomial", "shifted", "randperm", "hybrid")
@@ -108,6 +112,47 @@ def test_vectorized_matches_legacy(problem, scheme):
     legacy = _outcome(problem, "legacy", **kwargs)
     vec = _outcome(problem, "vectorized", **kwargs)
     assert vec == legacy
+
+
+@pytest.fixture(scope="module")
+def quick():
+    """The quick-tier spec's problem and its raw numeric factor."""
+    prob = cache.get_problem("audikw_1", "tiny", 8)
+    return prob, factorize(prob.matrix, prob.struct)
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "numeric", "telemetry"])
+@pytest.mark.parametrize("scheme", TREE_SCHEMES)
+def test_default_engine_record_matches_legacy(quick, scheme, mode):
+    """The library default engine -- including its numeric and telemetry
+    fallback onto the batch protocol -- reproduces the legacy record."""
+    prob, factor = quick
+    spec = ExperimentSpec(
+        "audikw_1", (3, 4), scheme, scale="tiny",
+        network=NetworkConfig(jitter_sigma=0.3), seed=17, jitter_seed=5,
+        lookahead=4,
+    )
+    grid = ProcessorGrid(*spec.grid)
+    results = []
+    for engine in ({}, {"engine": "legacy"}):
+        telemetry = None
+        if mode == "telemetry":
+            telemetry = Telemetry(
+                metrics=MetricsRegistry(), hotspots=HotSpotMonitor(grid.size)
+            )
+        results.append(SimulatedPSelInv(
+            prob.struct, grid, scheme, network=spec.network, seed=spec.seed,
+            jitter_seed=spec.jitter_seed, lookahead=spec.lookahead,
+            factor=factor if mode == "numeric" else None,
+            telemetry=telemetry, **engine,
+        ).run())
+    default, legacy = (RunRecord.from_result(spec, r) for r in results)
+    assert default.same_outcome(legacy)
+    if mode == "numeric":
+        assert np.array_equal(
+            results[0].inverse.to_dense_at_structure(),
+            results[1].inverse.to_dense_at_structure(),
+        )
 
 
 def test_vectorized_trace_log_identical(problem):
