@@ -1,20 +1,23 @@
 """Per-engine bit-identity smoke over the Fig. 8 quick sweep.
 
 Runs the exact Fig. 8 sweep specs once under each simulation engine
-(``legacy``, ``batch``, ``vectorized``) and asserts every
+(``legacy``, ``vectorized``) and asserts every
 :class:`~repro.runner.RunRecord` agrees bitwise with the legacy
 reference (:meth:`RunRecord.same_outcome`: makespan, event count,
 compute and communication split, and every per-rank byte/message/
-busy-time array).  This is the CI guard for the batch-dispatch and
-vectorized engines: the calendar-queue scheduler and the compiled
-collective state machines are optimizations, never behavior changes.
+busy-time array).  Each spec also runs a second time with
+``telemetry=True``, which sends the vectorized engine down its hooked
+(unspecialized) message route.  This is the CI guard for the vectorized
+engine: the calendar-queue scheduler and the compiled collective state
+machines are optimizations, never behavior changes.
 
 Run from ``benchmarks/`` with ``PYTHONPATH=../src:.``:
 
     REPRO_BENCH_SCALE=quick python check_engine_identity.py --limit 12
 
 ``--limit`` caps the spec count for CI time budgets (specs are ordered
-smallest grid first, so a prefix still covers every scheme).  Exits
+smallest grid first, so a prefix still covers every scheme); the
+telemetry copies come on top of the capped list.  Exits
 non-zero and names the offending specs on any mismatch.
 """
 
@@ -30,7 +33,7 @@ from bench_fig8_scaling import sweep_specs
 
 from repro.runner import run_experiments, store
 
-ENGINES = ("legacy", "batch", "vectorized")
+ENGINES = ("legacy", "vectorized")
 REFERENCE = ENGINES[0]
 
 
@@ -59,6 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     specs = sweep_specs()
     if args.limit is not None:
         specs = specs[: args.limit]
+    specs = specs + [replace(s, telemetry=True) for s in specs]
     # The result store does not hash the engine (engines are identical
     # by contract), so it would replay one engine's record for another.
     store.configure(enabled=False)
@@ -83,7 +87,8 @@ def main(argv: list[str] | None = None) -> int:
             if not ref.same_outcome(rec):
                 mismatches.append(
                     dict(
-                        spec=spec.describe(),
+                        spec=spec.describe()
+                        + (" telemetry" if spec.telemetry else ""),
                         engine=engine,
                         reference=dict(makespan=ref.makespan, events=ref.events),
                         candidate=dict(makespan=rec.makespan, events=rec.events),

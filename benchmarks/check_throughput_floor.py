@@ -3,11 +3,9 @@
 Reads ``results/BENCH_runner.json`` (written by
 ``bench_runner_scaling.py``) and enforces the reference-run contract:
 
-* every engine produced the bit-identical outcome;
-* the calendar-queue batch engine beats the legacy heap engine
-  (``--min-batch-speedup``, default 1.05x);
-* the vectorized engine beats the batch engine
-  (``--min-vectorized-speedup``, default 1.05x);
+* both engines produced the bit-identical outcome;
+* the vectorized engine beats the legacy heap engine
+  (``--min-vectorized-speedup``, default 1.10x);
 * absolute end-to-end throughput of the vectorized engine stays above
   ``--min-events-per-sec`` (default 40,000 ev/s -- a deliberately loose
   floor that catches order-of-magnitude regressions such as an
@@ -33,7 +31,7 @@ import sys
 
 
 def check(payload: dict, *, min_events_per_sec: float,
-          min_batch_speedup: float, min_vectorized_speedup: float) -> list[str]:
+          min_vectorized_speedup: float) -> list[str]:
     """Return a list of violation messages (empty = gate passes)."""
     failures = []
     cmp_ = payload.get("engine_head_to_head")
@@ -44,16 +42,10 @@ def check(payload: dict, *, min_events_per_sec: float,
             "engines disagree on the reference-run outcome "
             f"(run: {cmp_.get('run')})"
         )
-    speedup = cmp_.get("speedup", 0.0)
-    if speedup < min_batch_speedup:
+    speedup = cmp_.get("vectorized_speedup", 0.0)
+    if speedup < min_vectorized_speedup:
         failures.append(
-            f"batch-vs-legacy speedup {speedup:.3f}x below the "
-            f"{min_batch_speedup:.2f}x floor"
-        )
-    vec_vs_batch = cmp_.get("vectorized_vs_batch", 0.0)
-    if vec_vs_batch < min_vectorized_speedup:
-        failures.append(
-            f"vectorized-vs-batch speedup {vec_vs_batch:.3f}x below the "
+            f"vectorized-vs-legacy speedup {speedup:.3f}x below the "
             f"{min_vectorized_speedup:.2f}x floor"
         )
     ev_s = cmp_.get("vectorized_events_per_sec", 0)
@@ -79,8 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         help="BENCH_runner.json produced by bench_runner_scaling.py",
     )
     ap.add_argument("--min-events-per-sec", type=float, default=40_000)
-    ap.add_argument("--min-batch-speedup", type=float, default=1.05)
-    ap.add_argument("--min-vectorized-speedup", type=float, default=1.05)
+    ap.add_argument("--min-vectorized-speedup", type=float, default=1.10)
     args = ap.parse_args(argv)
 
     try:
@@ -93,7 +84,6 @@ def main(argv: list[str] | None = None) -> int:
     failures = check(
         payload,
         min_events_per_sec=args.min_events_per_sec,
-        min_batch_speedup=args.min_batch_speedup,
         min_vectorized_speedup=args.min_vectorized_speedup,
     )
     cmp_ = payload.get("engine_head_to_head", {})
@@ -106,8 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         f"throughput floor OK: vectorized "
         f"{cmp_.get('vectorized_events_per_sec', 0):,} ev/s "
         f"(>= {args.min_events_per_sec:,.0f}), "
-        f"batch speedup {cmp_.get('speedup')}x (>= {args.min_batch_speedup}), "
-        f"vectorized-vs-batch {cmp_.get('vectorized_vs_batch')}x "
+        f"vectorized-vs-legacy {cmp_.get('vectorized_speedup')}x "
         f"(>= {args.min_vectorized_speedup}), outcomes bit-identical"
     )
     return 0

@@ -444,10 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--engine",
             default="vectorized",
-            choices=["batch", "vectorized", "legacy"],
-            help="DES engine: compiled vectorized dispatch (default), "
-            "calendar-queue batch dispatch, or the binary-heap reference; "
-            "outcomes are bit-identical",
+            choices=["vectorized", "legacy"],
+            help="DES engine: compiled vectorized dispatch (default) or "
+            "the binary-heap reference oracle; outcomes are bit-identical",
         )
 
     def store_options(sp):

@@ -10,6 +10,13 @@ lets PSelInv pipeline supernodes without barriers.
 In numeric mode payloads are ndarrays and reductions really sum; in
 symbolic (timing/volume-only) mode payloads are ``None`` and reductions
 just count.
+
+Two implementations of the same state machines: :class:`TreeBroadcast` /
+:class:`TreeReduce` over dict-based :class:`~repro.comm.trees.CommTree`
+trees and :class:`~repro.simulate.machine.Message` handlers (the legacy
+engine's reference), and :class:`VecBroadcast` / :class:`VecReduce`
+compiled against :class:`~repro.comm.trees.CompiledTree` tables for the
+vectorized engine.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..simulate.machine import Machine, Message
-from .trees import CommTree, CompiledTree, TreeArrays
+from .trees import CommTree, CompiledTree
 
-__all__ = ["TreeBroadcast", "TreeReduce", "ArrayBroadcast", "ArrayReduce"]
+__all__ = ["TreeBroadcast", "TreeReduce", "VecBroadcast", "VecReduce", "BATCH_FANOUT_MIN"]
 
 
 def _require_hashable_tag(tag: Any) -> Any:
@@ -230,266 +237,262 @@ class TreeReduce:
 
 
 # ---------------------------------------------------------------------------
-# Array-based collectives (the batch engine's protocol layer)
+# Compiled collectives (the vectorized engine's protocol layer)
 #
-# Same state machines as above, but over a positional tree view
-# (:class:`~repro.comm.trees.TreeArrays`, or the
-# :class:`~repro.comm.trees.CompiledTree` the vectorized engine caches --
-# both answer the same four accessors): ranks are looked up by
-# construction-order *position*, adjacency comes from the shared per-shape
-# CSR memo (no per-tree dicts), and every forwarded message carries the
-# receiver's position in the machine's ``aux`` slot together with a direct
-# delivery callback -- so a delivery routes straight back into the
-# collective without any per-rank tag dispatch.  Send order, combine
-# order, and error behavior replicate the dict-based classes exactly
-# (children forward in ascending position = the dict builders' append
-# order), which is what keeps batch-engine runs bit-identical.
+# The same state machines as above, compiled against a
+# :class:`~repro.comm.trees.CompiledTree`:
+#
+# * positions, adjacency and child counts come straight from the
+#   per-shape memos (shared across every tree of the same family and
+#   size);
+# * forwarded messages travel on the machine's point route
+#   (:meth:`~repro.simulate.machine.VecMachine.send_pt`) with the
+#   receiver's tree position in ``aux`` and a direct delivery callback,
+#   so a delivery routes straight back into the collective without any
+#   per-rank tag dispatch;
+# * completion callbacks receive a caller-supplied ``ctx`` object, so the
+#   protocol layer binds no lambdas per collective;
+# * reductions are driven by contributor *positions* precomputed by the
+#   protocol (:meth:`VecReduce.contribute_pos`), with no per-call rank ->
+#   position lookup;
+# * wide fan-outs (flat/hybrid trees) are emitted as one column batch via
+#   :meth:`~repro.simulate.machine.VecMachine.send_batch`;
+# * the ``coll.*`` telemetry series are emitted from the tree shape when
+#   the collective is built: a run that returns has completed every
+#   collective, so the totals equal the per-message tallies of the
+#   dict-based classes.
+#
+# Send order, combine order, finish order and degenerate-tree behavior
+# replicate the dict-based classes exactly (children forward in ascending
+# position = the dict builders' append order; zero-input positions finish
+# at construction in ascending position), which is what keeps vectorized
+# runs bit-identical to the legacy engine.
 # ---------------------------------------------------------------------------
 
+#: Fan-outs at or above this go through the machine's column-batch send
+#: (numpy injection chain + per-pair gather); below it, the scalar
+#: per-child send is cheaper than the array round trip.
+BATCH_FANOUT_MIN = 6
 
-class ArrayBroadcast:
-    """Restricted broadcast over a :class:`TreeArrays` shape.
 
-    The batch-engine counterpart of :class:`TreeBroadcast`: messages
-    carry the child's tree position in ``aux`` and deliver through
-    :meth:`on_message` directly, so forwarding is three list indexings
-    and a fast-path send per child.
+def _record_shape(metrics, tree: CompiledTree, op: str, category: str,
+                  nbytes: int) -> None:
+    """Emit one collective's ``coll.*`` series from its tree shape: the
+    depth, one fan-out observation per position, and one forwarded
+    message of ``nbytes`` per tree edge."""
+    metrics.histogram("coll.depth", op=op, category=category).observe(
+        tree.depth()
+    )
+    fanout = metrics.histogram("coll.fanout", op=op, category=category)
+    for c in tree.child_counts:
+        fanout.observe(c)
+    edges = tree.size - 1
+    metrics.counter("coll.forwarded_messages", op=op, category=category).inc(
+        edges
+    )
+    metrics.counter("coll.forwarded_bytes", op=op, category=category).inc(
+        edges * nbytes
+    )
+
+
+class VecBroadcast:
+    """Restricted broadcast over a :class:`CompiledTree`.
+
+    ``on_delivery(ctx, rank, payload)`` fires on every participant
+    (including the root) once the data is locally available.
     """
 
     __slots__ = (
         "machine",
-        "arrays",
+        "tree",
         "tag",
         "nbytes",
-        "category",
         "cid",
         "on_delivery",
+        "ctx",
         "_started",
         "_ranks",
         "_indptr",
         "_childpos",
-        "_fanout",
-        "_forwards",
-        "_forward_bytes",
+        "_om",
+        "_send",
     )
 
     def __init__(
         self,
         machine,
-        arrays: TreeArrays | CompiledTree,
+        tree: CompiledTree,
         tag: Any,
         nbytes: int,
         category: str,
-        on_delivery: Callable[[int, Any], None],
+        on_delivery: Callable[[Any, int, Any], None],
+        ctx: Any,
     ) -> None:
         self.machine = machine
-        self.arrays = arrays
-        self.tag = _require_hashable_tag(tag)
+        self.tree = tree
+        self.tag = tag
         self.nbytes = int(nbytes)
-        self.category = category
         self.cid = machine.category_id(category)
         self.on_delivery = on_delivery
+        self.ctx = ctx
         self._started = False
-        self._ranks = arrays.ranks_list()
-        self._indptr, self._childpos = arrays.children_csr()
-        metrics = machine.metrics
-        if metrics is not None:
-            metrics.histogram("coll.depth", op="bcast", category=category).observe(
-                arrays.depth()
-            )
-            self._fanout = metrics.histogram(
-                "coll.fanout", op="bcast", category=category
-            )
-            self._forwards = metrics.counter(
-                "coll.forwarded_messages", op="bcast", category=category
-            )
-            self._forward_bytes = metrics.counter(
-                "coll.forwarded_bytes", op="bcast", category=category
-            )
-        else:
-            self._fanout = None
-            self._forwards = None
-            self._forward_bytes = None
+        self._ranks = tree.ranks
+        self._indptr = tree.indptr
+        self._childpos = tree.childpos
+        self._om = self.on_message
+        # The machine's send closures exist before any collective does,
+        # so they can be captured once per collective instead of looked
+        # up per forwarded message.
+        self._send = machine.send_pt
+        if machine.metrics is not None:
+            _record_shape(machine.metrics, tree, "bcast", category, self.nbytes)
 
     def start(self, payload: Any = None) -> None:
         """Called (once) on the root when its data is ready."""
         if self._started:
             raise RuntimeError(f"broadcast {self.tag!r} started twice")
         self._started = True
-        self._forward_pos(0, payload)
+        self.on_message(self._ranks[0], payload, 0)
 
     def on_message(self, dst: int, payload: Any, aux: int) -> None:
         """Delivery callback: a tree parent forwarded us the payload."""
-        self._forward_pos(aux, payload)
-
-    def _forward_pos(self, pos: int, payload: Any) -> None:
         indptr = self._indptr
-        lo = indptr[pos]
-        hi = indptr[pos + 1]
-        ranks = self._ranks
-        rank = ranks[pos]
+        lo = indptr[aux]
+        hi = indptr[aux + 1]
         if hi > lo:
-            send = self.machine.send
+            ranks = self._ranks
             childpos = self._childpos
-            tag = self.tag
-            nbytes = self.nbytes
-            cid = self.cid
-            om = self.on_message
-            for ci in range(lo, hi):
-                child = childpos[ci]
-                send(rank, ranks[child], tag, nbytes, cid, payload, om, child)
-        if self._fanout is not None:
-            self._fanout.observe(hi - lo)
-            if hi > lo:
-                self._forwards.inc(hi - lo)
-                self._forward_bytes.inc((hi - lo) * self.nbytes)
-        self.on_delivery(rank, payload)
+            if hi - lo >= BATCH_FANOUT_MIN:
+                auxs = childpos[lo:hi]
+                self.machine.send_batch(
+                    dst,
+                    [ranks[c] for c in auxs],
+                    self.tag,
+                    self.nbytes,
+                    self.cid,
+                    self._om,
+                    auxs,
+                    payload,
+                )
+            else:
+                send = self._send
+                tag = self.tag
+                nbytes = self.nbytes
+                cid = self.cid
+                om = self._om
+                for ci in range(lo, hi):
+                    child = childpos[ci]
+                    send(dst, ranks[child], tag, nbytes, cid, om, child, payload)
+        self.on_delivery(self.ctx, dst, payload)
 
 
-class ArrayReduce:
-    """Restricted reduction over a :class:`TreeArrays` shape.
+class VecReduce:
+    """Restricted reduction over a :class:`CompiledTree`.
 
-    The batch-engine counterpart of :class:`TreeReduce`: per-position
-    progress lives in flat lists, partials flow child -> parent with the
-    parent's position in ``aux``, and only :meth:`contribute` pays for a
-    rank -> position lookup (one small dict per collective).
+    The protocol layer supplies contributor *positions* up front and
+    drives progress through :meth:`contribute_pos`; per-position pending
+    counters start from the shared child-count list.  Values (numeric
+    mode) combine with ``+`` in arrival order, exactly like
+    :class:`TreeReduce`; ``None`` values (symbolic mode) only count.
+    ``on_complete(ctx, value)`` fires on the root.  Zero-input positions
+    (degenerate trees) finish at construction in ascending position
+    order.
     """
 
     __slots__ = (
         "machine",
-        "arrays",
+        "tree",
         "tag",
         "nbytes",
-        "category",
         "cid",
-        "contributors",
         "on_complete",
-        "combine",
+        "ctx",
         "_ranks",
-        "_pos_of",
-        "_indptr",
         "_parents",
         "_pending",
         "_value",
-        "_done",
-        "_fanin",
-        "_forwards",
-        "_forward_bytes",
+        "_om",
+        "_send",
     )
 
     def __init__(
         self,
         machine,
-        arrays: TreeArrays | CompiledTree,
+        tree: CompiledTree,
         tag: Any,
         nbytes: int,
         category: str,
-        contributors: set[int],
-        on_complete: Callable[[Any], None],
-        combine: Callable[[Any, Any], Any] | None = None,
+        contributor_pos,
+        on_complete: Callable[[Any, Any], None],
+        ctx: Any,
     ) -> None:
         self.machine = machine
-        self.arrays = arrays
-        self.tag = _require_hashable_tag(tag)
+        self.tree = tree
+        self.tag = tag
         self.nbytes = int(nbytes)
-        self.category = category
         self.cid = machine.category_id(category)
-        self.contributors = set(int(r) for r in contributors)
         self.on_complete = on_complete
-        self.combine = combine
-        ranks = arrays.ranks_list()
-        self._ranks = ranks
-        self._pos_of = {r: i for i, r in enumerate(ranks)}
-        self._indptr, _ = arrays.children_csr()
-        self._parents = arrays.parent_positions()
-        metrics = machine.metrics
-        if metrics is not None:
-            metrics.histogram("coll.depth", op="reduce", category=category).observe(
-                arrays.depth()
-            )
-            self._fanin = metrics.histogram(
-                "coll.fanout", op="reduce", category=category
-            )
-            self._forwards = metrics.counter(
-                "coll.forwarded_messages", op="reduce", category=category
-            )
-            self._forward_bytes = metrics.counter(
-                "coll.forwarded_bytes", op="reduce", category=category
-            )
-        else:
-            self._fanin = None
-            self._forwards = None
-            self._forward_bytes = None
-        unknown = self.contributors - set(ranks)
-        if unknown:
-            raise ValueError(
-                f"reduce {self.tag!r}: contributors {sorted(unknown)} "
-                "not in the tree"
-            )
-        p = len(ranks)
-        indptr = self._indptr
-        contrib = self.contributors
-        pending = [0] * p
+        self.ctx = ctx
+        self._ranks = tree.ranks
+        self._parents = tree.parentpos
+        pending = list(tree.child_counts)
+        for p in contributor_pos:
+            pending[p] += 1
         self._pending = pending
-        self._value: list[Any] = [None] * p
-        self._done = [False] * p
-        for i in range(p):
-            expected = indptr[i + 1] - indptr[i] + (1 if ranks[i] in contrib else 0)
-            pending[i] = expected
+        # Partial value per position, allocated by the first value.
+        self._value: list[Any] | None = None
+        self._om = self.on_message
+        self._send = machine.send_pt
+        if machine.metrics is not None:
+            _record_shape(machine.metrics, tree, "reduce", category, self.nbytes)
+        for i, expected in enumerate(pending):
             if expected == 0:
                 # A pure relay with no children and no contribution can
                 # only happen for a degenerate tree; fire immediately.
                 self._finish(i)
 
-    def contribute(self, rank: int, value: Any = None) -> None:
-        """Provide ``rank``'s local contribution (exactly once)."""
-        if rank not in self.contributors:
-            raise ValueError(
-                f"reduce {self.tag!r}: rank {rank} is not a contributor"
-            )
-        self._absorb(self._pos_of[rank], value)
+    def contribute_pos(self, pos: int, value: Any = None) -> None:
+        """Provide the contribution of the rank at ``pos`` (exactly once)."""
+        if value is not None:
+            self._combine(pos, value)
+        pending = self._pending
+        n = pending[pos] - 1
+        pending[pos] = n
+        if n == 0:
+            self._finish(pos)
 
     def on_message(self, dst: int, payload: Any, aux: int) -> None:
         """Delivery callback: a child sent us its partial result."""
-        self._absorb(aux, payload)
-
-    def _absorb(self, pos: int, value: Any) -> None:
-        if self._done[pos]:
-            raise RuntimeError(
-                f"reduce {self.tag!r}: input after completion at rank "
-                f"{self._ranks[pos]}"
-            )
-        cur = self._value[pos]
-        if cur is None:
-            self._value[pos] = value
-        elif value is not None:
-            fn = self.combine if self.combine is not None else (lambda a, b: a + b)
-            self._value[pos] = fn(cur, value)
+        if payload is not None:
+            self._combine(aux, payload)
         pending = self._pending
-        pending[pos] -= 1
-        if pending[pos] == 0:
-            self._finish(pos)
+        n = pending[aux] - 1
+        pending[aux] = n
+        if n == 0:
+            self._finish(aux)
+
+    def _combine(self, pos: int, value: Any) -> None:
+        vals = self._value
+        if vals is None:
+            vals = self._value = [None] * len(self._pending)
+        cur = vals[pos]
+        vals[pos] = value if cur is None else cur + value
 
     def _finish(self, pos: int) -> None:
-        self._done[pos] = True
-        if self._fanin is not None:
-            indptr = self._indptr
-            self._fanin.observe(indptr[pos + 1] - indptr[pos])
-        if pos == 0:
-            self.on_complete(self._value[0])
-        else:
-            if self._forwards is not None:
-                self._forwards.inc()
-                self._forward_bytes.inc(self.nbytes)
+        vals = self._value
+        value = None if vals is None else vals[pos]
+        if pos:
             parent = self._parents[pos]
             ranks = self._ranks
-            self.machine.send(
+            self._send(
                 ranks[pos],
                 ranks[parent],
                 self.tag,
                 self.nbytes,
                 self.cid,
-                self._value[pos],
-                self.on_message,
+                self._om,
                 parent,
+                value,
             )
+        else:
+            self.on_complete(self.ctx, value)

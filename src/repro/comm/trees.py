@@ -367,8 +367,8 @@ _POSITION_SHAPES = {
 def _children_csr(family: str, p: int) -> tuple[list[int], list[int]]:
     """CSR adjacency (indptr, child positions) of one positional shape.
 
-    Plain Python lists: the batch collectives index them per forwarded
-    message.  Children appear in ascending position, matching the
+    Plain Python lists: the compiled collectives index them per
+    forwarded message.  Children appear in ascending position, matching the
     append order of the dict-based tree builders bit for bit.
     """
     kids, par = _POSITION_SHAPES[family](p)
@@ -428,40 +428,12 @@ class TreeArrays:
     # per charged group and instances are shared through the cache.
     max_degree: int
     # Positional-shape family ("flat" / "binary" / "binomial"; the
-    # shifted and randperm schemes reuse the binary shape).  Keys the
-    # shared children-CSR and depth memos, so the batch-engine
-    # collectives never rebuild per-tree adjacency.
+    # shifted and randperm schemes reuse the binary shape).
     family: str = "binary"
 
     @property
     def size(self) -> int:
         return len(self.ranks)
-
-    def ranks_list(self) -> list[int]:
-        """The ranks as a plain Python list (scalar ndarray indexing is
-        several times slower on the collectives' hot path).  Lazily
-        materialized once per instance; the DES machines memoize one
-        instance per collective spec per run, so the list is built once
-        per distinct tree there."""
-        rl = getattr(self, "_rl", None)
-        if rl is None:
-            rl = [int(r) for r in self.ranks]
-            object.__setattr__(self, "_rl", rl)
-        return rl
-
-    def children_csr(self) -> tuple[list[int], list[int]]:
-        """``(indptr, child_positions)`` adjacency of the positional
-        shape, children in ascending construction-order position (the
-        exact forwarding order of the dict-based builders)."""
-        return _children_csr(self.family, self.size)
-
-    def parent_positions(self) -> list[int]:
-        """Parent position per position (root -1), shared per shape."""
-        return _parent_positions(self.family, self.size)
-
-    def depth(self) -> int:
-        """Longest root-to-leaf path length in edges."""
-        return _shape_depth(self.family, self.size)
 
     def to_comm_tree(self) -> CommTree:
         """Materialize the dict-based :class:`CommTree` view.
@@ -825,11 +797,6 @@ class CompiledTree:
     position 0); ``indptr``/``childpos`` give each position's children in
     ascending position -- the exact forwarding order of the dict-based
     builders.
-
-    It also answers the :class:`TreeArrays` accessors the array
-    collectives read (``ranks_list``/``children_csr``/
-    ``parent_positions``/``depth``), so the vectorized engine's numeric
-    and telemetry fallback runs over the same cached trees.
     """
 
     __slots__ = (
@@ -866,18 +833,6 @@ class CompiledTree:
         if pos is None:
             pos = self._pos = dict(zip(self.ranks, range(self.size)))
         return pos
-
-    def ranks_list(self) -> list[int]:
-        """The ranks in construction order (shared, do not mutate)."""
-        return self.ranks
-
-    def children_csr(self) -> tuple[list[int], list[int]]:
-        """``(indptr, child_positions)`` adjacency of the shape."""
-        return self.indptr, self.childpos
-
-    def parent_positions(self) -> list[int]:
-        """Parent position per position (root -1), shared per shape."""
-        return self.parentpos
 
     def depth(self) -> int:
         """Longest root-to-leaf path length in edges."""

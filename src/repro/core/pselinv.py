@@ -37,35 +37,35 @@ Two modes share all protocol code:
   counts and the virtual clock matter.  This is the mode the large-scale
   strong-scaling experiments use.
 
-Three interchangeable execution engines (``engine=``):
+Two interchangeable execution engines (``engine=``), one protocol each:
 
 * ``"vectorized"`` (default) -- the
-  :class:`~repro.simulate.vec.VecMachine` /
-  :class:`~repro.simulate.vec.VecSimulator` stack plus a *compiled*
+  :class:`~repro.simulate.machine.VecMachine` /
+  :class:`~repro.simulate.engine.VecSimulator` stack plus a *compiled*
   protocol layer: on window entry every per-event quantity of a
   supernode (GEMM/normalize/diag durations, send destinations, tags,
   readiness keys) is precomputed in bulk with numpy, collectives run as
-  :class:`~repro.comm.vec_collectives.VecBroadcast` /
-  :class:`~repro.comm.vec_collectives.VecReduce` state machines over
-  shared :class:`~repro.comm.trees.CompiledTree` tables, and the hot
-  handlers are closure-free (pre-registered handler ids + tuple
-  arguments).  Numeric or telemetry-instrumented runs transparently
-  fall back to the batch protocol on the same machine, over the same
-  cached :class:`~repro.comm.trees.CompiledTree` tables.
-* ``"batch"`` -- the calendar-queue
-  :class:`~repro.simulate.engine.BatchSimulator` +
-  :class:`~repro.simulate.machine.BatchMachine` stack with array-based
-  collectives (:class:`~repro.comm.collectives.ArrayBroadcast` /
-  :class:`~repro.comm.collectives.ArrayReduce`) routed over positional
-  :class:`~repro.comm.trees.TreeArrays`.
+  :class:`~repro.comm.collectives.VecBroadcast` /
+  :class:`~repro.comm.collectives.VecReduce` state machines over shared
+  :class:`~repro.comm.trees.CompiledTree` tables, and the handlers are
+  closure-free (pre-registered handler ids + tuple arguments).  Every
+  mode runs on it: numeric payloads ride the same point records
+  (numeric tasks get their data wrapped onto the precomputed argument
+  and a numeric handler variant under the same id), and telemetry,
+  event-log and per-message-overhead runs take the machine's
+  unspecialized route, which calls the hooks.
 * ``"legacy"`` -- the original heapq :class:`Simulator` + per-message
-  :class:`Message` objects + dict-based collectives.
+  :class:`Message` objects + dict-based
+  :class:`~repro.comm.collectives.TreeBroadcast` /
+  :class:`~repro.comm.collectives.TreeReduce`: the reference oracle.
 
-All three produce bit-identical results -- same event count, same final
-timestamps, same per-rank stats -- which the engine-equivalence tests,
-``benchmarks/check_engine_identity.py`` and
+Both produce bit-identical results -- same event count, same final
+timestamps, same per-rank stats, the same numeric inverse -- which the
+engine-equivalence tests, ``benchmarks/check_engine_identity.py`` and
 ``benchmarks/bench_runner_scaling.py`` assert; the vectorized engine is
-the fastest, hence the default.
+the faster, hence the default.  The numeric arithmetic
+(:meth:`SimulatedPSelInv._compute_gemm`, :meth:`_invert_diag`,
+:meth:`_normalize`) is shared by both protocols.
 """
 
 from __future__ import annotations
@@ -76,11 +76,9 @@ from typing import Any
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ..comm.collectives import ArrayBroadcast, ArrayReduce, TreeBroadcast, TreeReduce
-from ..comm.trees import build_tree, compiled_tree, tree_arrays, tree_cache_info
-from ..comm.vec_collectives import VecBroadcast, VecReduce
-from ..simulate.machine import BatchMachine, CommStats, Machine, Message
-from ..simulate.vec import VecMachine
+from ..comm.collectives import TreeBroadcast, TreeReduce, VecBroadcast, VecReduce
+from ..comm.trees import build_tree, compiled_tree, tree_cache_info
+from ..simulate.machine import CommStats, Machine, Message, VecMachine
 from ..simulate.network import Network, NetworkConfig
 from ..sparse.factor import SupernodalFactor
 from ..sparse.selinv import SelectedInverse
@@ -94,9 +92,15 @@ __all__ = ["PSelInvResult", "SimulatedPSelInv", "run_pselinv"]
 # Tree representation per engine (see :meth:`SimulatedPSelInv._tree`).
 _TREE_BUILDERS = {
     "legacy": build_tree,
-    "batch": tree_arrays,
     "vectorized": compiled_tree,
 }
+
+
+def _accumulate(partials: dict, key: Any, contrib: Any) -> None:
+    """Add ``contrib`` to ``partials[key]`` (first contribution stored
+    as is), in arrival order -- the order both engines share."""
+    cur = partials.get(key)
+    partials[key] = contrib if cur is None else cur + contrib
 
 
 @dataclass
@@ -136,7 +140,7 @@ class _SupernodeState:
         "nrows",
         "cross_nbytes",
         "back_nbytes",
-        # Compiled-protocol tables (engine="vectorized", symbolic):
+        # Compiled-protocol tables (engine="vectorized"):
         "rr_info",
         "norm_vec",
         "base_sec",
@@ -148,7 +152,8 @@ class _SupernodeState:
         self.lhat: dict[int, Any] = {}  # I -> Lhat(I,K) at owner of L(I,K)
         self.uhat: dict[tuple[int, int], Any] = {}  # (I, rank) -> Uhat(K,I)
         self.ainv_low: dict[int, Any] = {}  # J -> Ainv(J,K) at owner L(J,K)
-        self.row_partial: dict[tuple[int, int], Any] = {}  # (J, rank) -> sum
+        # (J, rank) -> sum; the compiled protocol keys J * nranks + rank.
+        self.row_partial: dict[Any, Any] = {}
         self.gemms_left: dict[tuple[int, int], int] = {}  # (J, rank) -> n
         self.diag_partial: dict[int, Any] = {}  # rank -> partial (s, s)
         self.diag_left: dict[int, int] = {}  # rank -> outstanding rows J
@@ -189,10 +194,9 @@ class SimulatedPSelInv:
         telemetry=None,
         engine: str = "vectorized",
     ) -> None:
-        if engine not in ("batch", "legacy", "vectorized"):
+        if engine not in _TREE_BUILDERS:
             raise ValueError(
-                f"unknown engine {engine!r}; expected 'batch', 'legacy', "
-                "or 'vectorized'"
+                f"unknown engine {engine!r}; expected 'vectorized' or 'legacy'"
             )
         self.engine = engine
         self.struct = struct
@@ -241,17 +245,6 @@ class SimulatedPSelInv:
                 metrics=metrics,
                 deliver_cpu_overhead=per_message_cpu_overhead,
             )
-        elif engine == "batch":
-            # The batch machine charges the per-delivery CPU overhead
-            # itself (no wrapper handler on the hot path).
-            self.machine = BatchMachine(
-                grid.size,
-                net,
-                event_log=event_log,
-                recorder=recorder,
-                metrics=metrics,
-                deliver_cpu_overhead=per_message_cpu_overhead,
-            )
         else:
             self.machine = Machine(
                 grid.size,
@@ -281,7 +274,7 @@ class SimulatedPSelInv:
         self._ran = False
         # Trees depend on (scheme, seed, grid, struct) -- and on the
         # engine, which determines the cached representation (dict
-        # CommTree, TreeArrays or CompiledTree); callers sweeping over jitter/
+        # CommTree or CompiledTree); callers sweeping over jitter/
         # placement seeds may share a cache across runs with identical
         # configuration.  A guard key catches accidental reuse.
         self._tree_cache = tree_cache if tree_cache is not None else {}
@@ -294,34 +287,19 @@ class SimulatedPSelInv:
                 "tree_cache was built for a different configuration: "
                 f"{prior} vs {guard}"
             )
-        # The compiled (closure-free) protocol only handles the
-        # symbolic, un-instrumented case; numeric or telemetry runs on
-        # the vectorized engine fall back to the batch protocol on the
-        # same machine (identical outcomes, fewer specializations).
-        self._vec = (
-            engine == "vectorized" and not self.numeric and telemetry is None
-        )
-        if engine == "legacy":
-            self._bcast_cls: Any = TreeBroadcast
-            self._reduce_cls: Any = TreeReduce
-            for r in range(grid.size):
-                self.machine.set_handler(r, self._make_handler(r))
-        elif self._vec:
+        self._vec = engine == "vectorized"
+        if self._vec:
             self._init_vec_protocol()
         else:
-            self._bcast_cls = ArrayBroadcast
-            self._reduce_cls = ArrayReduce
             for r in range(grid.size):
-                self.machine.set_fast_handler(r, self._make_fast_handler(r))
+                self.machine.set_handler(r, self._make_handler(r))
 
     # -- setup ------------------------------------------------------------
 
     def _tree(self, spec) -> Any:
         """The spec's communication tree, in the engine's representation
-        (dict :class:`CommTree` for legacy, positional
-        :class:`TreeArrays` for batch, :class:`CompiledTree` for
-        vectorized -- compiled and fallback protocols alike), memoized
-        per run/config."""
+        (dict :class:`CommTree` for legacy, :class:`CompiledTree` for
+        vectorized), memoized per run/config."""
         key = spec.key
         tree = self._tree_cache.get(key)
         if tree is None:
@@ -347,7 +325,7 @@ class SimulatedPSelInv:
         k = plan.k
         if plan.diag_bcast is not None:
             spec = plan.diag_bcast
-            self.collectives[spec.key] = self._bcast_cls(
+            self.collectives[spec.key] = TreeBroadcast(
                 m,
                 self._tree(spec),
                 spec.key,
@@ -359,7 +337,7 @@ class SimulatedPSelInv:
             )
         for spec in plan.col_bcasts:
             i = spec.key[2]
-            self.collectives[spec.key] = self._bcast_cls(
+            self.collectives[spec.key] = TreeBroadcast(
                 m,
                 self._tree(spec),
                 spec.key,
@@ -376,7 +354,7 @@ class SimulatedPSelInv:
             contributors = {
                 jrow + (b.snode % pc) for b in plan.blocks
             }
-            self.collectives[spec.key] = self._reduce_cls(
+            self.collectives[spec.key] = TreeReduce(
                 m,
                 self._tree(spec),
                 spec.key,
@@ -393,7 +371,7 @@ class SimulatedPSelInv:
             contributors = {
                 (b.snode % self.grid.pr) * pc + kc for b in plan.blocks
             }
-            self.collectives[spec.key] = self._reduce_cls(
+            self.collectives[spec.key] = TreeReduce(
                 m,
                 self._tree(spec),
                 spec.key,
@@ -421,26 +399,6 @@ class SimulatedPSelInv:
                 self._on_cross_back(key[1], key[2], rank, msg.payload)
             else:  # pragma: no cover - protocol safety net
                 raise RuntimeError(f"unknown message tag {key!r}")
-
-        return handler
-
-    def _make_fast_handler(self, rank: int):
-        """Batch-engine rank handler for the point-to-point tags.
-
-        Collective messages never reach it (they carry their own
-        delivery callback); only the cross-send/cross-back transfers
-        fall through to the rank handler.  The per-message CPU overhead
-        is charged by the :class:`BatchMachine` itself.
-        """
-
-        def handler(tag: Any, payload: Any, aux: int) -> None:
-            kind = tag[0]
-            if kind == "cs":
-                self._on_cross_send(tag[1], tag[2], payload)
-            elif kind == "xb":
-                self._on_cross_back(tag[1], tag[2], rank, payload)
-            else:  # pragma: no cover - protocol safety net
-                raise RuntimeError(f"unknown message tag {tag!r}")
 
         return handler
 
@@ -506,31 +464,38 @@ class SimulatedPSelInv:
             lowner = (bj.snode % pr) * pc + kc
             norm_blocks.setdefault(lowner, []).append(bj)
 
-    # -- compiled protocol (engine="vectorized", symbolic) -----------------------
+    # -- compiled protocol (engine="vectorized") ---------------------------------
     #
     # Same dataflow, same timestamps, zero per-event closures: window
     # entry precomputes every duration/destination/tag in bulk with
     # numpy, handlers are pre-registered ids dispatching on tuple
     # arguments, collective traffic rides the machine's point route, and
     # Ainv readiness keys are flat ints (row * nsup + col).  Every
-    # simulator event maps one-to-one onto a batch-engine event, in the
+    # simulator event maps one-to-one onto a legacy-engine event, in the
     # same sequence order -- that is the whole bit-identity argument.
+    #
+    # Numeric mode changes no event: payloads ride the point records,
+    # and the three task kinds whose precomputed argument is shared
+    # (normalize, GEMM, diag-contrib) get the data they need wrapped onto
+    # it at post time, handled by a numeric variant under the same id.
 
     def _init_vec_protocol(self) -> None:
         m = self.machine
-        sim = m.sim
-        cat = m.category_id
-        self._cid_db = cat("diag-bcast")
-        self._cid_cb = cat("col-bcast")
-        self._cid_rr = cat("row-reduce")
-        self._cid_cr = cat("col-reduce")
-        self._cid_cross = cat("cross-send")
-        self._cid_back = cat("cross-back")
-        self._hid_gemm = sim.register_handler(self._gemm_fin_vec)
-        self._hid_norm = sim.register_handler(self._norm_fin_vec)
-        self._hid_diagc = sim.register_handler(self._diag_fin_vec)
-        self._hid_base = sim.register_handler(self._base_fin_vec)
-        self._hid_colred = sim.register_handler(self._colred_fin_vec)
+        task = m.register_task
+        num = self.numeric
+        self._cid_cross = m.category_id("cross-send")
+        self._cid_back = m.category_id("cross-back")
+        self._hid_gemm = task(
+            self._gemm_fin_num if num else self._gemm_fin_vec, "gemm"
+        )
+        self._hid_norm = task(
+            self._norm_fin_num if num else self._norm_fin_vec, "normalize"
+        )
+        self._hid_diagc = task(
+            self._diag_fin_num if num else self._diag_fin_vec, "diag-contrib"
+        )
+        self._hid_base = task(self._base_fin_vec, "diag-inv")
+        self._hid_colred = task(self._colred_fin_vec, "finish-diag")
         self._ready: set[int] = set()
         self._vwaiters: dict[int, list] = {}
         # Column broadcasts waiting on their cross-send, keyed
@@ -538,8 +503,9 @@ class SimulatedPSelInv:
         self._vec_cb: dict[int, Any] = {}
         self._nsup = self.struct.nsup
 
-    def _setup_supernode_vec(self, plan: SupernodePlan) -> None:
-        """Window entry: compile supernode ``plan.k``'s whole protocol.
+    def _setup_supernode_vec(self, plan: SupernodePlan) -> VecBroadcast:
+        """Window entry: compile supernode ``plan.k``'s whole protocol;
+        returns its (unstarted) diagonal broadcast.
 
         Fuses ``_gemm_counts`` + ``_build_collectives`` and additionally
         precomputes, in bulk numpy expressions, every compute duration
@@ -590,13 +556,13 @@ class SimulatedPSelInv:
             colcount[c] = colcount.get(c, 0) + 1
         ucols = list(colcount)
         ucnts = list(colcount.values())
-        # Collectives go up in the batch engine's construction order
+        # Collectives go up in the legacy protocol's construction order
         # (diag bcast, col bcasts, row reduces, col reduce): reduce
         # construction can emit degenerate-relay sends, so this order is
         # part of the bit-identity contract.
         spec = plan.diag_bcast
         diag_bc = VecBroadcast(
-            m, self._tree(spec), spec.key, spec.nbytes, self._cid_db,
+            m, self._tree(spec), spec.key, spec.nbytes, spec.kind,
             self._on_diag_delivery_vec, st,
         )
         vcb = self._vec_cb
@@ -610,7 +576,7 @@ class SimulatedPSelInv:
         for spec in plan.col_bcasts:
             i = spec.key[2]
             vcb[kn + i] = VecBroadcast(
-                m, self._tree(spec), spec.key, spec.nbytes, self._cid_cb,
+                m, self._tree(spec), spec.key, spec.nbytes, spec.kind,
                 self._on_colbcast_delivery_vec, (st, secs[idx_of[i]], i),
             )
         gl: dict[int, int] = {}
@@ -623,7 +589,7 @@ class SimulatedPSelInv:
             jrow_j = (j % pr) * pc
             jn = j * nranks
             red = VecReduce(
-                m, tree, spec.key, spec.nbytes, self._cid_rr,
+                m, tree, spec.key, spec.nbytes, spec.kind,
                 [pos[jrow_j + c] for c in ucols],
                 self._on_rowreduce_complete_vec, (st, j),
             )
@@ -640,7 +606,7 @@ class SimulatedPSelInv:
         tree = self._tree(spec)
         pos = tree.pos_of()
         cr = VecReduce(
-            m, tree, spec.key, spec.nbytes, self._cid_cr,
+            m, tree, spec.key, spec.nbytes, spec.kind,
             [pos[d] for d in dl],
             self._on_colreduce_complete_vec, st,
         )
@@ -693,7 +659,7 @@ class SimulatedPSelInv:
                     [fin_args[snodes[x] * nranks + rank] for x in group],
                     jsn,
                 )
-        self.machine.sim.schedule(0.0, lambda bc=diag_bc: bc.start(None))
+        return diag_bc
 
     def _mark_ready_vec(self, rkey: int) -> None:
         self._ready.add(rkey)
@@ -706,22 +672,36 @@ class SimulatedPSelInv:
 
     def _on_diag_delivery_vec(self, st, rank: int, payload) -> None:
         if rank == st.plan.diag_owner:
-            self.machine.post_named(rank, st.base_sec, self._hid_base, st)
+            self.machine.post_named(
+                rank, st.base_sec, self._hid_base, (st, payload)
+            )
         ents = st.norm_vec.get(rank)
         if ents is not None:
             post = self.machine.post_named
             hid = self._hid_norm
             for sec, arg in ents:
-                post(rank, sec, hid, arg)
+                post(rank, sec, hid, arg if payload is None else (arg, payload))
 
-    def _base_fin_vec(self, st) -> None:
-        st.base = None
+    def _base_fin_vec(self, arg) -> None:
+        st, lu = arg
+        st.base = None if lu is None else self._invert_diag(lu)
 
     def _norm_fin_vec(self, arg) -> None:
         # (src, u_owner, ("cs", k, i), nbytes, col-bcast key)
         self.machine.send_pt(
             arg[0], arg[1], arg[2], arg[3], self._cid_cross,
             self._on_cross_send_vec, arg[4],
+        )
+
+    def _norm_fin_num(self, arg) -> None:
+        (src, u_owner, tag, nbytes, cbkey), lu = arg
+        k, i = tag[1], tag[2]
+        lhat = self._normalize(k, i, lu)
+        self.states[k].lhat[i] = lhat
+        # Cross-send Lhat^T to the owner of U(K,I).
+        self.machine.send_pt(
+            src, u_owner, tag, nbytes, self._cid_cross,
+            self._on_cross_send_vec, cbkey, lhat.T,
         )
 
     def _on_cross_send_vec(self, dst: int, payload, aux: int) -> None:
@@ -733,6 +713,9 @@ class SimulatedPSelInv:
         if tab is None:
             return
         group, fins, jsn = tab
+        if payload is not None:
+            st.uhat[(i, rank)] = payload
+            fins = [(f, i) for f in fins]
         ready = self._ready
         waiters = self._vwaiters
         post = self.machine.post_named
@@ -756,17 +739,38 @@ class SimulatedPSelInv:
         if n == 0:
             red.contribute_pos(cpos)
 
+    def _gemm_fin_num(self, arg) -> None:
+        (gl, gkey, red, cpos), i = arg
+        k = red.tag[1]  # the row reduce's tag is ("rr", k, j)
+        j = gkey // self.grid.size
+        partial = self.states[k].row_partial
+        _accumulate(partial, gkey, self._compute_gemm(k, i, j))
+        n = gl[gkey] - 1
+        gl[gkey] = n
+        if n == 0:
+            red.contribute_pos(cpos, partial.pop(gkey))
+
     def _on_rowreduce_complete_vec(self, ctx, value) -> None:
         st, j = ctx
         rkey, dest, u_owner, xbtag, nbytes, bkey, dcsec, dfin = st.rr_info[j]
+        back = None
+        if value is not None:
+            ainv_jk = -value
+            st.ainv_low[j] = ainv_jk
+            self.ainv_data[(j, st.plan.k)] = ainv_jk
+            back = ainv_jk.T
+            dfin = (dfin, st, j)
         self._mark_ready_vec(rkey)
         self.machine.send_pt(
             dest, u_owner, xbtag, nbytes, self._cid_back,
-            self._on_cross_back_vec, bkey,
+            self._on_cross_back_vec, bkey, back,
         )
         self.machine.post_named(dest, dcsec, self._hid_diagc, dfin)
 
     def _on_cross_back_vec(self, dst: int, payload, aux: int) -> None:
+        if payload is not None:
+            # Upper Ainv block (K, J), aux = k * nsup + j.
+            self.ainv_data[divmod(aux, self._nsup)] = payload
         self._mark_ready_vec(aux)
 
     def _diag_fin_vec(self, arg) -> None:
@@ -776,13 +780,26 @@ class SimulatedPSelInv:
         if n == 0:
             cr.contribute_pos(cpos)
 
+    def _diag_fin_num(self, arg) -> None:
+        (dl, dest, cr, cpos), st, j = arg
+        # Local diagonal contribution Lhat(J,K)^T @ Ainv(J,K).
+        _accumulate(st.diag_partial, dest, st.lhat[j].T @ st.ainv_low[j])
+        n = dl[dest] - 1
+        dl[dest] = n
+        if n == 0:
+            cr.contribute_pos(cpos, st.diag_partial.pop(dest))
+
     def _on_colreduce_complete_vec(self, st, value) -> None:
         self.machine.post_named(
-            st.plan.diag_owner, st.finish_sec, self._hid_colred, st
+            st.plan.diag_owner, st.finish_sec, self._hid_colred, (st, value)
         )
 
-    def _colred_fin_vec(self, st) -> None:
+    def _colred_fin_vec(self, arg) -> None:
+        st, value = arg
         k = st.plan.k
+        if value is not None:
+            st.diag_value = st.base - value
+            self.ainv_data[(k, k)] = st.diag_value
         self._mark_ready_vec(k * self._nsup + k)
         self._supernode_finished()
 
@@ -834,13 +851,12 @@ class SimulatedPSelInv:
             )
             return
         if self._vec:
-            self._setup_supernode_vec(plan)
-            return
-        self._gemm_counts(plan)
-        self._build_collectives(plan)
-        spec = plan.diag_bcast
+            bc = self._setup_supernode_vec(plan)
+        else:
+            self._gemm_counts(plan)
+            self._build_collectives(plan)
+            bc = self.collectives[plan.diag_bcast.key]
         payload = self.factor.diag_block(k) if self.numeric else None
-        bc = self.collectives[spec.key]
         # The broadcast starts as soon as the supernode enters the
         # lookahead window (its factorization output already sits at the
         # root; SuperLU timing is reported separately, as in the paper).
@@ -851,11 +867,9 @@ class SimulatedPSelInv:
     def _finish_lonely_diag(self, k: int, payload: Any) -> None:
         st = self.states[k]
         if self.numeric:
-            s = self.struct.width(k)
-            ident = np.eye(s)
-            linv = solve_triangular(payload, ident, lower=True, unit_diagonal=True)
-            st.diag_value = solve_triangular(payload, linv, lower=False)
+            st.diag_value = self._invert_diag(payload)
         if self._vec:
+            self.ainv_data[(k, k)] = st.diag_value
             self._mark_ready_vec(k * self._nsup + k)
         else:
             self._mark_ainv_ready((k, k), st.diag_value, self.grid.owner(k, k))
@@ -871,14 +885,7 @@ class SimulatedPSelInv:
         if rank == plan.diag_owner:
             # Compute the base term inv(U_KK) inv(L_KK) while panels move.
             def fin_base(payload=payload):
-                if self.numeric:
-                    ident = np.eye(s)
-                    linv = solve_triangular(
-                        payload, ident, lower=True, unit_diagonal=True
-                    )
-                    st.base = solve_triangular(payload, linv, lower=False)
-                else:
-                    st.base = None
+                st.base = self._invert_diag(payload) if self.numeric else None
 
             self.machine.post_compute(
                 rank, 0.0, fin_base, flops=s**3, label="diag-inv"
@@ -888,13 +895,7 @@ class SimulatedPSelInv:
             i = b.snode
 
             def fin_norm(i=i, b=b, payload=payload, rank=rank):
-                if self.numeric:
-                    raw = self._raw_l_block(k, i)
-                    lhat = solve_triangular(
-                        payload, raw.T, lower=True, unit_diagonal=True, trans="T"
-                    ).T
-                else:
-                    lhat = None
+                lhat = self._normalize(k, i, payload) if self.numeric else None
                 st.lhat[i] = lhat
                 # Cross-send Lhat^T to the owner of U(K,I).
                 u_owner = self.grid.rank(k % pr, i % pc)
@@ -918,6 +919,20 @@ class SimulatedPSelInv:
         lo = int(np.searchsorted(rows, self.struct.sn_ptr[i]))
         hi = int(np.searchsorted(rows, self.struct.sn_ptr[i + 1]))
         return self.factor.l_panel(k)[lo:hi, :]
+
+    @staticmethod
+    def _invert_diag(lu: np.ndarray) -> np.ndarray:
+        """``inv(U_KK) inv(L_KK)`` from the packed LU of a diagonal block."""
+        ident = np.eye(lu.shape[0])
+        linv = solve_triangular(lu, ident, lower=True, unit_diagonal=True)
+        return solve_triangular(lu, linv, lower=False)
+
+    def _normalize(self, k: int, i: int, lu: np.ndarray) -> np.ndarray:
+        """``Lhat(I,K) = L(I,K) inv(L_KK)`` (numeric mode)."""
+        raw = self._raw_l_block(k, i)
+        return solve_triangular(
+            lu, raw.T, lower=True, unit_diagonal=True, trans="T"
+        ).T
 
     # -- phase 2: cross send -> column broadcast ---------------------------------
 
@@ -954,8 +969,7 @@ class SimulatedPSelInv:
             contrib = self._compute_gemm(k, i, j) if self.numeric else None
             keyp = (j, rank)
             if self.numeric:
-                cur = st.row_partial.get(keyp)
-                st.row_partial[keyp] = contrib if cur is None else cur + contrib
+                _accumulate(st.row_partial, keyp, contrib)
             st.gemms_left[keyp] -= 1
             if st.gemms_left[keyp] == 0:
                 red = self.collectives[("rr", k, j)]
@@ -1016,9 +1030,7 @@ class SimulatedPSelInv:
         # Local diagonal contribution Lhat(J,K)^T @ Ainv(J,K).
         def fin():
             if self.numeric:
-                contrib = st.lhat[j].T @ ainv_jk
-                cur = st.diag_partial.get(dest)
-                st.diag_partial[dest] = contrib if cur is None else cur + contrib
+                _accumulate(st.diag_partial, dest, st.lhat[j].T @ ainv_jk)
             st.diag_left[dest] -= 1
             if st.diag_left[dest] == 0:
                 red = self.collectives[("cr", k)]

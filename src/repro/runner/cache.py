@@ -118,8 +118,8 @@ def get_tree_cache(
 
     Trees depend on ``(struct, grid, scheme, seed, hybrid_threshold)``
     -- and on the engine, which fixes the cached representation
-    (``CompiledTree`` for the default vectorized engine, positional
-    ``TreeArrays`` for batch, dict ``CommTree`` for legacy)
+    (``CompiledTree`` for the default vectorized engine, dict
+    ``CommTree`` for legacy)
     -- but not on jitter/placement seeds, so repeated runs of a sweep
     point share one cache -- the same sharing the serial Fig. 8 loop
     used.  Problems outside the memo get a fresh private cache.

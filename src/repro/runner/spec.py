@@ -63,12 +63,12 @@ class ExperimentSpec:
     # simulated outcome is bit-identical either way.
     telemetry: bool = False
     # DES engine: "vectorized" (default: calendar-queue scheduler plus
-    # compiled collective state machines and batched delivery), "batch"
-    # (calendar-queue scheduler, SoA message records), or "legacy"
-    # (binary-heap reference).  The simulated outcome is bit-identical
-    # across engines, so the result store does not hash this field; it
-    # exists for head-to-head benchmarking and as an escape hatch /
-    # oracle.
+    # compiled collective state machines and batched delivery, for every
+    # mode) or "legacy" (binary-heap reference oracle); any other value
+    # is rejected when the run starts.  The simulated outcome is
+    # bit-identical across engines, so the result store does not hash
+    # this field; it exists for head-to-head benchmarking and as an
+    # escape hatch / oracle.
     engine: str = "vectorized"
 
     def describe(self) -> str:

@@ -6,14 +6,18 @@ inhomogeneity, MPI-like asynchronous point-to-point messaging, and
 per-rank communication-volume accounting.
 """
 
-from .engine import BatchSimulator, Simulator
-from .machine import BatchMachine, CommStats, Machine, Message, TraceEvent
+from .engine import Simulator, VecSimulator
+from .machine import (
+    CommStats,
+    Machine,
+    Message,
+    TraceEvent,
+    VecCommStats,
+    VecMachine,
+)
 from .network import Network, NetworkConfig
-from .vec import VecCommStats, VecMachine, VecSimulator
 
 __all__ = [
-    "BatchMachine",
-    "BatchSimulator",
     "CommStats",
     "Machine",
     "Message",

@@ -14,11 +14,12 @@ an argument avoids allocating a closure per event.
 Two engines share this contract:
 
 * :class:`Simulator` -- the reference heapq loop (``engine="legacy"``).
-* :class:`BatchSimulator` -- a calendar-queue scheduler that buckets
+* :class:`VecSimulator` -- a calendar-queue scheduler that buckets
   events by a fixed time width, stores per-event state in
   struct-of-arrays columns indexed by sequence number, dispatches
-  through an integer handler table, and fast-forwards the clock over
-  empty buckets analytically (``engine="batch"``).
+  through an integer handler table (whole same-handler slices at once
+  where the handler allows it), and fast-forwards the clock over empty
+  buckets analytically (``engine="vectorized"``).
 
 Both drain any schedule stream in the exact same ``(time, seq)`` order
 (pinned by a Hypothesis equivalence test), so every simulated outcome is
@@ -32,7 +33,7 @@ import time
 from bisect import insort
 from typing import Any, Callable
 
-__all__ = ["Simulator", "BatchSimulator"]
+__all__ = ["Simulator", "VecSimulator"]
 
 # Sentinel distinguishing "no argument" from a legitimate None argument.
 _NO_ARG = object()
@@ -109,9 +110,9 @@ class Simulator:
         while queue:
             t = queue[0][0]
             # Horizon first: an event beyond ``until`` would never
-            # execute, so it must not trip the event budget (the batch
-            # engine orders the checks this way; pinned by the bounded-
-            # run equivalence property).
+            # execute, so it must not trip the event budget (the
+            # calendar engine orders the checks this way; pinned by the
+            # bounded-run equivalence property).
             if until is not None and t > until:
                 break
             if max_events is not None and self._events_processed >= max_events:
@@ -179,12 +180,12 @@ class Simulator:
         return len(self._queue)
 
 
-class BatchSimulator:
+class VecSimulator:
     """Calendar-queue event loop, drop-in for :class:`Simulator`.
 
-    Layout (the batch-dispatch core):
+    Layout:
 
-    * **Buckets** -- events are grouped by ``int(time / bucket_width)``
+    * **Buckets** -- events are grouped by ``int(time / BUCKET_WIDTH)``
       into a dict of bucket index -> list of sequence numbers; a
       min-heap of occupied bucket indices orders the buckets.  Popping
       the heap *is* the analytic fast-forward: the clock jumps straight
@@ -200,44 +201,64 @@ class BatchSimulator:
       drain loop dispatches ``table[hid](arg)``.  Ids 0 and 1 are
       reserved for the generic :meth:`schedule` / :meth:`schedule_at`
       paths (0 = argless callable, 1 = ``(fn, arg)`` pair).
-    * **Batch dispatch** -- a bucket is sorted once by timestamp
-      (stable C timsort keyed on the times column) and executed as a
-      batch; the events-processed and pending counters are written back
-      once per batch, not once per event.  Stability gives exact
-      ``(time, seq)`` order: a bucket list always holds any two
-      equal-time seqs in ascending-seq order (appends allocate
-      monotonically increasing seqs, and a re-parked prefix is already
-      ``(time, seq)``-sorted with seqs below every later append).  A
-      callback that schedules into the *active* bucket inserts in
-      sorted position via ``bisect.insort`` with the same key (the new
-      seq always lands after the in-flight index because its time is
-      >= ``now`` and it is the largest seq yet, and ``insort_right``
-      places it after existing equal-time entries).
+    * **Sorted buckets** -- a bucket is sorted once by timestamp (stable
+      C timsort keyed on the times column) and executed in order; the
+      events-processed and pending counters are written back once per
+      bucket, not once per event.  Stability gives exact ``(time, seq)``
+      order: a bucket list always holds any two equal-time seqs in
+      ascending-seq order (appends allocate monotonically increasing
+      seqs, and a re-parked prefix is already ``(time, seq)``-sorted
+      with seqs below every later append).  A callback that schedules
+      into the *active* bucket inserts in sorted position via
+      ``bisect.insort`` with the same key (the new seq always lands
+      after the in-flight index because its time is >= ``now`` and it
+      is the largest seq yet, and ``insort_right`` places it after
+      existing equal-time entries).
+    * **Slice dispatch** -- a handler id may register a companion
+      ``fn(batch, lo, hi)`` (:meth:`register_batch_handler`) that
+      consumes a whole contiguous same-handler slice of a sorted bucket
+      in one call.  A run at least :attr:`MIN_RUN` long is handed over;
+      the companion owns the slice: it must read times/args itself,
+      clear the argument cells, leave ``now`` at the slice's last
+      timestamp, and only schedule into *later* buckets (the machine
+      layer guarantees this by gating installation on
+      ``receive_overhead >= BUCKET_WIDTH``).  Shorter runs and foreign
+      handler ids take the scalar path, re-checking the handler id per
+      event -- an executed event may insort new work into the active
+      bucket, so a precomputed run length cannot be trusted across
+      scalar dispatches.
 
     Semantics are identical to :class:`Simulator`: FIFO tie-breaking by
     seq, the same negative-delay / past-time errors, ``max_events``
     checked before each event, and a bounded ``run(until=...)`` leaving
     ``now`` at the last executed event (unexecuted tails are re-parked).
+    Bounded and instrumented runs take a per-event scalar loop and never
+    dispatch a slice.
 
-    The machine layer (:class:`repro.simulate.machine.BatchMachine`)
-    inlines the push sequence below directly into its send/receive
-    stages -- any change to the scheduling invariants here must be
-    mirrored there.
+    Per-bucket occupancy of the unbounded drains is tallied
+    (:meth:`occupancy_stats`) so benchmarks can report the scheduler-vs-
+    handler split instead of inferring it.
+
+    The machine layer (:class:`repro.simulate.machine.VecMachine`)
+    inlines the push sequence of :meth:`_push` directly into its
+    send/receive stages -- any change to the scheduling invariants here
+    must be mirrored there.
     """
 
-    #: Default bucket width in virtual seconds.  Event spacing in the
-    #: PSelInv runs is set by sub-microsecond NIC/latency constants, so
-    #: 100ns buckets keep batches small (tens of events) while still
-    #: amortizing the per-bucket heap pop and sort.
-    DEFAULT_BUCKET_WIDTH = 1.0e-7
+    #: Bucket width in virtual seconds.  Event spacing in the PSelInv
+    #: runs is set by sub-microsecond NIC/latency constants, so 100ns
+    #: buckets keep them small (tens of events) while still amortizing
+    #: the per-bucket heap pop and sort.
+    BUCKET_WIDTH = 1.0e-7
 
-    def __init__(self, bucket_width: float | None = None) -> None:
+    #: Minimum same-handler run length worth a slice dispatch; below
+    #: this the slice setup (gathers, ndarray round trips) costs more
+    #: than it saves.
+    MIN_RUN = 8
+
+    def __init__(self) -> None:
         self.now: float = 0.0
-        width = bucket_width if bucket_width else self.DEFAULT_BUCKET_WIDTH
-        if width <= 0:
-            raise ValueError(f"bucket width must be positive, got {width}")
-        self.bucket_width = width
-        self._inv_width = 1.0 / width
+        self._inv_width = 1.0 / self.BUCKET_WIDTH
         # Calendar: bucket index -> sorted-on-demand [seq, ...].
         self._buckets: dict[int, list[int]] = {}
         self._bucket_heap: list[int] = []
@@ -247,8 +268,10 @@ class BatchSimulator:
         self._times: list[float] = []
         self._hids: list[int] = []
         self._args: list[Any] = []
-        # Handler table; ids 0/1 are the generic-callable paths.
+        # Handler table and slice companions; ids 0/1 are the generic-
+        # callable paths and never take a slice.
         self._table: list[Callable[..., Any] | None] = [None, None]
+        self._btable: list[Any] = [None, None]
         self._seq = 0
         self._events_processed = 0
         self._npending = 0
@@ -257,13 +280,15 @@ class BatchSimulator:
         self._active_bucket = -1
         self._active_list: list[int] | None = None
         self._metrics = None
+        self.buckets_drained = 0
+        self.max_bucket_events = 0
 
     @property
     def events_processed(self) -> int:
         """Number of callbacks executed so far (for perf reporting).
 
-        Updated once per drained batch on the fast path (per event on
-        the instrumented path), so mid-batch reads from callbacks lag by
+        Updated once per drained bucket on the unbounded path (per event
+        on the scalar path), so mid-bucket reads from callbacks lag by
         up to one bucket.
         """
         return self._events_processed
@@ -279,11 +304,17 @@ class BatchSimulator:
 
         The hot path pairs this with :meth:`schedule_msg`: the machine
         registers its per-message stages once and schedules plain
-        ``(time, hid, record-index)`` triples, no closures or bound
-        methods per event.
+        ``(time, hid, arg)`` triples, no closures or bound methods per
+        event.
         """
         self._table.append(fn)
+        self._btable.append(None)
         return len(self._table) - 1
+
+    def register_batch_handler(self, hid: int, fn) -> None:
+        """Install ``fn(batch, lo, hi)`` as handler ``hid``'s slice
+        companion (see the class docstring for the contract)."""
+        self._btable[hid] = fn
 
     # -- scheduling ----------------------------------------------------------
 
@@ -339,133 +370,99 @@ class BatchSimulator:
 
     # -- draining ------------------------------------------------------------
 
-    def _repark(self, b: int, batch: list, i: int, executed: int) -> None:
-        """Bounded-run exit: return ``batch[i:]`` to the calendar."""
-        tail = batch[i:]
-        if tail:
-            self._buckets[b] = tail
-            heapq.heappush(self._bucket_heap, b)
-        self._active_bucket = -1
-        self._active_list = None
-        self._events_processed += executed
-        self._npending -= executed
-
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Drain the calendar; returns the final clock value.
 
         Same bounded-run contract as :meth:`Simulator.run`: ``until``
         leaves ``now`` at the last *executed* event (the fast-forward
         never jumps past the horizon to an unexecuted bucket), and
-        ``max_events`` raises with the queue intact.
+        ``max_events`` raises with the queue intact.  Bounded and
+        instrumented runs use the per-event :meth:`_run_scalar` loop.
         """
-        if self._metrics is not None:
-            return self._run_instrumented(until, max_events)
-        if until is not None or max_events is not None:
-            return self._run_bounded(until, max_events)
+        if (
+            self._metrics is not None
+            or until is not None
+            or max_events is not None
+        ):
+            return self._run_scalar(until, max_events)
         buckets = self._buckets
         heap = self._bucket_heap
         times = self._times
         hids = self._hids
         args = self._args
         table = self._table
+        btable = self._btable
+        minrun = self.MIN_RUN
         key = times.__getitem__
         heappop = heapq.heappop
+        drained = 0
+        maxb = self.max_bucket_events
         while heap:
             b = heappop(heap)
-            batch = buckets.pop(b, None)
-            if batch is None:  # pragma: no cover - defensive
-                continue
+            batch = buckets.pop(b)
             if len(batch) > 1:
                 batch.sort(key=key)
             self._active_bucket = b
             self._active_list = batch
-            # A list iterator is index-based, and a mid-drain insort
-            # always lands strictly after the in-flight position (see
-            # class docstring), so inserted events are visited in order.
-            for s in batch:
-                self.now = times[s]
+            drained += 1
+            # The C-level list iterator survives mid-drain growth (an
+            # insort always lands strictly after the in-flight position,
+            # see the class docstring).  A slice dispatch consumes events
+            # *ahead* of the iterator; those are marked with hid -1 (seqs
+            # are never recycled, so the sentinel cannot collide) and
+            # skipped when the iterator reaches them.
+            for i, s in enumerate(batch):
                 h = hids[s]
-                a = args[s]
-                args[s] = None
                 if h >= 2:
+                    bh = btable[h]
+                    if bh is not None:
+                        nb = len(batch)
+                        j = i + 1
+                        while j < nb and hids[batch[j]] == h:
+                            j += 1
+                        if j - i >= minrun:
+                            bh(batch, i, j)
+                            for x in range(i + 1, j):
+                                hids[batch[x]] = -1
+                            continue
+                    self.now = times[s]
+                    a = args[s]
+                    args[s] = None
                     table[h](a)
                 elif h == 0:
+                    self.now = times[s]
+                    a = args[s]
+                    args[s] = None
                     a()
-                else:
-                    f, x = a
+                elif h == 1:
+                    self.now = times[s]
+                    f, x = args[s]
+                    args[s] = None
                     f(x)
+                # h == -1: already consumed by a slice dispatch above.
             self._active_bucket = -1
             self._active_list = None
             n = len(batch)
+            if n > maxb:
+                maxb = n
             self._events_processed += n
             self._npending -= n
+        self.buckets_drained += drained
+        self.max_bucket_events = maxb
         return self.now
 
-    def _run_bounded(
+    def _run_scalar(
         self, until: float | None, max_events: int | None
     ) -> float:
-        """The :meth:`run` loop with a horizon and/or event budget.
-
-        A separate copy so the unbounded fast path carries no per-event
-        checks; this one re-parks the unexecuted tail on exit.
-        """
-        buckets = self._buckets
-        heap = self._bucket_heap
-        times = self._times
-        hids = self._hids
-        args = self._args
-        table = self._table
-        heappop = heapq.heappop
-        while heap:
-            b = heappop(heap)
-            batch = buckets.pop(b, None)
-            if batch is None:  # pragma: no cover - defensive
-                continue
-            if len(batch) > 1:
-                batch.sort(key=times.__getitem__)
-            self._active_bucket = b
-            self._active_list = batch
-            i = 0
-            done = self._events_processed
-            while i < len(batch):
-                s = batch[i]
-                t = times[s]
-                if until is not None and t > until:
-                    self._repark(b, batch, i, i)
-                    return self.now
-                if max_events is not None and done + i >= max_events:
-                    self._repark(b, batch, i, i)
-                    raise RuntimeError(
-                        f"simulation exceeded {max_events} events -- likely a "
-                        "protocol bug (deadlock would drain, livelock would not)"
-                    )
-                i += 1
-                self.now = t
-                h = hids[s]
-                a = args[s]
-                args[s] = None
-                if h >= 2:
-                    table[h](a)
-                elif h == 0:
-                    a()
-                else:
-                    f, x = a
-                    f(x)
-            self._active_bucket = -1
-            self._active_list = None
-            self._events_processed = done + i
-            self._npending -= i
-        return self.now
-
-    def _run_instrumented(
-        self, until: float | None, max_events: int | None
-    ) -> float:
-        """The :meth:`run` loop plus telemetry (metrics attached).
+        """The :meth:`run` loop one event at a time, with a horizon, an
+        event budget and/or telemetry.
 
         Counters update per event here (so the queue-depth high-water
-        mark is exact), mirroring :meth:`Simulator._run_instrumented`'s
-        series: ``sim.events``, ``sim.queue_depth_high_water``,
-        ``sim.wall_seconds``, ``sim.events_per_sec``.
+        mark is exact); with metrics attached the loop reports
+        :meth:`Simulator._run_instrumented`'s series: ``sim.events``,
+        ``sim.queue_depth_high_water``, ``sim.wall_seconds``,
+        ``sim.events_per_sec``.  Stopping at the horizon or the budget
+        re-parks the unexecuted tail of the active bucket.
         """
         metrics = self._metrics
         buckets = self._buckets
@@ -478,11 +475,10 @@ class BatchSimulator:
         depth_hw = self._npending
         start_events = self._events_processed
         start_wall = time.perf_counter()  # det: allow(DET003) observation-only
-        while heap:
+        stopped = False
+        while heap and not stopped:
             b = heappop(heap)
-            batch = buckets.pop(b, None)
-            if batch is None:  # pragma: no cover - defensive
-                continue
+            batch = buckets.pop(b)
             if len(batch) > 1:
                 batch.sort(key=times.__getitem__)
             self._active_bucket = b
@@ -492,10 +488,10 @@ class BatchSimulator:
                 s = batch[i]
                 t = times[s]
                 if until is not None and t > until:
-                    self._repark(b, batch, i, 0)
-                    return self.now
+                    stopped = True
+                    break
                 if max_events is not None and self._events_processed >= max_events:
-                    self._repark(b, batch, i, 0)
+                    self._repark(b, batch, i)
                     raise RuntimeError(
                         f"simulation exceeded {max_events} events -- likely a "
                         "protocol bug (deadlock would drain, livelock would not)"
@@ -516,21 +512,42 @@ class BatchSimulator:
                 else:
                     f, x = a
                     f(x)
-            self._active_bucket = -1
-            self._active_list = None
-        wall = time.perf_counter() - start_wall  # det: allow(DET003)
-        n = self._events_processed - start_events
-        metrics.counter("sim.events").inc(n)
-        metrics.gauge("sim.queue_depth_high_water").update_max(depth_hw)
-        metrics.gauge("sim.wall_seconds").set(wall)
-        if wall > 0.0:
-            metrics.gauge("sim.events_per_sec").set(n / wall)
+            self._repark(b, batch, i)
+        if metrics is not None:
+            wall = time.perf_counter() - start_wall  # det: allow(DET003)
+            n = self._events_processed - start_events
+            metrics.counter("sim.events").inc(n)
+            metrics.gauge("sim.queue_depth_high_water").update_max(depth_hw)
+            metrics.gauge("sim.wall_seconds").set(wall)
+            if wall > 0.0:
+                metrics.gauge("sim.events_per_sec").set(n / wall)
         return self.now
+
+    def _repark(self, b: int, batch: list, i: int) -> None:
+        """Close the active bucket, returning ``batch[i:]`` (the events
+        a bounded run did not execute) to the calendar."""
+        tail = batch[i:]
+        if tail:
+            self._buckets[b] = tail
+            heapq.heappush(self._bucket_heap, b)
+        self._active_bucket = -1
+        self._active_list = None
 
     def pending(self) -> int:
         """Number of events still queued.
 
-        Exact between :meth:`run` calls; mid-batch reads from callbacks
-        lag by up to one bucket on the fast path.
+        Exact between :meth:`run` calls; mid-bucket reads from callbacks
+        lag by up to one bucket on the unbounded path.
         """
         return self._npending
+
+    def occupancy_stats(self) -> dict[str, float]:
+        """Per-bucket occupancy summary of the unbounded drains so far."""
+        drained = self.buckets_drained
+        events = self._events_processed
+        return {
+            "buckets_drained": drained,
+            "events": events,
+            "mean_bucket_events": events / drained if drained else 0.0,
+            "max_bucket_events": self.max_bucket_events,
+        }

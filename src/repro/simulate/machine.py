@@ -19,6 +19,12 @@ Every byte movement is tallied per rank *and per category* in
 :class:`CommStats`, which is what the Table I / Table II / heat-map
 benchmarks read out.
 
+Two machines share this cost model: :class:`Machine` on the heapq
+:class:`~repro.simulate.engine.Simulator` (the reference,
+``engine="legacy"``) and :class:`VecMachine` on the calendar-queue
+:class:`~repro.simulate.engine.VecSimulator` (``engine="vectorized"``),
+which reproduces it bit for bit.
+
 Implementation note: this is the simulator's innermost loop (millions of
 messages per run), so per-rank clocks and counters are plain Python lists
 -- scalar indexing on ndarrays is several times slower.
@@ -33,10 +39,17 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .engine import BatchSimulator, Simulator
+from .engine import Simulator, VecSimulator
 from .network import Network
 
-__all__ = ["Message", "CommStats", "Machine", "BatchMachine", "TraceEvent"]
+__all__ = [
+    "Message",
+    "CommStats",
+    "Machine",
+    "TraceEvent",
+    "VecCommStats",
+    "VecMachine",
+]
 
 
 class TraceEvent(NamedTuple):
@@ -388,83 +401,142 @@ class Machine:
                 gc.enable()
 
 
-class BatchMachine(Machine):
-    """The machine on the batch engine: SoA message records, fused costs.
+class VecCommStats(CommStats):
+    """Per-category tables as preallocated numpy columns.
+
+    Scalar paths update single cells (``col[rank] += nbytes``); slice
+    handlers scatter-add whole batches (``np.add.at``).  Byte and count
+    tallies are integer-valued and far below 2^53, so both orders give
+    exactly the same floats.  Busy-time accumulators stay plain Python
+    lists: they are chained-float state updated once per event on the
+    scalar path, where list indexing wins.
+    """
+
+    def _get(self, table, category):
+        arr = table.get(category)
+        if arr is None:
+            arr = np.zeros(self.nranks)
+            table[category] = arr
+        return arr
+
+    def _get_counts(self, table, category):
+        arr = table.get(category)
+        if arr is None:
+            arr = np.zeros(self.nranks, dtype=np.int64)
+            table[category] = arr
+        return arr
+
+    # The read-out views copy: the base class's np.asarray would alias
+    # the live accumulator columns.
+
+    @property
+    def sent(self) -> dict[str, np.ndarray]:
+        return {k: v.copy() for k, v in self._sent.items()}
+
+    @property
+    def received(self) -> dict[str, np.ndarray]:
+        return {k: v.copy() for k, v in self._received.items()}
+
+    @property
+    def messages_sent(self) -> dict[str, np.ndarray]:
+        return {k: v.copy() for k, v in self._messages_sent.items()}
+
+    def total_sent(self, category: str | None = None) -> np.ndarray:
+        if category is not None:
+            col = self._sent.get(category)
+            return col.copy() if col is not None else np.zeros(self.nranks)
+        out = np.zeros(self.nranks)
+        for arr in self._sent.values():
+            out += arr
+        return out
+
+    def total_received(self, category: str | None = None) -> np.ndarray:
+        if category is not None:
+            col = self._received.get(category)
+            return col.copy() if col is not None else np.zeros(self.nranks)
+        out = np.zeros(self.nranks)
+        for arr in self._received.values():
+            out += arr
+        return out
+
+
+class VecMachine(Machine):
+    """The machine on the vectorized engine: point route, fused costs.
 
     Same cost model and same API surface as :class:`Machine` (it *is*
-    one, for :meth:`post_compute`, :meth:`set_handler`, stats, and the
-    telemetry hooks), but the per-message hot path is restructured
-    around :class:`~repro.simulate.engine.BatchSimulator`:
+    one, for :meth:`post_send`, :meth:`post_compute`, :meth:`set_handler`
+    and stats), but traffic rides the *point route* of
+    :class:`~repro.simulate.engine.VecSimulator`:
 
-    * **Struct-of-arrays message records** -- an in-flight message is an
-      integer index into parallel columns (``src``/``dst``/``tag``/
-      ``nbytes``/``category-id``/``payload``/``callback``/``aux``)
-      recycled through a free list; no :class:`Message` object exists on
-      the fast path (one is materialized only for the legacy
-      :meth:`set_handler` path and the telemetry hooks).
-    * **Integer handler dispatch** -- the receive and deliver stages are
-      registered once in the engine's handler table; every schedule is a
-      flat ``(time, hid, record-index)`` triple.
+    * **Point records** -- an in-flight message is the tuple ``(dst,
+      nbytes, cid, cb, aux, payload)`` carried in the engine's event-
+      argument column (the unspecialized route appends ``src, tag`` for
+      the hooks); delivery calls ``cb(dst, payload, aux)``, so the
+      collective layer routes a message straight to its continuation
+      with ``aux`` carrying the receiver's tree position.  No
+      :class:`Message` object exists except for the telemetry hooks and
+      the :meth:`post_send` / :meth:`set_handler` compatibility path.
+    * **Integer handler dispatch** -- the receive and deliver stages and
+      the protocol's compute completions (:meth:`register_task` +
+      :meth:`post_named`) are registered once in the engine's handler
+      table; every schedule is a flat ``(time, hid, arg)`` triple.
     * **Fused network arithmetic** -- injection/ejection/transit costs
       are inlined from the network's flattened constants, with the
       per-pair ``(latency, 1/bandwidth, jitter)`` triple memoized in a
       dense table (see :meth:`Network.pair_params` for the bit-identity
       argument).  When the network is instrumented for telemetry the
-      machine falls back to the query methods so the tallies still fire.
-    * **Direct delivery callbacks** -- a send may carry ``cb(dst,
-      payload, aux)``, letting the collective layer route a message to
-      its own continuation without any per-rank tag dispatch; ``aux``
-      carries the receiver's tree position.  Messages without a callback
-      fall back to the rank's fast handler ``fn(tag, payload, aux)`` or
-      the legacy ``fn(msg)`` handler.
+      machine calls the query methods so the tallies still fire.
+    * **Column batches** -- :meth:`send_batch` emits one rank's whole
+      fan-out at once (numpy injection chain, elementwise per-pair
+      arithmetic), and a slice companion receives whole same-instant
+      fan-ins (numpy ejection costs, scatter-add stats).
 
     ``deliver_cpu_overhead`` charges a fixed CPU cost on the destination
     rank per delivered message (the protocol layer's
-    ``per_message_cpu_overhead``, hoisted into the machine so the batch
-    engine needs no wrapper handler).
+    ``per_message_cpu_overhead``, hoisted into the machine so it needs
+    no wrapper handler).
+
+    The methods below are the unspecialized route: they call the trace
+    log, telemetry recorder and instrumented-network hooks and charge
+    the per-delivery overhead.  A hook-free machine swaps them for
+    closure-specialized versions (:meth:`_install_fast_path`) with
+    identical timestamps.
     """
+
+    _stats_cls = VecCommStats
 
     def __init__(
         self,
         nranks: int,
         network: Network,
-        sim: BatchSimulator | None = None,
+        sim: VecSimulator | None = None,
         *,
         event_log: list | None = None,
         recorder=None,
         metrics=None,
         deliver_cpu_overhead: float = 0.0,
-        bucket_width: float | None = None,
     ):
         super().__init__(
             nranks,
             network,
-            sim or BatchSimulator(bucket_width),
+            sim or VecSimulator(),
             event_log=event_log,
             recorder=recorder,
             metrics=metrics,
         )
         sim_ = self.sim
-        self._hid_receive = sim_.register_handler(self._receive_rec)
-        self._hid_deliver = sim_.register_handler(self._deliver_rec)
-        # SoA message columns (parallel lists indexed by record id).
-        self._msrc: list[int] = []
-        self._mdst: list[int] = []
-        self._mtag: list[Any] = []
-        self._mnbytes: list[int] = []
-        self._mcid: list[int] = []
-        self._mpayload: list[Any] = []
-        self._mcb: list[Any] = []
-        self._maux: list[int] = []
-        self._mfree: list[int] = []
+        self._hid_receive_pt = sim_.register_handler(self._receive_pt)
+        self._hid_deliver_pt = sim_.register_handler(self._deliver_pt)
+        # Compute-task label per registered handler id (telemetry only).
+        self._labels: dict[int, str] = {}
         # Category interning: id -> name, and per-id stats columns bound
         # lazily on first use so the CommStats dicts gain keys in the
         # exact order the legacy machine would (bit-identity).
         self._cat_ids: dict[str, int] = {}
         self._cat_names: list[str] = []
-        self._sent_cols: list[list[float] | None] = []
-        self._sent_counts: list[list[int] | None] = []
-        self._recv_cols: list[list[float] | None] = []
+        self._sent_cols: list[Any] = []
+        self._sent_counts: list[Any] = []
+        self._recv_cols: list[Any] = []
         # Fused network constants + per-pair memo (dense under the same
         # rank bound as the channel clocks, dict above it).  Skipped
         # when the network is instrumented: the query methods must run
@@ -480,40 +552,22 @@ class BatchMachine(Machine):
             self._pairs = {}
         self._pair_params = network.pair_params
         self._deliver_oh = float(deliver_cpu_overhead)
-        # Fast per-rank handlers: fn(tag, payload, aux) -> None.
-        self._fast_handlers: list[Any] = [None] * nranks
-        # Engine internals, bound for the scheduling sequence inlined
-        # into send/_receive_rec (it mirrors BatchSimulator._push; the
-        # engine docstring records the coupling).  The columns, bucket
-        # dict and heap are stable objects; the scalar cursor state
-        # (_seq, _npending, _active_bucket/_list) stays on the sim.
-        # The past-time guard is elided: every machine-scheduled time
-        # is ``now`` plus non-negative cost terms.
-        self._s_times = sim_._times
-        self._s_hids = sim_._hids
-        self._s_args = sim_._args
-        self._s_buckets = sim_._buckets
-        self._s_heap = sim_._bucket_heap
-        self._s_inv_width = sim_._inv_width
         # Busy-time columns bound once (self.stats.X costs two lookups
         # per event on the hot path).
         self._nic_out_col = self.stats._nic_out_busy
         self._nic_in_col = self.stats._nic_in_busy
         self._recv_oh_col = self.stats._recv_overhead_busy
-        # Contention-free configuration (no telemetry, no trace log, no
+        # Hook-free configuration (no telemetry, no trace log, no
         # per-delivery CPU tax, un-instrumented network, dense channel
         # tables): swap the per-message stages for closure-specialized
-        # versions with every hook test resolved away.  The flag is kept
-        # so subclasses that register extra handlers first can re-check
-        # eligibility after their own construction.
-        self._fast_eligible = (
+        # versions with every hook test resolved away.
+        if (
             self._rec is None
             and self._event_log is None
             and self._inline_net
             and self._deliver_oh == 0.0
             and self._flat_channels
-        )
-        if self._fast_eligible:
+        ):
             self._install_fast_path()
 
     # -- wiring --------------------------------------------------------------
@@ -530,13 +584,12 @@ class BatchMachine(Machine):
             self._recv_cols.append(None)
         return cid
 
-    def set_fast_handler(self, rank: int, fn) -> None:
-        """Install ``rank``'s fast handler ``fn(tag, payload, aux)``.
-
-        Takes precedence over the legacy :meth:`set_handler` handler for
-        messages sent without a delivery callback.
-        """
-        self._fast_handlers[rank] = fn
+    def register_task(self, fn: Callable[[Any], None], label: str) -> int:
+        """Register a compute-completion handler for :meth:`post_named`;
+        ``label`` names its tasks on the telemetry timeline."""
+        hid = self.sim.register_handler(fn)
+        self._labels[hid] = label
+        return hid
 
     def _bind_sent(self, cid: int) -> None:
         name = self._cat_names[cid]
@@ -548,15 +601,11 @@ class BatchMachine(Machine):
         stats = self.stats
         self._recv_cols[cid] = stats._get(stats._received, self._cat_names[cid])
 
-    def _message_view(self, i: int, payload: Any) -> Message:
-        """Materialize a :class:`Message` for the telemetry hooks."""
+    def _message(self, rec) -> Message:
+        """Materialize a :class:`Message` view of an unspecialized point
+        record for the telemetry hooks."""
         return Message(
-            self._msrc[i],
-            self._mdst[i],
-            self._mtag[i],
-            self._mnbytes[i],
-            self._cat_names[self._mcid[i]],
-            payload,
+            rec[6], rec[0], rec[7], rec[1], self._cat_names[rec[2]], rec[5]
         )
 
     # -- communication ---------------------------------------------------------
@@ -570,125 +619,94 @@ class BatchMachine(Machine):
         category: str,
         payload: Any = None,
     ) -> None:
-        """Legacy-signature send (resolves the category per call)."""
-        self.send(src, dst, tag, nbytes, self.category_id(category), payload)
-
-    def send(
-        self,
-        src: int,
-        dst: int,
-        tag: Any,
-        nbytes: int,
-        cid: int,
-        payload: Any = None,
-        cb=None,
-        aux: int = 0,
-    ) -> None:
-        """Fast-path send: pre-interned category, optional delivery
-        callback ``cb(dst, payload, aux)``.  Cost model identical to
-        :meth:`Machine.post_send`."""
+        """Legacy-signature send: delivers a :class:`Message` to the
+        rank's :meth:`set_handler` handler (the point record's ``aux``
+        slot carries it)."""
         nbytes = int(nbytes)
+        msg = Message(src, dst, tag, nbytes, category, payload)
+        self.send_pt(
+            src, dst, tag, nbytes, self.category_id(category),
+            self._to_handler, msg, payload,
+        )
+
+    def _to_handler(self, dst: int, payload: Any, msg: Message) -> None:
+        fn = self._handlers[dst]
+        if fn is None:
+            raise RuntimeError(f"no handler installed on rank {dst}")
+        fn(msg)
+
+    def send_pt(
+        self, src, dst, tag, nbytes, cid, cb, aux=0, payload=None
+    ) -> None:
+        """Point send: ``cb(dst, payload, aux)`` runs on delivery.
+
+        ``cid`` is a pre-interned category (:meth:`category_id`).  Cost
+        model identical to :meth:`Machine.post_send`.
+        """
         sim = self.sim
         now = sim.now
+        rec = (dst, nbytes, cid, cb, aux, payload, src, tag)
         if self._event_log is not None:
             self._event_log.append(
                 TraceEvent("send", now, src, dst, tag, nbytes)
             )
-        # Allocate an SoA record (free-list recycling).
-        free = self._mfree
-        if free:
-            i = free.pop()
-            self._msrc[i] = src
-            self._mdst[i] = dst
-            self._mtag[i] = tag
-            self._mnbytes[i] = nbytes
-            self._mcid[i] = cid
-            self._mpayload[i] = payload
-            self._mcb[i] = cb
-            self._maux[i] = aux
-        else:
-            i = len(self._msrc)
-            self._msrc.append(src)
-            self._mdst.append(dst)
-            self._mtag.append(tag)
-            self._mnbytes.append(nbytes)
-            self._mcid.append(cid)
-            self._mpayload.append(payload)
-            self._mcb.append(cb)
-            self._maux.append(aux)
         if src == dst:
             if self._rec is not None:
-                self._rec.record_local(self._message_view(i, payload), now)
-            arrival = now
-            hid = self._hid_deliver
-        else:
+                self._rec.record_local(self._message(rec), now)
+            sim.schedule_msg(now, self._hid_deliver_pt, rec)
+            return
+        col = self._sent_cols[cid]
+        if col is None:
+            self._bind_sent(cid)
             col = self._sent_cols[cid]
-            if col is None:
-                self._bind_sent(cid)
-                col = self._sent_cols[cid]
-            col[src] += nbytes
-            self._sent_counts[cid][src] += 1
-            inline = self._inline_net
-            if inline:
-                inj = self._inj_oh + nbytes * self._inj_bw_inv
-            else:
-                inj = self._injection_time(nbytes)
-            nic = self._nic_free[src]
-            start = nic if nic > now else now
-            finish = start + inj
-            self._nic_free[src] = finish
-            self._nic_out_col[src] += inj
-            flat = self._flat_channels
-            pidx = src * self.nranks + dst if flat else (src, dst)
-            if inline:
-                pairs = self._pairs
-                pp = pairs[pidx] if flat else pairs.get(pidx)
-                if pp is None:
-                    pp = self._pair_params(src, dst)
-                    pairs[pidx] = pp
-                lat, ibw, jit = pp
-                arrival = finish + (lat + nbytes * ibw) * jit
-            else:
-                arrival = finish + self._transit_time(src, dst, nbytes)
-            # Enforce MPI-style non-overtaking per (src, dst) channel.
-            ch = self._channel_last
-            if flat:
-                if arrival < ch[pidx]:
-                    arrival = ch[pidx]
-                ch[pidx] = arrival
-            else:
-                last = ch.get(pidx, 0.0)
-                if arrival < last:
-                    arrival = last
-                ch[pidx] = arrival
-            if self._rec is not None:
-                self._rec.record_send(
-                    self._message_view(i, payload), now, start, finish, arrival
-                )
-            hid = self._hid_receive
-        # Inlined BatchSimulator._push(arrival, hid, i).
-        s = sim._seq
-        sim._seq = s + 1
-        st = self._s_times
-        st.append(arrival)
-        self._s_hids.append(hid)
-        self._s_args.append(i)
-        sim._npending += 1
-        b = int(arrival * self._s_inv_width)
-        if b == sim._active_bucket:
-            insort(sim._active_list, s, key=st.__getitem__)
+        col[src] += nbytes
+        self._sent_counts[cid][src] += 1
+        inline = self._inline_net
+        if inline:
+            inj = self._inj_oh + nbytes * self._inj_bw_inv
         else:
-            sbk = self._s_buckets
-            try:
-                sbk[b].append(s)
-            except KeyError:
-                sbk[b] = [s]
-                heappush(self._s_heap, b)
+            inj = self._injection_time(nbytes)
+        nic = self._nic_free[src]
+        start = nic if nic > now else now
+        finish = start + inj
+        self._nic_free[src] = finish
+        self._nic_out_col[src] += inj
+        flat = self._flat_channels
+        pidx = src * self.nranks + dst if flat else (src, dst)
+        if inline:
+            pairs = self._pairs
+            pp = pairs[pidx] if flat else pairs.get(pidx)
+            if pp is None:
+                pp = self._pair_params(src, dst)
+                pairs[pidx] = pp
+            lat, ibw, jit = pp
+            arrival = finish + (lat + nbytes * ibw) * jit
+        else:
+            arrival = finish + self._transit_time(src, dst, nbytes)
+        # Enforce MPI-style non-overtaking per (src, dst) channel.
+        ch = self._channel_last
+        last = ch[pidx] if flat else ch.get(pidx, 0.0)
+        if arrival < last:
+            arrival = last
+        ch[pidx] = arrival
+        if self._rec is not None:
+            self._rec.record_send(
+                self._message(rec), now, start, finish, arrival
+            )
+        sim.schedule_msg(arrival, self._hid_receive_pt, rec)
 
-    def _receive_rec(self, i: int) -> None:
-        dst = self._mdst[i]
-        nbytes = self._mnbytes[i]
-        cid = self._mcid[i]
+    def send_batch(self, src, dsts, tag, nbytes, cid, cb, auxs, payload=None):
+        """Emit one rank's fan-out (one :meth:`send_pt` per child)."""
+        send = self.send_pt
+        for dst, aux in zip(dsts, auxs):
+            send(src, dst, tag, nbytes, cid, cb, aux, payload)
+
+    def _receive_pt(self, rec) -> None:
+        """Receive stage: ejection through the NIC-in port, then the
+        receive-side CPU overhead (:meth:`Machine._receive`)."""
+        dst = rec[0]
+        nbytes = rec[1]
+        cid = rec[2]
         col = self._recv_cols[cid]
         if col is None:
             self._bind_recv(cid)
@@ -713,107 +731,86 @@ class BatchMachine(Machine):
         self._recv_oh_col[dst] += oh
         if self._rec is not None:
             self._rec.record_receive(
-                self._message_view(i, self._mpayload[i]),
-                nic_start,
-                nic_done,
-                start,
-                deliver_at,
+                self._message(rec), nic_start, nic_done, start, deliver_at
             )
-        # Inlined BatchSimulator._push(deliver_at, self._hid_deliver, i).
-        s = sim._seq
-        sim._seq = s + 1
-        st = self._s_times
-        st.append(deliver_at)
-        self._s_hids.append(self._hid_deliver)
-        self._s_args.append(i)
-        sim._npending += 1
-        b = int(deliver_at * self._s_inv_width)
-        if b == sim._active_bucket:
-            insort(sim._active_list, s, key=st.__getitem__)
-        else:
-            sbk = self._s_buckets
-            try:
-                sbk[b].append(s)
-            except KeyError:
-                sbk[b] = [s]
-                heappush(self._s_heap, b)
+        sim.schedule_msg(deliver_at, self._hid_deliver_pt, rec)
 
-    def _deliver_rec(self, i: int) -> None:
-        src = self._msrc[i]
-        dst = self._mdst[i]
-        tag = self._mtag[i]
-        nbytes = self._mnbytes[i]
-        cid = self._mcid[i]
-        payload = self._mpayload[i]
-        cb = self._mcb[i]
-        aux = self._maux[i]
-        # Release the record before dispatch: the callback may send.
-        self._mtag[i] = None
-        self._mpayload[i] = None
-        self._mcb[i] = None
-        self._mfree.append(i)
+    def _deliver_pt(self, rec) -> None:
+        """Deliver stage: hooks, per-delivery overhead, then the callback
+        (the order of :meth:`Machine._deliver` plus the legacy
+        protocol's overhead handler)."""
+        dst = rec[0]
+        now = self.sim.now
         if self._rec is not None:
-            self._rec.record_deliver(
-                Message(src, dst, tag, nbytes, self._cat_names[cid], payload),
-                self.sim.now,
-            )
+            self._rec.record_deliver(self._message(rec), now)
         if self._event_log is not None:
             self._event_log.append(
-                TraceEvent("deliver", self.sim.now, src, dst, tag, nbytes)
+                TraceEvent("deliver", now, rec[6], dst, rec[7], rec[1])
             )
         if self._deliver_oh > 0.0:
             self.post_compute(dst, self._deliver_oh, label="msg-overhead")
-        if cb is not None:
-            cb(dst, payload, aux)
-            return
-        fh = self._fast_handlers[dst]
-        if fh is not None:
-            fh(tag, payload, aux)
-            return
-        fn = self._handlers[dst]
-        if fn is None:
-            raise RuntimeError(f"no handler installed on rank {dst}")
-        fn(Message(src, dst, tag, nbytes, self._cat_names[cid], payload))
+        rec[3](dst, rec[5], rec[4])
+
+    # -- computation -------------------------------------------------------------
+
+    def post_named(self, rank, seconds, hid, arg) -> None:
+        """Closure-free compute: dispatch ``table[hid](arg)`` after
+        occupying ``rank``'s CPU for the precomputed ``seconds``.
+
+        Timestamp arithmetic is identical to :meth:`Machine.post_compute`
+        with a callback; the protocol layer precomputes ``seconds`` with
+        the exact ``compute_time`` expression.  ``hid`` comes from
+        :meth:`register_task`, whose label the recorder sees.
+        """
+        sim = self.sim
+        now = sim.now
+        cpu = self._cpu_free[rank]
+        start = cpu if cpu > now else now
+        finish = start + seconds
+        self._cpu_free[rank] = finish
+        self.stats._compute_busy[rank] += seconds
+        if self._rec is not None:
+            self._rec.record_compute(rank, start, finish, self._labels[hid])
+        sim.schedule_msg(finish, hid, arg)
 
     # -- closure-specialized fast path ----------------------------------------
 
     def _install_fast_path(self) -> None:
         """Specialize the per-message stages for the hook-free configuration.
 
-        Rebuilds :meth:`send`, the receive/deliver handler-table entries
-        and :meth:`post_compute` as closures with every per-event branch
-        (telemetry recorder, trace log, instrumented network, delivery
-        overhead, dense-vs-dict channels) resolved at construction time
-        and all stable state -- the SoA message columns, the engine's
-        time/hid/arg columns, the calendar buckets and heap, the
-        resource clocks and stats columns -- bound as closure cells
+        Rebuilds :meth:`send_pt`, :meth:`send_batch`, :meth:`post_named`
+        and the receive/deliver handler-table entries as closures with
+        every per-event branch (telemetry recorder, trace log,
+        instrumented network, delivery overhead, dense-vs-dict channels)
+        resolved at construction time and all stable state -- the
+        engine's time/hid/arg columns, the calendar buckets and heap,
+        the resource clocks and stats columns -- bound as closure cells
         (``LOAD_DEREF`` beats two ``LOAD_ATTR`` per access, and on a
         path run a few million times per simulation that is the
         difference that shows up on the profile).  Only the engine's
         scalar cursor state (``_seq``/``_npending``/``_active_bucket``/
         ``_active_list``) stays behind attribute loads: it must be
-        visible to the engine's own drain loop.
+        visible to the engine's own drain loop.  The push sequence is
+        :meth:`VecSimulator._push` inlined; the past-time guard is
+        elided because every machine-scheduled time is ``now`` plus
+        non-negative cost terms.
 
         The closures shadow the methods as instance attributes -- the
         same pattern as :meth:`Network.instrument` -- and replace the
         handler-table slots registered in ``__init__``, so the callable
-        ids seen by the collective layer do not change.  All hooks are
+        ids seen by the protocol layer do not change.  All hooks are
         constructor arguments, so the specialization decision is final
         for the machine's lifetime.  Timestamp arithmetic is expression-
-        for-expression identical to the generic stages (and therefore to
-        :class:`Machine`): same terms, same order, bit-identical floats.
+        for-expression identical to the unspecialized stages (and
+        therefore to :class:`Machine`): same terms, same order,
+        bit-identical floats.
+
+        When the receive-side CPU overhead spans at least one bucket (so
+        a pushed delivery can never land in the *active* bucket), a
+        slice companion for the receive stage is installed as well.
         """
         sim = self.sim
         nranks = self.nranks
-        msrc = self._msrc
-        mdst = self._mdst
-        mtag = self._mtag
-        mnbytes = self._mnbytes
-        mcid = self._mcid
-        mpayload = self._mpayload
-        mcb = self._mcb
-        maux = self._maux
-        free = self._mfree
         sent_cols = self._sent_cols
         sent_counts = self._sent_counts
         recv_cols = self._recv_cols
@@ -833,49 +830,22 @@ class BatchMachine(Machine):
         inj_bw_inv = self._inj_bw_inv
         ej_bw_inv = self._ej_bw_inv
         recv_oh = self._recv_overhead
-        task_oh = self.network.config.task_overhead
-        flop_rate = self.network.config.flop_rate
-        hid_receive = self._hid_receive
-        hid_deliver = self._hid_deliver
-        fast_handlers = self._fast_handlers
-        handlers = self._handlers
-        cat_names = self._cat_names
-        # Engine internals (the inlined _push; see the engine docstring).
-        st = self._s_times
-        shids = self._s_hids
-        sargs = self._s_args
-        sbk = self._s_buckets
-        sheap = self._s_heap
-        inv_width = self._s_inv_width
+        hid_receive_pt = self._hid_receive_pt
+        hid_deliver_pt = self._hid_deliver_pt
+        # Engine internals (the inlined _push).
+        st = sim._times
+        shids = sim._hids
+        sargs = sim._args
+        sbk = sim._buckets
+        sheap = sim._bucket_heap
+        inv_width = sim._inv_width
         key = st.__getitem__
 
-        def fast_send(src, dst, tag, nbytes, cid, payload=None, cb=None,
-                      aux=0):
-            nbytes = int(nbytes)
+        def fast_send_pt(src, dst, tag, nbytes, cid, cb, aux=0, payload=None):
             now = sim.now
-            if free:
-                i = free.pop()
-                msrc[i] = src
-                mdst[i] = dst
-                mtag[i] = tag
-                mnbytes[i] = nbytes
-                mcid[i] = cid
-                mpayload[i] = payload
-                mcb[i] = cb
-                maux[i] = aux
-            else:
-                i = len(msrc)
-                msrc.append(src)
-                mdst.append(dst)
-                mtag.append(tag)
-                mnbytes.append(nbytes)
-                mcid.append(cid)
-                mpayload.append(payload)
-                mcb.append(cb)
-                maux.append(aux)
             if src == dst:
                 arrival = now
-                hid = hid_deliver
+                hid = hid_deliver_pt
             else:
                 col = sent_cols[cid]
                 if col is None:
@@ -900,12 +870,12 @@ class BatchMachine(Machine):
                 if arrival < last:
                     arrival = last
                 ch[pidx] = arrival
-                hid = hid_receive
+                hid = hid_receive_pt
             s = sim._seq
             sim._seq = s + 1
             st.append(arrival)
             shids.append(hid)
-            sargs.append(i)
+            sargs.append((dst, nbytes, cid, cb, aux, payload))
             sim._npending += 1
             b = int(arrival * inv_width)
             if b == sim._active_bucket:
@@ -917,13 +887,13 @@ class BatchMachine(Machine):
                     sbk[b] = [s]
                     heappush(sheap, b)
 
-        def fast_receive(i):
-            dst = mdst[i]
-            nbytes = mnbytes[i]
-            col = recv_cols[mcid[i]]
+        def fast_receive_pt(rec):
+            dst = rec[0]
+            nbytes = rec[1]
+            col = recv_cols[rec[2]]
             if col is None:
-                bind_recv(mcid[i])
-                col = recv_cols[mcid[i]]
+                bind_recv(rec[2])
+                col = recv_cols[rec[2]]
             col[dst] += nbytes
             now = sim.now
             eject = nbytes * ej_bw_inv
@@ -940,8 +910,8 @@ class BatchMachine(Machine):
             s = sim._seq
             sim._seq = s + 1
             st.append(deliver_at)
-            shids.append(hid_deliver)
-            sargs.append(i)
+            shids.append(hid_deliver_pt)
+            sargs.append(rec)
             sim._npending += 1
             b = int(deliver_at * inv_width)
             if b == sim._active_bucket:
@@ -953,62 +923,177 @@ class BatchMachine(Machine):
                     sbk[b] = [s]
                     heappush(sheap, b)
 
-        def fast_deliver(i):
-            dst = mdst[i]
-            tag = mtag[i]
-            payload = mpayload[i]
-            cb = mcb[i]
-            aux = maux[i]
-            # Release the record before dispatch: the callback may send.
-            mtag[i] = None
-            mpayload[i] = None
-            mcb[i] = None
-            free.append(i)
-            if cb is not None:
-                cb(dst, payload, aux)
-                return
-            fh = fast_handlers[dst]
-            if fh is not None:
-                fh(tag, payload, aux)
-                return
-            fn = handlers[dst]
-            if fn is None:
-                raise RuntimeError(f"no handler installed on rank {dst}")
-            # Record i cannot have been recycled yet (nothing ran since
-            # its release), so the remaining columns are still valid.
-            fn(Message(msrc[i], dst, tag, mnbytes[i],
-                       cat_names[mcid[i]], payload))
+        def fast_deliver_pt(rec):
+            rec[3](rec[0], rec[5], rec[4])
 
-        def fast_post_compute(rank, seconds, fn=None, *, flops=None,
-                              label=None):
-            if flops is not None:
-                seconds = task_oh + flops / flop_rate
-            if seconds < 0:
-                raise ValueError("negative compute time")
+        def fast_post_named(rank, seconds, hid, arg):
             now = sim.now
             cpu = cpu_free[rank]
             start = cpu if cpu > now else now
             finish = start + seconds
             cpu_free[rank] = finish
             compute_busy[rank] += seconds
-            if fn is not None:
-                s = sim._seq
-                sim._seq = s + 1
-                st.append(finish)
-                shids.append(0)
-                sargs.append(fn)
-                sim._npending += 1
-                b = int(finish * inv_width)
-                if b == sim._active_bucket:
-                    insort(sim._active_list, s, key=key)
+            s = sim._seq
+            sim._seq = s + 1
+            st.append(finish)
+            shids.append(hid)
+            sargs.append(arg)
+            sim._npending += 1
+            b = int(finish * inv_width)
+            if b == sim._active_bucket:
+                insort(sim._active_list, s, key=key)
+            else:
+                try:
+                    sbk[b].append(s)
+                except KeyError:
+                    sbk[b] = [s]
+                    heappush(sheap, b)
+
+        def fast_send_batch(src, dsts, tag, nbytes, cid, cb, auxs, payload=None):
+            n = len(dsts)
+            now = sim.now
+            col = sent_cols[cid]
+            if col is None:
+                bind_sent(cid)
+                col = sent_cols[cid]
+            # n integer-valued adds collapse to one (exact below 2^53).
+            col[src] += nbytes * n
+            sent_counts[cid][src] += n
+            inj = inj_oh + nbytes * inj_bw_inv
+            nic = nic_free[src]
+            start = nic if nic > now else now
+            # NIC injection chain: finish_k = finish_{k-1} + inj.
+            # np.add.accumulate is a sequential left fold -- bit-identical
+            # to the scalar chained adds (and start + inj > now always,
+            # so the scalar max() never rebases mid-chain).
+            steps = np.full(n, inj)
+            steps[0] = start + inj
+            fins = np.add.accumulate(steps)
+            nic_free[src] = float(fins[-1])
+            bsteps = np.full(n, inj)
+            bsteps[0] = nic_out_col[src] + inj
+            nic_out_col[src] = float(np.add.accumulate(bsteps)[-1])
+            pidxs = [src * nranks + d for d in dsts]
+            pps = []
+            app = pps.append
+            for x in range(n):
+                pi = pidxs[x]
+                pp = pairs[pi]
+                if pp is None:
+                    pp = pair_params(src, dsts[x])
+                    pairs[pi] = pp
+                app(pp)
+            lats = np.array([p[0] for p in pps])
+            ibws = np.array([p[1] for p in pps])
+            jits = np.array([p[2] for p in pps])
+            arrl = (fins + (lats + nbytes * ibws) * jits).tolist()
+            # Channel FIFO clamps stay scalar (stateful per pair).
+            for x in range(n):
+                pi = pidxs[x]
+                a = arrl[x]
+                last = ch[pi]
+                if a < last:
+                    a = last
+                    arrl[x] = a
+                ch[pi] = a
+            s0 = sim._seq
+            sim._seq = s0 + n
+            st.extend(arrl)
+            shids.extend([hid_receive_pt] * n)
+            sargs.extend(
+                [(dsts[x], nbytes, cid, cb, auxs[x], payload) for x in range(n)]
+            )
+            sim._npending += n
+            ab = sim._active_bucket
+            al = sim._active_list
+            for x in range(n):
+                b = int(arrl[x] * inv_width)
+                if b == ab:
+                    insort(al, s0 + x, key=key)
                 else:
                     try:
-                        sbk[b].append(s)
+                        sbk[b].append(s0 + x)
                     except KeyError:
-                        sbk[b] = [s]
+                        sbk[b] = [s0 + x]
                         heappush(sheap, b)
 
-        self.send = fast_send
-        self.post_compute = fast_post_compute
-        sim._table[hid_receive] = fast_receive
-        sim._table[hid_deliver] = fast_deliver
+        self.send_pt = fast_send_pt
+        self.send_batch = fast_send_batch
+        self.post_named = fast_post_named
+        sim._table[hid_receive_pt] = fast_receive_pt
+        sim._table[hid_deliver_pt] = fast_deliver_pt
+
+        if recv_oh < sim.BUCKET_WIDTH:
+            # Slice dispatch requires pushed deliveries to land strictly
+            # past the active bucket: deliver_at >= now + recv_oh, so
+            # recv_oh >= BUCKET_WIDTH guarantees it.  Otherwise the
+            # scalar closures above remain the only receive path.
+            return
+
+        def fast_receive_pt_batch(batch, lo, hi):
+            idx = batch[lo:hi]
+            recs = [sargs[s] for s in idx]
+            ts = [st[s] for s in idx]
+            for s in idx:
+                sargs[s] = None
+            n = hi - lo
+            nbl = [r[1] for r in recs]
+            dsts = [r[0] for r in recs]
+            ej = (np.array(nbl, dtype=np.float64) * ej_bw_inv).tolist()
+            # Category byte tallies: scatter-add of exact integers
+            # (order-free); single-category slices take one np.add.at.
+            c0 = recs[0][2]
+            mixed = False
+            for r in recs:
+                if r[2] != c0:
+                    mixed = True
+                    break
+            if mixed:
+                for x in range(n):
+                    c = recs[x][2]
+                    col = recv_cols[c]
+                    if col is None:
+                        bind_recv(c)
+                        col = recv_cols[c]
+                    col[dsts[x]] += nbl[x]
+            else:
+                col = recv_cols[c0]
+                if col is None:
+                    bind_recv(c0)
+                    col = recv_cols[c0]
+                np.add.at(col, dsts, np.array(nbl, dtype=np.float64))
+            deliver = [0.0] * n
+            for x in range(n):
+                dst = dsts[x]
+                now = ts[x]
+                e = ej[x]
+                nic = nic_in_free[dst]
+                if nic <= now:
+                    nic = now
+                nic_done = nic + e
+                nic_in_free[dst] = nic_done
+                nic_in_col[dst] += e
+                cpu = cpu_free[dst]
+                d = (cpu if cpu > nic_done else nic_done) + recv_oh
+                cpu_free[dst] = d
+                recv_oh_col[dst] += recv_oh
+                deliver[x] = d
+            s0 = sim._seq
+            sim._seq = s0 + n
+            st.extend(deliver)
+            shids.extend([hid_deliver_pt] * n)
+            sargs.extend(recs)
+            sim._npending += n
+            bids = (
+                (np.array(deliver) * inv_width).astype(np.int64).tolist()
+            )
+            for x in range(n):
+                b = bids[x]
+                try:
+                    sbk[b].append(s0 + x)
+                except KeyError:
+                    sbk[b] = [s0 + x]
+                    heappush(sheap, b)
+            sim.now = ts[n - 1]
+
+        sim.register_batch_handler(hid_receive_pt, fast_receive_pt_batch)

@@ -64,7 +64,7 @@ class TestSpecHash:
         # the store.
         hashes = {
             spec_hash(dataclasses.replace(SPEC, engine=engine))
-            for engine in ("legacy", "batch", "vectorized")
+            for engine in ("legacy", "vectorized")
         }
         assert hashes == {spec_hash(SPEC)}
 
