@@ -21,12 +21,13 @@ Measurements recorded here:
    re-creation of the pre-optimization query path (per-call config
    attribute chasing, divisions instead of multiply-by-inverse, tuple
    -keyed jitter memo), reported as DES events/second.
-3. *Telemetry overhead* -- the same reference run timed against a
-   guard-free re-creation of the pre-telemetry :class:`Machine` hot path
-   (no ``recorder is not None`` tests), and with full telemetry
-   (timeline + metrics + hot-spot monitor) enabled.  Disabled telemetry
-   must stay within the 5% overhead budget and must not change the DES
-   outcome; enabled overhead is recorded for reference.
+3. *Telemetry overhead* -- the same reference run on the default
+   engine with telemetry off, with the runner's bundle (metrics + hot
+   spots, read out after the drain on the specialized route) and with
+   :meth:`Telemetry.full` (the timeline adds the hooked route), in
+   alternated rounds, medians reported.  The runner bundle must cost at
+   most 15% over off, and all three runs must have the same outcome
+   (:meth:`RunRecord.same_outcome`).
 
 Results land in ``benchmarks/results/BENCH_runner.json``.
 """
@@ -35,13 +36,13 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 from time import perf_counter
 
 from repro.analysis import Table
-from repro.obs import Telemetry
+from repro.obs import HotSpotMonitor, MetricsRegistry, Telemetry
 from repro.runner import ExperimentSpec, RunRecord, cache, run_experiments
 from repro.simulate import Network
-from repro.simulate.machine import Machine
 from repro.core import ProcessorGrid, SimulatedPSelInv
 
 from bench_fig8_scaling import sweep_specs
@@ -112,103 +113,12 @@ class _LegacyNetwork(Network):
         return (lat + nbytes / bw) * self._legacy_pair_jitter(src, dst)
 
 
-class _PreTelemetryMachine(Machine):
-    """The pre-telemetry Machine hot path: the same scheduling arithmetic
-    with no recorder guards, for measuring what the ``_rec is not None``
-    tests cost when telemetry is disabled."""
-
-    def post_send(self, src, dst, tag, nbytes, category, payload=None):
-        from repro.simulate.machine import Message, TraceEvent
-
-        nbytes = int(nbytes)
-        msg = Message(src, dst, tag, nbytes, category, payload)
-        sim = self.sim
-        if self._event_log is not None:
-            self._event_log.append(
-                TraceEvent("send", sim.now, src, dst, tag, nbytes)
-            )
-        if src == dst:
-            sim.schedule_at(sim.now, self._deliver, msg)
-            return
-        self.stats.on_send(msg)
-        inj = self._injection_time(nbytes)
-        now = sim.now
-        nic = self._nic_free[src]
-        start = nic if nic > now else now
-        finish = start + inj
-        self._nic_free[src] = finish
-        self.stats._nic_out_busy[src] += inj
-        arrival = finish + self._transit_time(src, dst, nbytes)
-        ch = self._channel_last
-        if self._flat_channels:
-            idx = src * self.nranks + dst
-            if arrival < ch[idx]:
-                arrival = ch[idx]
-            ch[idx] = arrival
-        else:
-            key = (src, dst)
-            last = ch.get(key, 0.0)
-            if arrival < last:
-                arrival = last
-            ch[key] = arrival
-        sim.schedule_at(arrival, self._receive, msg)
-
-    def _receive(self, msg):
-        self.stats.on_receive(msg)
-        dst = msg.dst
-        now = self.sim.now
-        eject = self._ejection_time(msg.nbytes)
-        nic = self._nic_in_free[dst]
-        nic_start = nic if nic > now else now
-        nic_done = nic_start + eject
-        self._nic_in_free[dst] = nic_done
-        self.stats._nic_in_busy[dst] += eject
-        oh = self._recv_overhead
-        cpu = self._cpu_free[dst]
-        start = cpu if cpu > nic_done else nic_done
-        self._cpu_free[dst] = start + oh
-        self.stats._recv_overhead_busy[dst] += oh
-        self.sim.schedule_at(start + oh, self._deliver, msg)
-
-    def _deliver(self, msg):
-        if self._event_log is not None:
-            from repro.simulate.machine import TraceEvent
-
-            self._event_log.append(
-                TraceEvent(
-                    "deliver", self.sim.now, msg.src, msg.dst, msg.tag,
-                    msg.nbytes,
-                )
-            )
-        fn = self._handlers[msg.dst]
-        if fn is None:
-            raise RuntimeError(f"no handler installed on rank {msg.dst}")
-        fn(msg)
-
-    def post_compute(self, rank, seconds, fn=None, *, flops=None, label=None):
-        if flops is not None:
-            seconds = self.network.compute_time(flops)
-        if seconds < 0:
-            raise ValueError("negative compute time")
-        now = self.sim.now
-        cpu = self._cpu_free[rank]
-        start = cpu if cpu > now else now
-        finish = start + seconds
-        self._cpu_free[rank] = finish
-        self.stats._compute_busy[rank] += seconds
-        if fn is not None:
-            self.sim.schedule_at(finish, fn)
-
-
-def _timed_single_run(
-    network_cls, *, machine_cls=Machine, telemetry=None, engine="legacy"
-):
-    """One large jittered run under the given Network/Machine classes; the
-    classes are swapped via the pselinv module so :class:`SimulatedPSelInv`
-    (and the Machine's pre-bound query methods) pick them up at
-    construction.  The network/machine comparisons replicate legacy-path
-    variants, so they pin ``engine="legacy"``; the engine head-to-head
-    passes the engine explicitly."""
+def _timed_single_run(network_cls, *, telemetry=None, engine="legacy"):
+    """One large jittered run under the given Network class; the class is
+    swapped via the pselinv module so :class:`SimulatedPSelInv` (and the
+    Machine's pre-bound query methods) pick it up at construction.  The
+    network comparison replicates a legacy-path variant, so it pins
+    ``engine="legacy"``; the other sections pass the engine explicitly."""
     import repro.core.pselinv as pselinv_mod
 
     side = scaling_processor_counts()[-1]
@@ -216,9 +126,7 @@ def _timed_single_run(
     grid = ProcessorGrid(side, side)
     plans = get_plans(prob, grid)
     orig_net = pselinv_mod.Network
-    orig_machine = pselinv_mod.Machine
     pselinv_mod.Network = network_cls
-    pselinv_mod.Machine = machine_cls
     try:
         sim = SimulatedPSelInv(
             prob.struct,
@@ -236,7 +144,6 @@ def _timed_single_run(
         dt = perf_counter() - t0
     finally:
         pselinv_mod.Network = orig_net
-        pselinv_mod.Machine = orig_machine
     return res, dt
 
 
@@ -330,36 +237,40 @@ def test_runner_scaling(benchmark):
         speedup=round(dt_old / dt_new, 3),
     )
 
-    # Telemetry overhead on the same reference run.  The two
-    # disabled-path variants back a 5% budget assertion, so they run in
-    # alternated best-of-2 rounds (like the engine head-to-head): host
-    # load drifting between a block of guarded runs and a block of
-    # pre-telemetry runs would otherwise fabricate overhead either way.
-    # Single run for enabled.
-    dt_guarded = dt_new
-    dt_pre = float("inf")
-    res_pre = None
-    for _ in range(2):
-        res_pre, dt_pre_i = _timed_single_run(
-            Network, machine_cls=_PreTelemetryMachine)
-        dt_pre = min(dt_pre, dt_pre_i)
-        dt_guarded = min(dt_guarded, _timed_single_run(Network)[1])
+    # Telemetry overhead on the default engine: off, the runner's bundle
+    # (metrics + hot spots) and the full bundle (timeline too).  A fresh
+    # bundle per run (a monitor accumulates), alternated rounds, medians.
     nranks = _reference_side() ** 2
-    res_tel, dt_tel = _timed_single_run(
-        Network,
-        telemetry=Telemetry.full(nranks, workload="audikw_1", scheme="shifted"),
-    )
+    labels = dict(workload="audikw_1", scheme="shifted")
+    bundles = {
+        "off": lambda: None,
+        "runner": lambda: Telemetry(
+            metrics=MetricsRegistry(**labels), hotspots=HotSpotMonitor(nranks)
+        ),
+        "full": lambda: Telemetry.full(nranks, **labels),
+    }
+    tel_times = {name: [] for name in bundles}
+    tel_recs = {}
+    for _ in range(3):
+        for name, make in bundles.items():
+            r, dt = _timed_single_run(
+                Network, telemetry=make(), engine="vectorized"
+            )
+            tel_recs[name] = RunRecord.from_result(ref_spec, r)
+            tel_times[name].append(dt)
+    med = {name: statistics.median(ts) for name, ts in tel_times.items()}
     tel_cmp = dict(
         run=net_cmp["run"],
-        pre_telemetry_seconds=round(dt_pre, 4),
-        disabled_seconds=round(dt_guarded, 4),
-        enabled_seconds=round(dt_tel, 4),
-        disabled_overhead_pct=round((dt_guarded / dt_pre - 1) * 100, 2),
-        enabled_overhead_pct=round((dt_tel / dt_pre - 1) * 100, 2),
-        disabled_budget_pct=5.0,
-        outcome_bit_identical=bool(
-            res_tel.events == res_new.events == res_pre.events
-            and res_tel.makespan == res_new.makespan == res_pre.makespan
+        engine="vectorized",
+        rounds=3,
+        off_seconds=round(med["off"], 4),
+        runner_bundle_seconds=round(med["runner"], 4),
+        full_seconds=round(med["full"], 4),
+        runner_bundle_overhead_pct=round((med["runner"] / med["off"] - 1) * 100, 2),
+        full_overhead_pct=round((med["full"] / med["off"] - 1) * 100, 2),
+        runner_bundle_budget_pct=15.0,
+        outcome_bit_identical=all(
+            tel_recs[name].same_outcome(tel_recs["off"]) for name in ("runner", "full")
         ),
     )
 
@@ -387,13 +298,14 @@ def test_runner_scaling(benchmark):
         f"  slimmed network: {net_cmp['slimmed_events_per_sec']:,}/s"
         f" ({dt_new:.2f}s)  -> {net_cmp['speedup']:.2f}x",
         "",
-        "telemetry overhead (same reference run):",
-        f"  pre-telemetry machine: {dt_pre:.2f}s",
-        f"  disabled (guards only): {dt_guarded:.2f}s"
-        f"  ({tel_cmp['disabled_overhead_pct']:+.1f}%, budget 5%)",
-        f"  enabled (full bundle):  {dt_tel:.2f}s"
-        f"  ({tel_cmp['enabled_overhead_pct']:+.1f}%)",
-        f"  outcome bit-identical:  {tel_cmp['outcome_bit_identical']}",
+        "telemetry overhead (reference run, vectorized engine, median of 3"
+        " alternated rounds):",
+        f"  off:                      {med['off']:.2f}s",
+        f"  runner (metrics+hotspots): {med['runner']:.2f}s"
+        f"  ({tel_cmp['runner_bundle_overhead_pct']:+.1f}%, budget 15%)",
+        f"  full (+ timeline):         {med['full']:.2f}s"
+        f"  ({tel_cmp['full_overhead_pct']:+.1f}%)",
+        f"  outcome bit-identical:     {tel_cmp['outcome_bit_identical']}",
         "",
         throughput_note,
     ]
@@ -433,7 +345,7 @@ def test_runner_scaling(benchmark):
     assert dt_new <= dt_old / 0.9
     # Both network variants walk the same event structure.
     assert res_new.events == res_old.events
-    # Telemetry must never perturb the simulated outcome, and the
-    # disabled-telemetry guards must stay inside the 5% overhead budget.
+    # Telemetry must never perturb the simulated outcome, and the runner
+    # bundle (read out after the drain) must stay inside its budget.
     assert tel_cmp["outcome_bit_identical"], tel_cmp
-    assert dt_guarded <= dt_pre * 1.05, tel_cmp
+    assert tel_cmp["runner_bundle_overhead_pct"] <= 15.0, tel_cmp

@@ -6,10 +6,14 @@ Runs the exact Fig. 8 sweep specs once under each simulation engine
 reference (:meth:`RunRecord.same_outcome`: makespan, event count,
 compute and communication split, and every per-rank byte/message/
 busy-time array).  Each spec also runs a second time with
-``telemetry=True``, which sends the vectorized engine down its hooked
-(unspecialized) message route.  This is the CI guard for the vectorized
-engine: the calendar-queue scheduler and the compiled collective state
-machines are optimizations, never behavior changes.
+``telemetry=True`` (metrics + hot spots, which stay on the vectorized
+engine's specialized route and are read out after the drain); for those
+copies the telemetry payload (:attr:`RunRecord.metrics`: hot-spot
+statistics, top ranks and the metrics snapshot) must agree as well,
+minus the host-dependent series (wall-clock gauges, ``runner.*`` and
+the process-global ``comm.tree_cache.*``).  This is the CI guard for
+the vectorized engine: the calendar-queue scheduler and the compiled
+collective state machines are optimizations, never behavior changes.
 
 Run from ``benchmarks/`` with ``PYTHONPATH=../src:.``:
 
@@ -35,6 +39,20 @@ from repro.runner import run_experiments, store
 
 ENGINES = ("legacy", "vectorized")
 REFERENCE = ENGINES[0]
+
+# Series that measure the host rather than the simulation.
+HOST_SERIES = ("sim.wall_seconds", "sim.events_per_sec", "runner.", "comm.tree_cache.")
+
+
+def portable_metrics(metrics: dict) -> dict:
+    """A record's telemetry payload without the host-dependent series."""
+    if not metrics:
+        return metrics
+    snapshot = {
+        kind: {k: v for k, v in series.items() if not k.startswith(HOST_SERIES)}
+        for kind, series in metrics["snapshot"].items()
+    }
+    return dict(metrics, snapshot=snapshot)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -84,12 +102,16 @@ def main(argv: list[str] | None = None) -> int:
     mismatches = []
     for engine in ENGINES[1:]:
         for spec, ref, rec in zip(specs, records[REFERENCE], records[engine]):
-            if not ref.same_outcome(rec):
+            same = ref.same_outcome(rec)
+            same_metrics = portable_metrics(ref.metrics) == portable_metrics(rec.metrics)
+            if not (same and same_metrics):
                 mismatches.append(
                     dict(
                         spec=spec.describe()
                         + (" telemetry" if spec.telemetry else ""),
                         engine=engine,
+                        outcome_equal=same,
+                        metrics_equal=same_metrics,
                         reference=dict(makespan=ref.makespan, events=ref.events),
                         candidate=dict(makespan=rec.makespan, events=rec.events),
                     )
@@ -112,12 +134,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ENGINE MISMATCH on {len(mismatches)} spec/engine pairs:")
         for m in mismatches:
             print(
-                f"  {m['spec']} [{m['engine']}]: "
+                f"  {m['spec']} [{m['engine']}]: outcome_equal={m['outcome_equal']} "
+                f"metrics_equal={m['metrics_equal']} "
                 f"reference={m['reference']} candidate={m['candidate']}"
             )
         return 1
     walls = ", ".join(f"{e} {timings[e]:.1f}s" for e in ENGINES)
-    print(f"OK: {len(specs)} specs bitwise-identical across engines ({walls})")
+    print(
+        f"OK: {len(specs)} specs bitwise-identical across engines, telemetry "
+        f"payloads included ({walls})"
+    )
     return 0
 
 

@@ -24,9 +24,16 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..simulate.machine import Machine, Message
-from .trees import CommTree, CompiledTree
+from .trees import CommTree, CompiledTree, _child_counts_list, _shape_depth
 
-__all__ = ["TreeBroadcast", "TreeReduce", "VecBroadcast", "VecReduce", "BATCH_FANOUT_MIN"]
+__all__ = [
+    "TreeBroadcast",
+    "TreeReduce",
+    "VecBroadcast",
+    "VecReduce",
+    "BATCH_FANOUT_MIN",
+    "record_shapes",
+]
 
 
 def _require_hashable_tag(tag: Any) -> Any:
@@ -257,10 +264,13 @@ class TreeReduce:
 #   position lookup;
 # * wide fan-outs (flat/hybrid trees) are emitted as one column batch via
 #   :meth:`~repro.simulate.machine.VecMachine.send_batch`;
-# * the ``coll.*`` telemetry series are emitted from the tree shape when
-#   the collective is built: a run that returns has completed every
-#   collective, so the totals equal the per-message tallies of the
-#   dict-based classes.
+# * the ``coll.*`` telemetry series come from the tree shapes: with
+#   metrics attached, each collective bumps one
+#   ``(op, category, family, size, nbytes)`` count in the machine's
+#   ``coll_shapes`` dict when it is built, and :func:`record_shapes`
+#   turns the counts into series after the drain.  A run that returns
+#   has completed every collective, so the totals equal the per-message
+#   tallies of the dict-based classes (all ints, so exactly).
 #
 # Send order, combine order, finish order and degenerate-tree behavior
 # replicate the dict-based classes exactly (children forward in ascending
@@ -275,24 +285,33 @@ class TreeReduce:
 BATCH_FANOUT_MIN = 6
 
 
-def _record_shape(metrics, tree: CompiledTree, op: str, category: str,
-                  nbytes: int) -> None:
-    """Emit one collective's ``coll.*`` series from its tree shape: the
+def record_shapes(metrics, counts: dict) -> None:
+    """Emit the ``coll.*`` series of every counted collective shape: the
     depth, one fan-out observation per position, and one forwarded
-    message of ``nbytes`` per tree edge."""
-    metrics.histogram("coll.depth", op=op, category=category).observe(
-        tree.depth()
-    )
-    fanout = metrics.histogram("coll.fanout", op=op, category=category)
-    for c in tree.child_counts:
-        fanout.observe(c)
-    edges = tree.size - 1
-    metrics.counter("coll.forwarded_messages", op=op, category=category).inc(
-        edges
-    )
-    metrics.counter("coll.forwarded_bytes", op=op, category=category).inc(
-        edges * nbytes
-    )
+    message of ``nbytes`` per tree edge, each times the shape's count."""
+    for (op, category, family, size, nbytes), n in counts.items():
+        metrics.histogram("coll.depth", op=op, category=category).observe(
+            _shape_depth(family, size), n
+        )
+        fanout = metrics.histogram("coll.fanout", op=op, category=category)
+        degrees: dict[int, int] = {}
+        for c in _child_counts_list(family, size):
+            degrees[c] = degrees.get(c, 0) + 1
+        for c, m in degrees.items():
+            fanout.observe(c, m * n)
+        edges = (size - 1) * n
+        metrics.counter("coll.forwarded_messages", op=op, category=category).inc(
+            edges
+        )
+        metrics.counter("coll.forwarded_bytes", op=op, category=category).inc(
+            edges * nbytes
+        )
+
+
+def _count_shape(counts: dict, op: str, category: str, tree: CompiledTree,
+                 nbytes: int) -> None:
+    key = (op, category, tree.family, tree.size, nbytes)
+    counts[key] = counts.get(key, 0) + 1
 
 
 class VecBroadcast:
@@ -344,8 +363,8 @@ class VecBroadcast:
         # so they can be captured once per collective instead of looked
         # up per forwarded message.
         self._send = machine.send_pt
-        if machine.metrics is not None:
-            _record_shape(machine.metrics, tree, "bcast", category, self.nbytes)
+        if machine.coll_shapes is not None:
+            _count_shape(machine.coll_shapes, "bcast", category, tree, self.nbytes)
 
     def start(self, payload: Any = None) -> None:
         """Called (once) on the root when its data is ready."""
@@ -443,8 +462,8 @@ class VecReduce:
         self._value: list[Any] | None = None
         self._om = self.on_message
         self._send = machine.send_pt
-        if machine.metrics is not None:
-            _record_shape(machine.metrics, tree, "reduce", category, self.nbytes)
+        if machine.coll_shapes is not None:
+            _count_shape(machine.coll_shapes, "reduce", category, tree, self.nbytes)
         for i, expected in enumerate(pending):
             if expected == 0:
                 # A pure relay with no children and no contribution can

@@ -51,9 +51,11 @@ Two interchangeable execution engines (``engine=``), one protocol each:
   closure-free (pre-registered handler ids + tuple arguments).  Every
   mode runs on it: numeric payloads ride the same point records
   (numeric tasks get their data wrapped onto the precomputed argument
-  and a numeric handler variant under the same id), and telemetry,
-  event-log and per-message-overhead runs take the machine's
-  unspecialized route, which calls the hooks.
+  and a numeric handler variant under the same id).  Metrics and
+  hot-spot runs stay on the machine's specialized route (their series
+  are read out after the drain); timeline, event-log and
+  per-message-overhead runs take its unspecialized route, which calls
+  the hooks.
 * ``"legacy"`` -- the original heapq :class:`Simulator` + per-message
   :class:`Message` objects + dict-based
   :class:`~repro.comm.collectives.TreeBroadcast` /
@@ -76,7 +78,13 @@ from typing import Any
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ..comm.collectives import TreeBroadcast, TreeReduce, VecBroadcast, VecReduce
+from ..comm.collectives import (
+    TreeBroadcast,
+    TreeReduce,
+    VecBroadcast,
+    VecReduce,
+    record_shapes,
+)
 from ..comm.trees import build_tree, compiled_tree, tree_cache_info
 from ..simulate.machine import CommStats, Machine, Message, VecMachine
 from ..simulate.network import Network, NetworkConfig
@@ -222,17 +230,20 @@ class SimulatedPSelInv:
             jitter_seed=jitter_seed,
         )
         # ``telemetry`` (a repro.obs.Telemetry bundle, or None) turns on
-        # the observability layer: network query tallies, machine-level
-        # timeline/hot-spot recording, and simulator loop metrics.  The
-        # network must be instrumented before the machine pre-binds its
-        # queries.
+        # the observability layer: the timeline records on the machine,
+        # the simulator reports its loop metrics, and run() reads the
+        # hot spots and net.*/coll.* series out after the drain.
         self.telemetry = telemetry
         recorder = metrics = None
         if telemetry is not None:
             metrics = telemetry.metrics
-            recorder = telemetry.sink()
-            if metrics is not None:
-                net.instrument(metrics)
+            recorder = telemetry.timeline
+            hotspots = telemetry.hotspots
+            if hotspots is not None and hotspots.nranks != grid.size:
+                raise ValueError(
+                    f"HotSpotMonitor sized for {hotspots.nranks} ranks, "
+                    f"grid has {grid.size}"
+                )
         # ``event_log`` (a caller-owned list) enables the machine's
         # structured trace hook; ``repro check`` replays it against the
         # static happens-before model.
@@ -1074,7 +1085,11 @@ class SimulatedPSelInv:
         cache_before = tree_cache_info() if metrics is not None else None
         self._kickoff()
         makespan = self.machine.run(max_events=max_events)
-        if metrics is not None and cache_before is not None:
+        if self.telemetry is not None:
+            self.telemetry.finish(self.machine.stats)
+        if metrics is not None:
+            if self._vec:
+                record_shapes(metrics, self.machine.coll_shapes)
             self._record_tree_cache_metrics(metrics, cache_before)
         nsup = self.struct.nsup
         if self.done_diag != nsup:

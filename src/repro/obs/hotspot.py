@@ -1,11 +1,14 @@
-"""Streaming per-rank hot-spot monitor and imbalance statistics.
+"""Per-rank hot-spot monitor and imbalance statistics.
 
 The telemetry subsystem's third pillar (ISSUE 5): the live counterpart
 of the paper's Fig. 5/7 per-rank volume heatmaps.  A
-:class:`HotSpotMonitor` rides the machine telemetry hook and accumulates
-sent/received bytes per ``(rank, category)`` while the DES runs; at any
-point :meth:`HotSpotMonitor.imbalance` reduces a category (or the total)
-to the classic load-balance figures of merit:
+:class:`HotSpotMonitor` holds sent/received bytes per ``(rank,
+category)``; it is filled once, after the DES drain, from the machine's
+own :class:`~repro.simulate.machine.CommStats` columns
+(:meth:`HotSpotMonitor.add_stats`, called by
+:meth:`repro.obs.Telemetry.finish`), so it costs nothing per message.
+At any point :meth:`HotSpotMonitor.imbalance` reduces a category (or the
+total) to the classic load-balance figures of merit:
 
 * **max/mean** -- the paper's headline imbalance ratio (1.0 = perfectly
   balanced; the flat scheme's Col-Bcast roots push this far above 1);
@@ -14,18 +17,17 @@ to the classic load-balance figures of merit:
 
 :meth:`HotSpotMonitor.top_ranks` ranks the k hottest ranks for a
 category, and :meth:`HotSpotMonitor.report` renders the CLI table for
-``repro hotspots``.  The sent-byte tallies reproduce
-:class:`~repro.simulate.machine.CommStats` exactly (same hook, same
-increments), so the ranking provably agrees with the Fig. 5 heatmap
-pipeline -- ``tests/test_obs.py`` locks that in for the flat, binary,
-and shifted schemes.
+``repro hotspots``.  The tallies *are* the
+:class:`~repro.simulate.machine.CommStats` byte columns (same
+increments, self-sends excluded), converted to integers, so the ranking
+provably agrees with the Fig. 5 heatmap pipeline --
+``tests/test_obs.py`` locks that in for every tree scheme on both
+engines.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .timeline import TelemetrySink
 
 __all__ = ["imbalance_stats", "gini", "HotSpotMonitor"]
 
@@ -60,28 +62,27 @@ def imbalance_stats(values: np.ndarray) -> dict[str, float]:
     }
 
 
-class HotSpotMonitor(TelemetrySink):
-    """Accumulates per-rank, per-category byte loads as the DES runs."""
+class HotSpotMonitor:
+    """Per-rank, per-category byte loads of one or more finished runs."""
 
     def __init__(self, nranks: int) -> None:
         self.nranks = nranks
-        self._sent: dict[str, list] = {}
-        self._received: dict[str, list] = {}
+        self._sent: dict[str, np.ndarray] = {}
+        self._received: dict[str, np.ndarray] = {}
 
-    def _get(self, table: dict[str, list], category: str) -> list:
-        arr = table.get(category)
-        if arr is None:
-            arr = [0] * self.nranks
-            table[category] = arr
-        return arr
+    def add_stats(self, stats) -> None:
+        """Add a drained machine's ``CommStats`` byte columns.
 
-    # -- machine hooks -------------------------------------------------------
-
-    def record_send(self, msg, post_time, inj_start, inj_end, arrival) -> None:
-        self._get(self._sent, msg.category)[msg.src] += msg.nbytes
-
-    def record_receive(self, msg, eject_start, eject_end, oh_start, oh_end) -> None:
-        self._get(self._received, msg.category)[msg.dst] += msg.nbytes
+        The columns are integer-valued floats far below 2^53, so the
+        int64 conversion is exact.  Repeated calls accumulate (one
+        monitor may watch several runs on the same rank count).
+        """
+        for table, cols in ((self._sent, stats.sent),
+                            (self._received, stats.received)):
+            for category, col in cols.items():
+                load = col.astype(np.int64)
+                prev = table.get(category)
+                table[category] = load if prev is None else prev + load
 
     # -- queries -------------------------------------------------------------
 
@@ -97,12 +98,13 @@ class HotSpotMonitor(TelemetrySink):
         """Bytes received per rank (one category, or all summed)."""
         return self._load(self._received, category)
 
-    def _load(self, table: dict[str, list], category: str | None) -> np.ndarray:
+    def _load(self, table: dict[str, np.ndarray], category: str | None) -> np.ndarray:
         if category is not None:
-            return np.asarray(table.get(category, [0] * self.nranks), dtype=np.int64)
+            col = table.get(category)
+            return col.copy() if col is not None else np.zeros(self.nranks, dtype=np.int64)
         out = np.zeros(self.nranks, dtype=np.int64)
         for arr in table.values():
-            out += np.asarray(arr, dtype=np.int64)
+            out += arr
         return out
 
     def col_bcast_sent(self) -> np.ndarray:

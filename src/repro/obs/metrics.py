@@ -87,10 +87,13 @@ class Histogram:
         self.min: float | None = None
         self.max: float | None = None
 
-    def observe(self, value) -> None:
-        self.bucket_counts[bisect_right(self.bounds, value)] += 1
-        self.count += 1
-        self.total += value
+    def observe(self, value, n: int = 1) -> None:
+        """Record ``value`` ``n`` times, for a caller that has already
+        tallied its multiplicities.  With integer values the state is
+        exactly that of ``n`` single observations."""
+        self.bucket_counts[bisect_right(self.bounds, value)] += n
+        self.count += n
+        self.total += value * n
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
@@ -178,7 +181,7 @@ class _NullInstrument:
     def update_max(self, value) -> None:
         pass
 
-    def observe(self, value) -> None:
+    def observe(self, value, n: int = 1) -> None:
         pass
 
 

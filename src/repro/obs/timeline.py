@@ -35,7 +35,6 @@ from typing import Any
 
 __all__ = [
     "TelemetrySink",
-    "CompositeSink",
     "TimelineRecorder",
     "LANE_NAMES",
     "PHASE_KINDS",
@@ -74,33 +73,6 @@ class TelemetrySink:
 
     def record_compute(self, rank, start, end, label) -> None:
         """A CPU task occupied ``rank`` for ``[start, end]``."""
-
-
-class CompositeSink(TelemetrySink):
-    """Fan one machine hook out to several sinks (timeline + hot-spot)."""
-
-    def __init__(self, sinks) -> None:
-        self.sinks = tuple(sinks)
-
-    def record_send(self, msg, post_time, inj_start, inj_end, arrival) -> None:
-        for s in self.sinks:
-            s.record_send(msg, post_time, inj_start, inj_end, arrival)
-
-    def record_local(self, msg, time) -> None:
-        for s in self.sinks:
-            s.record_local(msg, time)
-
-    def record_receive(self, msg, eject_start, eject_end, oh_start, oh_end) -> None:
-        for s in self.sinks:
-            s.record_receive(msg, eject_start, eject_end, oh_start, oh_end)
-
-    def record_deliver(self, msg, time) -> None:
-        for s in self.sinks:
-            s.record_deliver(msg, time)
-
-    def record_compute(self, rank, start, end, label) -> None:
-        for s in self.sinks:
-            s.record_compute(rank, start, end, label)
 
 
 def _phase_key(msg) -> tuple | None:

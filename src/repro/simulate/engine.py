@@ -218,11 +218,8 @@ class VecSimulator:
       ``fn(batch, lo, hi)`` (:meth:`register_batch_handler`) that
       consumes a whole contiguous same-handler slice of a sorted bucket
       in one call.  A run at least :attr:`MIN_RUN` long is handed over;
-      the companion owns the slice: it must read times/args itself,
-      clear the argument cells, leave ``now`` at the slice's last
-      timestamp, and only schedule into *later* buckets (the machine
-      layer guarantees this by gating installation on
-      ``receive_overhead >= BUCKET_WIDTH``).  Shorter runs and foreign
+      the companion owns the slice (contract on
+      :meth:`register_batch_handler`).  Shorter runs and foreign
       handler ids take the scalar path, re-checking the handler id per
       event -- an executed event may insort new work into the active
       bucket, so a precomputed run length cannot be trusted across
@@ -232,8 +229,10 @@ class VecSimulator:
     seq, the same negative-delay / past-time errors, ``max_events``
     checked before each event, and a bounded ``run(until=...)`` leaving
     ``now`` at the last executed event (unexecuted tails are re-parked).
-    Bounded and instrumented runs take a per-event scalar loop and never
-    dispatch a slice.
+    Bounded runs take a per-event scalar loop and never dispatch a
+    slice.  With metrics attached both loops report the ``sim.*``
+    series of :class:`Simulator`, the queue-depth high-water mark
+    included, exactly.
 
     Per-bucket occupancy of the unbounded drains is tallied
     (:meth:`occupancy_stats`) so benchmarks can report the scheduler-vs-
@@ -313,7 +312,18 @@ class VecSimulator:
 
     def register_batch_handler(self, hid: int, fn) -> None:
         """Install ``fn(batch, lo, hi)`` as handler ``hid``'s slice
-        companion (see the class docstring for the contract)."""
+        companion, which executes the events ``batch[lo:hi]`` in one
+        call.
+
+        Contract: the companion reads the slice's times and args itself,
+        clears their argument cells, leaves ``now`` at the slice's last
+        timestamp, schedules only into *later* buckets (the machine
+        layer gates installation on ``receive_overhead >=
+        BUCKET_WIDTH``), and pushes exactly one event per consumed
+        event.  The last clause keeps the queue depth constant across
+        the slice, so the drain's depth sample at the slice start is
+        the exact high-water contribution of every event in it.
+        """
         self._btable[hid] = fn
 
     # -- scheduling ----------------------------------------------------------
@@ -376,14 +386,17 @@ class VecSimulator:
         Same bounded-run contract as :meth:`Simulator.run`: ``until``
         leaves ``now`` at the last *executed* event (the fast-forward
         never jumps past the horizon to an unexecuted bucket), and
-        ``max_events`` raises with the queue intact.  Bounded and
-        instrumented runs use the per-event :meth:`_run_scalar` loop.
+        ``max_events`` raises with the queue intact.  Bounded runs use
+        the per-event :meth:`_run_scalar` loop.
+
+        The drain samples the exact queue depth before every event it
+        executes: ``_npending`` is written back once per bucket but
+        counts every push at once, so ``_npending - i`` is the depth at
+        position ``i`` of the active bucket.  Slice-consumed events are
+        not sampled (their pushes are already counted; the depth at the
+        slice start stands for them, see :meth:`register_batch_handler`).
         """
-        if (
-            self._metrics is not None
-            or until is not None
-            or max_events is not None
-        ):
+        if until is not None or max_events is not None:
             return self._run_scalar(until, max_events)
         buckets = self._buckets
         heap = self._bucket_heap
@@ -397,6 +410,9 @@ class VecSimulator:
         heappop = heapq.heappop
         drained = 0
         maxb = self.max_bucket_events
+        depth_hw = self._npending
+        start_events = self._events_processed
+        start_wall = time.perf_counter()  # det: allow(DET003) observation-only
         while heap:
             b = heappop(heap)
             batch = buckets.pop(b)
@@ -414,6 +430,8 @@ class VecSimulator:
             for i, s in enumerate(batch):
                 h = hids[s]
                 if h >= 2:
+                    if self._npending - i > depth_hw:
+                        depth_hw = self._npending - i
                     bh = btable[h]
                     if bh is not None:
                         nb = len(batch)
@@ -429,17 +447,18 @@ class VecSimulator:
                     a = args[s]
                     args[s] = None
                     table[h](a)
-                elif h == 0:
+                elif h >= 0:
+                    if self._npending - i > depth_hw:
+                        depth_hw = self._npending - i
                     self.now = times[s]
                     a = args[s]
                     args[s] = None
-                    a()
-                elif h == 1:
-                    self.now = times[s]
-                    f, x = args[s]
-                    args[s] = None
-                    f(x)
-                # h == -1: already consumed by a slice dispatch above.
+                    if h == 0:
+                        a()
+                    else:
+                        f, x = a
+                        f(x)
+                # h == -1: consumed by a slice dispatch above, not sampled.
             self._active_bucket = -1
             self._active_list = None
             n = len(batch)
@@ -449,22 +468,18 @@ class VecSimulator:
             self._npending -= n
         self.buckets_drained += drained
         self.max_bucket_events = maxb
+        self._report(start_events, depth_hw, start_wall)
         return self.now
 
     def _run_scalar(
         self, until: float | None, max_events: int | None
     ) -> float:
-        """The :meth:`run` loop one event at a time, with a horizon, an
-        event budget and/or telemetry.
+        """The :meth:`run` loop one event at a time, with a horizon and/or
+        an event budget.
 
-        Counters update per event here (so the queue-depth high-water
-        mark is exact); with metrics attached the loop reports
-        :meth:`Simulator._run_instrumented`'s series: ``sim.events``,
-        ``sim.queue_depth_high_water``, ``sim.wall_seconds``,
-        ``sim.events_per_sec``.  Stopping at the horizon or the budget
-        re-parks the unexecuted tail of the active bucket.
+        Counters update per event here.  Stopping at the horizon or the
+        budget re-parks the unexecuted tail of the active bucket.
         """
-        metrics = self._metrics
         buckets = self._buckets
         heap = self._bucket_heap
         times = self._times
@@ -513,15 +528,23 @@ class VecSimulator:
                     f, x = a
                     f(x)
             self._repark(b, batch, i)
-        if metrics is not None:
-            wall = time.perf_counter() - start_wall  # det: allow(DET003)
-            n = self._events_processed - start_events
-            metrics.counter("sim.events").inc(n)
-            metrics.gauge("sim.queue_depth_high_water").update_max(depth_hw)
-            metrics.gauge("sim.wall_seconds").set(wall)
-            if wall > 0.0:
-                metrics.gauge("sim.events_per_sec").set(n / wall)
+        self._report(start_events, depth_hw, start_wall)
         return self.now
+
+    def _report(self, start_events: int, depth_hw: int, start_wall: float) -> None:
+        """Emit :meth:`Simulator._run_instrumented`'s series (metrics
+        attached only): ``sim.events``, ``sim.queue_depth_high_water``,
+        ``sim.wall_seconds``, ``sim.events_per_sec``."""
+        metrics = self._metrics
+        if metrics is None:
+            return
+        wall = time.perf_counter() - start_wall  # det: allow(DET003)
+        n = self._events_processed - start_events
+        metrics.counter("sim.events").inc(n)
+        metrics.gauge("sim.queue_depth_high_water").update_max(depth_hw)
+        metrics.gauge("sim.wall_seconds").set(wall)
+        if wall > 0.0:
+            metrics.gauge("sim.events_per_sec").set(n / wall)
 
     def _repark(self, b: int, batch: list, i: int) -> None:
         """Close the active bucket, returning ``batch[i:]`` (the events

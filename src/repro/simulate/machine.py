@@ -474,7 +474,7 @@ class VecMachine(Machine):
       the hooks); delivery calls ``cb(dst, payload, aux)``, so the
       collective layer routes a message straight to its continuation
       with ``aux`` carrying the receiver's tree position.  No
-      :class:`Message` object exists except for the telemetry hooks and
+      :class:`Message` object exists except for the timeline hooks and
       the :meth:`post_send` / :meth:`set_handler` compatibility path.
     * **Integer handler dispatch** -- the receive and deliver stages and
       the protocol's compute completions (:meth:`register_task` +
@@ -484,8 +484,7 @@ class VecMachine(Machine):
       are inlined from the network's flattened constants, with the
       per-pair ``(latency, 1/bandwidth, jitter)`` triple memoized in a
       dense table (see :meth:`Network.pair_params` for the bit-identity
-      argument).  When the network is instrumented for telemetry the
-      machine calls the query methods so the tallies still fire.
+      argument).
     * **Column batches** -- :meth:`send_batch` emits one rank's whole
       fan-out at once (numpy injection chain, elementwise per-pair
       arithmetic), and a slice companion receives whole same-instant
@@ -497,10 +496,14 @@ class VecMachine(Machine):
     no wrapper handler).
 
     The methods below are the unspecialized route: they call the trace
-    log, telemetry recorder and instrumented-network hooks and charge
-    the per-delivery overhead.  A hook-free machine swaps them for
-    closure-specialized versions (:meth:`_install_fast_path`) with
-    identical timestamps.
+    log and timeline-recorder hooks and charge the per-delivery
+    overhead.  A hook-free machine swaps them for closure-specialized
+    versions (:meth:`_install_fast_path`) with identical timestamps.
+    Metrics and hot spots need no hook: the simulator reports its loop
+    series from the drain, the compiled collectives tally their shapes
+    in :attr:`coll_shapes`, and :meth:`repro.obs.Telemetry.finish`
+    reads the rest from :attr:`stats` after the run, so a metrics +
+    hot-spot run stays on the specialized route.
     """
 
     _stats_cls = VecCommStats
@@ -537,11 +540,12 @@ class VecMachine(Machine):
         self._sent_cols: list[Any] = []
         self._sent_counts: list[Any] = []
         self._recv_cols: list[Any] = []
+        # Per-collective shape tallies, (op, category, family, size,
+        # nbytes) -> count, kept only with metrics attached; the protocol
+        # layer turns them into coll.* after the drain.
+        self.coll_shapes: dict | None = {} if metrics is not None else None
         # Fused network constants + per-pair memo (dense under the same
-        # rank bound as the channel clocks, dict above it).  Skipped
-        # when the network is instrumented: the query methods must run
-        # so the net.* telemetry tallies fire.
-        self._inline_net = not getattr(network, "_instrumented", False)
+        # rank bound as the channel clocks, dict above it).
         self._inj_oh = network._inj_overhead
         self._inj_bw_inv = network._inj_ibw
         self._ej_bw_inv = network._ej_ibw
@@ -557,14 +561,13 @@ class VecMachine(Machine):
         self._nic_out_col = self.stats._nic_out_busy
         self._nic_in_col = self.stats._nic_in_busy
         self._recv_oh_col = self.stats._recv_overhead_busy
-        # Hook-free configuration (no telemetry, no trace log, no
-        # per-delivery CPU tax, un-instrumented network, dense channel
-        # tables): swap the per-message stages for closure-specialized
-        # versions with every hook test resolved away.
+        # Hook-free configuration (no timeline, no trace log, no
+        # per-delivery CPU tax, dense channel tables): swap the
+        # per-message stages for closure-specialized versions with every
+        # hook test resolved away.
         if (
             self._rec is None
             and self._event_log is None
-            and self._inline_net
             and self._deliver_oh == 0.0
             and self._flat_channels
         ):
@@ -661,11 +664,7 @@ class VecMachine(Machine):
             col = self._sent_cols[cid]
         col[src] += nbytes
         self._sent_counts[cid][src] += 1
-        inline = self._inline_net
-        if inline:
-            inj = self._inj_oh + nbytes * self._inj_bw_inv
-        else:
-            inj = self._injection_time(nbytes)
+        inj = self._inj_oh + nbytes * self._inj_bw_inv
         nic = self._nic_free[src]
         start = nic if nic > now else now
         finish = start + inj
@@ -673,16 +672,13 @@ class VecMachine(Machine):
         self._nic_out_col[src] += inj
         flat = self._flat_channels
         pidx = src * self.nranks + dst if flat else (src, dst)
-        if inline:
-            pairs = self._pairs
-            pp = pairs[pidx] if flat else pairs.get(pidx)
-            if pp is None:
-                pp = self._pair_params(src, dst)
-                pairs[pidx] = pp
-            lat, ibw, jit = pp
-            arrival = finish + (lat + nbytes * ibw) * jit
-        else:
-            arrival = finish + self._transit_time(src, dst, nbytes)
+        pairs = self._pairs
+        pp = pairs[pidx] if flat else pairs.get(pidx)
+        if pp is None:
+            pp = self._pair_params(src, dst)
+            pairs[pidx] = pp
+        lat, ibw, jit = pp
+        arrival = finish + (lat + nbytes * ibw) * jit
         # Enforce MPI-style non-overtaking per (src, dst) channel.
         ch = self._channel_last
         last = ch[pidx] if flat else ch.get(pidx, 0.0)
@@ -714,10 +710,7 @@ class VecMachine(Machine):
         col[dst] += nbytes
         sim = self.sim
         now = sim.now
-        if self._inline_net:
-            eject = nbytes * self._ej_bw_inv
-        else:
-            eject = self._ejection_time(nbytes)
+        eject = nbytes * self._ej_bw_inv
         nic = self._nic_in_free[dst]
         nic_start = nic if nic > now else now
         nic_done = nic_start + eject
@@ -780,11 +773,11 @@ class VecMachine(Machine):
 
         Rebuilds :meth:`send_pt`, :meth:`send_batch`, :meth:`post_named`
         and the receive/deliver handler-table entries as closures with
-        every per-event branch (telemetry recorder, trace log,
-        instrumented network, delivery overhead, dense-vs-dict channels)
-        resolved at construction time and all stable state -- the
-        engine's time/hid/arg columns, the calendar buckets and heap,
-        the resource clocks and stats columns -- bound as closure cells
+        every per-event branch (timeline recorder, trace log, delivery
+        overhead, dense-vs-dict channels) resolved at construction time
+        and all stable state -- the engine's time/hid/arg columns, the
+        calendar buckets and heap, the resource clocks and stats
+        columns -- bound as closure cells
         (``LOAD_DEREF`` beats two ``LOAD_ATTR`` per access, and on a
         path run a few million times per simulation that is the
         difference that shows up on the profile).  Only the engine's
@@ -795,14 +788,13 @@ class VecMachine(Machine):
         elided because every machine-scheduled time is ``now`` plus
         non-negative cost terms.
 
-        The closures shadow the methods as instance attributes -- the
-        same pattern as :meth:`Network.instrument` -- and replace the
-        handler-table slots registered in ``__init__``, so the callable
-        ids seen by the protocol layer do not change.  All hooks are
-        constructor arguments, so the specialization decision is final
-        for the machine's lifetime.  Timestamp arithmetic is expression-
-        for-expression identical to the unspecialized stages (and
-        therefore to :class:`Machine`): same terms, same order,
+        The closures shadow the methods as instance attributes and
+        replace the handler-table slots registered in ``__init__``, so
+        the callable ids seen by the protocol layer do not change.  All
+        hooks are constructor arguments, so the specialization decision
+        is final for the machine's lifetime.  Timestamp arithmetic is
+        expression-for-expression identical to the unspecialized stages
+        (and therefore to :class:`Machine`): same terms, same order,
         bit-identical floats.
 
         When the receive-side CPU overhead spans at least one bucket (so

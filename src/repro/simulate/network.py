@@ -135,10 +135,6 @@ class Network:
             self._jitter_flat: list[float] | None = [0.0] * (nnodes * nnodes)
         else:
             self._jitter_flat = None
-        # Set by instrument(); the vectorized machine checks it to decide
-        # whether it may inline the arithmetic below (skipping the
-        # method calls would skip the telemetry tallies).
-        self._instrumented = False
 
     # -- queries ------------------------------------------------------------
 
@@ -238,61 +234,3 @@ class Network:
         if self._no_jitter:
             return (lat, ibw, 1.0)
         return (lat, ibw, self._node_jitter(a, b))
-
-    # -- telemetry -----------------------------------------------------------
-
-    def instrument(self, metrics) -> None:
-        """Wrap the hot-path queries with per-distance-class tallies.
-
-        Installs instrumented closures as *instance attributes* (they
-        shadow the bound methods), tallying message counts, bytes, and
-        modelled seconds into ``metrics`` -- injections at the sender,
-        ejections at the receiver, and transits split by distance class
-        (0 = intra-node, 1 = intra-group, 2 = inter-group).
-
-        Must be called **before** constructing the
-        :class:`~repro.simulate.machine.Machine`, which pre-binds these
-        queries at construction; an uninstrumented network stays on the
-        original methods with zero added cost.
-        """
-        self._instrumented = True
-        inj_count = metrics.counter("net.injections")
-        inj_bytes = metrics.counter("net.injection_bytes")
-        inj_secs = metrics.counter("net.injection_seconds")
-        ej_count = metrics.counter("net.ejections")
-        ej_bytes = metrics.counter("net.ejection_bytes")
-        tr_count = [metrics.counter("net.transits", dclass=c) for c in range(3)]
-        tr_bytes = [
-            metrics.counter("net.transit_bytes", dclass=c) for c in range(3)
-        ]
-        tr_secs = [
-            metrics.counter("net.transit_seconds", dclass=c) for c in range(3)
-        ]
-        base_inj = self.injection_time
-        base_ej = self.ejection_time
-        base_transit = self.transit_time
-        dclass = self.distance_class
-
-        def injection_time(nbytes: int) -> float:
-            t = base_inj(nbytes)
-            inj_count.inc()
-            inj_bytes.inc(nbytes)
-            inj_secs.inc(t)
-            return t
-
-        def ejection_time(nbytes: int) -> float:
-            ej_count.inc()
-            ej_bytes.inc(nbytes)
-            return base_ej(nbytes)
-
-        def transit_time(src: int, dst: int, nbytes: int) -> float:
-            c = dclass(src, dst)
-            t = base_transit(src, dst, nbytes)
-            tr_count[c].inc()
-            tr_bytes[c].inc(nbytes)
-            tr_secs[c].inc(t)
-            return t
-
-        self.injection_time = injection_time  # type: ignore[method-assign]
-        self.ejection_time = ejection_time  # type: ignore[method-assign]
-        self.transit_time = transit_time  # type: ignore[method-assign]

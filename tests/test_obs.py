@@ -10,10 +10,11 @@ Four contracts are pinned here:
 2. **Bit-identity** -- enabling telemetry never perturbs the simulated
    outcome: makespan, event count, and every per-rank counter of a
    seed-pinned run are identical with telemetry off and fully on.
-3. **Fig. 5 agreement** -- the streaming :class:`HotSpotMonitor` tallies
-   the exact byte loads of the analytic Fig. 5 heatmap pipeline
-   (``VolumeReport.col_bcast_sent``), so its top-k hottest ranks match
-   for the flat, binary, and shifted schemes.
+3. **Fig. 5 agreement** -- the :class:`HotSpotMonitor`, filled from the
+   drained machine's stats columns, holds the exact byte loads of the
+   analytic Fig. 5 heatmap pipeline (``VolumeReport.col_bcast_sent``),
+   so its top-k hottest ranks match for every tree scheme on both
+   engines.
 4. **Integer message counts** -- ``CommStats.messages_sent`` stays an
    integer dtype all the way into ``message_count_heatmap``, which
    rejects float counts.
@@ -22,12 +23,14 @@ Four contracts are pinned here:
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from repro.analysis import message_count_heatmap
 from repro.cli import main
+from repro.comm.trees import TREE_SCHEMES
 from repro.core import ProcessorGrid, SimulatedPSelInv, communication_volumes
 from repro.obs import (
     Counter,
@@ -48,6 +51,7 @@ from repro.sparse import analyze
 from repro.workloads import grid_laplacian_2d
 
 SCHEMES = ["flat", "binary", "shifted"]
+ENGINES = ["vectorized", "legacy"]
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +66,11 @@ def grid():
     return ProcessorGrid(4, 4)
 
 
-def _run(problem, grid, scheme="shifted", telemetry=None, seed=20160523):
+def _run(problem, grid, scheme="shifted", telemetry=None, seed=20160523,
+         engine="vectorized"):
     return SimulatedPSelInv(
-        problem.struct, grid, scheme, seed=seed, telemetry=telemetry
+        problem.struct, grid, scheme, seed=seed, telemetry=telemetry,
+        engine=engine,
     ).run()
 
 
@@ -123,6 +129,17 @@ class TestMetrics:
         assert merged["gauges"]["hw"] == 9
         assert merged["histograms"]["h"]["count"] == 2
         assert merged["histograms"]["h"]["total"] == 101
+
+    @pytest.mark.parametrize("value", [0, 3, 4, 17, 10**9])
+    def test_observe_multiplicity_equals_repeats(self, value):
+        once, repeated = Histogram(), Histogram()
+        once.observe(1)
+        repeated.observe(1)
+        once.observe(value, 5)
+        for _ in range(5):
+            repeated.observe(value)
+        for slot in Histogram.__slots__:
+            assert getattr(once, slot) == getattr(repeated, slot), slot
 
     def test_null_metrics_is_inert(self):
         null = NullMetrics()
@@ -332,19 +349,42 @@ class TestBitIdentity:
 
 
 class TestHotSpotAgreement:
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", TREE_SCHEMES)
     def test_matches_volume_report(self, lap_problem, grid, scheme):
-        monitor = HotSpotMonitor(grid.size)
-        _run(lap_problem, grid, scheme, telemetry=Telemetry(hotspots=monitor))
         rep = communication_volumes(
             lap_problem.struct, grid, scheme, seed=20160523
         )
-        np.testing.assert_array_equal(
-            monitor.col_bcast_sent(), rep.col_bcast_sent()
-        )
-        np.testing.assert_array_equal(
-            monitor.sent("row-reduce"), rep.sent["row-reduce"]
-        )
+        for engine in ENGINES:
+            monitor = HotSpotMonitor(grid.size)
+            _run(lap_problem, grid, scheme, engine=engine,
+                 telemetry=Telemetry(hotspots=monitor))
+            np.testing.assert_array_equal(
+                monitor.col_bcast_sent(), rep.col_bcast_sent()
+            )
+            np.testing.assert_array_equal(
+                monitor.sent("row-reduce"), rep.sent["row-reduce"]
+            )
+            assert monitor.sent().dtype == np.int64
+
+    @pytest.mark.parametrize("scheme", TREE_SCHEMES)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_top_ranks_identical_across_engines(
+        self, lap_problem, grid, scheme, engine
+    ):
+        """The monitor is read from the stats columns, which are
+        bit-identical across engines, so every report agrees."""
+        monitor = HotSpotMonitor(grid.size)
+        res = _run(lap_problem, grid, scheme, engine=engine,
+                   telemetry=Telemetry(hotspots=monitor))
+        sent = res.stats.sent
+        assert monitor.categories == sorted(sent.keys() | res.stats.received.keys())
+        for category, col in sent.items():
+            np.testing.assert_array_equal(monitor.sent(category), col)
+            assert monitor.top_ranks(5, category) == [
+                (int(r), int(col[r])) for r in np.argsort(-col, kind="stable")[:5]
+            ]
+        for category, col in res.stats.received.items():
+            np.testing.assert_array_equal(monitor.received(category), col)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_top_ranks_match_heatmap_pipeline(self, lap_problem, grid, scheme):
@@ -386,6 +426,24 @@ class TestHotSpotAgreement:
         text = monitor.report(3, label="flat")
         assert "hot-spot report (flat)" in text
         assert "col-bcast" in text and "max/mean" in text
+
+    @pytest.mark.parametrize("nranks", [4, 64])
+    def test_mis_sized_monitor_rejected(self, lap_problem, grid, nranks):
+        """An undersized monitor would die mid-read-out and an oversized
+        one would skew every statistic with phantom idle ranks: both are
+        refused before the run."""
+        for engine in ENGINES:
+            with pytest.raises(ValueError, match="HotSpotMonitor sized for"):
+                SimulatedPSelInv(
+                    lap_problem.struct, grid, "flat", engine=engine,
+                    telemetry=Telemetry(hotspots=HotSpotMonitor(nranks)),
+                )
+
+    def test_monitor_accumulates_runs(self, lap_problem, grid):
+        monitor = HotSpotMonitor(grid.size)
+        res = _run(lap_problem, grid, "flat", telemetry=Telemetry(hotspots=monitor))
+        _run(lap_problem, grid, "flat", telemetry=Telemetry(hotspots=monitor))
+        np.testing.assert_array_equal(monitor.sent(), 2 * res.stats.total_sent())
 
     def test_imbalance_ordering_matches_paper(self, lap_problem, grid):
         """Shifted must be at least as balanced as flat on Col-Bcast."""
@@ -448,6 +506,23 @@ class TestEngineMetrics:
         total_inj = sum(snap["counters"][k] for k in inj)
         ej = [k for k in snap["counters"] if k.startswith("net.ejections")]
         assert total_inj == sum(snap["counters"][k] for k in ej)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_network_series_read_from_stats(self, lap_problem, grid, engine):
+        """``net.*`` are column sums of the drained stats: every sent
+        message was injected and ejected once; the per-distance-class
+        transit series no longer exist."""
+        reg = MetricsRegistry()
+        res = _run(lap_problem, grid, "flat", engine=engine,
+                   telemetry=Telemetry(metrics=reg))
+        c = reg.snapshot()["counters"]
+        stats = res.stats
+        messages = sum(int(v.sum()) for v in stats.messages_sent.values())
+        assert c["net.injections"] == c["net.ejections"] == messages > 0
+        assert c["net.injection_bytes"] == int(stats.total_sent().sum())
+        assert c["net.ejection_bytes"] == c["net.injection_bytes"]
+        assert c["net.injection_seconds"] == math.fsum(stats.nic_out_busy)
+        assert not any(k.startswith("net.transit") for k in c)
 
     def test_collective_shape_metrics(self, lap_problem, grid):
         reg = MetricsRegistry()

@@ -23,6 +23,7 @@ never a behavior change.  Four layers pin it:
   trace-event stream, the ``repro trace`` output and the metrics.
 """
 
+import inspect
 import json
 
 import numpy as np
@@ -140,6 +141,43 @@ def test_bounded_run_equivalence(program, until, max_events):
         sim.run()
         results.append((trace, sim.now, sim.events_processed, err))
     assert results[0] == results[1]
+
+
+# Like _program_st, but an event may fan out into several follow-ups,
+# so the queue depth rises mid-drain instead of peaking at the start.
+_fanout_program_st = st.lists(
+    st.tuples(_time_st, st.lists(_time_st, max_size=3)),
+    min_size=0,
+    max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=_fanout_program_st)
+def test_drain_with_metrics_matches_heapq(program):
+    """Metrics attached keep the unbounded calendar drain (no per-event
+    fallback): same order as heapq, same ``sim.events`` and the exact
+    queue-depth high-water mark."""
+    out = []
+    vec = VecSimulator()
+    for sim in (Simulator(), vec):
+        reg = MetricsRegistry()
+        sim.attach_metrics(reg)
+        trace = []
+
+        def make_cb(idx, chains, sim=sim, trace=trace):
+            def cb():
+                trace.append((idx, sim.now))
+                for c, delta in enumerate(chains):
+                    sim.schedule(delta, trace.append, ((idx, c), "chained"))
+            return cb
+
+        for i, (t, chains) in enumerate(program):
+            sim.schedule_at(t, make_cb(i, chains))
+        sim.run()
+        out.append((trace, sim.now, _metrics_sans_wall_clock(reg.snapshot())))
+    assert out[0] == out[1]
+    assert (vec.buckets_drained > 0) == bool(program)  # the calendar drain ran
 
 
 _flat_time_st = st.floats(min_value=0.0, max_value=1e-5, allow_nan=False)
@@ -452,6 +490,24 @@ def test_slice_dispatch_fires_and_matches_legacy(categories):
     assert _drain_outcome(mv, got_v) == _drain_outcome(ml, got_l)
 
 
+def test_queue_depth_high_water_through_slices():
+    """The unbounded drain's depth high-water equals the heapq value on
+    a fan-in whose receive slice really dispatches.  Sampling the
+    slice-consumed events would over-count by the slice's pushes."""
+    gauges = []
+    for cls in (Machine, VecMachine):
+        m = _machine(cls)
+        if cls is VecMachine:
+            counts = _count_slice_dispatches(m)
+        reg = MetricsRegistry()
+        m.sim.attach_metrics(reg)
+        _fan_in(m)
+        m.run()
+        gauges.append(reg.snapshot()["gauges"]["sim.queue_depth_high_water"])
+    assert counts[0] > 0, "slice companion never fired"
+    assert gauges[1] == gauges[0] == _N - 1
+
+
 def test_bounded_run_never_enters_slice_companion():
     """``until``/``max_events`` runs use the per-event scalar loop -- a
     slice dispatch there could jump the horizon.  Poison every slice
@@ -759,6 +815,20 @@ def test_repro_trace_byte_identical(tmp_path, capsys):
         )
     assert out["vectorized"] == out["legacy"]
     capsys.readouterr()
+
+
+def test_metrics_and_hotspots_stay_on_specialized_route(problem):
+    """Only the timeline, the event log and a per-delivery tax select the
+    hooked route; a metrics + hot-spot run keeps the specialized
+    closures."""
+    grid = ProcessorGrid(2, 2)
+    fast = SimulatedPSelInv(problem.struct, grid, "flat", telemetry=_telemetry(grid))
+    assert not inspect.ismethod(fast.machine.send_pt)
+    assert not inspect.ismethod(fast.machine.post_named)
+    hooked = SimulatedPSelInv(
+        problem.struct, grid, "flat", telemetry=Telemetry.full(grid.size)
+    )
+    assert inspect.ismethod(hooked.machine.send_pt)
 
 
 def test_vec_machine_uses_column_stats(problem):
