@@ -301,8 +301,8 @@ TREE_SCHEMES = ("flat", "binary", "shifted", "randperm", "hybrid", "binomial")
 # parent positions) therefore depends only on the scheme family and the
 # participant count -- tiny, heavily reused arrays -- while a concrete tree
 # is that shape composed with a rank ordering.  The vectorized volume
-# engine charges whole collectives straight off these arrays without ever
-# materializing the dict-based CommTree.
+# engine (repro.core.volume) looks child counts up in these shapes by
+# position, without building any tree or consulting the cache below.
 # ---------------------------------------------------------------------------
 
 
@@ -410,7 +410,7 @@ def _shape_depth(family: str, p: int) -> int:
 
 @dataclass(frozen=True)
 class TreeArrays:
-    """Array view of one communication tree (the volume engine's format).
+    """Array view of one communication tree (what :func:`build_tree` wires).
 
     ``ranks[i]`` is the rank at construction-order position ``i``
     (``ranks[0]`` is the root); ``parent_pos[i]`` indexes ``ranks``
@@ -424,8 +424,7 @@ class TreeArrays:
     ranks: np.ndarray
     parent_pos: np.ndarray
     child_counts: np.ndarray
-    # Largest out-degree, precomputed: the volume engine reads it once
-    # per charged group and instances are shared through the cache.
+    # Largest out-degree, precomputed once per cached structure.
     max_degree: int
     # Positional-shape family ("flat" / "binary" / "binomial"; the
     # shifted and randperm schemes reuse the binary shape).
@@ -752,11 +751,11 @@ def tree_arrays(
 ) -> TreeArrays:
     """Cached array view of one communication tree (any scheme).
 
-    The fast path used by the vectorized volume engine and, via
-    :func:`build_tree`, by every other caller.  The cache holds rank-free
-    :class:`_TreeStructure` entries keyed by :func:`structure_tree_key`;
-    the caller's concrete ranks are laid onto the cached structure by a
-    cheap relabeling step.  Bit-identical in shape to the dict-based
+    The path :func:`build_tree` goes through (the legacy simulator, the
+    plan checker and the reference volume engine).  The cache holds
+    rank-free :class:`_TreeStructure` entries keyed by
+    :func:`structure_tree_key`; the caller's concrete ranks are laid onto
+    the cached structure by a cheap relabeling step.  Bit-identical in shape to the dict-based
     scheme constructors (pinned by regression tests); repeated calls with
     the same arguments return equal ``TreeArrays`` whose shape arrays
     (``parent_pos``/``child_counts``) are shared instances.
@@ -789,11 +788,11 @@ def _child_counts_list(family: str, p: int) -> list[int]:
 class CompiledTree:
     """One tree compiled for the vectorized collective state machines.
 
-    Where :class:`TreeArrays` is an ndarray view (the volume engine's
-    format), this is the DES hot-path format: plain Python lists indexed
-    by construction-order position, sharing the per-shape CSR adjacency,
-    parent-position, and child-count memos across every tree of the same
-    family and size.  ``ranks[i]`` is the rank at position ``i`` (root at
+    Where :class:`TreeArrays` is an ndarray view (behind
+    :func:`build_tree`), this is the DES hot-path format: plain Python
+    lists indexed by construction-order position, sharing the per-shape
+    CSR adjacency, parent-position, and child-count memos across every
+    tree of the same family and size.  ``ranks[i]`` is the rank at position ``i`` (root at
     position 0); ``indptr``/``childpos`` give each position's children in
     ascending position -- the exact forwarding order of the dict-based
     builders.
@@ -879,7 +878,8 @@ def build_tree(
     *,
     hybrid_threshold: int = 8,
 ) -> CommTree:
-    """Uniform constructor used by the volume model and the simulator.
+    """Dict-based tree for the legacy simulator, the plan checker and the
+    reference volume engine.
 
     Goes through the shared :func:`tree_arrays` cache and materializes the
     dict-based :class:`CommTree` view on top (identical trees to the

@@ -10,13 +10,17 @@ Row-Reduce"), the histograms of Fig. 4 and the heat maps of Figs. 5-7.
 
 Two engines compute them:
 
-* :func:`communication_volumes` -- the vectorized production engine.  It
-  groups collectives by ``(kind, root, participants)`` (the paper's §III
-  observation that many supernodes share identical participant sets),
-  resolves tree shapes through the cached array fast path of
-  :mod:`repro.comm.trees`, and charges whole groups of edges with numpy
-  bulk operations.  All counters are int64 -- bytes are integers, so
-  grouping cannot change any result.
+* :func:`communication_volumes` -- the vectorized production engine.  One
+  loop reads every collective's participants, as given, into flat slot
+  arrays.  Every tree scheme wires a shape that depends only on its
+  family and participant count, so each slot's child count is its
+  construction-order position (the sorted index ``j + 1``, rotated for
+  shifted trees, scattered through the permutation for randperm) looked
+  up in the positional shapes of :mod:`repro.comm.trees`.  Chunks of
+  about 16k slots are then charged with int64 ``np.add.at`` -- no
+  per-collective tree is built and the tree-structure cache is never
+  consulted.  Bytes are integers, so the order of accumulation cannot
+  change any result.
 * :func:`_communication_volumes_reference` -- the original
   one-tree-per-collective implementation, retained verbatim as the
   differential-testing oracle.
@@ -32,16 +36,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
 from ..comm.trees import (
+    _POSITION_SHAPES,
     TREE_SCHEMES,
-    _binary_positions,
     build_tree,
     derive_seed,
+    permutation_indices,
     rotation_offset,
-    tree_arrays,
 )
 from ..sparse.supernodes import SupernodalStructure
 from .grid import ProcessorGrid
@@ -69,9 +74,11 @@ def count_distinct_communicators(
     This is the paper's §III motivation: pre-creating one MPI
     communicator per distinct participant set is infeasible (audikw_1 on
     a 24x24 grid needs 20,061 of them against a Cray MPI limit of ~4,096).
-    Returns the number of distinct participant sets among column
-    broadcasts, row reductions, and overall, plus the total collective
-    count.
+    Returns the number of distinct participant sets among column groups
+    (every participant in one grid column), row groups (the rest), and
+    overall, plus the total collective count.  Groups are classified by
+    geometry, not by kind name, so symmetric and unsymmetric plans
+    (whose ``col-ureduce`` runs within a grid column) count alike.
     """
     if plans is None:
         plans = list(iter_plans(struct, grid))
@@ -81,12 +88,14 @@ def count_distinct_communicators(
     for plan in plans:
         for spec in plan.collectives():
             total += 1
-            if len(spec.participants) < 2:
+            members = spec.participants
+            if len(members) < 2:
                 continue
-            if spec.kind in ("col-bcast", "diag-bcast", "col-reduce"):
-                col_groups.add(spec.participants)
+            col = grid.coords(members[0])[1]
+            if all(grid.coords(r)[1] == col for r in members):
+                col_groups.add(members)
             else:
-                row_groups.add(spec.participants)
+                row_groups.add(members)
     return {
         "distinct_column_groups": len(col_groups),
         "distinct_row_groups": len(row_groups),
@@ -206,13 +215,12 @@ _ENGINE_STATS = {
     "vectorized_calls": 0,
     "reference_calls": 0,
     "collectives": 0,
-    "groups": 0,
     "point_to_points": 0,
 }
 
 
 def volume_engine_stats() -> dict[str, int]:
-    """Counters of the vectorized engine (calls, collectives, groups)."""
+    """Counters of the volume engines (calls, collectives, point-to-points)."""
     return dict(_ENGINE_STATS)
 
 
@@ -288,31 +296,194 @@ def _communication_volumes_reference(
     return report
 
 
-@lru_cache(maxsize=1024)
-def _binary_circulant(n: int) -> np.ndarray:
-    """``M[k, j]`` = child count of sorted non-root participant ``j`` in a
-    binary tree rotated by offset ``k`` (over ``n`` non-root ranks).
+# Participant slots charged per numpy pass.  The read-out loop flushes
+# once it has gathered this many, which bounds the scratch arrays (one
+# audikw_1 32x32 call reads ~416k slots) without losing the bulk charge.
+_CHUNK_SLOTS = 1 << 14
 
-    A rotation only relabels which rank sits at which construction-order
-    position, so the per-rank charge of a whole *group* of shifted
-    collectives is one int64 matvec: ``weights_by_offset @ M``.
+# Positional-shape families by id; shifted and randperm trees only
+# reorder the ranks laid onto the binary shape.
+_FAMILIES = ("flat", "binary", "binomial")
+_FAMILY_ID = {"flat": 0, "binary": 1, "binomial": 2, "shifted": 1, "randperm": 1}
+
+# Counter rows per kind in the charging table: kind ``k``'s sent,
+# received and message counters of rank ``r`` sit at flat index
+# ``(3 * k + row) * p + r``.
+_SENT, _RECV, _MSGS = 0, 1, 2
+
+_ROOT = attrgetter("root")
+_NBYTES = attrgetter("nbytes")
+_MEMBERS = attrgetter("participants")
+_SRC = attrgetter("src")
+_DST = attrgetter("dst")
+
+
+def _column(getter, specs) -> np.ndarray:
+    return np.fromiter(map(getter, specs), dtype=np.int64, count=len(specs))
+
+
+def _check_ranks(ranks: np.ndarray, p: int) -> None:
+    """Reject ranks outside the grid: a flat table index would silently
+    charge them to another rank or counter."""
+    if ranks.size and (ranks.min() < 0 or ranks.max() >= p):
+        bad = ranks[(ranks < 0) | (ranks >= p)][0]
+        raise ValueError(f"rank {bad} out of range for a grid of {p} ranks")
+
+
+class _SlotCharger:
+    """Charges collectives, one chunk of participant slots at a time.
+
+    The caller appends each collective to ``specs`` and its participants,
+    as given, to ``parts``, then calls :meth:`flush`; everything after
+    that read-out is numpy over the slot arrays.  Counters accumulate in
+    one int64 table (see ``_SENT``) that grows by one block per new kind.
     """
-    kids, _ = _binary_positions(n + 1)
-    k1 = kids[1:]
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    m = k1[idx]
-    m.setflags(write=False)
-    return m
 
+    def __init__(self, p, scheme, seed, hybrid_threshold):
+        self.p = p
+        self.scheme = scheme
+        self.seed = seed
+        self.hybrid_threshold = hybrid_threshold
+        self.table = np.zeros(0, dtype=np.int64)
+        self.max_degree = np.zeros(0, dtype=np.int64)
+        # Every kind charged, in first-charge order.
+        self.kind_ids: dict[str, int] = {}
+        # Per kind id: the counter row its kids-weighted side charges
+        # (senders of a broadcast, receivers of a reduction).
+        self.heavy_row: list[int] = []
+        self.specs: list = []
+        self.parts: list[int] = []
+        self.collectives = 0
 
-@lru_cache(maxsize=1024)
-def _binary_root_degree(n: int) -> int:
-    return int(_binary_positions(n + 1)[0][0])
+    def kind_id(self, kind: str) -> int:
+        k = self.kind_ids.get(kind)
+        if k is None:
+            k = self.kind_ids[kind] = len(self.heavy_row)
+            self.heavy_row.append(_SENT if kind.endswith("bcast") else _RECV)
+            self.table = np.concatenate((self.table, np.zeros(3 * self.p, dtype=np.int64)))
+            self.max_degree = np.append(self.max_degree, 0)
+        return k
 
+    def flush(self) -> None:
+        specs = self.specs
+        ncoll = len(specs)
+        if not ncoll:
+            return
+        self.collectives += ncoll
+        p = self.p
+        kind = _column(lambda s: self.kind_ids[s.kind], specs)
+        root = _column(_ROOT, specs)
+        nb = _column(_NBYTES, specs)
+        sizes = np.fromiter(map(len, map(_MEMBERS, specs)), dtype=np.int64, count=ncoll)
+        coll = np.repeat(np.arange(ncoll, dtype=np.int64), sizes)
+        members = np.fromiter(self.parts, dtype=np.int64, count=len(self.parts))
+        _check_ranks(members, p)
+        _check_ranks(root, p)
+        slot = coll * p + members
+        if slot.size and not (slot[1:] > slot[:-1]).all():
+            # Participants not given sorted and distinct: sort by
+            # (collective, rank) and drop duplicates, as _normalize does.
+            slot = np.unique(slot)
+            coll = slot // p
+        rank = slot - coll * p
+        keep = rank != root[coll]
+        coll, rank = coll[keep], rank[keep]
 
-@lru_cache(maxsize=1024)
-def _binary_max_degree(n: int) -> int:
-    return int(_binary_positions(n + 1)[0].max())
+        # Non-root participant count, and each slot's sorted index j.
+        n = np.bincount(coll, minlength=ncoll)
+        start = np.cumsum(n) - n
+        j = np.arange(coll.size, dtype=np.int64) - start[coll]
+        pos = j + 1
+        fam = np.full(ncoll, _FAMILY_ID.get(self.scheme, 0), dtype=np.int64)
+        rotated = None
+        if self.scheme == "shifted":
+            rotated = n > 1
+        elif self.scheme == "hybrid":
+            big = n + 1 > self.hybrid_threshold
+            fam[big] = _FAMILY_ID["shifted"]
+            rotated = big & (n > 1)
+        seed, counts = self.seed, n.tolist()
+        if rotated is not None and rotated.any():
+            sel = np.flatnonzero(rotated)
+            off = np.zeros(ncoll, dtype=np.int64)
+            off[sel] = [
+                rotation_offset(collective_seed(seed, specs[c].key), counts[c])
+                for c in sel.tolist()
+            ]
+            pos = (j - off[coll]) % n[coll] + 1
+        elif self.scheme == "randperm":
+            permuted = n > 1
+            sel = np.flatnonzero(permuted)
+            perm: list[int] = []
+            for c in sel.tolist():
+                perm.extend(
+                    permutation_indices(collective_seed(seed, specs[c].key), counts[c])
+                )
+            # Sorted participant perm[q] sits at construction position q+1.
+            target = np.repeat(start[sel], n[sel]) + np.asarray(perm, dtype=np.int64)
+            pos[target] = j[permuted[coll]] + 1
+
+        # One concatenated child-count table over the (family, size)
+        # shapes present; position 0 of each shape is the root.
+        live = np.flatnonzero(n)
+        shape = fam[live] * (p + 2) + n[live] + 1
+        uniq, which = np.unique(shape, return_inverse=True)
+        shapes = [
+            _POSITION_SHAPES[_FAMILIES[s // (p + 2)]](s % (p + 2))[0]
+            for s in uniq.tolist()
+        ]
+        kids = np.concatenate(shapes) if shapes else np.zeros(0, dtype=np.int64)
+        lens = np.fromiter(map(len, shapes), dtype=np.int64, count=len(shapes))
+        shape_base = np.cumsum(lens) - lens
+        base = np.zeros(ncoll, dtype=np.int64)
+        base[live] = shape_base[which]
+        slot_kids = kids[base[coll] + pos]
+        root_kids = kids[base[live]]
+
+        heavy = np.asarray(self.heavy_row, dtype=np.int64)[kind]
+        row0 = 3 * kind * p
+        s_row0, s_heavy, s_nb = row0[coll], heavy[coll], nb[coll]
+        l_row0, l_heavy = row0[live], heavy[live]
+        is_bcast = heavy == _SENT
+        idx = np.concatenate((
+            s_row0 + s_heavy * p + rank,
+            s_row0 + (_SENT + _RECV - s_heavy) * p + rank,
+            s_row0 + _MSGS * p + rank,
+            l_row0 + l_heavy * p + root[live],
+            l_row0 + _MSGS * p + root[live],
+        ))
+        weight = np.concatenate((
+            s_nb * slot_kids,
+            s_nb,
+            np.where(is_bcast[coll], slot_kids, 1),
+            nb[live] * root_kids,
+            np.where(is_bcast[live], root_kids, 0),
+        ))
+        np.add.at(self.table, idx, weight)
+        np.maximum.at(
+            self.max_degree, kind[live], np.maximum.reduceat(kids, shape_base)[which]
+        )
+        specs.clear()
+        self.parts.clear()
+
+    def charge_point_to_points(self, p2ps) -> None:
+        if not p2ps:
+            return
+        p = self.p
+        row0 = 3 * p * _column(lambda s: self.kind_ids[s.kind], p2ps)
+        nb = _column(_NBYTES, p2ps)
+        src, dst = _column(_SRC, p2ps), _column(_DST, p2ps)
+        _check_ranks(src, p)
+        _check_ranks(dst, p)
+        np.add.at(
+            self.table,
+            np.concatenate((row0 + _SENT * p + src, row0 + _RECV * p + dst)),
+            np.concatenate((nb, nb)),
+        )
+
+    def counters(self, k: int, row: int) -> np.ndarray:
+        p = self.p
+        return self.table[(3 * k + row) * p : (3 * k + row + 1) * p].copy()
 
 
 def communication_volumes(
@@ -333,167 +504,57 @@ def communication_volumes(
     symmetric plans (:func:`repro.core.plan.iter_plans`) or the
     unsymmetric ones (:func:`repro.core.plan_unsym.iter_unsym_plans`).
 
-    This is the vectorized engine: collectives are grouped by
-    ``(kind, root, participants)`` and each group is charged in bulk.
-    Counters are bit-identical to
-    :func:`_communication_volumes_reference` (differentially tested) and
-    to the discrete-event simulator.
+    This is the vectorized engine: one loop reads every collective's
+    participants into flat slot arrays, and each chunk of slots is
+    charged to every tree edge with bulk numpy operations.  Counters are
+    bit-identical to :func:`_communication_volumes_reference`
+    (differentially tested) and to the discrete-event simulator.
     """
     if scheme not in TREE_SCHEMES:
         raise ValueError(
             f"unknown tree scheme {scheme!r}; expected one of {TREE_SCHEMES}"
         )
-    report = VolumeReport(grid=grid, scheme=scheme)
     p = grid.size
     if plans is None:
         plans = list(iter_plans(struct, grid))
-
-    # Does the resolved scheme of a group depend on the per-collective
-    # seed?  flat/binary/binomial never do; hybrid only above threshold.
-    shifted_like = scheme in ("shifted", "hybrid")
-    perm_like = scheme == "randperm"
-
-    # -- pass 1: group collectives, batch point-to-points -------------------
-    # groups[(kind, root, participants)] =
-    #     [others, total_bytes, count, aux]
-    # where ``others`` is the sorted non-root participant tuple and
-    # ``aux`` collects (offset, nbytes) for shifted-branch groups or
-    # (collective seed, nbytes) for randperm groups.
-    groups: dict[tuple, list] = {}
-    kinds_seen: list[str] = []
-    kinds_set: set[str] = set()
-    p2p_src: dict[str, list[int]] = {}
-    p2p_dst: dict[str, list[int]] = {}
-    p2p_nb: dict[str, list[int]] = {}
-    n_coll = 0
+    charger = _SlotCharger(p, scheme, seed, hybrid_threshold)
+    specs, parts = charger.specs, charger.parts
+    kind_ids = charger.kind_ids
+    # Collective kinds in first-seen order (the messages/max_degree
+    # order).  Kind ids follow first-charge order over a plan's
+    # collectives and then its point-to-points: the order the reference
+    # engine creates its sent/received entries in.
+    coll_kinds: dict[str, int] = {}
+    p2ps: list = []
     for plan in plans:
         for spec in plan.collectives():
-            n_coll += 1
             kind = spec.kind
-            if kind not in kinds_set:
-                kinds_set.add(kind)
-                kinds_seen.append(kind)
-            key = (kind, spec.root, spec.participants)
-            g = groups.get(key)
-            if g is None:
-                others = tuple(
-                    r for r in sorted(set(spec.participants)) if r != spec.root
-                )
-                g = groups[key] = [others, 0, 0, None]
-            g[1] += spec.nbytes
-            g[2] += 1
-            n = len(g[0])
-            if n > 1:
-                if shifted_like and (
-                    scheme == "shifted" or n + 1 > hybrid_threshold
-                ):
-                    off = rotation_offset(collective_seed(seed, spec.key), n)
-                    aux = g[3]
-                    if aux is None:
-                        aux = g[3] = []
-                    aux.append((off, spec.nbytes))
-                elif perm_like:
-                    aux = g[3]
-                    if aux is None:
-                        aux = g[3] = []
-                    aux.append((collective_seed(seed, spec.key), spec.nbytes))
+            if kind not in coll_kinds:
+                coll_kinds[kind] = charger.kind_id(kind)
+            specs.append(spec)
+            parts.extend(spec.participants)
+            if len(parts) >= _CHUNK_SLOTS:
+                charger.flush()
         if include_cross:
             for p2p in plan.point_to_points():
-                if p2p.src == p2p.dst:
-                    continue
-                kind = p2p.kind
-                lst = p2p_src.get(kind)
-                if lst is None:
-                    lst = p2p_src[kind] = []
-                    p2p_dst[kind] = []
-                    p2p_nb[kind] = []
-                lst.append(p2p.src)
-                p2p_dst[kind].append(p2p.dst)
-                p2p_nb[kind].append(p2p.nbytes)
+                if p2p.src != p2p.dst:
+                    if p2p.kind not in kind_ids:
+                        charger.kind_id(p2p.kind)
+                    p2ps.append(p2p)
+    charger.flush()
+    charger.charge_point_to_points(p2ps)
 
-    # Kind arrays exist for every collective kind encountered, even if all
-    # its groups are singletons -- matching the reference engine exactly.
-    for kind in kinds_seen:
-        _charge(report.sent, kind, p)
-        _charge(report.received, kind, p)
-        _charge(report.messages, kind, p)
-        report.max_degree.setdefault(kind, 0)
-
-    # -- pass 2: charge one group at a time ---------------------------------
-    for (kind, root, _participants), (others, total_bytes, count, aux) in (
-        groups.items()
-    ):
-        n = len(others)
-        if n == 0:
-            continue
-        sent = report.sent[kind]
-        recv = report.received[kind]
-        msgs = report.messages[kind]
-        is_bcast = kind.endswith("bcast")
-        # For a broadcast the kids-weighted side is the sender table and
-        # every non-root receives the payload once; a reduction mirrors it.
-        heavy, light = (sent, recv) if is_bcast else (recv, sent)
-        others_arr = np.asarray(others, dtype=np.intp)
-
-        resolved = scheme
-        if scheme == "hybrid":
-            resolved = "flat" if n + 1 <= hybrid_threshold else "shifted"
-        if n == 1:
-            # Any scheme degenerates to a single root->other edge.
-            resolved = "flat"
-
-        light[others_arr] += total_bytes
-        if not is_bcast:
-            msgs[others_arr] += count
-
-        if resolved == "shifted":
-            kids0 = _binary_root_degree(n)
-            offs = np.fromiter(
-                (o for o, _ in aux), count=len(aux), dtype=np.intp
-            )
-            nbs = np.fromiter(
-                (b for _, b in aux), count=len(aux), dtype=np.int64
-            )
-            w_bytes = np.zeros(n, dtype=np.int64)
-            np.add.at(w_bytes, offs, nbs)
-            m = _binary_circulant(n)
-            heavy[others_arr] += w_bytes @ m
-            heavy[root] += kids0 * total_bytes
-            if is_bcast:
-                w_count = np.bincount(offs, minlength=n).astype(np.int64)
-                msgs[others_arr] += w_count @ m
-                msgs[root] += kids0 * count
-            deg = _binary_max_degree(n)
-        elif resolved == "randperm":
-            deg = _binary_max_degree(n)
-            for cseed, nbytes in aux:
-                arrs = tree_arrays("randperm", root, others, cseed)
-                heavy[arrs.ranks] += arrs.child_counts * nbytes
-                if is_bcast:
-                    msgs[arrs.ranks] += arrs.child_counts
-        else:
-            # flat / binary / binomial: one shared shape for the whole
-            # group, straight from the tree cache.
-            arrs = tree_arrays(resolved, root, others)
-            heavy[arrs.ranks] += arrs.child_counts * total_bytes
-            if is_bcast:
-                msgs[arrs.ranks] += arrs.child_counts * count
-            deg = arrs.max_degree
-        if deg > report.max_degree[kind]:
-            report.max_degree[kind] = deg
-
-    # -- point-to-points in bulk -------------------------------------------
-    for kind, srcs in p2p_src.items():
-        src_arr = np.asarray(srcs, dtype=np.intp)
-        dst_arr = np.asarray(p2p_dst[kind], dtype=np.intp)
-        nb_arr = np.asarray(p2p_nb[kind], dtype=np.int64)
-        np.add.at(_charge(report.sent, kind, p), src_arr, nb_arr)
-        np.add.at(_charge(report.received, kind, p), dst_arr, nb_arr)
-        _ENGINE_STATS["point_to_points"] += len(srcs)
+    report = VolumeReport(grid=grid, scheme=scheme)
+    for kind, k in kind_ids.items():
+        report.sent[kind] = charger.counters(k, _SENT)
+        report.received[kind] = charger.counters(k, _RECV)
+    for kind, k in coll_kinds.items():
+        report.messages[kind] = charger.counters(k, _MSGS)
+        report.max_degree[kind] = int(charger.max_degree[k])
 
     _ENGINE_STATS["vectorized_calls"] += 1
-    _ENGINE_STATS["collectives"] += n_coll
-    _ENGINE_STATS["groups"] += len(groups)
+    _ENGINE_STATS["collectives"] += charger.collectives
+    _ENGINE_STATS["point_to_points"] += len(p2ps)
     return report
 
 

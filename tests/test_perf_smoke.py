@@ -3,9 +3,10 @@
 Not a benchmark -- the wall-clock budget is deliberately generous (an
 order of magnitude above observed time) so the test only fails when the
 fast path silently falls back to per-collective work or a refactor
-reintroduces a quadratic loop.  The cache-counter assertions catch the
-sneakier failure mode: everything still *works* but nothing is cached,
-so every collective rebuilds its tree from scratch.
+reintroduces a quadratic loop.  The counter assertions catch the
+sneakier failure modes: the volume engine quietly delegating to the
+reference oracle or building trees through the structure cache, and the
+simulator's trees not being cached at all.
 """
 
 import time
@@ -14,6 +15,7 @@ import pytest
 
 from repro.comm.trees import tree_cache_clear, tree_cache_info
 from repro.core import ProcessorGrid, communication_volumes
+from repro.core.plan import iter_plans
 from repro.core.volume import reset_volume_engine_stats, volume_engine_stats
 from repro.sparse import analyze
 from repro.workloads import make_workload
@@ -32,10 +34,11 @@ def test_volume_engine_fast_path_engaged(problem):
     tree_cache_clear()
     reset_volume_engine_stats()
     grid = ProcessorGrid(6, 6)
+    before = tree_cache_info()
 
     t0 = time.perf_counter()
     for scheme in ("flat", "binary", "shifted", "randperm"):
-        for seed in (1, 1):  # repeated seed: the second pass must hit caches
+        for seed in (1, 2):
             communication_volumes(problem.struct, grid, scheme, seed=seed)
     elapsed = time.perf_counter() - t0
     assert elapsed < WALL_BUDGET_SECONDS, (
@@ -47,16 +50,13 @@ def test_volume_engine_fast_path_engaged(problem):
     # The vectorized engine ran (and the reference oracle did not).
     assert stats["vectorized_calls"] == 8
     assert stats["reference_calls"] == 0
-    assert stats["collectives"] > 0
-    # Grouping is effective: strictly fewer groups than collectives.
-    assert 0 < stats["groups"] < stats["collectives"]
-
-    # The tree cache saw traffic and produced hits (randperm resolves
-    # every collective through it; the second identical pass must reuse
-    # the first pass's entries).
-    cache = tree_cache_info()
-    assert cache["hits"] > 0, f"tree cache never hit: {cache}"
-    assert cache["misses"] > 0
+    ncoll = sum(
+        1 for plan in iter_plans(problem.struct, grid) for _ in plan.collectives()
+    )
+    assert stats["collectives"] == 8 * ncoll > 0
+    # Volume calls charge edges from positional slot arrays: they never
+    # consult the tree-structure cache.
+    assert tree_cache_info() == before, "volume engine touched the tree cache"
 
 
 def test_des_trees_share_the_cache(problem):
@@ -68,8 +68,5 @@ def test_des_trees_share_the_cache(problem):
     SimulatedPSelInv(problem.struct, grid, "shifted", seed=3).run()
     first = tree_cache_info()
     assert first["misses"] > 0
-    # The analytic model over the same configuration reuses the DES's
-    # shifted trees (same canonical keys) instead of rebuilding them.
-    communication_volumes(problem.struct, grid, "randperm", seed=3)
     SimulatedPSelInv(problem.struct, grid, "shifted", seed=3).run()
     assert tree_cache_info()["hits"] > first["hits"]

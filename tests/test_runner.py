@@ -22,6 +22,7 @@ from repro.runner import (
     run_experiment,
     run_experiments,
 )
+from repro.runner import cache as runner_cache
 from repro.simulate import NetworkConfig
 
 # Jitter on and few ranks per node, so schemes/seeds genuinely diverge
@@ -104,11 +105,18 @@ def test_progress_callback_sees_every_item():
     assert seen == [(1, 3), (2, 3), (3, 3)]
 
 
-def test_parallel_runner_merges_worker_cache_stats():
+def test_parallel_runner_merges_worker_cache_stats(monkeypatch):
     # Workers run in separate processes; their tree-cache and memo
     # counters used to die with the pool.  The runner must fold the
     # per-item deltas back into its own stats, and the derived hit-rate
     # gauge must be guarded (an idle runner divides nothing by zero).
+    # The tree-cache lookups come from the DES specs (volume reports
+    # never consult the cache), so keep those specs off the result store
+    # and drop the per-configuration trees earlier tests memoized: the
+    # workers must simulate and build their trees.
+    for var in ("REPRO_STORE", "REPRO_STORE_REFRESH", "REPRO_STORE_DIR"):
+        monkeypatch.delenv(var, raising=False)
+    runner_cache.clear()
     idle = ParallelRunner(jobs=2)
     snap = idle.metrics_snapshot()
     assert snap["gauges"]["comm.tree_cache.hit_rate"] == 0.0

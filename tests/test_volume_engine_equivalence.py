@@ -1,8 +1,9 @@
 """The vectorized volume engine must match the reference bit-for-bit.
 
-``communication_volumes`` groups collectives and charges them with bulk
-numpy operations; ``_communication_volumes_reference`` builds one tree
-per collective and loops over ranks in Python.  Any divergence -- in any
+``communication_volumes`` reads every collective's participants into
+flat slot arrays and charges them, chunk by chunk, with bulk numpy
+operations; ``_communication_volumes_reference`` builds one tree per
+collective and loops over ranks in Python.  Any divergence -- in any
 counter, for any scheme, on any participant set -- is a bug in the
 vectorized engine, because the reference is the spec the DES is pinned
 against.
@@ -22,7 +23,9 @@ from repro.comm.trees import (
     tree_cache_resize,
 )
 from repro.core import ProcessorGrid, communication_volumes
+from repro.core import volume
 from repro.core.plan import CollectiveSpec, PointToPointSpec, SupernodePlan
+from repro.core.plan_unsym import iter_unsym_plans
 from repro.core.volume import _communication_volumes_reference
 
 KINDS = ["diag-bcast", "col-bcast", "row-reduce", "col-reduce"]
@@ -46,10 +49,11 @@ def _plan_from_specs(k, collectives, p2ps):
 
 def assert_reports_equal(ref, vec):
     assert ref.scheme == vec.scheme
-    assert set(ref.sent) == set(vec.sent)
-    assert set(ref.received) == set(vec.received)
-    assert set(ref.messages) == set(vec.messages)
-    assert ref.max_degree == vec.max_degree
+    # Same kinds in the same order, not just the same key sets.
+    assert list(ref.sent) == list(vec.sent)
+    assert list(ref.received) == list(vec.received)
+    assert list(ref.messages) == list(vec.messages)
+    assert list(ref.max_degree.items()) == list(vec.max_degree.items())
     for table_name in ("sent", "received", "messages"):
         rt, vt = getattr(ref, table_name), getattr(vec, table_name)
         for kind, arr in rt.items():
@@ -68,16 +72,29 @@ def synthetic_plans(draw):
     collectives = []
     for i in range(n_coll):
         kind = draw(st.sampled_from(KINDS))
-        participants = tuple(
-            sorted(
-                draw(
-                    st.sets(
-                        st.integers(0, size - 1), min_size=1, max_size=size
+        if draw(st.booleans()):
+            # The planner's canonical form: sorted, distinct, root in.
+            participants = tuple(
+                sorted(
+                    draw(
+                        st.sets(
+                            st.integers(0, size - 1), min_size=1, max_size=size
+                        )
                     )
                 )
             )
-        )
-        root = draw(st.sampled_from(participants))
+            root = draw(st.sampled_from(participants))
+        else:
+            # Any order, duplicates allowed, and the root may be absent:
+            # the engines must normalize exactly like the tree builders.
+            participants = tuple(
+                draw(
+                    st.lists(
+                        st.integers(0, size - 1), min_size=0, max_size=2 * size
+                    )
+                )
+            )
+            root = draw(st.integers(0, size - 1))
         nbytes = draw(st.integers(0, 10**6))
         collectives.append(
             CollectiveSpec(
@@ -111,16 +128,18 @@ def synthetic_plans(draw):
     st.sampled_from(TREE_SCHEMES),
     st.integers(0, 2**31 - 1),
     st.booleans(),
+    st.sampled_from([3, 8]),
 )
-def test_vectorized_matches_reference_property(plans_spec, scheme, seed, cross):
+def test_vectorized_matches_reference_property(
+    plans_spec, scheme, seed, cross, threshold
+):
     size, plans = plans_spec
     grid = ProcessorGrid(1, size)
-    ref = _communication_volumes_reference(
-        None, grid, scheme, seed=seed, include_cross=cross, plans=plans
+    kwargs = dict(
+        seed=seed, hybrid_threshold=threshold, include_cross=cross, plans=plans
     )
-    vec = communication_volumes(
-        None, grid, scheme, seed=seed, include_cross=cross, plans=plans
-    )
+    ref = _communication_volumes_reference(None, grid, scheme, **kwargs)
+    vec = communication_volumes(None, grid, scheme, **kwargs)
     assert_reports_equal(ref, vec)
 
 
@@ -140,9 +159,113 @@ def test_vectorized_matches_reference_workload(scheme, grid_shape):
         assert_reports_equal(ref, vec)
 
 
+def _multi_chunk_plans(size=64, width=32):
+    """Collectives of ``width`` unsorted participants, enough slots to
+    span at least three charging chunks."""
+    rng = np.random.default_rng(7)
+    ncoll = 3 * volume._CHUNK_SLOTS // width + 11
+    collectives = []
+    for i in range(ncoll):
+        kind = KINDS[i % len(KINDS)]
+        members = rng.choice(size, width, replace=False)
+        collectives.append(
+            CollectiveSpec(
+                kind=kind,
+                key=(kind[:2], i),
+                root=int(members[i % width]),
+                participants=tuple(int(r) for r in members),
+                nbytes=int(rng.integers(1, 10**6)),
+            )
+        )
+    return size, [_plan_from_specs(0, collectives, [])]
+
+
+@pytest.mark.parametrize("scheme", TREE_SCHEMES)
+def test_vectorized_matches_reference_across_chunks(scheme):
+    size, plans = _multi_chunk_plans()
+    slots = sum(len(c.participants) for c in plans[0].collectives())
+    assert slots >= 3 * volume._CHUNK_SLOTS
+    grid = ProcessorGrid(8, size // 8)
+    ref = _communication_volumes_reference(
+        None, grid, scheme, seed=11, plans=plans
+    )
+    vec = communication_volumes(None, grid, scheme, seed=11, plans=plans)
+    assert_reports_equal(ref, vec)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+@pytest.mark.parametrize("scheme", ["shifted", "randperm", "hybrid"])
+def test_chunk_size_never_changes_counters(monkeypatch, scheme, chunk):
+    """Flushing after every collective, or every few, gives the same
+    report as one large chunk."""
+    from repro.sparse import analyze
+    from repro.workloads import make_workload
+
+    prob = analyze(make_workload("audikw_1", "tiny"), ordering="nd")
+    grid = ProcessorGrid(3, 4)
+    whole = communication_volumes(prob.struct, grid, scheme, seed=5)
+    monkeypatch.setattr(volume, "_CHUNK_SLOTS", chunk)
+    assert_reports_equal(
+        whole, communication_volumes(prob.struct, grid, scheme, seed=5)
+    )
+
+
+@pytest.fixture(scope="module")
+def unsym_problem():
+    from repro.sparse import analyze
+    from repro.workloads import make_workload
+
+    return analyze(make_workload("audikw_1", "tiny"), ordering="nd")
+
+
+@pytest.mark.parametrize("cross", [True, False])
+@pytest.mark.parametrize("threshold", [3, 8])
+@pytest.mark.parametrize("scheme", TREE_SCHEMES)
+@pytest.mark.parametrize("grid_shape", [(4, 4), (3, 5)])
+def test_vectorized_matches_reference_unsymmetric(
+    unsym_problem, grid_shape, scheme, threshold, cross
+):
+    grid = ProcessorGrid(*grid_shape)
+    plans = list(iter_unsym_plans(unsym_problem.struct, grid))
+    kwargs = dict(
+        seed=20160523, hybrid_threshold=threshold, include_cross=cross, plans=plans
+    )
+    ref = _communication_volumes_reference(
+        unsym_problem.struct, grid, scheme, **kwargs
+    )
+    vec = communication_volumes(unsym_problem.struct, grid, scheme, **kwargs)
+    assert_reports_equal(ref, vec)
+
+
 def test_unknown_scheme_rejected_upfront():
     with pytest.raises(ValueError, match="unknown tree scheme"):
         communication_volumes(None, ProcessorGrid(2, 2), "bogus", plans=[])
+
+
+@pytest.mark.parametrize(
+    "participants, root, p2p",
+    [
+        ((0, 1, 4), 0, None),  # a participant past the grid
+        ((0, 1, 2), -1, None),  # a negative root
+        ((0, 1), 0, (0, 4)),  # a point-to-point past the grid
+    ],
+)
+def test_ranks_outside_the_grid_rejected(participants, root, p2p):
+    # A flat table index would charge an out-of-range rank to another
+    # rank or counter, so the engine refuses it (the reference raises
+    # IndexError or wraps a negative rank).
+    coll = CollectiveSpec(
+        kind="col-bcast", key=("cb", 0), root=root,
+        participants=participants, nbytes=8,
+    )
+    p2ps = []
+    if p2p is not None:
+        p2ps.append(PointToPointSpec(
+            kind="cross-send", key=("p2p", 0), src=p2p[0], dst=p2p[1], nbytes=8,
+        ))
+    plans = [_plan_from_specs(0, [coll], p2ps)]
+    with pytest.raises(ValueError, match="out of range for a grid of 4 ranks"):
+        communication_volumes(None, ProcessorGrid(2, 2), "flat", plans=plans)
 
 
 def test_heatmap_direction_validated():

@@ -169,6 +169,42 @@ class TestCommunicatorCounts:
         assert c["distinct_total"] == 0
         assert c["collectives_total"] > 0
 
+    @pytest.mark.parametrize("grid_shape", [(4, 4), (3, 5)])
+    def test_unsymmetric_groups_classified_by_geometry(
+        self, workload_problem, grid_shape
+    ):
+        """``col-ureduce`` runs within one grid column, so its groups are
+        column groups; no participant set counts as both."""
+        from repro.core import count_distinct_communicators
+        from repro.core.plan_unsym import iter_unsym_plans
+
+        grid = ProcessorGrid(*grid_shape)
+        plans = list(iter_unsym_plans(workload_problem.struct, grid))
+        c = count_distinct_communicators(
+            workload_problem.struct, grid, plans=plans
+        )
+        cols = {
+            spec.participants
+            for plan in plans
+            for spec in plan.collectives()
+            if len(spec.participants) > 1
+            and len({grid.coords(r)[1] for r in spec.participants}) == 1
+        }
+        assert any(
+            spec.kind == "col-ureduce" and spec.participants in cols
+            for plan in plans
+            for spec in plan.collectives()
+        )
+        assert c["distinct_column_groups"] == len(cols)
+        assert (
+            c["distinct_column_groups"] + c["distinct_row_groups"]
+            == c["distinct_total"]
+        )
+        if grid.pr == grid.pc:
+            # audikw_1's pattern is symmetric: on a square grid the row
+            # groups mirror the column groups.
+            assert c["distinct_column_groups"] == c["distinct_row_groups"]
+
 
 class TestMessageCounts:
     """§III: the tree cuts the root's per-collective sends p-1 -> <= 2,
