@@ -1,4 +1,4 @@
-"""Parallel experiment runner: wall-clock scaling + hot-path slimming.
+"""Parallel experiment runner: wall-clock scaling, engines, telemetry.
 
 Measurements recorded here:
 
@@ -16,12 +16,7 @@ Measurements recorded here:
    smaller hosts (CI containers are often 1-2 cores) the timings are
    still recorded but the speedup floor is not asserted -- pool overhead
    with one core is real and expected.
-2. *Per-message hot path* -- one representative large run is timed with
-   the slimmed :class:`repro.simulate.Network` and with a faithful
-   re-creation of the pre-optimization query path (per-call config
-   attribute chasing, divisions instead of multiply-by-inverse, tuple
-   -keyed jitter memo), reported as DES events/second.
-3. *Telemetry overhead* -- the same reference run on the default
+2. *Telemetry overhead* -- the same reference run on the default
    engine with telemetry off, with the runner's bundle (metrics + hot
    spots, read out after the drain on the specialized route) and with
    :meth:`Telemetry.full` (the timeline adds the hooked route), in
@@ -42,7 +37,6 @@ from time import perf_counter
 from repro.analysis import Table
 from repro.obs import HotSpotMonitor, MetricsRegistry, Telemetry
 from repro.runner import ExperimentSpec, RunRecord, cache, run_experiments
-from repro.simulate import Network
 from repro.core import ProcessorGrid, SimulatedPSelInv
 
 from bench_fig8_scaling import sweep_specs
@@ -76,75 +70,25 @@ def _timed_sweep(specs, jobs):
     return records, perf_counter() - t0
 
 
-class _LegacyNetwork(Network):
-    """The pre-optimization per-message query path, for the before/after
-    events/sec comparison: config attribute chasing and a division on
-    every call, distance class via an indexed table, and a tuple-keyed
-    dict memo for the pair jitter."""
-
-    def injection_time(self, nbytes):
-        cfg = self.config
-        return cfg.injection_overhead + nbytes / cfg.injection_bandwidth
-
-    def ejection_time(self, nbytes):
-        return nbytes / self.config.ejection_bandwidth
-
-    def _legacy_pair_jitter(self, src, dst):
-        if self.config.jitter_sigma <= 0:
-            return 1.0
-        a, b = self.node_of[src], self.node_of[dst]
-        if a == b:
-            return 1.0
-        if a > b:
-            a, b = b, a
-        key = (int(a), int(b))
-        j = self._jitter.get(key)
-        if j is None:
-            j = self._draw_jitter(*key)
-            self._jitter[key] = j
-        return j
-
-    def transit_time(self, src, dst, nbytes):
-        cfg = self.config
-        d = self.distance_class(src, dst)
-        lat = (cfg.latency_intra_node, cfg.latency_intra_group,
-               cfg.latency_inter_group)[d]
-        bw = (cfg.bw_intra_node, cfg.bw_intra_group, cfg.bw_inter_group)[d]
-        return (lat + nbytes / bw) * self._legacy_pair_jitter(src, dst)
-
-
-def _timed_single_run(network_cls, *, telemetry=None, engine="legacy"):
-    """One large jittered run under the given Network class; the class is
-    swapped via the pselinv module so :class:`SimulatedPSelInv` (and the
-    Machine's pre-bound query methods) pick it up at construction.  The
-    network comparison replicates a legacy-path variant, so it pins
-    ``engine="legacy"``; the other sections pass the engine explicitly."""
-    import repro.core.pselinv as pselinv_mod
-
+def _timed_single_run(*, engine, telemetry=None):
+    """One large jittered reference run on the given engine."""
     side = scaling_processor_counts()[-1]
     prob = get_problem("audikw_1")
     grid = ProcessorGrid(side, side)
-    plans = get_plans(prob, grid)
-    orig_net = pselinv_mod.Network
-    pselinv_mod.Network = network_cls
-    try:
-        sim = SimulatedPSelInv(
-            prob.struct,
-            grid,
-            "shifted",
-            network=timing_network(jitter_sigma=0.2),
-            seed=20160523,
-            plans=plans,
-            lookahead=4,
-            telemetry=telemetry,
-            engine=engine,
-        )
-        t0 = perf_counter()
-        res = sim.run()
-        dt = perf_counter() - t0
-    finally:
-        pselinv_mod.Network = orig_net
-    return res, dt
+    sim = SimulatedPSelInv(
+        prob.struct,
+        grid,
+        "shifted",
+        network=timing_network(jitter_sigma=0.2),
+        seed=20160523,
+        plans=get_plans(prob, grid),
+        lookahead=4,
+        telemetry=telemetry,
+        engine=engine,
+    )
+    t0 = perf_counter()
+    res = sim.run()
+    return res, perf_counter() - t0
 
 
 def _reference_side() -> int:
@@ -205,7 +149,7 @@ def test_runner_scaling(benchmark):
     eng_res = {}
     for _ in range(3):
         for eng in engines:
-            r, dt = _timed_single_run(Network, engine=eng)
+            r, dt = _timed_single_run(engine=eng)
             eng_res[eng] = r
             best[eng] = min(best[eng], dt)
     ref = eng_res["legacy"]
@@ -224,19 +168,6 @@ def test_runner_scaling(benchmark):
         ),
     )
 
-    # Hot-path slimming: one large run, legacy vs slimmed network.
-    res_new, dt_new = _timed_single_run(Network)
-    res_old, dt_old = _timed_single_run(_LegacyNetwork)
-    net_cmp = dict(
-        run=f"audikw_1 {_reference_side()}^2 ranks, shifted, jitter 0.2",
-        events=res_new.events,
-        legacy_seconds=round(dt_old, 4),
-        slimmed_seconds=round(dt_new, 4),
-        legacy_events_per_sec=round(res_old.events / dt_old),
-        slimmed_events_per_sec=round(res_new.events / dt_new),
-        speedup=round(dt_old / dt_new, 3),
-    )
-
     # Telemetry overhead on the default engine: off, the runner's bundle
     # (metrics + hot spots) and the full bundle (timeline too).  A fresh
     # bundle per run (a monitor accumulates), alternated rounds, medians.
@@ -253,14 +184,12 @@ def test_runner_scaling(benchmark):
     tel_recs = {}
     for _ in range(3):
         for name, make in bundles.items():
-            r, dt = _timed_single_run(
-                Network, telemetry=make(), engine="vectorized"
-            )
+            r, dt = _timed_single_run(engine="vectorized", telemetry=make())
             tel_recs[name] = RunRecord.from_result(ref_spec, r)
             tel_times[name].append(dt)
     med = {name: statistics.median(ts) for name, ts in tel_times.items()}
     tel_cmp = dict(
-        run=net_cmp["run"],
+        run=engine_cmp["run"],
         engine="vectorized",
         rounds=3,
         off_seconds=round(med["off"], 4),
@@ -292,12 +221,6 @@ def test_runner_scaling(benchmark):
         f"  -> {engine_cmp['vectorized_speedup']:.2f}x",
         f"  outcome bit-identical:   {engine_cmp['outcome_bit_identical']}",
         "",
-        "per-message hot path (single large run, DES events/sec):",
-        f"  legacy  network: {net_cmp['legacy_events_per_sec']:,}/s"
-        f" ({dt_old:.2f}s)",
-        f"  slimmed network: {net_cmp['slimmed_events_per_sec']:,}/s"
-        f" ({dt_new:.2f}s)  -> {net_cmp['speedup']:.2f}x",
-        "",
         "telemetry overhead (reference run, vectorized engine, median of 3"
         " alternated rounds):",
         f"  off:                      {med['off']:.2f}s",
@@ -320,7 +243,6 @@ def test_runner_scaling(benchmark):
         total_events=total_events,
         sweeps=rows,
         engine_head_to_head=engine_cmp,
-        network_hot_path=net_cmp,
         telemetry_overhead=tel_cmp,
     )
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -340,11 +262,6 @@ def test_runner_scaling(benchmark):
     if cores >= 4:
         four = next(r for r in rows if r["jobs"] == 4)
         assert four["speedup"] >= 2.5, four
-    # The slimmed per-message path must not be slower than the legacy one
-    # (single-run timing noise aside: require >= 0.9x).
-    assert dt_new <= dt_old / 0.9
-    # Both network variants walk the same event structure.
-    assert res_new.events == res_old.events
     # Telemetry must never perturb the simulated outcome, and the runner
     # bundle (read out after the drain) must stay inside its budget.
     assert tel_cmp["outcome_bit_identical"], tel_cmp

@@ -67,7 +67,11 @@ engine-equivalence tests, ``benchmarks/check_engine_identity.py`` and
 ``benchmarks/bench_runner_scaling.py`` assert; the vectorized engine is
 the faster, hence the default.  The numeric arithmetic
 (:meth:`SimulatedPSelInv._compute_gemm`, :meth:`_invert_diag`,
-:meth:`_normalize`) is shared by both protocols.
+:meth:`_normalize`) is shared by both protocols.  Every GEMM takes its
+``Ainv`` operand through :func:`gather_block`, which the unsymmetric
+driver (:mod:`repro.core.pselinv_unsym`) calls too: one
+``ndarray.searchsorted`` on the structural side of the stored block and
+one open-mesh index per GEMM.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ from .grid import ProcessorGrid
 from .plan import BYTES_PER_ENTRY, SupernodePlan, iter_plans
 from .volume import collective_seed
 
-__all__ = ["PSelInvResult", "SimulatedPSelInv", "run_pselinv"]
+__all__ = ["PSelInvResult", "SimulatedPSelInv", "gather_block", "run_pselinv"]
 
 # Tree representation per engine (see :meth:`SimulatedPSelInv._tree`).
 _TREE_BUILDERS = {
@@ -109,6 +113,37 @@ def _accumulate(partials: dict, key: Any, contrib: Any) -> None:
     as is), in arrival order -- the order both engines share."""
     cur = partials.get(key)
     partials[key] = contrib if cur is None else cur + contrib
+
+
+def gather_block(
+    struct: SupernodalStructure,
+    block: np.ndarray,
+    row_sn: int,
+    col_sn: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> np.ndarray:
+    """Sub-block of the stored ``Ainv(row_sn, col_sn)`` block at the
+    global row indices ``rows`` (of supernode ``row_sn``) and column
+    indices ``cols`` (of supernode ``col_sn``) -- the GEMM operand of
+    Algorithm 1, shared by the symmetric and unsymmetric drivers.
+
+    A lower block (``row_sn > col_sn``) stores the rows of ``row_sn``
+    present in ``rows_below[col_sn]`` by all columns of ``col_sn``; an
+    upper block is its mirror; a diagonal block is dense.  Dense sides
+    are located by offset, structural sides by binary search.
+    """
+    ptr = struct.sn_ptr
+    if row_sn > col_sn:
+        posr = struct.block_row_indices(col_sn, row_sn).searchsorted(rows)
+        posc = cols - ptr[col_sn]
+    elif row_sn < col_sn:
+        posr = rows - ptr[row_sn]
+        posc = struct.block_row_indices(row_sn, col_sn).searchsorted(cols)
+    else:
+        posr = rows - ptr[row_sn]
+        posc = cols - ptr[row_sn]
+    return block[posr[:, None], posc]
 
 
 @dataclass
@@ -414,9 +449,6 @@ class SimulatedPSelInv:
         return handler
 
     # -- helpers ------------------------------------------------------------
-
-    def _block_rows(self, k: int, i: int) -> np.ndarray:
-        return self.struct.block_row_indices(k, i)
 
     def _gemm_counts(self, plan: SupernodePlan) -> None:
         """Build dispatch tables for supernode ``plan.k`` (on window entry).
@@ -926,9 +958,7 @@ class SimulatedPSelInv:
 
     def _raw_l_block(self, k: int, i: int) -> np.ndarray:
         """Slice the raw factor panel block L(I,K) (numeric mode)."""
-        rows = self.struct.rows_below[k]
-        lo = int(np.searchsorted(rows, self.struct.sn_ptr[i]))
-        hi = int(np.searchsorted(rows, self.struct.sn_ptr[i + 1]))
+        lo, hi = self.struct.rows_below[k].searchsorted(self.struct.sn_ptr[i : i + 2])
         return self.factor.l_panel(k)[lo:hi, :]
 
     @staticmethod
@@ -991,28 +1021,11 @@ class SimulatedPSelInv:
     def _compute_gemm(self, k: int, i: int, j: int) -> np.ndarray:
         """Numeric contribution  Ainv(J,I)[needed rows, needed cols] @ Lhat(I,K)."""
         struct = self.struct
-        rows_j = self._block_rows(k, j)  # needed rows of supernode J
-        rows_i = self._block_rows(k, i)  # needed rows (=cols here) of I
-        st = self.states[k]
-        uhat = st.uhat[(i, self.grid.rank(j % self.grid.pr, i % self.grid.pc))]
-        lhat_ik = uhat.T  # (r_i, s)
-        if j > i:
-            block = self.ainv_data[(j, i)]  # rows: block rows of (I->J)
-            host_rows = struct.block_row_indices(i, j)
-            posr = np.searchsorted(host_rows, rows_j)
-            posc = rows_i - struct.first_col(i)
-            sub = block[np.ix_(posr, posc)]
-        elif j == i:
-            block = self.ainv_data[(i, i)]  # (s_i, s_i) diagonal block
-            loc = rows_i - struct.first_col(i)
-            sub = block[np.ix_(loc, loc)]
-        else:
-            block = self.ainv_data[(j, i)]  # upper block: rows cols(J)
-            host_cols = struct.block_row_indices(j, i)
-            posr = rows_j - struct.first_col(j)
-            posc = np.searchsorted(host_cols, rows_i)
-            sub = block[np.ix_(posr, posc)]
-        return sub @ lhat_ik
+        rows_j = struct.block_row_indices(k, j)  # needed rows of supernode J
+        rows_i = struct.block_row_indices(k, i)  # needed rows (=cols here) of I
+        sub = gather_block(struct, self.ainv_data[(j, i)], j, i, rows_j, rows_i)
+        uhat = self.states[k].uhat[(i, self.grid.rank(j % self.grid.pr, i % self.grid.pc))]
+        return sub @ uhat.T  # uhat.T = Lhat(I,K), (r_i, s)
 
     # -- phase 4: row reduce completion -------------------------------------------
 

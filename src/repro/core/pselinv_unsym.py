@@ -39,7 +39,7 @@ from ..sparse.supernodes import SupernodalStructure
 from .grid import ProcessorGrid
 from .plan import BYTES_PER_ENTRY
 from .plan_unsym import UnsymSupernodePlan, iter_unsym_plans
-from .pselinv import PSelInvResult
+from .pselinv import PSelInvResult, gather_block
 from .volume import collective_seed
 
 __all__ = ["SimulatedPSelInvUnsym", "run_pselinv_unsym"]
@@ -311,15 +311,11 @@ class SimulatedPSelInvUnsym:
     # -- normalization ------------------------------------------------------
 
     def _raw_l_block(self, k: int, i: int) -> np.ndarray:
-        rows = self.struct.rows_below[k]
-        lo = int(np.searchsorted(rows, self.struct.sn_ptr[i]))
-        hi = int(np.searchsorted(rows, self.struct.sn_ptr[i + 1]))
+        lo, hi = self.struct.rows_below[k].searchsorted(self.struct.sn_ptr[i : i + 2])
         return self.factor.l_panel(k)[lo:hi, :]
 
     def _raw_u_block(self, k: int, i: int) -> np.ndarray:
-        rows = self.struct.rows_below[k]
-        lo = int(np.searchsorted(rows, self.struct.sn_ptr[i]))
-        hi = int(np.searchsorted(rows, self.struct.sn_ptr[i + 1]))
+        lo, hi = self.struct.rows_below[k].searchsorted(self.struct.sn_ptr[i : i + 2])
         return self.factor.u_panel(k)[:, lo:hi]
 
     def _on_diag_col(self, k: int, rank: int, payload: Any) -> None:
@@ -448,36 +444,19 @@ class SimulatedPSelInvUnsym:
 
         self.machine.post_compute(rank, 0.0, fin, flops=flops)
 
-    def _slice_block(self, row_sn: int, col_sn: int, rows_needed, cols_needed):
-        """Extract Ainv(row_sn block, col_sn block) at the needed rows/cols."""
-        struct = self.struct
-        if row_sn > col_sn:
-            block = self.ainv_data[(row_sn, col_sn)]
-            host_rows = struct.block_row_indices(col_sn, row_sn)
-            posr = np.searchsorted(host_rows, rows_needed)
-            posc = cols_needed - struct.first_col(col_sn)
-        elif row_sn == col_sn:
-            block = self.ainv_data[(row_sn, row_sn)]
-            posr = rows_needed - struct.first_col(row_sn)
-            posc = cols_needed - struct.first_col(row_sn)
-        else:
-            block = self.ainv_data[(row_sn, col_sn)]
-            host_cols = struct.block_row_indices(row_sn, col_sn)
-            posr = rows_needed - struct.first_col(row_sn)
-            posc = np.searchsorted(host_cols, cols_needed)
-        return block[np.ix_(posr, posc)]
-
     def _gemm_l(self, k: int, i: int, j: int, rank: int) -> np.ndarray:
-        rows_j = self.struct.block_row_indices(k, j)
-        rows_i = self.struct.block_row_indices(k, i)
-        sub = self._slice_block(j, i, rows_j, rows_i)
+        struct = self.struct
+        rows_j = struct.block_row_indices(k, j)
+        rows_i = struct.block_row_indices(k, i)
+        sub = gather_block(struct, self.ainv_data[(j, i)], j, i, rows_j, rows_i)
         lhat = self.states[k].bcast_l[(i, rank)]  # (r_i, s)
         return sub @ lhat
 
     def _gemm_u(self, k: int, i: int, j: int, rank: int) -> np.ndarray:
-        rows_i = self.struct.block_row_indices(k, i)
-        rows_j = self.struct.block_row_indices(k, j)
-        sub = self._slice_block(i, j, rows_i, rows_j)
+        struct = self.struct
+        rows_i = struct.block_row_indices(k, i)
+        rows_j = struct.block_row_indices(k, j)
+        sub = gather_block(struct, self.ainv_data[(i, j)], i, j, rows_i, rows_j)
         uhat = self.states[k].bcast_u[(i, rank)]  # (s, r_i)
         return uhat @ sub
 

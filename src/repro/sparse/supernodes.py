@@ -203,16 +203,13 @@ class SupernodalStructure:
 
     def block_row_count(self, k: int, i: int) -> int:
         """Number of rows of supernode ``I`` present in ``rows_below[K]``."""
-        rows = self.rows_below[k]
-        lo = np.searchsorted(rows, self.sn_ptr[i])
-        hi = np.searchsorted(rows, self.sn_ptr[i + 1])
+        lo, hi = self.rows_below[k].searchsorted(self.sn_ptr[i : i + 2])
         return int(hi - lo)
 
     def block_row_indices(self, k: int, i: int) -> np.ndarray:
         """Row indices of block ``L_{I,K}`` (subset of supernode I's cols)."""
         rows = self.rows_below[k]
-        lo = np.searchsorted(rows, self.sn_ptr[i])
-        hi = np.searchsorted(rows, self.sn_ptr[i + 1])
+        lo, hi = rows.searchsorted(self.sn_ptr[i : i + 2])
         return rows[lo:hi]
 
     def factor_nnz(self) -> int:

@@ -6,17 +6,21 @@ GEMM, row-reduce, col-reduce, cross-back) on any grid with any tree
 scheme must reproduce the sequential Algorithm 1 blocks exactly.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ProcessorGrid, SimulatedPSelInv
-from repro.sparse import analyze, from_dense
+from repro.core.pselinv import gather_block
+from repro.sparse import analyze, from_dense, supernodal_structure
 from repro.sparse.factor import factorize
 from repro.sparse.selinv import normalize, selected_inversion
-from repro.workloads import grid_laplacian_2d
+from repro.workloads import dg_hamiltonian, grid_laplacian_2d, random_spd_sparse
 from tests.conftest import random_symmetric_dense
+from tests.test_supernodes import prepared
 
 
 def make_problem(n, rng, ordering="amd"):
@@ -178,3 +182,94 @@ def test_parallel_equals_sequential_property(n, seed, scheme, pr, pc):
         prob.struct, ProcessorGrid(pr, pc), scheme, factor=fac, seed=seed & 0xFFFF
     ).run()
     assert np.abs(res.inverse.to_dense_at_structure() - want).max() < 1e-8
+
+
+# sha256 of ``to_dense_at_structure().tobytes()`` for the run below,
+# recorded with the np.searchsorted + np.ix_ gather that ``gather_block``
+# replaced.  Any gather or accumulation-order change shows up here even
+# when it stays within the oracle tolerance.  A BLAS that rounds its
+# GEMMs differently yields other bytes; re-record the digest against the
+# old gather on such a stack.
+PINNED_DG_INVERSE_SHA256 = (
+    "b1fe54839a9750d1d21844836176372c468ec4c016b39ce6c0bd9df889b36a2a"
+)
+
+
+def test_numeric_inverse_bytes_pinned():
+    a = dg_hamiltonian((5, 5), 4, rng=np.random.default_rng(0))
+    prob = analyze(a, ordering="nd", max_supernode=8)
+    fac = factorize(prob.matrix, prob.struct)
+    res = SimulatedPSelInv(
+        prob.struct, ProcessorGrid(2, 4), "shifted", factor=fac, seed=0
+    ).run()
+    got = res.inverse.to_dense_at_structure().tobytes()
+    assert hashlib.sha256(got).hexdigest() == PINNED_DG_INVERSE_SHA256
+
+
+def _reference_rows(struct, k, i):
+    """Rows of supernode ``i`` in ``rows_below[k]``, the wrapper way."""
+    rows = struct.rows_below[k]
+    lo = np.searchsorted(rows, struct.sn_ptr[i])
+    hi = np.searchsorted(rows, struct.sn_ptr[i + 1])
+    return rows[lo:hi]
+
+
+def _reference_gather(struct, block, row_sn, col_sn, rows, cols):
+    """The np.searchsorted + np.ix_ gather ``gather_block`` replaced."""
+    if row_sn > col_sn:
+        posr = np.searchsorted(_reference_rows(struct, col_sn, row_sn), rows)
+        posc = cols - struct.first_col(col_sn)
+    elif row_sn == col_sn:
+        posr = rows - struct.first_col(row_sn)
+        posc = cols - struct.first_col(row_sn)
+    else:
+        posr = rows - struct.first_col(row_sn)
+        posc = np.searchsorted(_reference_rows(struct, row_sn, col_sn), cols)
+    return block[np.ix_(posr, posc)]
+
+
+def _stored_shape(struct, row_sn, col_sn):
+    """Shape of the stored ``Ainv(row_sn, col_sn)`` block."""
+    if row_sn > col_sn:
+        return len(_reference_rows(struct, col_sn, row_sn)), struct.width(col_sn)
+    if row_sn < col_sn:
+        return struct.width(row_sn), len(_reference_rows(struct, row_sn, col_sn))
+    return struct.width(row_sn), struct.width(row_sn)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=6, max_value=48),
+    st.integers(0, 2**31 - 1),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([np.float64, np.complex128]),
+    st.data(),
+)
+def test_gather_block_matches_ix_reference(n, seed, max_size, dtype, data):
+    """Every GEMM operand ``Ainv(J,I)[rows(J in K), rows(I in K)]`` equals
+    the old gather byte for byte (values, dtype, shape, C order), on the
+    lower (J > I), diagonal (J == I) and upper (J < I) branch alike."""
+    rng = np.random.default_rng(seed)
+    struct = supernodal_structure(
+        prepared(random_spd_sparse(n, 3.0, rng=rng)), max_size=max_size
+    )
+    ks = [k for k in range(struct.nsup) if len(struct.block_rows[k])]
+    assume(ks)
+    k = data.draw(st.sampled_from(ks), label="k")
+    blocks = [int(x) for x in struct.block_rows[k]]
+    i = data.draw(st.sampled_from(blocks), label="i")
+    j = data.draw(st.sampled_from(blocks), label="j")
+    for x in (i, j):
+        rows = struct.block_row_indices(k, x)
+        assert np.array_equal(rows, _reference_rows(struct, k, x))
+        assert struct.block_row_count(k, x) == len(rows)
+    for row_sn, col_sn in {(j, i), (i, j), (i, i)}:
+        block = rng.standard_normal(_stored_shape(struct, row_sn, col_sn))
+        block = block.astype(dtype)
+        rows = _reference_rows(struct, k, row_sn)
+        cols = _reference_rows(struct, k, col_sn)
+        got = gather_block(struct, block, row_sn, col_sn, rows, cols)
+        want = _reference_gather(struct, block, row_sn, col_sn, rows, cols)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
