@@ -4,9 +4,11 @@ Measurements recorded here:
 
 0. *Engine head-to-head* -- the reference run on the legacy binary-heap
    engine vs the vectorized engine (calendar queue, compiled collective
-   state machines, batched delivery), alternated round-robin with
-   best-of per engine, asserting a bitwise-identical outcome (every
-   :class:`~repro.runner.RunRecord` column) and a speedup floor.
+   state machines, batched delivery), in :data:`ENGINE_ROUNDS`
+   alternated rounds, reporting each engine's median wall time with its
+   IQR and the median of the per-round speedups, asserting a
+   bitwise-identical outcome (every :class:`~repro.runner.RunRecord`
+   column) and a speedup floor on that median.
 
 1. *Process-pool fan-out* -- the exact Fig. 8 quick sweep (imported from
    :mod:`bench_fig8_scaling`, so this measures the real workload, not a
@@ -52,6 +54,15 @@ from _harness import (
     scaling_processor_counts,
     timing_network,
 )
+
+
+#: Alternated legacy/vectorized rounds of the engine head-to-head.
+ENGINE_ROUNDS = 3
+
+
+def _iqr(values: list[float]) -> float:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
 
 
 def _cpu_count() -> int:
@@ -140,29 +151,38 @@ def test_runner_scaling(benchmark):
         )
 
     # Engine head-to-head: the same reference run on the legacy heapq
-    # engine and the vectorized engine.  Alternated round-robin with
-    # best-of per engine: single-shot wall clock on shared hosts swings
-    # by 20%+, and in-process heap growth penalizes whichever run goes
-    # last, so no ordering is allowed to decide the comparison.
+    # engine and the vectorized engine, alternated round-robin.  Single-
+    # shot wall clock on shared hosts swings by 20%+, so each engine
+    # reports its median and IQR over the rounds, and the speedup is the
+    # median of the per-round ratios (a round's two runs sit next to
+    # each other in time, so host drift mostly cancels within it).
     engines = ("legacy", "vectorized")
-    best = {e: float("inf") for e in engines}
+    times = {e: [] for e in engines}
     eng_res = {}
-    for _ in range(3):
+    for _ in range(ENGINE_ROUNDS):
         for eng in engines:
             r, dt = _timed_single_run(engine=eng)
             eng_res[eng] = r
-            best[eng] = min(best[eng], dt)
+            times[eng].append(dt)
     ref = eng_res["legacy"]
+    med = {e: statistics.median(ts) for e, ts in times.items()}
+    ratios = [a / b for a, b in zip(times["legacy"], times["vectorized"])]
     side = _reference_side()
     ref_spec = ExperimentSpec("audikw_1", (side, side), "shifted")
     engine_cmp = dict(
         run=f"audikw_1 {side}^2 ranks, shifted, jitter 0.2",
         events=ref.events,
-        legacy_seconds=round(best["legacy"], 4),
-        vectorized_seconds=round(best["vectorized"], 4),
-        legacy_events_per_sec=round(ref.events / best["legacy"]),
-        vectorized_events_per_sec=round(ref.events / best["vectorized"]),
-        vectorized_speedup=round(best["legacy"] / best["vectorized"], 3),
+        rounds=ENGINE_ROUNDS,
+        legacy_seconds=[round(t, 4) for t in times["legacy"]],
+        vectorized_seconds=[round(t, 4) for t in times["vectorized"]],
+        legacy_seconds_median=round(med["legacy"], 4),
+        legacy_seconds_iqr=round(_iqr(times["legacy"]), 4),
+        vectorized_seconds_median=round(med["vectorized"], 4),
+        vectorized_seconds_iqr=round(_iqr(times["vectorized"]), 4),
+        legacy_events_per_sec_median=round(ref.events / med["legacy"]),
+        vectorized_events_per_sec_median=round(ref.events / med["vectorized"]),
+        vectorized_speedup_median=round(statistics.median(ratios), 3),
+        vectorized_speedup_iqr=round(_iqr(ratios), 3),
         outcome_bit_identical=RunRecord.from_result(ref_spec, ref).same_outcome(
             RunRecord.from_result(ref_spec, eng_res["vectorized"])
         ),
@@ -187,16 +207,16 @@ def test_runner_scaling(benchmark):
             r, dt = _timed_single_run(engine="vectorized", telemetry=make())
             tel_recs[name] = RunRecord.from_result(ref_spec, r)
             tel_times[name].append(dt)
-    med = {name: statistics.median(ts) for name, ts in tel_times.items()}
+    tmed = {name: statistics.median(ts) for name, ts in tel_times.items()}
     tel_cmp = dict(
         run=engine_cmp["run"],
         engine="vectorized",
         rounds=3,
-        off_seconds=round(med["off"], 4),
-        runner_bundle_seconds=round(med["runner"], 4),
-        full_seconds=round(med["full"], 4),
-        runner_bundle_overhead_pct=round((med["runner"] / med["off"] - 1) * 100, 2),
-        full_overhead_pct=round((med["full"] / med["off"] - 1) * 100, 2),
+        off_seconds=round(tmed["off"], 4),
+        runner_bundle_seconds=round(tmed["runner"], 4),
+        full_seconds=round(tmed["full"], 4),
+        runner_bundle_overhead_pct=round((tmed["runner"] / tmed["off"] - 1) * 100, 2),
+        full_overhead_pct=round((tmed["full"] / tmed["off"] - 1) * 100, 2),
         runner_bundle_budget_pct=15.0,
         outcome_bit_identical=all(
             tel_recs[name].same_outcome(tel_recs["off"]) for name in ("runner", "full")
@@ -212,21 +232,25 @@ def test_runner_scaling(benchmark):
     lines = [
         table.render(),
         "",
-        "engine head-to-head (reference run, best of 3 alternated rounds):",
-        f"  legacy (heapq):          {engine_cmp['legacy_events_per_sec']:,}/s"
-        f" ({best['legacy']:.2f}s)",
+        f"engine head-to-head (reference run, median [IQR] of {ENGINE_ROUNDS}"
+        " alternated rounds):",
+        "  legacy (heapq):          "
+        f"{engine_cmp['legacy_events_per_sec_median']:,}/s"
+        f" ({med['legacy']:.2f}s [{engine_cmp['legacy_seconds_iqr']:.2f}])",
         "  vectorized (compiled):   "
-        f"{engine_cmp['vectorized_events_per_sec']:,}/s"
-        f" ({best['vectorized']:.2f}s)"
-        f"  -> {engine_cmp['vectorized_speedup']:.2f}x",
+        f"{engine_cmp['vectorized_events_per_sec_median']:,}/s"
+        f" ({med['vectorized']:.2f}s"
+        f" [{engine_cmp['vectorized_seconds_iqr']:.2f}])"
+        f"  -> {engine_cmp['vectorized_speedup_median']:.2f}x"
+        f" [{engine_cmp['vectorized_speedup_iqr']:.2f}]",
         f"  outcome bit-identical:   {engine_cmp['outcome_bit_identical']}",
         "",
         "telemetry overhead (reference run, vectorized engine, median of 3"
         " alternated rounds):",
-        f"  off:                      {med['off']:.2f}s",
-        f"  runner (metrics+hotspots): {med['runner']:.2f}s"
+        f"  off:                      {tmed['off']:.2f}s",
+        f"  runner (metrics+hotspots): {tmed['runner']:.2f}s"
         f"  ({tel_cmp['runner_bundle_overhead_pct']:+.1f}%, budget 15%)",
-        f"  full (+ timeline):         {med['full']:.2f}s"
+        f"  full (+ timeline):         {tmed['full']:.2f}s"
         f"  ({tel_cmp['full_overhead_pct']:+.1f}%)",
         f"  outcome bit-identical:     {tel_cmp['outcome_bit_identical']}",
         "",
@@ -258,7 +282,7 @@ def test_runner_scaling(benchmark):
     # protocol), so the gate is no looser; an accidentally disabled fast
     # path is a >1.2x hit per stage.
     assert engine_cmp["outcome_bit_identical"], engine_cmp
-    assert engine_cmp["vectorized_speedup"] >= 1.10, engine_cmp
+    assert engine_cmp["vectorized_speedup_median"] >= 1.10, engine_cmp
     if cores >= 4:
         four = next(r for r in rows if r["jobs"] == 4)
         assert four["speedup"] >= 2.5, four

@@ -4,10 +4,13 @@ Reads ``results/BENCH_runner.json`` (written by
 ``bench_runner_scaling.py``) and enforces the reference-run contract:
 
 * both engines produced the bit-identical outcome;
+* the head-to-head ran at least :data:`MIN_ROUNDS` alternated rounds;
 * the vectorized engine beats the legacy heap engine
-  (``--min-vectorized-speedup``, default 1.10x);
-* absolute end-to-end throughput of the vectorized engine stays above
-  ``--min-events-per-sec`` (default 40,000 ev/s -- a deliberately loose
+  (``--min-vectorized-speedup``, default 1.10x) in the median of the
+  per-round speedups;
+* the vectorized engine's end-to-end throughput at its median wall
+  time stays above ``--min-events-per-sec`` (default 40,000 ev/s -- a
+  deliberately loose
   floor that catches order-of-magnitude regressions such as an
   accidentally disabled fast path, while tolerating slow shared CI
   hosts; raise it when gating on known hardware).
@@ -29,6 +32,9 @@ import argparse
 import json
 import sys
 
+#: Fewest alternated head-to-head rounds whose medians the gate accepts.
+MIN_ROUNDS = 3
+
 
 def check(payload: dict, *, min_events_per_sec: float,
           min_vectorized_speedup: float) -> list[str]:
@@ -42,17 +48,23 @@ def check(payload: dict, *, min_events_per_sec: float,
             "engines disagree on the reference-run outcome "
             f"(run: {cmp_.get('run')})"
         )
-    speedup = cmp_.get("vectorized_speedup", 0.0)
+    rounds = cmp_.get("rounds", 0)
+    if rounds < MIN_ROUNDS:
+        failures.append(
+            f"head-to-head ran {rounds} round(s); the gate needs medians "
+            f"over at least {MIN_ROUNDS}"
+        )
+    speedup = cmp_.get("vectorized_speedup_median", 0.0)
     if speedup < min_vectorized_speedup:
         failures.append(
-            f"vectorized-vs-legacy speedup {speedup:.3f}x below the "
+            f"median vectorized-vs-legacy speedup {speedup:.3f}x below the "
             f"{min_vectorized_speedup:.2f}x floor"
         )
-    ev_s = cmp_.get("vectorized_events_per_sec", 0)
+    ev_s = cmp_.get("vectorized_events_per_sec_median", 0)
     if ev_s < min_events_per_sec:
         failures.append(
-            f"vectorized reference throughput {ev_s:,} ev/s below the "
-            f"{min_events_per_sec:,.0f} ev/s floor"
+            f"median vectorized reference throughput {ev_s:,} ev/s below "
+            f"the {min_events_per_sec:,.0f} ev/s floor"
         )
     for row in payload.get("sweeps", []):
         if not row.get("identical", False):
@@ -93,10 +105,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  - {f}")
         return 1
     print(
-        f"throughput floor OK: vectorized "
-        f"{cmp_.get('vectorized_events_per_sec', 0):,} ev/s "
-        f"(>= {args.min_events_per_sec:,.0f}), "
-        f"vectorized-vs-legacy {cmp_.get('vectorized_speedup')}x "
+        f"throughput floor OK over {cmp_['rounds']} rounds: median "
+        f"vectorized {cmp_['vectorized_events_per_sec_median']:,} ev/s "
+        f"(>= {args.min_events_per_sec:,.0f}), median "
+        f"vectorized-vs-legacy {cmp_['vectorized_speedup_median']}x "
         f"(>= {args.min_vectorized_speedup}), outcomes bit-identical"
     )
     return 0

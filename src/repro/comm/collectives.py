@@ -333,7 +333,6 @@ class VecBroadcast:
         "_ranks",
         "_indptr",
         "_childpos",
-        "_om",
         "_send",
     )
 
@@ -358,10 +357,12 @@ class VecBroadcast:
         self._ranks = tree.ranks
         self._indptr = tree.indptr
         self._childpos = tree.childpos
-        self._om = self.on_message
         # The machine's send closures exist before any collective does,
         # so they can be captured once per collective instead of looked
-        # up per forwarded message.
+        # up per forwarded message.  The delivery callback is bound per
+        # send instead: a cached bound method would be a reference cycle
+        # that keeps every finished collective alive while the drain
+        # pauses the cyclic collector.
         self._send = machine.send_pt
         if machine.coll_shapes is not None:
             _count_shape(machine.coll_shapes, "bcast", category, tree, self.nbytes)
@@ -389,7 +390,7 @@ class VecBroadcast:
                     self.tag,
                     self.nbytes,
                     self.cid,
-                    self._om,
+                    self.on_message,
                     auxs,
                     payload,
                 )
@@ -398,7 +399,7 @@ class VecBroadcast:
                 tag = self.tag
                 nbytes = self.nbytes
                 cid = self.cid
-                om = self._om
+                om = self.on_message
                 for ci in range(lo, hi):
                     child = childpos[ci]
                     send(dst, ranks[child], tag, nbytes, cid, om, child, payload)
@@ -430,7 +431,6 @@ class VecReduce:
         "_parents",
         "_pending",
         "_value",
-        "_om",
         "_send",
     )
 
@@ -460,7 +460,6 @@ class VecReduce:
         self._pending = pending
         # Partial value per position, allocated by the first value.
         self._value: list[Any] | None = None
-        self._om = self.on_message
         self._send = machine.send_pt
         if machine.coll_shapes is not None:
             _count_shape(machine.coll_shapes, "reduce", category, tree, self.nbytes)
@@ -509,7 +508,7 @@ class VecReduce:
                 self.tag,
                 self.nbytes,
                 self.cid,
-                self._om,
+                self.on_message,
                 parent,
                 value,
             )

@@ -165,7 +165,17 @@ class PSelInvResult:
 
 class _SupernodeState:
     """Mutable per-supernode bookkeeping (global in the simulation; every
-    field is only touched by handlers running 'on' its owning rank)."""
+    field is only touched by handlers running 'on' its owning rank).
+
+    Several tables are keyed differently by the two protocols: the
+    legacy one uses ``(J, rank)`` / ``(I, rank)`` tuples, the compiled
+    one (``engine="vectorized"``) flat ints or bare ranks, as noted per
+    field.  On the compiled protocol a supernode keeps after it finishes
+    only what :meth:`SimulatedPSelInv._gather_inverse` reads -- ``plan``,
+    ``diag_value`` and ``ainv_low`` (plus the driver's ``ainv_data``) --
+    and :meth:`release` drops the rest, so memory follows the lookahead
+    window instead of the number of supernodes run.
+    """
 
     __slots__ = (
         "plan",
@@ -197,21 +207,48 @@ class _SupernodeState:
         self.ainv_low: dict[int, Any] = {}  # J -> Ainv(J,K) at owner L(J,K)
         # (J, rank) -> sum; the compiled protocol keys J * nranks + rank.
         self.row_partial: dict[Any, Any] = {}
-        self.gemms_left: dict[tuple[int, int], int] = {}  # (J, rank) -> n
+        # (J, rank) -> outstanding GEMMs; compiled: J * nranks + rank.
+        self.gemms_left: dict[Any, int] = {}
         self.diag_partial: dict[int, Any] = {}  # rank -> partial (s, s)
         self.diag_left: dict[int, int] = {}  # rank -> outstanding rows J
         self.base: Any = None  # inv(U_KK) inv(L_KK) at the diagonal owner
         self.diag_value: Any = None
-        # Dispatch tables built when the supernode enters the window:
-        # rank -> [BlockInfo] of the L(I,K) blocks normalized there, and
-        # (i, rank) -> [j, ...] local GEMM row-blocks per broadcast.
+        # Dispatch tables built when the supernode enters the window.
+        # norm_blocks (legacy): rank -> [BlockInfo] of the L(I,K) blocks
+        # normalized there.  bcast_gemms: legacy (I, rank) -> [J, ...],
+        # the local GEMM row blocks per broadcast; compiled rank ->
+        # (group, fins, jsn), that rank's row-group block indices, the
+        # GEMM countdown tuples of its (J, rank) pairs and J * nsup per
+        # block, shared by every col-bcast delivered there.
         self.norm_blocks: dict[int, list] = {}
-        self.bcast_gemms: dict[tuple[int, int], list[int]] = {}
+        self.bcast_gemms: dict[Any, Any] = {}
         self.nrows: dict[int, int] = {b.snode: b.nrows for b in plan.blocks}
         # Message sizes straight from the plan so simulator and analytic
         # volume model can never disagree (incl. complex 16-byte entries).
         self.cross_nbytes = {p.key[2]: p.nbytes for p in plan.cross_sends}
         self.back_nbytes = {p.key[2]: p.nbytes for p in plan.cross_backs}
+        # Compiled-protocol tables, set on window entry: rr_info is
+        # J -> the row-reduce completion's arguments, norm_vec is L-panel
+        # owner rank -> [(normalize seconds, cross-send arguments)].
+        self.rr_info: dict[int, tuple] | None = None
+        self.norm_vec: dict[int, list] | None = None
+
+    def release(self) -> None:
+        """Drop the compiled protocol's tables and the numeric panels of
+        a finished supernode.  Late diag/col-bcast deliveries to relay
+        ranks still look themselves up in ``norm_vec`` / ``bcast_gemms``,
+        so those two become empty; ``rr_info``, the two countdown dicts,
+        ``lhat``, ``uhat`` and ``base`` become ``None``.  Dropping the
+        countdown tuples also drops the last references to the
+        supernode's reductions."""
+        self.bcast_gemms = {}
+        self.norm_vec = {}
+        self.rr_info = None
+        self.gemms_left = None
+        self.diag_left = None
+        self.lhat = None
+        self.uhat = None
+        self.base = None
 
 
 class SimulatedPSelInv:
@@ -844,6 +881,7 @@ class SimulatedPSelInv:
             st.diag_value = st.base - value
             self.ainv_data[(k, k)] = st.diag_value
         self._mark_ready_vec(k * self._nsup + k)
+        st.release()
         self._supernode_finished()
 
     # -- phase 0: kickoff ------------------------------------------------------

@@ -15,11 +15,12 @@ Two engines share this contract:
 
 * :class:`Simulator` -- the reference heapq loop (``engine="legacy"``).
 * :class:`VecSimulator` -- a calendar-queue scheduler that buckets
-  events by a fixed time width, stores per-event state in
-  struct-of-arrays columns indexed by sequence number, dispatches
+  ``(time, seq, hid, arg)`` entries by a fixed time width, dispatches
   through an integer handler table (whole same-handler slices at once
   where the handler allows it), and fast-forwards the clock over empty
-  buckets analytically (``engine="vectorized"``).
+  buckets analytically (``engine="vectorized"``).  An entry carries its
+  own state, so the engine holds only the events still pending: its
+  memory follows the queue depth, not the number of events run.
 
 Both drain any schedule stream in the exact same ``(time, seq)`` order
 (pinned by a Hypothesis equivalence test), so every simulated outcome is
@@ -31,6 +32,7 @@ from __future__ import annotations
 import heapq
 import time
 from bisect import insort
+from itertools import islice
 from typing import Any, Callable
 
 __all__ = ["Simulator", "VecSimulator"]
@@ -186,44 +188,40 @@ class VecSimulator:
     Layout:
 
     * **Buckets** -- events are grouped by ``int(time / BUCKET_WIDTH)``
-      into a dict of bucket index -> list of sequence numbers; a
-      min-heap of occupied bucket indices orders the buckets.  Popping
-      the heap *is* the analytic fast-forward: the clock jumps straight
-      to the next occupied bucket instead of draining empty time.
-    * **Struct-of-arrays event records** -- per-event state lives in
-      three flat columns indexed by the sequence number:
-      ``_times[seq]``, ``_hids[seq]`` (an integer handler id) and
-      ``_args[seq]``.  Buckets hold bare seq ints; no per-event tuple
-      is allocated anywhere.
+      into a dict of bucket index -> list of entries; a min-heap of
+      occupied bucket indices orders the buckets.  Popping the heap
+      *is* the analytic fast-forward: the clock jumps straight to the
+      next occupied bucket instead of draining empty time.
+    * **Self-contained entries** -- an entry is the tuple ``(time, seq,
+      hid, arg)``: its timestamp, its sequence number, an integer
+      handler id and the handler's argument.  Nothing outside the
+      bucket refers to it, so an executed event is freed with its
+      bucket.  Tuple order is exactly ``(time, seq)`` order: seqs are
+      unique (monotonic, never recycled), so a comparison never reaches
+      ``hid`` or ``arg``.
     * **Handler table** -- :meth:`register_handler` interns a callable
       once and returns its integer id; the hot path then schedules
       ``(time, hid, arg)`` records via :meth:`schedule_msg` and the
       drain loop dispatches ``table[hid](arg)``.  Ids 0 and 1 are
       reserved for the generic :meth:`schedule` / :meth:`schedule_at`
       paths (0 = argless callable, 1 = ``(fn, arg)`` pair).
-    * **Sorted buckets** -- a bucket is sorted once by timestamp (stable
-      C timsort keyed on the times column) and executed in order; the
-      events-processed and pending counters are written back once per
-      bucket, not once per event.  Stability gives exact ``(time, seq)``
-      order: a bucket list always holds any two equal-time seqs in
-      ascending-seq order (appends allocate monotonically increasing
-      seqs, and a re-parked prefix is already ``(time, seq)``-sorted
-      with seqs below every later append).  A callback that schedules
-      into the *active* bucket inserts in sorted position via
-      ``bisect.insort`` with the same key (the new seq always lands
-      after the in-flight index because its time is >= ``now`` and it
-      is the largest seq yet, and ``insort_right`` places it after
-      existing equal-time entries).
+    * **Sorted buckets** -- a bucket is sorted once (C timsort on the
+      entry tuples) and executed in order; the events-processed and
+      pending counters are written back once per bucket, not once per
+      event.  A callback that schedules into the *active* bucket
+      inserts its entry in sorted position via ``bisect.insort`` (the
+      new entry always lands after the in-flight index because its
+      time is >= ``now`` and its seq is the largest yet).
     * **Slice dispatch** -- a handler id may register a companion
       ``fn(batch, lo, hi)`` (:meth:`register_batch_handler`) that
       consumes a whole contiguous same-handler slice of a sorted bucket
-      in one call.  A run at least :attr:`MIN_RUN` long is handed over;
-      the companion owns the slice (contract on
-      :meth:`register_batch_handler`).  Shorter runs and foreign
-      handler ids take the scalar path, re-checking the handler id per
-      event -- an executed event may insort new work into the active
-      bucket, so a precomputed run length cannot be trusted across
-      scalar dispatches.
+      in one call.  A run at least :attr:`MIN_RUN` long is handed over
+      and the drain's iterator skips past it; the companion owns the
+      slice (contract on :meth:`register_batch_handler`).  Shorter runs
+      and foreign handler ids take the scalar path, re-checking the
+      handler id per event -- an executed event may insort new work
+      into the active bucket, so a precomputed run length cannot be
+      trusted across scalar dispatches.
 
     Semantics are identical to :class:`Simulator`: FIFO tie-breaking by
     seq, the same negative-delay / past-time errors, ``max_events``
@@ -258,15 +256,11 @@ class VecSimulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._inv_width = 1.0 / self.BUCKET_WIDTH
-        # Calendar: bucket index -> sorted-on-demand [seq, ...].
-        self._buckets: dict[int, list[int]] = {}
+        # Calendar: bucket index -> sorted-on-demand [(time, seq, hid,
+        # arg), ...].  Seqs are monotonic and never recycled: recycling
+        # would break FIFO tie order.
+        self._buckets: dict[int, list[tuple]] = {}
         self._bucket_heap: list[int] = []
-        # SoA event columns, indexed by seq (monotonic, never recycled:
-        # recycling would break FIFO tie order).  Args are cleared after
-        # execution so payloads do not outlive their event.
-        self._times: list[float] = []
-        self._hids: list[int] = []
-        self._args: list[Any] = []
         # Handler table and slice companions; ids 0/1 are the generic-
         # callable paths and never take a slice.
         self._table: list[Callable[..., Any] | None] = [None, None]
@@ -277,7 +271,7 @@ class VecSimulator:
         # Active-bucket state: schedules landing in the bucket currently
         # draining must join it in sorted position (see class docstring).
         self._active_bucket = -1
-        self._active_list: list[int] | None = None
+        self._active_list: list[tuple] | None = None
         self._metrics = None
         self.buckets_drained = 0
         self.max_bucket_events = 0
@@ -315,8 +309,8 @@ class VecSimulator:
         companion, which executes the events ``batch[lo:hi]`` in one
         call.
 
-        Contract: the companion reads the slice's times and args itself,
-        clears their argument cells, leaves ``now`` at the slice's last
+        Contract: the companion reads the slice's ``(time, seq, hid,
+        arg)`` entries itself, leaves ``now`` at the slice's last
         timestamp, schedules only into *later* buckets (the machine
         layer gates installation on ``receive_overhead >=
         BUCKET_WIDTH``), and pushes exactly one event per consumed
@@ -360,22 +354,18 @@ class VecSimulator:
     def _push(self, time: float, hid: int, arg: Any) -> None:
         s = self._seq
         self._seq = s + 1
-        times = self._times
-        times.append(time)
-        self._hids.append(hid)
-        self._args.append(arg)
         self._npending += 1
+        ev = (time, s, hid, arg)
         b = int(time * self._inv_width)
         if b == self._active_bucket:
             # Always lands after the in-flight index: time >= now and
-            # seq is the largest allocated, so insort_right on the
-            # times key places it last among equal-time entries.
-            insort(self._active_list, s, key=times.__getitem__)
+            # seq is the largest allocated.
+            insort(self._active_list, ev)
             return
         try:
-            self._buckets[b].append(s)
+            self._buckets[b].append(ev)
         except KeyError:
-            self._buckets[b] = [s]
+            self._buckets[b] = [ev]
             heapq.heappush(self._bucket_heap, b)
 
     # -- draining ------------------------------------------------------------
@@ -400,13 +390,9 @@ class VecSimulator:
             return self._run_scalar(until, max_events)
         buckets = self._buckets
         heap = self._bucket_heap
-        times = self._times
-        hids = self._hids
-        args = self._args
         table = self._table
         btable = self._btable
         minrun = self.MIN_RUN
-        key = times.__getitem__
         heappop = heapq.heappop
         drained = 0
         maxb = self.max_bucket_events
@@ -417,48 +403,39 @@ class VecSimulator:
             b = heappop(heap)
             batch = buckets.pop(b)
             if len(batch) > 1:
-                batch.sort(key=key)
+                batch.sort()
             self._active_bucket = b
             self._active_list = batch
             drained += 1
             # The C-level list iterator survives mid-drain growth (an
             # insort always lands strictly after the in-flight position,
-            # see the class docstring).  A slice dispatch consumes events
-            # *ahead* of the iterator; those are marked with hid -1 (seqs
-            # are never recycled, so the sentinel cannot collide) and
-            # skipped when the iterator reaches them.
-            for i, s in enumerate(batch):
-                h = hids[s]
+            # see the class docstring).  A slice dispatch consumes the
+            # entries *ahead* of the iterator, which then skips them.
+            it = enumerate(batch)
+            for i, (t, _, h, a) in it:
+                if self._npending - i > depth_hw:
+                    depth_hw = self._npending - i
                 if h >= 2:
-                    if self._npending - i > depth_hw:
-                        depth_hw = self._npending - i
                     bh = btable[h]
                     if bh is not None:
                         nb = len(batch)
                         j = i + 1
-                        while j < nb and hids[batch[j]] == h:
+                        while j < nb and batch[j][2] == h:
                             j += 1
                         if j - i >= minrun:
                             bh(batch, i, j)
-                            for x in range(i + 1, j):
-                                hids[batch[x]] = -1
+                            # Skip batch[i + 1:j]; not sampled (their
+                            # depth is the one sampled at the slice start).
+                            next(islice(it, j - i - 1, j - i - 1), None)
                             continue
-                    self.now = times[s]
-                    a = args[s]
-                    args[s] = None
+                    self.now = t
                     table[h](a)
-                elif h >= 0:
-                    if self._npending - i > depth_hw:
-                        depth_hw = self._npending - i
-                    self.now = times[s]
-                    a = args[s]
-                    args[s] = None
-                    if h == 0:
-                        a()
-                    else:
-                        f, x = a
-                        f(x)
-                # h == -1: consumed by a slice dispatch above, not sampled.
+                elif h == 0:
+                    self.now = t
+                    a()
+                else:
+                    self.now = t
+                    a[0](a[1])
             self._active_bucket = -1
             self._active_list = None
             n = len(batch)
@@ -482,9 +459,6 @@ class VecSimulator:
         """
         buckets = self._buckets
         heap = self._bucket_heap
-        times = self._times
-        hids = self._hids
-        args = self._args
         table = self._table
         heappop = heapq.heappop
         depth_hw = self._npending
@@ -495,13 +469,12 @@ class VecSimulator:
             b = heappop(heap)
             batch = buckets.pop(b)
             if len(batch) > 1:
-                batch.sort(key=times.__getitem__)
+                batch.sort()
             self._active_bucket = b
             self._active_list = batch
             i = 0
             while i < len(batch):
-                s = batch[i]
-                t = times[s]
+                t, _, h, a = batch[i]
                 if until is not None and t > until:
                     stopped = True
                     break
@@ -517,16 +490,12 @@ class VecSimulator:
                 self.now = t
                 self._events_processed += 1
                 self._npending -= 1
-                h = hids[s]
-                a = args[s]
-                args[s] = None
                 if h >= 2:
                     table[h](a)
                 elif h == 0:
                     a()
                 else:
-                    f, x = a
-                    f(x)
+                    a[0](a[1])
             self._repark(b, batch, i)
         self._report(start_events, depth_hw, start_wall)
         return self.now

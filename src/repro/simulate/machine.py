@@ -775,9 +775,8 @@ class VecMachine(Machine):
         and the receive/deliver handler-table entries as closures with
         every per-event branch (timeline recorder, trace log, delivery
         overhead, dense-vs-dict channels) resolved at construction time
-        and all stable state -- the engine's time/hid/arg columns, the
-        calendar buckets and heap, the resource clocks and stats
-        columns -- bound as closure cells
+        and all stable state -- the engine's calendar buckets and heap,
+        the resource clocks and stats columns -- bound as closure cells
         (``LOAD_DEREF`` beats two ``LOAD_ATTR`` per access, and on a
         path run a few million times per simulation that is the
         difference that shows up on the profile).  Only the engine's
@@ -825,13 +824,9 @@ class VecMachine(Machine):
         hid_receive_pt = self._hid_receive_pt
         hid_deliver_pt = self._hid_deliver_pt
         # Engine internals (the inlined _push).
-        st = sim._times
-        shids = sim._hids
-        sargs = sim._args
         sbk = sim._buckets
         sheap = sim._bucket_heap
         inv_width = sim._inv_width
-        key = st.__getitem__
 
         def fast_send_pt(src, dst, tag, nbytes, cid, cb, aux=0, payload=None):
             now = sim.now
@@ -865,18 +860,16 @@ class VecMachine(Machine):
                 hid = hid_receive_pt
             s = sim._seq
             sim._seq = s + 1
-            st.append(arrival)
-            shids.append(hid)
-            sargs.append((dst, nbytes, cid, cb, aux, payload))
             sim._npending += 1
+            ev = (arrival, s, hid, (dst, nbytes, cid, cb, aux, payload))
             b = int(arrival * inv_width)
             if b == sim._active_bucket:
-                insort(sim._active_list, s, key=key)
+                insort(sim._active_list, ev)
             else:
                 try:
-                    sbk[b].append(s)
+                    sbk[b].append(ev)
                 except KeyError:
-                    sbk[b] = [s]
+                    sbk[b] = [ev]
                     heappush(sheap, b)
 
         def fast_receive_pt(rec):
@@ -901,18 +894,16 @@ class VecMachine(Machine):
             recv_oh_col[dst] += recv_oh
             s = sim._seq
             sim._seq = s + 1
-            st.append(deliver_at)
-            shids.append(hid_deliver_pt)
-            sargs.append(rec)
             sim._npending += 1
+            ev = (deliver_at, s, hid_deliver_pt, rec)
             b = int(deliver_at * inv_width)
             if b == sim._active_bucket:
-                insort(sim._active_list, s, key=key)
+                insort(sim._active_list, ev)
             else:
                 try:
-                    sbk[b].append(s)
+                    sbk[b].append(ev)
                 except KeyError:
-                    sbk[b] = [s]
+                    sbk[b] = [ev]
                     heappush(sheap, b)
 
         def fast_deliver_pt(rec):
@@ -927,18 +918,16 @@ class VecMachine(Machine):
             compute_busy[rank] += seconds
             s = sim._seq
             sim._seq = s + 1
-            st.append(finish)
-            shids.append(hid)
-            sargs.append(arg)
             sim._npending += 1
+            ev = (finish, s, hid, arg)
             b = int(finish * inv_width)
             if b == sim._active_bucket:
-                insort(sim._active_list, s, key=key)
+                insort(sim._active_list, ev)
             else:
                 try:
-                    sbk[b].append(s)
+                    sbk[b].append(ev)
                 except KeyError:
-                    sbk[b] = [s]
+                    sbk[b] = [ev]
                     heappush(sheap, b)
 
         def fast_send_batch(src, dsts, tag, nbytes, cid, cb, auxs, payload=None):
@@ -990,23 +979,21 @@ class VecMachine(Machine):
                 ch[pi] = a
             s0 = sim._seq
             sim._seq = s0 + n
-            st.extend(arrl)
-            shids.extend([hid_receive_pt] * n)
-            sargs.extend(
-                [(dsts[x], nbytes, cid, cb, auxs[x], payload) for x in range(n)]
-            )
             sim._npending += n
             ab = sim._active_bucket
             al = sim._active_list
             for x in range(n):
-                b = int(arrl[x] * inv_width)
+                a = arrl[x]
+                ev = (a, s0 + x, hid_receive_pt,
+                      (dsts[x], nbytes, cid, cb, auxs[x], payload))
+                b = int(a * inv_width)
                 if b == ab:
-                    insort(al, s0 + x, key=key)
+                    insort(al, ev)
                 else:
                     try:
-                        sbk[b].append(s0 + x)
+                        sbk[b].append(ev)
                     except KeyError:
-                        sbk[b] = [s0 + x]
+                        sbk[b] = [ev]
                         heappush(sheap, b)
 
         self.send_pt = fast_send_pt
@@ -1023,11 +1010,9 @@ class VecMachine(Machine):
             return
 
         def fast_receive_pt_batch(batch, lo, hi):
-            idx = batch[lo:hi]
-            recs = [sargs[s] for s in idx]
-            ts = [st[s] for s in idx]
-            for s in idx:
-                sargs[s] = None
+            ents = batch[lo:hi]
+            ts = [e[0] for e in ents]
+            recs = [e[3] for e in ents]
             n = hi - lo
             nbl = [r[1] for r in recs]
             dsts = [r[0] for r in recs]
@@ -1072,19 +1057,17 @@ class VecMachine(Machine):
                 deliver[x] = d
             s0 = sim._seq
             sim._seq = s0 + n
-            st.extend(deliver)
-            shids.extend([hid_deliver_pt] * n)
-            sargs.extend(recs)
             sim._npending += n
             bids = (
                 (np.array(deliver) * inv_width).astype(np.int64).tolist()
             )
             for x in range(n):
                 b = bids[x]
+                ev = (deliver[x], s0 + x, hid_deliver_pt, recs[x])
                 try:
-                    sbk[b].append(s0 + x)
+                    sbk[b].append(ev)
                 except KeyError:
-                    sbk[b] = [s0 + x]
+                    sbk[b] = [ev]
                     heappush(sheap, b)
             sim.now = ts[n - 1]
 
