@@ -65,13 +65,12 @@ Both produce bit-identical results -- same event count, same final
 timestamps, same per-rank stats, the same numeric inverse -- which the
 engine-equivalence tests, ``benchmarks/check_engine_identity.py`` and
 ``benchmarks/bench_runner_scaling.py`` assert; the vectorized engine is
-the faster, hence the default.  The numeric arithmetic
-(:meth:`SimulatedPSelInv._compute_gemm`, :meth:`_invert_diag`,
-:meth:`_normalize`) is shared by both protocols.  Every GEMM takes its
-``Ainv`` operand through :func:`gather_block`, which the unsymmetric
-driver (:mod:`repro.core.pselinv_unsym`) calls too: one
-``ndarray.searchsorted`` on the structural side of the stored block and
-one open-mesh index per GEMM.
+the faster, hence the default.  This driver and the unsymmetric one
+(:mod:`repro.core.pselinv_unsym`) run on one skeleton,
+:class:`_PSelInvDriver` (window, numeric kernels, ``Ainv`` readiness,
+result), and every GEMM of both takes its ``Ainv`` operand through
+:func:`gather_block`: one ``ndarray.searchsorted`` on the structural
+side of the stored block and one open-mesh index per GEMM.
 """
 
 from __future__ import annotations
@@ -171,7 +170,7 @@ class _SupernodeState:
     legacy one uses ``(J, rank)`` / ``(I, rank)`` tuples, the compiled
     one (``engine="vectorized"``) flat ints or bare ranks, as noted per
     field.  On the compiled protocol a supernode keeps after it finishes
-    only what :meth:`SimulatedPSelInv._gather_inverse` reads -- ``plan``,
+    only what :meth:`_PSelInvDriver._gather_inverse` reads -- ``plan``,
     ``diag_value`` and ``ainv_low`` (plus the driver's ``ainv_data``) --
     and :meth:`release` drops the rest, so memory follows the lookahead
     window instead of the number of supernodes run.
@@ -251,8 +250,341 @@ class _SupernodeState:
         self.base = None
 
 
-class SimulatedPSelInv:
+class _PSelInvDriver:
+    """The driver skeleton both value symmetries share.
+
+    :class:`SimulatedPSelInv` and
+    :class:`~repro.core.pselinv_unsym.SimulatedPSelInvUnsym` differ only
+    in their protocol.  Shared here: the lookahead window (Algorithm 1's
+    second loop) with its root-supernode shortcut, the diagonal and
+    L-panel kernels, ``Ainv`` readiness, the per-rank tag dispatch, the
+    sum-then-reduce GEMM tasks, the diagonal finish and the result.  A
+    subclass supplies ``_iter_plans`` and ``_state_cls`` (its plans and
+    per-supernode bookkeeping), ``_enter_window(plan)`` (build supernode
+    ``plan.k``'s collectives, return the diagonal broadcasts to start),
+    ``_schedule_gemm(*item)`` and its handlers.
+    """
+
+    # Set by the symmetric driver on engine="vectorized", whose compiled
+    # protocol keeps Ainv readiness under flat int keys and registers its
+    # own handlers.
+    _vec = False
+    # Message tag kind -> name of the method handling that kind's
+    # point-to-point sends, called as ``method(k, i, payload)`` for a tag
+    # ``(kind, k, i)``; every other tag names a collective.
+    _point_handlers: dict[str, str] = {}
+    # CPU seconds charged per delivered message (the symmetric driver's
+    # ``per_message_cpu_overhead``).
+    extra_msg_overhead = 0.0
+
+    def __init__(
+        self,
+        struct: SupernodalStructure,
+        grid: ProcessorGrid,
+        scheme: str,
+        *,
+        factor: SupernodalFactor | None,
+        network: NetworkConfig | None,
+        seed: int,
+        placement_seed: int | None,
+        jitter_seed: int,
+        hybrid_threshold: int,
+        lookahead: int | None,
+        plans: list | None,
+        machine_cls: type[Machine] = Machine,
+        machine_kwargs: dict | None = None,
+    ) -> None:
+        self.struct = struct
+        self.grid = grid
+        self.scheme = scheme
+        self.factor = factor
+        self.numeric = factor is not None
+        self.seed = seed
+        self.hybrid_threshold = hybrid_threshold
+        # Bounded supernode lookahead, as in the real PSelInv/PEXSI code:
+        # only this many supernodes may have their panel communication in
+        # flight at once (buffer memory and MPI-progress limits).  ``None``
+        # releases everything at t=0 (an idealized, infinitely-buffered
+        # runtime -- useful as an ablation).
+        self.lookahead = lookahead
+        net = Network(
+            grid.size,
+            network,
+            placement_seed=placement_seed,
+            jitter_seed=jitter_seed,
+        )
+        self.machine: Machine = machine_cls(grid.size, net, **(machine_kwargs or {}))
+        if plans is not None:
+            self.plans = plans
+        else:
+            # Complex matrices (PEXSI pole shifts) move 16-byte entries.
+            bpe = BYTES_PER_ENTRY
+            if factor is not None and factor.LX and np.iscomplexobj(factor.LX[0]):
+                bpe = 2 * BYTES_PER_ENTRY
+            self.plans = list(self._iter_plans(struct, grid, bytes_per_entry=bpe))
+        self.states = [self._state_cls(p) for p in self.plans]
+        self.collectives: dict[tuple, Any] = {}
+        # Readiness of Ainv blocks: (row_snode, col_snode) -> ready flag;
+        # waiters hold deferred GEMMs.
+        self.ainv_ready: set[tuple[int, int]] = set()
+        self.ainv_data: dict[tuple[int, int], Any] = {}
+        self.waiters: dict[tuple[int, int], list] = {}
+        self.done_diag = 0
+        self._ran = False
+        if not self._vec:
+            for r in range(grid.size):
+                self.machine.set_handler(r, self._make_handler(r))
+
+    def _make_handler(self, rank: int):
+        points = {
+            kind: getattr(self, name)
+            for kind, name in self._point_handlers.items()
+        }
+
+        def handler(msg: Message) -> None:
+            if self.extra_msg_overhead > 0.0:
+                self.machine.post_compute(
+                    rank, self.extra_msg_overhead, label="msg-overhead"
+                )
+            key = msg.tag
+            point = points.get(key[0])
+            if point is None:
+                self.collectives[key].on_message(msg)
+            else:
+                point(key[1], key[2], msg.payload)
+
+        return handler
+
+    # -- the lookahead window ------------------------------------------------
+
+    def _kickoff(self) -> None:
+        # Supernodes are released in descending index order (the second
+        # loop of Algorithm 1), at most ``lookahead`` outstanding; every
+        # dependency of supernode K lives at an index > K, so the window
+        # can never deadlock.
+        self._release_order = list(range(self.struct.nsup - 1, -1, -1))
+        self._release_ptr = 0
+        window = self.lookahead if self.lookahead is not None else self.struct.nsup
+        self._outstanding = 0
+        self._window = max(1, int(window))
+        self._release_more()
+
+    def _release_more(self) -> None:
+        while (
+            self._release_ptr < len(self._release_order)
+            and self._outstanding < self._window
+        ):
+            k = self._release_order[self._release_ptr]
+            self._release_ptr += 1
+            self._outstanding += 1
+            self._start_supernode(k)
+
+    def _supernode_finished(self) -> None:
+        self.done_diag += 1
+        self._outstanding -= 1
+        self._release_more()
+
+    def _start_supernode(self, k: int) -> None:
+        st = self.states[k]
+        plan = st.plan
+        payload = self.factor.diag_block(k) if self.numeric else None
+        if not plan.blocks:
+            # A root supernode with empty structure: its inverse is
+            # just the inverted diagonal block, computed locally.
+            self.machine.post_compute(
+                plan.diag_owner,
+                0.0,
+                lambda k=k, payload=payload: self._finish_lonely_diag(
+                    k, payload
+                ),
+                flops=plan.width**3,
+                label="diag-inv",
+            )
+            return
+        # The diagonal broadcasts start as soon as the supernode enters
+        # the lookahead window (its factorization output already sits at
+        # the root; SuperLU timing is reported separately, as in the
+        # paper).
+        for bc in self._enter_window(plan):
+            self.machine.sim.schedule(
+                0.0, lambda bc=bc, payload=payload: bc.start(payload)
+            )
+
+    def _finish_lonely_diag(self, k: int, payload: Any) -> None:
+        st = self.states[k]
+        if self.numeric:
+            st.diag_value = self._invert_diag(payload)
+        if self._vec:
+            self.ainv_data[(k, k)] = st.diag_value
+            self._mark_ready_vec(k * self._nsup + k)
+        else:
+            self._mark_ainv_ready((k, k), st.diag_value)
+        self._supernode_finished()
+
+    def _schedule_or_wait(self, key: tuple[int, int], item: tuple) -> None:
+        """Post the GEMM ``item`` now if its operand ``Ainv`` block
+        ``key`` is ready, else park it until :meth:`_mark_ainv_ready`."""
+        if key in self.ainv_ready:
+            self._schedule_gemm(*item)
+        else:
+            self.waiters.setdefault(key, []).append(item)
+
+    def _mark_ainv_ready(self, key: tuple[int, int], data: Any) -> None:
+        self.ainv_ready.add(key)
+        self.ainv_data[key] = data
+        for item in self.waiters.pop(key, []):
+            self._schedule_gemm(*item)
+
+    def _post_contribution(
+        self,
+        rank: int,
+        flops: float,
+        label: str,
+        contrib: Any,
+        partials: dict,
+        left: dict,
+        key: Any,
+        red_key: tuple,
+    ) -> None:
+        """Post one local task on ``rank`` whose numeric result
+        ``contrib()`` is summed into ``partials[key]``; the last of the
+        ``left[key]`` tasks there hands the sum to the reduction
+        ``red_key``.  Every GEMM and diagonal contribution of the
+        dict-based protocols runs through here."""
+
+        def fin():
+            if self.numeric:
+                _accumulate(partials, key, contrib())
+            left[key] -= 1
+            if left[key] == 0:
+                self.collectives[red_key].contribute(
+                    rank, partials.pop(key, None)
+                )
+
+        self.machine.post_compute(rank, 0.0, fin, flops=flops, label=label)
+
+    # -- the diagonal block --------------------------------------------------
+
+    def _post_base(self, st: Any, rank: int, payload: Any) -> None:
+        """At the diagonal owner, compute the base term
+        ``inv(U_KK) inv(L_KK)`` while the panels move."""
+
+        def fin_base():
+            st.base = self._invert_diag(payload) if self.numeric else None
+
+        self.machine.post_compute(
+            rank, 0.0, fin_base, flops=st.plan.width**3, label="diag-inv"
+        )
+
+    def _on_diag_reduce(self, k: int, value: Any) -> None:
+        """The diagonal reduction landed: the diagonal owner finishes
+        ``Ainv(K,K) = base - sum`` and the supernode leaves the window."""
+        st = self.states[k]
+        s = st.plan.width
+
+        def fin():
+            if self.numeric:
+                st.diag_value = st.base - value
+            self._mark_ainv_ready((k, k), st.diag_value)
+            self._supernode_finished()
+
+        self.machine.post_compute(
+            st.plan.diag_owner, 0.0, fin, flops=float(s * s), label="finish-diag"
+        )
+
+    # -- numeric kernels ------------------------------------------------------
+
+    def _raw_l_block(self, k: int, i: int) -> np.ndarray:
+        """Slice the raw factor panel block L(I,K) (numeric mode)."""
+        lo, hi = self.struct.rows_below[k].searchsorted(self.struct.sn_ptr[i : i + 2])
+        return self.factor.l_panel(k)[lo:hi, :]
+
+    @staticmethod
+    def _invert_diag(lu: np.ndarray) -> np.ndarray:
+        """``inv(U_KK) inv(L_KK)`` from the packed LU of a diagonal block."""
+        ident = np.eye(lu.shape[0])
+        linv = solve_triangular(lu, ident, lower=True, unit_diagonal=True)
+        return solve_triangular(lu, linv, lower=False)
+
+    def _normalize(self, k: int, i: int, lu: np.ndarray) -> np.ndarray:
+        """``Lhat(I,K) = L(I,K) inv(L_KK)`` (numeric mode)."""
+        raw = self._raw_l_block(k, i)
+        return solve_triangular(
+            lu, raw.T, lower=True, unit_diagonal=True, trans="T"
+        ).T
+
+    # -- driver ------------------------------------------------------------------
+
+    def _drain(self, max_events: int | None) -> float:
+        """Open the window and drain the calendar; returns the makespan."""
+        self._kickoff()
+        return self.machine.run(max_events=max_events)
+
+    def run(self, max_events: int | None = None) -> PSelInvResult:
+        """Execute the simulation to completion and package the result."""
+        if self._ran:
+            raise RuntimeError(
+                f"a {type(self).__name__} instance runs only once"
+            )
+        self._ran = True
+        makespan = self._drain(max_events)
+        nsup = self.struct.nsup
+        if self.done_diag != nsup:
+            raise RuntimeError(
+                f"protocol stalled: {self.done_diag}/{nsup} supernodes finished"
+            )
+        stats = self.machine.stats
+        compute = float(stats.compute_busy.mean())
+        comm = float(makespan - stats.compute_busy.mean())
+        inverse = self._gather_inverse() if self.numeric else None
+        return PSelInvResult(
+            scheme=self.scheme,
+            grid=self.grid,
+            makespan=makespan,
+            stats=stats,
+            events=self.machine.sim.events_processed,
+            numeric=self.numeric,
+            compute_time=compute,
+            communication_time=comm,
+            inverse=inverse,
+        )
+
+    def _gather_inverse(self) -> SelectedInverse:
+        """Assemble the distributed numeric blocks into oracle layout:
+        the lower blocks from each supernode's ``ainv_low``, the upper
+        ones from ``ainv_data`` (``Ainv(K,J)`` under key ``(k, j)``)."""
+        struct = self.struct
+        nsup = struct.nsup
+        diag: list[np.ndarray] = [None] * nsup  # type: ignore[list-item]
+        lpanel: list[np.ndarray] = [None] * nsup  # type: ignore[list-item]
+        upanel: list[np.ndarray] = [None] * nsup  # type: ignore[list-item]
+        for k in range(nsup):
+            st = self.states[k]
+            s = struct.width(k)
+            diag[k] = np.asarray(st.diag_value)
+            blocks = st.plan.blocks
+            if blocks:
+                lpanel[k] = np.concatenate(
+                    [st.ainv_low[b.snode] for b in blocks], axis=0
+                )
+                upanel[k] = np.concatenate(
+                    [np.asarray(self.ainv_data[(k, b.snode)]) for b in blocks],
+                    axis=1,
+                )
+            else:
+                lpanel[k] = np.zeros((0, s))
+                upanel[k] = np.zeros((s, 0))
+        return SelectedInverse(
+            struct=struct, diag=diag, lpanel=lpanel, upanel=upanel
+        )
+
+
+class SimulatedPSelInv(_PSelInvDriver):
     """One configured PSelInv simulation; call :meth:`run` once."""
+
+    _iter_plans = staticmethod(iter_plans)
+    _state_cls = _SupernodeState
+    _point_handlers = {"cs": "_on_cross_send", "xb": "_on_cross_back"}
 
     def __init__(
         self,
@@ -279,28 +611,10 @@ class SimulatedPSelInv:
                 f"unknown engine {engine!r}; expected 'vectorized' or 'legacy'"
             )
         self.engine = engine
-        self.struct = struct
-        self.grid = grid
-        self.scheme = scheme
-        self.factor = factor
-        self.numeric = factor is not None
-        self.seed = seed
-        self.hybrid_threshold = hybrid_threshold
-        # Bounded supernode lookahead, as in the real PSelInv/PEXSI code:
-        # only this many supernodes may have their panel communication in
-        # flight at once (buffer memory and MPI-progress limits).  ``None``
-        # releases everything at t=0 (an idealized, infinitely-buffered
-        # runtime -- useful as an ablation).
-        self.lookahead = lookahead
+        self._vec = engine == "vectorized"
         # Extra software overhead charged per delivered message; used to
         # model the less-optimized v0.7.3 code path.
         self.extra_msg_overhead = per_message_cpu_overhead
-        net = Network(
-            grid.size,
-            network,
-            placement_seed=placement_seed,
-            jitter_seed=jitter_seed,
-        )
         # ``telemetry`` (a repro.obs.Telemetry bundle, or None) turns on
         # the observability layer: the timeline records on the machine,
         # the simulator reports its loop metrics, and run() reads the
@@ -319,50 +633,37 @@ class SimulatedPSelInv:
         # ``event_log`` (a caller-owned list) enables the machine's
         # structured trace hook; ``repro check`` replays it against the
         # static happens-before model.
-        if engine == "vectorized":
-            self.machine: Machine = VecMachine(
-                grid.size,
-                net,
-                event_log=event_log,
-                recorder=recorder,
-                metrics=metrics,
-                deliver_cpu_overhead=per_message_cpu_overhead,
-            )
-        else:
-            self.machine = Machine(
-                grid.size,
-                net,
-                event_log=event_log,
-                recorder=recorder,
-                metrics=metrics,
-            )
+        machine_kwargs = {
+            "event_log": event_log, "recorder": recorder, "metrics": metrics,
+        }
+        if self._vec:
+            machine_kwargs["deliver_cpu_overhead"] = per_message_cpu_overhead
+        super().__init__(
+            struct,
+            grid,
+            scheme,
+            factor=factor,
+            network=network,
+            seed=seed,
+            placement_seed=placement_seed,
+            jitter_seed=jitter_seed,
+            hybrid_threshold=hybrid_threshold,
+            lookahead=lookahead,
+            plans=plans,
+            machine_cls=VecMachine if self._vec else Machine,
+            machine_kwargs=machine_kwargs,
+        )
         if metrics is not None:
             self.machine.sim.attach_metrics(metrics)
-        if plans is not None:
-            self.plans = plans
-        else:
-            # Complex matrices (PEXSI pole shifts) move 16-byte entries.
-            bpe = BYTES_PER_ENTRY
-            if factor is not None and factor.LX and np.iscomplexobj(factor.LX[0]):
-                bpe = 2 * BYTES_PER_ENTRY
-            self.plans = list(iter_plans(struct, grid, bytes_per_entry=bpe))
-        self.states = [_SupernodeState(p) for p in self.plans]
-        self.collectives: dict[tuple, Any] = {}
-        # Readiness of Ainv blocks: (row_snode, col_snode) -> ready flag;
-        # waiters hold deferred GEMMs.
-        self.ainv_ready: set[tuple[int, int]] = set()
-        self.ainv_data: dict[tuple[int, int], Any] = {}
-        self.waiters: dict[tuple[int, int], list] = {}
-        self.done_diag = 0
-        self._ran = False
-        # Trees depend on (scheme, seed, grid, struct) -- and on the
-        # engine, which determines the cached representation (dict
-        # CommTree or CompiledTree); callers sweeping over jitter/
-        # placement seeds may share a cache across runs with identical
-        # configuration.  A guard key catches accidental reuse.
+        # Trees depend on (scheme, seed, hybrid threshold, grid, struct)
+        # -- and on the engine, which determines the cached
+        # representation (dict CommTree or CompiledTree); callers sweeping
+        # over jitter/placement seeds may share a cache across runs with
+        # identical configuration.  A guard key catches accidental reuse.
         self._tree_cache = tree_cache if tree_cache is not None else {}
         guard = (
-            "__config__", scheme, seed, grid.pr, grid.pc, struct.nsup, engine,
+            "__config__", scheme, seed, hybrid_threshold, grid.pr, grid.pc,
+            struct.nsup, engine,
         )
         prior = self._tree_cache.setdefault("__guard__", guard)
         if prior != guard:
@@ -370,12 +671,8 @@ class SimulatedPSelInv:
                 "tree_cache was built for a different configuration: "
                 f"{prior} vs {guard}"
             )
-        self._vec = engine == "vectorized"
         if self._vec:
             self._init_vec_protocol()
-        else:
-            for r in range(grid.size):
-                self.machine.set_handler(r, self._make_handler(r))
 
     # -- setup ------------------------------------------------------------
 
@@ -461,29 +758,8 @@ class SimulatedPSelInv:
                 spec.nbytes,
                 spec.kind,
                 contributors,
-                lambda value, k=k: self._on_colreduce_complete(k, value),
+                lambda value, k=k: self._on_diag_reduce(k, value),
             )
-
-    def _make_handler(self, rank: int):
-        def handler(msg: Message) -> None:
-            if self.extra_msg_overhead > 0.0:
-                self.machine.post_compute(
-                    rank, self.extra_msg_overhead, label="msg-overhead"
-                )
-            key = msg.tag
-            kind = key[0]
-            if kind in ("db", "cb"):
-                self.collectives[key].on_message(msg)
-            elif kind in ("rr", "cr"):
-                self.collectives[key].on_message(msg)
-            elif kind == "cs":
-                self._on_cross_send(key[1], key[2], msg.payload)
-            elif kind == "xb":
-                self._on_cross_back(key[1], key[2], rank, msg.payload)
-            else:  # pragma: no cover - protocol safety net
-                raise RuntimeError(f"unknown message tag {key!r}")
-
-        return handler
 
     # -- helpers ------------------------------------------------------------
 
@@ -884,77 +1160,14 @@ class SimulatedPSelInv:
         st.release()
         self._supernode_finished()
 
-    # -- phase 0: kickoff ------------------------------------------------------
+    # -- window entry ----------------------------------------------------------
 
-    def _kickoff(self) -> None:
-        # Supernodes are released in descending index order (the second
-        # loop of Algorithm 1), at most ``lookahead`` outstanding; every
-        # dependency of supernode K lives at an index > K, so the window
-        # can never deadlock.
-        self._release_order = list(range(self.struct.nsup - 1, -1, -1))
-        self._release_ptr = 0
-        window = self.lookahead if self.lookahead is not None else self.struct.nsup
-        self._outstanding = 0
-        self._window = max(1, int(window))
-        self._release_more()
-
-    def _release_more(self) -> None:
-        while (
-            self._release_ptr < len(self._release_order)
-            and self._outstanding < self._window
-        ):
-            k = self._release_order[self._release_ptr]
-            self._release_ptr += 1
-            self._outstanding += 1
-            self._start_supernode(k)
-
-    def _supernode_finished(self) -> None:
-        self.done_diag += 1
-        self._outstanding -= 1
-        self._release_more()
-
-    def _start_supernode(self, k: int) -> None:
-        st = self.states[k]
-        plan = st.plan
-        if not plan.blocks:
-            # A root supernode with empty structure: its inverse is
-            # just the inverted diagonal block, computed locally.
-            s = plan.width
-            payload = self.factor.diag_block(k) if self.numeric else None
-            self.machine.post_compute(
-                plan.diag_owner,
-                0.0,
-                lambda k=k, payload=payload: self._finish_lonely_diag(
-                    k, payload
-                ),
-                flops=s**3,
-                label="diag-inv",
-            )
-            return
+    def _enter_window(self, plan: SupernodePlan) -> tuple:
         if self._vec:
-            bc = self._setup_supernode_vec(plan)
-        else:
-            self._gemm_counts(plan)
-            self._build_collectives(plan)
-            bc = self.collectives[plan.diag_bcast.key]
-        payload = self.factor.diag_block(k) if self.numeric else None
-        # The broadcast starts as soon as the supernode enters the
-        # lookahead window (its factorization output already sits at the
-        # root; SuperLU timing is reported separately, as in the paper).
-        self.machine.sim.schedule(
-            0.0, lambda bc=bc, payload=payload: bc.start(payload)
-        )
-
-    def _finish_lonely_diag(self, k: int, payload: Any) -> None:
-        st = self.states[k]
-        if self.numeric:
-            st.diag_value = self._invert_diag(payload)
-        if self._vec:
-            self.ainv_data[(k, k)] = st.diag_value
-            self._mark_ready_vec(k * self._nsup + k)
-        else:
-            self._mark_ainv_ready((k, k), st.diag_value, self.grid.owner(k, k))
-        self._supernode_finished()
+            return (self._setup_supernode_vec(plan),)
+        self._gemm_counts(plan)
+        self._build_collectives(plan)
+        return (self.collectives[plan.diag_bcast.key],)
 
     # -- phase 1: diagonal broadcast and panel normalization ---------------------
 
@@ -964,13 +1177,7 @@ class SimulatedPSelInv:
         s = plan.width
         pr, pc = self.grid.pr, self.grid.pc
         if rank == plan.diag_owner:
-            # Compute the base term inv(U_KK) inv(L_KK) while panels move.
-            def fin_base(payload=payload):
-                st.base = self._invert_diag(payload) if self.numeric else None
-
-            self.machine.post_compute(
-                rank, 0.0, fin_base, flops=s**3, label="diag-inv"
-            )
+            self._post_base(st, rank, payload)
         # Normalize every local L(I,K) block owned by this rank.
         for b in st.norm_blocks.get(rank, ()):
             i = b.snode
@@ -994,25 +1201,6 @@ class SimulatedPSelInv:
                 rank, 0.0, fin_norm, flops=s * s * b.nrows, label="normalize"
             )
 
-    def _raw_l_block(self, k: int, i: int) -> np.ndarray:
-        """Slice the raw factor panel block L(I,K) (numeric mode)."""
-        lo, hi = self.struct.rows_below[k].searchsorted(self.struct.sn_ptr[i : i + 2])
-        return self.factor.l_panel(k)[lo:hi, :]
-
-    @staticmethod
-    def _invert_diag(lu: np.ndarray) -> np.ndarray:
-        """``inv(U_KK) inv(L_KK)`` from the packed LU of a diagonal block."""
-        ident = np.eye(lu.shape[0])
-        linv = solve_triangular(lu, ident, lower=True, unit_diagonal=True)
-        return solve_triangular(lu, linv, lower=False)
-
-    def _normalize(self, k: int, i: int, lu: np.ndarray) -> np.ndarray:
-        """``Lhat(I,K) = L(I,K) inv(L_KK)`` (numeric mode)."""
-        raw = self._raw_l_block(k, i)
-        return solve_triangular(
-            lu, raw.T, lower=True, unit_diagonal=True, trans="T"
-        ).T
-
     # -- phase 2: cross send -> column broadcast ---------------------------------
 
     def _on_cross_send(self, k: int, i: int, payload: Any) -> None:
@@ -1026,35 +1214,16 @@ class SimulatedPSelInv:
     def _on_colbcast_delivery(self, k: int, i: int, rank: int, payload: Any) -> None:
         st = self.states[k]
         st.uhat[(i, rank)] = payload
-        ready = self.ainv_ready
         for j in st.bcast_gemms.get((i, rank), ()):
-            if (j, i) in ready:
-                self._schedule_gemm(k, i, j, rank)
-            else:
-                self.waiters.setdefault((j, i), []).append((k, i, j, rank))
-
-    def _mark_ainv_ready(self, key: tuple[int, int], data: Any, owner: int) -> None:
-        self.ainv_ready.add(key)
-        self.ainv_data[key] = data
-        for (k, i, j, rank) in self.waiters.pop(key, []):
-            self._schedule_gemm(k, i, j, rank)
+            self._schedule_or_wait((j, i), (k, i, j, rank))
 
     def _schedule_gemm(self, k: int, i: int, j: int, rank: int) -> None:
         st = self.states[k]
-        s = st.plan.width
-        flops = 2.0 * st.nrows[i] * st.nrows[j] * s
-
-        def fin():
-            contrib = self._compute_gemm(k, i, j) if self.numeric else None
-            keyp = (j, rank)
-            if self.numeric:
-                _accumulate(st.row_partial, keyp, contrib)
-            st.gemms_left[keyp] -= 1
-            if st.gemms_left[keyp] == 0:
-                red = self.collectives[("rr", k, j)]
-                red.contribute(rank, st.row_partial.pop(keyp, None))
-
-        self.machine.post_compute(rank, 0.0, fin, flops=flops, label="gemm")
+        self._post_contribution(
+            rank, 2.0 * st.nrows[i] * st.nrows[j] * st.plan.width, "gemm",
+            lambda: self._compute_gemm(k, i, j),
+            st.row_partial, st.gemms_left, (j, rank), ("rr", k, j),
+        )
 
     def _compute_gemm(self, k: int, i: int, j: int) -> np.ndarray:
         """Numeric contribution  Ainv(J,I)[needed rows, needed cols] @ Lhat(I,K)."""
@@ -1076,7 +1245,7 @@ class SimulatedPSelInv:
         rj = st.nrows[j]
         ainv_jk = -value if self.numeric else None
         st.ainv_low[j] = ainv_jk
-        self._mark_ainv_ready((j, k), ainv_jk, dest)
+        self._mark_ainv_ready((j, k), ainv_jk)
         # Cross-back: populate the upper storage at the owner of U(K,J).
         u_owner = self.grid.rank(k % pr, j % pc)
         nbytes = st.back_nbytes[j]
@@ -1090,78 +1259,31 @@ class SimulatedPSelInv:
         )
 
         # Local diagonal contribution Lhat(J,K)^T @ Ainv(J,K).
-        def fin():
-            if self.numeric:
-                _accumulate(st.diag_partial, dest, st.lhat[j].T @ ainv_jk)
-            st.diag_left[dest] -= 1
-            if st.diag_left[dest] == 0:
-                red = self.collectives[("cr", k)]
-                red.contribute(dest, st.diag_partial.pop(dest, None))
-
-        self.machine.post_compute(
-            dest, 0.0, fin, flops=2.0 * s * rj * s, label="diag-contrib"
+        self._post_contribution(
+            dest, 2.0 * s * rj * s, "diag-contrib",
+            lambda: st.lhat[j].T @ ainv_jk,
+            st.diag_partial, st.diag_left, dest, ("cr", k),
         )
 
-    def _on_cross_back(self, k: int, j: int, rank: int, payload: Any) -> None:
+    def _on_cross_back(self, k: int, j: int, payload: Any) -> None:
         # Upper Ainv block (K, J): rows = cols(K), cols = block rows of J.
-        self._mark_ainv_ready((k, j), payload, rank)
-
-    # -- phase 5: column reduce completion ------------------------------------------
-
-    def _on_colreduce_complete(self, k: int, value: Any) -> None:
-        st = self.states[k]
-        plan = st.plan
-        s = plan.width
-
-        def fin():
-            if self.numeric:
-                st.diag_value = st.base - value
-            self._mark_ainv_ready((k, k), st.diag_value, plan.diag_owner)
-            self._supernode_finished()
-
-        self.machine.post_compute(
-            plan.diag_owner, 0.0, fin, flops=float(s * s), label="finish-diag"
-        )
+        self._mark_ainv_ready((k, j), payload)
 
     # -- driver ------------------------------------------------------------------
 
-    def run(self, max_events: int | None = None) -> PSelInvResult:
-        """Execute the simulation to completion and package the result."""
-        if self._ran:
-            raise RuntimeError("a SimulatedPSelInv instance runs only once")
-        self._ran = True
+    def _drain(self, max_events: int | None) -> float:
         metrics = (
             self.telemetry.metrics if self.telemetry is not None else None
         )
         cache_before = tree_cache_info() if metrics is not None else None
-        self._kickoff()
-        makespan = self.machine.run(max_events=max_events)
+        makespan = super()._drain(max_events)
         if self.telemetry is not None:
             self.telemetry.finish(self.machine.stats)
         if metrics is not None:
             if self._vec:
                 record_shapes(metrics, self.machine.coll_shapes)
             self._record_tree_cache_metrics(metrics, cache_before)
-        nsup = self.struct.nsup
-        if self.done_diag != nsup:
-            raise RuntimeError(
-                f"protocol stalled: {self.done_diag}/{nsup} supernodes finished"
-            )
-        stats = self.machine.stats
-        compute = float(stats.compute_busy.mean())
-        comm = float(makespan - stats.compute_busy.mean())
-        inverse = self._gather_inverse() if self.numeric else None
-        return PSelInvResult(
-            scheme=self.scheme,
-            grid=self.grid,
-            makespan=makespan,
-            stats=stats,
-            events=self.machine.sim.events_processed,
-            numeric=self.numeric,
-            compute_time=compute,
-            communication_time=comm,
-            inverse=inverse,
-        )
+        return makespan
 
     @staticmethod
     def _record_tree_cache_metrics(metrics, before: dict[str, int]) -> None:
@@ -1185,33 +1307,6 @@ class SimulatedPSelInv:
         )
         metrics.gauge("comm.tree_cache.size").set(after["size"])
         metrics.gauge("comm.tree_cache.maxsize").set(after["maxsize"])
-
-    def _gather_inverse(self) -> SelectedInverse:
-        """Assemble the distributed numeric blocks into oracle layout."""
-        struct = self.struct
-        nsup = struct.nsup
-        diag: list[np.ndarray] = [None] * nsup  # type: ignore[list-item]
-        lpanel: list[np.ndarray] = [None] * nsup  # type: ignore[list-item]
-        upanel: list[np.ndarray] = [None] * nsup  # type: ignore[list-item]
-        for k in range(nsup):
-            st = self.states[k]
-            s = struct.width(k)
-            diag[k] = np.asarray(st.diag_value)
-            blocks = st.plan.blocks
-            if blocks:
-                lpanel[k] = np.concatenate(
-                    [st.ainv_low[b.snode] for b in blocks], axis=0
-                )
-                upanel[k] = np.concatenate(
-                    [np.asarray(self.ainv_data[(k, b.snode)]) for b in blocks],
-                    axis=1,
-                )
-            else:
-                lpanel[k] = np.zeros((0, s))
-                upanel[k] = np.zeros((s, 0))
-        return SelectedInverse(
-            struct=struct, diag=diag, lpanel=lpanel, upanel=upanel
-        )
 
 
 def run_pselinv(

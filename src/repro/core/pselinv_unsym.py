@@ -18,6 +18,11 @@ U-side stage (see :mod:`repro.core.plan_unsym` for the event table):
   ``K mod Pr`` -- the ``Lhat`` factor is already present at each upper
   owner because it was that block's column-broadcast root.
 
+Everything but the protocol -- the lookahead window, the L-side numeric
+kernels, ``Ainv`` readiness and the result -- comes from the symmetric
+driver's skeleton, :class:`~repro.core.pselinv._PSelInvDriver`.  It
+runs on the legacy heapq machine only (no ``engine=`` option).
+
 Numeric mode is verified against the sequential unsymmetric oracle
 exactly, which is the strongest evidence the mirrored dataflow is right.
 """
@@ -31,15 +36,12 @@ from scipy.linalg import solve_triangular
 
 from ..comm.collectives import TreeBroadcast, TreeReduce
 from ..comm.trees import build_tree
-from ..simulate.machine import Machine, Message
-from ..simulate.network import Network, NetworkConfig
+from ..simulate.network import NetworkConfig
 from ..sparse.factor import SupernodalFactor
-from ..sparse.selinv import SelectedInverse
 from ..sparse.supernodes import SupernodalStructure
 from .grid import ProcessorGrid
-from .plan import BYTES_PER_ENTRY
 from .plan_unsym import UnsymSupernodePlan, iter_unsym_plans
-from .pselinv import PSelInvResult, gather_block
+from .pselinv import PSelInvResult, _PSelInvDriver, gather_block
 from .volume import collective_seed
 
 __all__ = ["SimulatedPSelInvUnsym", "run_pselinv_unsym"]
@@ -102,8 +104,12 @@ class _UnsymState:
         self.diag_fired: set[int] = set()
 
 
-class SimulatedPSelInvUnsym:
+class SimulatedPSelInvUnsym(_PSelInvDriver):
     """One configured unsymmetric PSelInv simulation; call :meth:`run`."""
+
+    _iter_plans = staticmethod(iter_unsym_plans)
+    _state_cls = _UnsymState
+    _point_handlers = {"cl": "_on_cross_l2u", "cu": "_on_cross_u2l"}
 
     def __init__(
         self,
@@ -120,37 +126,12 @@ class SimulatedPSelInvUnsym:
         lookahead: int | None = 32,
         plans: list[UnsymSupernodePlan] | None = None,
     ) -> None:
-        self.struct = struct
-        self.grid = grid
-        self.scheme = scheme
-        self.factor = factor
-        self.numeric = factor is not None
-        self.seed = seed
-        self.hybrid_threshold = hybrid_threshold
-        self.lookahead = lookahead
-        net = Network(
-            grid.size, network,
+        super().__init__(
+            struct, grid, scheme, factor=factor, network=network, seed=seed,
             placement_seed=placement_seed, jitter_seed=jitter_seed,
+            hybrid_threshold=hybrid_threshold, lookahead=lookahead,
+            plans=plans,
         )
-        self.machine = Machine(grid.size, net)
-        if plans is not None:
-            self.plans = plans
-        else:
-            bpe = BYTES_PER_ENTRY
-            if factor is not None and factor.LX and np.iscomplexobj(factor.LX[0]):
-                bpe = 2 * BYTES_PER_ENTRY
-            self.plans = list(
-                iter_unsym_plans(struct, grid, bytes_per_entry=bpe)
-            )
-        self.states = [_UnsymState(p) for p in self.plans]
-        self.collectives: dict[tuple, Any] = {}
-        self.ainv_ready: set[tuple[int, int]] = set()
-        self.ainv_data: dict[tuple[int, int], Any] = {}
-        self.waiters: dict[tuple[int, int], list] = {}
-        self.done_diag = 0
-        self._ran = False
-        for r in range(grid.size):
-            self.machine.set_handler(r, self._make_handler(r))
 
     # -- wiring -------------------------------------------------------------
 
@@ -160,21 +141,6 @@ class SimulatedPSelInvUnsym:
             collective_seed(self.seed, spec.key),
             hybrid_threshold=self.hybrid_threshold,
         )
-
-    def _make_handler(self, rank: int):
-        def handler(msg: Message) -> None:
-            key = msg.tag
-            kind = key[0]
-            if kind in ("db", "dr", "cb", "rb", "rr", "cu2", "dq"):
-                self.collectives[key].on_message(msg)
-            elif kind == "cl":
-                self._on_cross_l2u(key[1], key[2], msg.payload)
-            elif kind == "cu":
-                self._on_cross_u2l(key[1], key[2], msg.payload)
-            else:  # pragma: no cover - protocol safety net
-                raise RuntimeError(f"unknown message tag {key!r}")
-
-        return handler
 
     def _build_collectives(self, plan: UnsymSupernodePlan) -> None:
         m = self.machine
@@ -231,7 +197,7 @@ class SimulatedPSelInvUnsym:
         self.collectives[spec.key] = TreeReduce(
             m, self._tree(spec), spec.key, spec.nbytes, spec.kind,
             contributors,
-            lambda value, k=k: self._on_diag_rreduce(k, value),
+            lambda value, k=k: self._on_diag_reduce(k, value),
         )
 
     def _dispatch_tables(self, plan: UnsymSupernodePlan) -> None:
@@ -253,66 +219,15 @@ class SimulatedPSelInvUnsym:
             st.norm_l.setdefault(self.grid.rank(j % pr, kc), []).append(bj)
             st.norm_u.setdefault(udest, []).append(bj)
 
-    # -- kickoff / windowing -----------------------------------------------
-
-    def _kickoff(self) -> None:
-        self._release_order = list(range(self.struct.nsup - 1, -1, -1))
-        self._release_ptr = 0
-        window = self.lookahead if self.lookahead is not None else self.struct.nsup
-        self._outstanding = 0
-        self._window = max(1, int(window))
-        self._release_more()
-
-    def _release_more(self) -> None:
-        while (
-            self._release_ptr < len(self._release_order)
-            and self._outstanding < self._window
-        ):
-            k = self._release_order[self._release_ptr]
-            self._release_ptr += 1
-            self._outstanding += 1
-            self._start_supernode(k)
-
-    def _supernode_finished(self) -> None:
-        self.done_diag += 1
-        self._outstanding -= 1
-        self._release_more()
-
-    def _start_supernode(self, k: int) -> None:
-        st = self.states[k]
-        plan = st.plan
-        payload = self.factor.diag_block(k) if self.numeric else None
-        if not plan.blocks:
-            s = plan.width
-            self.machine.post_compute(
-                plan.diag_owner, 0.0,
-                lambda k=k, payload=payload: self._finish_lonely(k, payload),
-                flops=s**3,
-            )
-            return
+    def _enter_window(self, plan: UnsymSupernodePlan) -> tuple:
         self._dispatch_tables(plan)
         self._build_collectives(plan)
-        dbc = self.collectives[plan.diag_bcast.key]
-        drb = self.collectives[plan.diag_rbcast.key]
-        self.machine.sim.schedule(0.0, lambda: dbc.start(payload))
-        self.machine.sim.schedule(0.0, lambda: drb.start(payload))
-
-    def _finish_lonely(self, k: int, payload: Any) -> None:
-        st = self.states[k]
-        if self.numeric:
-            s = self.struct.width(k)
-            linv = solve_triangular(
-                payload, np.eye(s), lower=True, unit_diagonal=True
-            )
-            st.diag_value = solve_triangular(payload, linv, lower=False)
-        self._mark_ready((k, k), st.diag_value)
-        self._supernode_finished()
+        return (
+            self.collectives[plan.diag_bcast.key],
+            self.collectives[plan.diag_rbcast.key],
+        )
 
     # -- normalization ------------------------------------------------------
-
-    def _raw_l_block(self, k: int, i: int) -> np.ndarray:
-        lo, hi = self.struct.rows_below[k].searchsorted(self.struct.sn_ptr[i : i + 2])
-        return self.factor.l_panel(k)[lo:hi, :]
 
     def _raw_u_block(self, k: int, i: int) -> np.ndarray:
         lo, hi = self.struct.rows_below[k].searchsorted(self.struct.sn_ptr[i : i + 2])
@@ -323,27 +238,13 @@ class SimulatedPSelInvUnsym:
         plan = st.plan
         s = plan.width
         if rank == plan.diag_owner:
-            def fin_base(payload=payload):
-                if self.numeric:
-                    linv = solve_triangular(
-                        payload, np.eye(s), lower=True, unit_diagonal=True
-                    )
-                    st.base = solve_triangular(payload, linv, lower=False)
-
-            self.machine.post_compute(rank, 0.0, fin_base, flops=s**3)
+            self._post_base(st, rank, payload)
         pr, pc = self.grid.pr, self.grid.pc
         for b in st.norm_l.get(rank, ()):
             i = b.snode
 
             def fin(i=i, b=b, payload=payload, rank=rank):
-                if self.numeric:
-                    raw = self._raw_l_block(k, i)
-                    lhat = solve_triangular(
-                        payload, raw.T, lower=True, unit_diagonal=True,
-                        trans="T",
-                    ).T
-                else:
-                    lhat = None
+                lhat = self._normalize(k, i, payload) if self.numeric else None
                 st.lhat[i] = lhat
                 u_owner = self.grid.rank(k % pr, i % pc)
                 self.machine.post_send(
@@ -391,58 +292,31 @@ class SimulatedPSelInvUnsym:
 
     # -- GEMM pipelines -------------------------------------------------------
 
-    def _mark_ready(self, key: tuple[int, int], data: Any) -> None:
-        self.ainv_ready.add(key)
-        self.ainv_data[key] = data
-        for item in self.waiters.pop(key, []):
-            self._schedule_gemm(*item)
-
     def _on_col_delivery(self, k: int, i: int, rank: int, payload: Any) -> None:
         st = self.states[k]
         st.bcast_l[(i, rank)] = payload
         for j in st.gemms_l.get((i, rank), ()):
-            if (j, i) in self.ainv_ready:
-                self._schedule_gemm("L", k, i, j, rank)
-            else:
-                self.waiters.setdefault((j, i), []).append(("L", k, i, j, rank))
+            self._schedule_or_wait((j, i), ("L", k, i, j, rank))
 
     def _on_row_delivery(self, k: int, i: int, rank: int, payload: Any) -> None:
         st = self.states[k]
         st.bcast_u[(i, rank)] = payload
         for j in st.gemms_u.get((i, rank), ()):
-            if (i, j) in self.ainv_ready:
-                self._schedule_gemm("U", k, i, j, rank)
-            else:
-                self.waiters.setdefault((i, j), []).append(("U", k, i, j, rank))
+            self._schedule_or_wait((i, j), ("U", k, i, j, rank))
 
     def _schedule_gemm(self, side: str, k: int, i: int, j: int, rank: int) -> None:
         st = self.states[k]
-        s = st.plan.width
-        flops = 2.0 * st.nrows[i] * st.nrows[j] * s
-
-        def fin():
-            if side == "L":
-                if self.numeric:
-                    contrib = self._gemm_l(k, i, j, rank)
-                    cur = st.rowp.get((j, rank))
-                    st.rowp[(j, rank)] = contrib if cur is None else cur + contrib
-                st.gl_left[(j, rank)] -= 1
-                if st.gl_left[(j, rank)] == 0:
-                    self.collectives[("rr", k, j)].contribute(
-                        rank, st.rowp.pop((j, rank), None)
-                    )
-            else:
-                if self.numeric:
-                    contrib = self._gemm_u(k, i, j, rank)
-                    cur = st.colp.get((j, rank))
-                    st.colp[(j, rank)] = contrib if cur is None else cur + contrib
-                st.gu_left[(j, rank)] -= 1
-                if st.gu_left[(j, rank)] == 0:
-                    self.collectives[("cu2", k, j)].contribute(
-                        rank, st.colp.pop((j, rank), None)
-                    )
-
-        self.machine.post_compute(rank, 0.0, fin, flops=flops)
+        flops = 2.0 * st.nrows[i] * st.nrows[j] * st.plan.width
+        if side == "L":
+            self._post_contribution(
+                rank, flops, "gemm", lambda: self._gemm_l(k, i, j, rank),
+                st.rowp, st.gl_left, (j, rank), ("rr", k, j),
+            )
+        else:
+            self._post_contribution(
+                rank, flops, "gemm", lambda: self._gemm_u(k, i, j, rank),
+                st.colp, st.gu_left, (j, rank), ("cu2", k, j),
+            )
 
     def _gemm_l(self, k: int, i: int, j: int, rank: int) -> np.ndarray:
         struct = self.struct
@@ -466,13 +340,13 @@ class SimulatedPSelInvUnsym:
         st = self.states[k]
         ainv_jk = -value if self.numeric else None
         st.ainv_low[j] = ainv_jk
-        self._mark_ready((j, k), ainv_jk)
+        self._mark_ainv_ready((j, k), ainv_jk)
 
     def _on_col_ureduce(self, k: int, j: int, value: Any) -> None:
         st = self.states[k]
         ainv_kj = -value if self.numeric else None
         st.ainv_up[j] = ainv_kj
-        self._mark_ready((k, j), ainv_kj)
+        self._mark_ainv_ready((k, j), ainv_kj)
         if j in st.lhat_at_u:
             self._try_diag_contrib(k, j)
 
@@ -488,83 +362,10 @@ class SimulatedPSelInvUnsym:
         dest = self.grid.rank(k % pr, j % pc)
         rj = st.nrows[j]
         ainv_kj = st.ainv_up[j]
-
-        def fin():
-            if self.numeric:
-                contrib = ainv_kj @ st.lhat_at_u[j]  # (s, rj) @ (rj, s)
-                cur = st.diag_partial.get(dest)
-                st.diag_partial[dest] = contrib if cur is None else cur + contrib
-            st.diag_left[dest] -= 1
-            if st.diag_left[dest] == 0:
-                self.collectives[("dq", k)].contribute(
-                    dest, st.diag_partial.pop(dest, None)
-                )
-
-        self.machine.post_compute(dest, 0.0, fin, flops=2.0 * s * rj * s)
-
-    def _on_diag_rreduce(self, k: int, value: Any) -> None:
-        st = self.states[k]
-        s = st.plan.width
-
-        def fin():
-            if self.numeric:
-                st.diag_value = st.base - value
-            self._mark_ready((k, k), st.diag_value)
-            self._supernode_finished()
-
-        self.machine.post_compute(
-            st.plan.diag_owner, 0.0, fin, flops=float(s * s)
-        )
-
-    # -- driver -----------------------------------------------------------------
-
-    def run(self, max_events: int | None = None) -> PSelInvResult:
-        if self._ran:
-            raise RuntimeError("a SimulatedPSelInvUnsym instance runs only once")
-        self._ran = True
-        self._kickoff()
-        makespan = self.machine.run(max_events=max_events)
-        nsup = self.struct.nsup
-        if self.done_diag != nsup:
-            raise RuntimeError(
-                f"protocol stalled: {self.done_diag}/{nsup} supernodes finished"
-            )
-        stats = self.machine.stats
-        compute = float(stats.compute_busy.mean())
-        return PSelInvResult(
-            scheme=self.scheme,
-            grid=self.grid,
-            makespan=makespan,
-            stats=stats,
-            events=self.machine.sim.events_processed,
-            numeric=self.numeric,
-            compute_time=compute,
-            communication_time=float(makespan - compute),
-            inverse=self._gather() if self.numeric else None,
-        )
-
-    def _gather(self) -> SelectedInverse:
-        struct = self.struct
-        nsup = struct.nsup
-        diag: list[np.ndarray] = [None] * nsup  # type: ignore[list-item]
-        lpanel: list[np.ndarray] = [None] * nsup  # type: ignore[list-item]
-        upanel: list[np.ndarray] = [None] * nsup  # type: ignore[list-item]
-        for k in range(nsup):
-            st = self.states[k]
-            s = struct.width(k)
-            diag[k] = np.asarray(st.diag_value)
-            if st.plan.blocks:
-                lpanel[k] = np.concatenate(
-                    [st.ainv_low[b.snode] for b in st.plan.blocks], axis=0
-                )
-                upanel[k] = np.concatenate(
-                    [st.ainv_up[b.snode] for b in st.plan.blocks], axis=1
-                )
-            else:
-                lpanel[k] = np.zeros((0, s))
-                upanel[k] = np.zeros((s, 0))
-        return SelectedInverse(
-            struct=struct, diag=diag, lpanel=lpanel, upanel=upanel
+        self._post_contribution(
+            dest, 2.0 * s * rj * s, "diag-contrib",
+            lambda: ainv_kj @ st.lhat_at_u[j],  # (s, rj) @ (rj, s)
+            st.diag_partial, st.diag_left, dest, ("dq", k),
         )
 
 

@@ -20,6 +20,7 @@ from repro.core import (
     run_pselinv_unsym,
     unsym_supernode_plan,
 )
+from repro.simulate import NetworkConfig
 from repro.sparse import analyze, from_dense
 from repro.sparse.factor import factorize
 from repro.sparse.selinv import normalize, selected_inversion
@@ -41,10 +42,7 @@ def unsym_problem():
     return make_problem(65, np.random.default_rng(271828))
 
 
-SCHEMES = ["flat", "binary", "shifted", "randperm", "hybrid"]
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", TREE_SCHEMES)
 class TestUnsymMatchesOracle:
     def test_square_grid(self, scheme, unsym_problem):
         prob, raw, want = unsym_problem
@@ -240,3 +238,72 @@ class TestUnsymVolumeParity:
                     rep.sent.get(kind, np.zeros(grid.size)),
                     err_msg=f"{scheme}/{kind}",
                 )
+
+
+def _symbolic_outcome_digest(res) -> str:
+    """sha256 over a symbolic run's whole outcome: the makespan's
+    ``float.hex``, the event count and every ``CommStats`` column
+    (dtype, shape and bytes), category tables in sorted order."""
+    h = hashlib.sha256(f"{res.makespan.hex()};{res.events};".encode())
+    stats = res.stats
+    columns = []
+    for name in ("sent", "received", "messages_sent"):
+        table = getattr(stats, name)
+        columns += [(f"{name}.{cat}", table[cat]) for cat in sorted(table)]
+    columns += [
+        (name, getattr(stats, name))
+        for name in ("compute_busy", "recv_overhead_busy",
+                     "nic_out_busy", "nic_in_busy")
+    ]
+    for name, col in columns:
+        col = np.ascontiguousarray(col)
+        h.update(f"{name}:{col.dtype.str}:{col.shape}:".encode())
+        h.update(col.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def digest_struct():
+    a = random_unsymmetric_dense(60, 3.5, np.random.default_rng(1708))
+    return analyze(from_dense(a), ordering="amd", max_supernode=8).struct
+
+
+# Symbolic outcome digests of the configuration below: a jittered,
+# multi-node network, so every scheme's tree shape and every window
+# release order reaches the timestamps (``hybrid_threshold=3`` makes the
+# hybrid trees differ from both flat and shifted on a 2x4 grid).
+# Symbolic runs do no BLAS, so these do not depend on the numeric stack;
+# any driver refactor must leave them unchanged.
+PINNED_UNSYM_SYMBOLIC_DIGESTS = {
+    ("flat", 1): "447d062bada5cbaca6d7e76f4c2b941cc84f4a9eae7f4b497d8af874bbc4708d",
+    ("flat", 4): "bd7bbb0f68d29e03868d776a25218d77513388f29efb8cda64d608c6adac2818",
+    ("flat", None): "b76d832d8ebee64127790a80c8af87e590b8500ef827ff702ce0106791028179",
+    ("binary", 1): "16bf841c40b8e1584ffc9b9e701315e682103d128fb27619da1a3616841d599c",
+    ("binary", 4): "a5d8a2d73377189e6859e1a720bafc56d31d13e3174f2e38c5e34bde9bc976d6",
+    ("binary", None): "601d560b47e585391d3c5a04151b2089dcace417d0b43ef55b7ddd7f08066613",
+    ("shifted", 1): "402332725a144510e65adbc374099736316d0e7f8bcdec7eecb1b9cbd81cf9e7",
+    ("shifted", 4): "4134f5bd54c93d458206cd8abf2579cc31e7be5bb02fd3f10064920a2afc3d00",
+    ("shifted", None): "c95cebf49eb346ad58e81b4dc0f8403cae0aa195ef7c66bfdea9d9cdcf1c669d",
+    ("randperm", 1): "3a6d541148cd3ae763cc4763dc820695b08be3a113561890d7585b93c8e22413",
+    ("randperm", 4): "a10cfe0654df3ba89f1b42ee8e1a35b8d630bcc3258bd1c4c341c710af1e1218",
+    ("randperm", None): "6aae5bde4d40e7fc5608924b9bf7d3bfb46267b652719c2696af6c3e8e895636",
+    ("hybrid", 1): "6e70262e47a76a2984eee50d494518e38719b75e71f8298ba32e5e2ef1d39aa4",
+    ("hybrid", 4): "846ab5711c70d64bb08501037cb168268594b01566dd5c4f6b2ea043fd28f536",
+    ("hybrid", None): "e84f2e825d90a9b5e5c67347f25a1ce5bcc0ef9ef665ca2d6339c2635d149208",
+    ("binomial", 1): "cfdf190e20631eb406d0cdc642ac6c9a0aba8db54c389d4b998c151f6eb24a14",
+    ("binomial", 4): "56f32bca77af6450627ed923278dee88c473c682c858a82b4e4566dc13d7911c",
+    ("binomial", None): "5b8c0d83378ef653402ae14a7147765e38576329fbe09268b84fb8985594b27e",
+}
+
+
+@pytest.mark.parametrize("lookahead", [1, 4, None])
+@pytest.mark.parametrize("scheme", TREE_SCHEMES)
+def test_unsym_symbolic_outcome_pinned(scheme, lookahead, digest_struct):
+    net = NetworkConfig(cores_per_node=2, nodes_per_group=2, jitter_sigma=0.25)
+    res = SimulatedPSelInvUnsym(
+        digest_struct, ProcessorGrid(2, 4), scheme, network=net, seed=3,
+        placement_seed=5, jitter_seed=11, lookahead=lookahead,
+        hybrid_threshold=3,
+    ).run()
+    got = _symbolic_outcome_digest(res)
+    assert got == PINNED_UNSYM_SYMBOLIC_DIGESTS[(scheme, lookahead)]
