@@ -12,7 +12,6 @@ from .machine import (
     Machine,
     Message,
     TraceEvent,
-    VecCommStats,
     VecMachine,
 )
 from .network import Network, NetworkConfig
@@ -25,7 +24,6 @@ __all__ = [
     "NetworkConfig",
     "Simulator",
     "TraceEvent",
-    "VecCommStats",
     "VecMachine",
     "VecSimulator",
 ]

@@ -16,11 +16,11 @@ Two engines share this contract:
 * :class:`Simulator` -- the reference heapq loop (``engine="legacy"``).
 * :class:`VecSimulator` -- a calendar-queue scheduler that buckets
   ``(time, seq, hid, arg)`` entries by a fixed time width, dispatches
-  through an integer handler table (whole same-handler slices at once
-  where the handler allows it), and fast-forwards the clock over empty
-  buckets analytically (``engine="vectorized"``).  An entry carries its
-  own state, so the engine holds only the events still pending: its
-  memory follows the queue depth, not the number of events run.
+  through an integer handler table one event at a time, and
+  fast-forwards the clock over empty buckets analytically
+  (``engine="vectorized"``).  An entry carries its own state, so the
+  engine holds only the events still pending: its memory follows the
+  queue depth, not the number of events run.
 
 Both drain any schedule stream in the exact same ``(time, seq)`` order
 (pinned by a Hypothesis equivalence test), so every simulated outcome is
@@ -32,7 +32,6 @@ from __future__ import annotations
 import heapq
 import time
 from bisect import insort
-from itertools import islice
 from typing import Any, Callable
 
 __all__ = ["Simulator", "VecSimulator"]
@@ -212,25 +211,15 @@ class VecSimulator:
       inserts its entry in sorted position via ``bisect.insort`` (the
       new entry always lands after the in-flight index because its
       time is >= ``now`` and its seq is the largest yet).
-    * **Slice dispatch** -- a handler id may register a companion
-      ``fn(batch, lo, hi)`` (:meth:`register_batch_handler`) that
-      consumes a whole contiguous same-handler slice of a sorted bucket
-      in one call.  A run at least :attr:`MIN_RUN` long is handed over
-      and the drain's iterator skips past it; the companion owns the
-      slice (contract on :meth:`register_batch_handler`).  Shorter runs
-      and foreign handler ids take the scalar path, re-checking the
-      handler id per event -- an executed event may insort new work
-      into the active bucket, so a precomputed run length cannot be
-      trusted across scalar dispatches.
 
     Semantics are identical to :class:`Simulator`: FIFO tie-breaking by
     seq, the same negative-delay / past-time errors, ``max_events``
     checked before each event, and a bounded ``run(until=...)`` leaving
     ``now`` at the last executed event (unexecuted tails are re-parked).
-    Bounded runs take a per-event scalar loop and never dispatch a
-    slice.  With metrics attached both loops report the ``sim.*``
-    series of :class:`Simulator`, the queue-depth high-water mark
-    included, exactly.
+    Bounded runs take a per-event loop with per-event counters.  With
+    metrics attached both loops report the ``sim.*`` series of
+    :class:`Simulator`, the queue-depth high-water mark included,
+    exactly.
 
     Per-bucket occupancy of the unbounded drains is tallied
     (:meth:`occupancy_stats`) so benchmarks can report the scheduler-vs-
@@ -248,11 +237,6 @@ class VecSimulator:
     #: the per-bucket heap pop and sort.
     BUCKET_WIDTH = 1.0e-7
 
-    #: Minimum same-handler run length worth a slice dispatch; below
-    #: this the slice setup (gathers, ndarray round trips) costs more
-    #: than it saves.
-    MIN_RUN = 8
-
     def __init__(self) -> None:
         self.now: float = 0.0
         self._inv_width = 1.0 / self.BUCKET_WIDTH
@@ -261,10 +245,8 @@ class VecSimulator:
         # would break FIFO tie order.
         self._buckets: dict[int, list[tuple]] = {}
         self._bucket_heap: list[int] = []
-        # Handler table and slice companions; ids 0/1 are the generic-
-        # callable paths and never take a slice.
+        # Handler table; ids 0/1 are the generic-callable paths.
         self._table: list[Callable[..., Any] | None] = [None, None]
-        self._btable: list[Any] = [None, None]
         self._seq = 0
         self._events_processed = 0
         self._npending = 0
@@ -273,7 +255,10 @@ class VecSimulator:
         self._active_bucket = -1
         self._active_list: list[tuple] | None = None
         self._metrics = None
+        # Occupancy tallies of the unbounded drains only (bounded runs
+        # execute part of a bucket and re-park the rest).
         self.buckets_drained = 0
+        self.drained_events = 0
         self.max_bucket_events = 0
 
     @property
@@ -301,24 +286,7 @@ class VecSimulator:
         event.
         """
         self._table.append(fn)
-        self._btable.append(None)
         return len(self._table) - 1
-
-    def register_batch_handler(self, hid: int, fn) -> None:
-        """Install ``fn(batch, lo, hi)`` as handler ``hid``'s slice
-        companion, which executes the events ``batch[lo:hi]`` in one
-        call.
-
-        Contract: the companion reads the slice's ``(time, seq, hid,
-        arg)`` entries itself, leaves ``now`` at the slice's last
-        timestamp, schedules only into *later* buckets (the machine
-        layer gates installation on ``receive_overhead >=
-        BUCKET_WIDTH``), and pushes exactly one event per consumed
-        event.  The last clause keeps the queue depth constant across
-        the slice, so the drain's depth sample at the slice start is
-        the exact high-water contribution of every event in it.
-        """
-        self._btable[hid] = fn
 
     # -- scheduling ----------------------------------------------------------
 
@@ -382,17 +350,13 @@ class VecSimulator:
         The drain samples the exact queue depth before every event it
         executes: ``_npending`` is written back once per bucket but
         counts every push at once, so ``_npending - i`` is the depth at
-        position ``i`` of the active bucket.  Slice-consumed events are
-        not sampled (their pushes are already counted; the depth at the
-        slice start stands for them, see :meth:`register_batch_handler`).
+        position ``i`` of the active bucket.
         """
         if until is not None or max_events is not None:
             return self._run_scalar(until, max_events)
         buckets = self._buckets
         heap = self._bucket_heap
         table = self._table
-        btable = self._btable
-        minrun = self.MIN_RUN
         heappop = heapq.heappop
         drained = 0
         maxb = self.max_bucket_events
@@ -409,32 +373,17 @@ class VecSimulator:
             drained += 1
             # The C-level list iterator survives mid-drain growth (an
             # insort always lands strictly after the in-flight position,
-            # see the class docstring).  A slice dispatch consumes the
-            # entries *ahead* of the iterator, which then skips them.
-            it = enumerate(batch)
-            for i, (t, _, h, a) in it:
-                if self._npending - i > depth_hw:
-                    depth_hw = self._npending - i
+            # see the class docstring).
+            for i, (t, _, h, a) in enumerate(batch):
+                d = self._npending - i
+                if d > depth_hw:
+                    depth_hw = d
+                self.now = t
                 if h >= 2:
-                    bh = btable[h]
-                    if bh is not None:
-                        nb = len(batch)
-                        j = i + 1
-                        while j < nb and batch[j][2] == h:
-                            j += 1
-                        if j - i >= minrun:
-                            bh(batch, i, j)
-                            # Skip batch[i + 1:j]; not sampled (their
-                            # depth is the one sampled at the slice start).
-                            next(islice(it, j - i - 1, j - i - 1), None)
-                            continue
-                    self.now = t
                     table[h](a)
                 elif h == 0:
-                    self.now = t
                     a()
                 else:
-                    self.now = t
                     a[0](a[1])
             self._active_bucket = -1
             self._active_list = None
@@ -444,6 +393,7 @@ class VecSimulator:
             self._events_processed += n
             self._npending -= n
         self.buckets_drained += drained
+        self.drained_events += self._events_processed - start_events
         self.max_bucket_events = maxb
         self._report(start_events, depth_hw, start_wall)
         return self.now
@@ -536,7 +486,7 @@ class VecSimulator:
     def occupancy_stats(self) -> dict[str, float]:
         """Per-bucket occupancy summary of the unbounded drains so far."""
         drained = self.buckets_drained
-        events = self._events_processed
+        events = self.drained_events
         return {
             "buckets_drained": drained,
             "events": events,

@@ -47,7 +47,6 @@ __all__ = [
     "CommStats",
     "Machine",
     "TraceEvent",
-    "VecCommStats",
     "VecMachine",
 ]
 
@@ -189,10 +188,6 @@ class Machine:
     # it the dense table would waste memory and a dict takes over.
     _FLAT_CHANNEL_MAX_RANKS = 1024
 
-    # Stats container, overridable per machine flavor (the vectorized
-    # machine swaps in numpy-column accumulators).
-    _stats_cls = CommStats
-
     def __init__(
         self,
         nranks: int,
@@ -208,7 +203,7 @@ class Machine:
         self.nranks = nranks
         self.network = network
         self.sim = sim or Simulator()
-        self.stats = self._stats_cls(nranks)
+        self.stats = CommStats(nranks)
         # Optional structured trace: when a list is supplied, every send
         # and delivery appends a TraceEvent.  Off (None) on the hot path.
         self._event_log = event_log
@@ -401,65 +396,6 @@ class Machine:
                 gc.enable()
 
 
-class VecCommStats(CommStats):
-    """Per-category tables as preallocated numpy columns.
-
-    Scalar paths update single cells (``col[rank] += nbytes``); slice
-    handlers scatter-add whole batches (``np.add.at``).  Byte and count
-    tallies are integer-valued and far below 2^53, so both orders give
-    exactly the same floats.  Busy-time accumulators stay plain Python
-    lists: they are chained-float state updated once per event on the
-    scalar path, where list indexing wins.
-    """
-
-    def _get(self, table, category):
-        arr = table.get(category)
-        if arr is None:
-            arr = np.zeros(self.nranks)
-            table[category] = arr
-        return arr
-
-    def _get_counts(self, table, category):
-        arr = table.get(category)
-        if arr is None:
-            arr = np.zeros(self.nranks, dtype=np.int64)
-            table[category] = arr
-        return arr
-
-    # The read-out views copy: the base class's np.asarray would alias
-    # the live accumulator columns.
-
-    @property
-    def sent(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self._sent.items()}
-
-    @property
-    def received(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self._received.items()}
-
-    @property
-    def messages_sent(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self._messages_sent.items()}
-
-    def total_sent(self, category: str | None = None) -> np.ndarray:
-        if category is not None:
-            col = self._sent.get(category)
-            return col.copy() if col is not None else np.zeros(self.nranks)
-        out = np.zeros(self.nranks)
-        for arr in self._sent.values():
-            out += arr
-        return out
-
-    def total_received(self, category: str | None = None) -> np.ndarray:
-        if category is not None:
-            col = self._received.get(category)
-            return col.copy() if col is not None else np.zeros(self.nranks)
-        out = np.zeros(self.nranks)
-        for arr in self._received.values():
-            out += arr
-        return out
-
-
 class VecMachine(Machine):
     """The machine on the vectorized engine: point route, fused costs.
 
@@ -485,10 +421,10 @@ class VecMachine(Machine):
       per-pair ``(latency, 1/bandwidth, jitter)`` triple memoized in a
       dense table (see :meth:`Network.pair_params` for the bit-identity
       argument).
-    * **Column batches** -- :meth:`send_batch` emits one rank's whole
+    * **Fan-out batches** -- :meth:`send_batch` emits one rank's whole
       fan-out at once (numpy injection chain, elementwise per-pair
-      arithmetic), and a slice companion receives whole same-instant
-      fan-ins (numpy ejection costs, scatter-add stats).
+      arithmetic); every receive and delivery is one scalar handler
+      call updating the plain-list :class:`CommStats` tallies.
 
     ``deliver_cpu_overhead`` charges a fixed CPU cost on the destination
     rank per delivered message (the protocol layer's
@@ -505,8 +441,6 @@ class VecMachine(Machine):
     reads the rest from :attr:`stats` after the run, so a metrics +
     hot-spot run stays on the specialized route.
     """
-
-    _stats_cls = VecCommStats
 
     def __init__(
         self,
@@ -532,9 +466,9 @@ class VecMachine(Machine):
         self._hid_deliver_pt = sim_.register_handler(self._deliver_pt)
         # Compute-task label per registered handler id (telemetry only).
         self._labels: dict[int, str] = {}
-        # Category interning: id -> name, and per-id stats columns bound
-        # lazily on first use so the CommStats dicts gain keys in the
-        # exact order the legacy machine would (bit-identity).
+        # Category interning: id -> name, and per-id CommStats tally
+        # lists bound lazily on first use so the CommStats dicts gain
+        # keys in the exact order the legacy machine would (bit-identity).
         self._cat_ids: dict[str, int] = {}
         self._cat_names: list[str] = []
         self._sent_cols: list[Any] = []
@@ -795,10 +729,6 @@ class VecMachine(Machine):
         expression-for-expression identical to the unspecialized stages
         (and therefore to :class:`Machine`): same terms, same order,
         bit-identical floats.
-
-        When the receive-side CPU overhead spans at least one bucket (so
-        a pushed delivery can never land in the *active* bucket), a
-        slice companion for the receive stage is installed as well.
         """
         sim = self.sim
         nranks = self.nranks
@@ -1001,74 +931,3 @@ class VecMachine(Machine):
         self.post_named = fast_post_named
         sim._table[hid_receive_pt] = fast_receive_pt
         sim._table[hid_deliver_pt] = fast_deliver_pt
-
-        if recv_oh < sim.BUCKET_WIDTH:
-            # Slice dispatch requires pushed deliveries to land strictly
-            # past the active bucket: deliver_at >= now + recv_oh, so
-            # recv_oh >= BUCKET_WIDTH guarantees it.  Otherwise the
-            # scalar closures above remain the only receive path.
-            return
-
-        def fast_receive_pt_batch(batch, lo, hi):
-            ents = batch[lo:hi]
-            ts = [e[0] for e in ents]
-            recs = [e[3] for e in ents]
-            n = hi - lo
-            nbl = [r[1] for r in recs]
-            dsts = [r[0] for r in recs]
-            ej = (np.array(nbl, dtype=np.float64) * ej_bw_inv).tolist()
-            # Category byte tallies: scatter-add of exact integers
-            # (order-free); single-category slices take one np.add.at.
-            c0 = recs[0][2]
-            mixed = False
-            for r in recs:
-                if r[2] != c0:
-                    mixed = True
-                    break
-            if mixed:
-                for x in range(n):
-                    c = recs[x][2]
-                    col = recv_cols[c]
-                    if col is None:
-                        bind_recv(c)
-                        col = recv_cols[c]
-                    col[dsts[x]] += nbl[x]
-            else:
-                col = recv_cols[c0]
-                if col is None:
-                    bind_recv(c0)
-                    col = recv_cols[c0]
-                np.add.at(col, dsts, np.array(nbl, dtype=np.float64))
-            deliver = [0.0] * n
-            for x in range(n):
-                dst = dsts[x]
-                now = ts[x]
-                e = ej[x]
-                nic = nic_in_free[dst]
-                if nic <= now:
-                    nic = now
-                nic_done = nic + e
-                nic_in_free[dst] = nic_done
-                nic_in_col[dst] += e
-                cpu = cpu_free[dst]
-                d = (cpu if cpu > nic_done else nic_done) + recv_oh
-                cpu_free[dst] = d
-                recv_oh_col[dst] += recv_oh
-                deliver[x] = d
-            s0 = sim._seq
-            sim._seq = s0 + n
-            sim._npending += n
-            bids = (
-                (np.array(deliver) * inv_width).astype(np.int64).tolist()
-            )
-            for x in range(n):
-                b = bids[x]
-                ev = (deliver[x], s0 + x, hid_deliver_pt, recs[x])
-                try:
-                    sbk[b].append(ev)
-                except KeyError:
-                    sbk[b] = [ev]
-                    heappush(sheap, b)
-            sim.now = ts[n - 1]
-
-        sim.register_batch_handler(hid_receive_pt, fast_receive_pt_batch)

@@ -12,11 +12,11 @@ never a behavior change.  Four layers pin it:
   ``max_events`` raises with the queue intact) holds identically.
 * **Machine.**  :class:`VecMachine` reproduces :class:`Machine`
   bit-for-bit on scripted traffic: same timestamps, same stats dicts,
-  same trace events.  The slice receive dispatcher is forced to fire
-  (a wide same-timestamp fan-in) and must match the scalar machine;
-  bounded runs must never enter it.
-* **Column stats.**  :class:`VecCommStats` keeps numpy columns but the
-  read-out views and totals match :class:`CommStats` exactly.
+  same trace events, including a wide same-timestamp fan-in drained
+  unbounded and bounded.
+* **Stats read-outs.**  A drained :class:`VecMachine`'s read-out views
+  and totals match :class:`Machine`'s exactly, with integer message
+  counts and copies, not aliases, of the live tallies.
 * **Protocol.**  Full runs -- symbolic, numeric, telemetry, event-log
   and per-message-overhead -- agree with the legacy engine bit-for-bit:
   makespan, event count, every stats table, the numeric inverse, the
@@ -37,16 +37,13 @@ from repro.core import ProcessorGrid, SimulatedPSelInv
 from repro.obs import HotSpotMonitor, MetricsRegistry, Telemetry
 from repro.runner import ExperimentSpec, RunRecord, cache
 from repro.simulate import (
-    CommStats,
     Machine,
     Network,
     NetworkConfig,
     Simulator,
-    VecCommStats,
     VecMachine,
     VecSimulator,
 )
-from repro.simulate.machine import Message
 from repro.sparse import analyze, from_dense
 from repro.sparse.factor import factorize
 from repro.workloads import dg_hamiltonian
@@ -322,6 +319,23 @@ def test_vec_occupancy_stats():
     assert occ["mean_bucket_events"] == pytest.approx(6.5)
 
 
+def test_vec_occupancy_stats_ignores_bounded_runs():
+    """The occupancy tally covers the unbounded drains only: events a
+    bounded run executes do not inflate the per-bucket mean."""
+    sim = VecSimulator()
+    hid = sim.register_handler(lambda arg: None)
+    for i in range(10):  # ten one-event buckets, 1us apart
+        sim.schedule_msg((i + 1) * 1e-6, hid, i)
+    sim.run(until=5.5e-6)
+    sim.run()
+    occ = sim.occupancy_stats()
+    assert sim.events_processed == 10
+    assert occ["buckets_drained"] == 5
+    assert occ["events"] == 5
+    assert occ["max_bucket_events"] == 1
+    assert occ["mean_bucket_events"] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # VecMachine vs Machine: identical behavior on scripted traffic
 # ---------------------------------------------------------------------------
@@ -416,36 +430,20 @@ class TestMachineParity:
 
 
 # ---------------------------------------------------------------------------
-# Slice dispatch: forced to fire, and forbidden on bounded runs
+# Same-instant fan-in: one bucket, one handler id, many receives
 # ---------------------------------------------------------------------------
 
-_N = 24  # fan-in width _N - 1 = 23 comfortably exceeds VecSimulator.MIN_RUN
+_N = 24
 
 
 def _machine(cls):
     return cls(_N, Network(_N, NetworkConfig(jitter_sigma=0.0)))
 
 
-def _count_slice_dispatches(machine):
-    """Wrap every installed slice companion with a call counter."""
-    sim = machine.sim
-    counts = [0]
-    for hid, fn in enumerate(sim._btable):
-        if fn is None:
-            continue
-
-        def wrapped(batch, lo, hi, _fn=fn):
-            counts[0] += 1
-            return _fn(batch, lo, hi)
-
-        sim._btable[hid] = wrapped
-    return counts
-
-
 def _fan_in(m, categories=("fan",)):
     """Same-instant fan-in: _N - 1 equal sends into rank 0.  With zero
     jitter the receive events share one timestamp, one bucket, and one
-    handler id -- a maximal slice run.  Returns the delivery log."""
+    handler id.  Returns the delivery log."""
     got = []
     if isinstance(m, VecMachine):
         cb = lambda dst, payload, aux: got.append((dst, m.now, aux))  # noqa: E731
@@ -473,46 +471,37 @@ def _drain_outcome(m, got):
 
 
 @pytest.mark.parametrize("categories", [("fan",), ("a", "b")])
-def test_slice_dispatch_fires_and_matches_legacy(categories):
-    """The slice receive dispatcher, on both the single-category scatter
-    and the mixed-category fallback, reproduces the per-message legacy
-    machine bit-for-bit -- and provably fires."""
+def test_same_instant_fan_in_matches_legacy(categories):
+    """A same-instant fan-in, single- and mixed-category, drains on the
+    vectorized machine exactly as on the legacy machine."""
     ml = _machine(Machine)
     got_l = _fan_in(ml, categories)
     ml.run()
 
     mv = _machine(VecMachine)
-    counts = _count_slice_dispatches(mv)
     got_v = _fan_in(mv, categories)
     mv.run()
 
-    assert counts[0] > 0, "slice companion never fired"
     assert _drain_outcome(mv, got_v) == _drain_outcome(ml, got_l)
 
 
-def test_queue_depth_high_water_through_slices():
+def test_queue_depth_high_water_on_fan_in():
     """The unbounded drain's depth high-water equals the heapq value on
-    a fan-in whose receive slice really dispatches.  Sampling the
-    slice-consumed events would over-count by the slice's pushes."""
+    a same-instant fan-in."""
     gauges = []
     for cls in (Machine, VecMachine):
         m = _machine(cls)
-        if cls is VecMachine:
-            counts = _count_slice_dispatches(m)
         reg = MetricsRegistry()
         m.sim.attach_metrics(reg)
         _fan_in(m)
         m.run()
         gauges.append(reg.snapshot()["gauges"]["sim.queue_depth_high_water"])
-    assert counts[0] > 0, "slice companion never fired"
     assert gauges[1] == gauges[0] == _N - 1
 
 
-def test_bounded_run_never_enters_slice_companion():
-    """``until``/``max_events`` runs use the per-event scalar loop -- a
-    slice dispatch there could jump the horizon.  Poison every slice
-    companion; a fully bounded drain must never call one, and must
-    still match the legacy machine's bounded drain exactly."""
+def test_bounded_fan_in_matches_legacy():
+    """A fan-in drained through successive ``until`` horizons matches the
+    legacy machine's bounded drain exactly."""
     ml = _machine(Machine)
     got_l = _fan_in(ml)
     horizons = (1e-6, 5e-6, 1.0)
@@ -521,14 +510,6 @@ def test_bounded_run_never_enters_slice_companion():
     assert ml.sim.pending() == 0
 
     mv = _machine(VecMachine)
-    poisoned_any = False
-    for hid, fn in enumerate(mv.sim._btable):
-        if fn is not None:
-            def poisoned(batch, lo, hi):  # pragma: no cover
-                raise AssertionError("slice companion on a bounded run")
-            mv.sim._btable[hid] = poisoned
-            poisoned_any = True
-    assert poisoned_any
     got_v = _fan_in(mv)
     for h in horizons:
         mv.sim.run(until=h)
@@ -537,36 +518,34 @@ def test_bounded_run_never_enters_slice_companion():
     assert _drain_outcome(mv, got_v) == _drain_outcome(ml, got_l)
 
 
-# ---------------------------------------------------------------------------
-# VecCommStats: numpy columns, CommStats-identical read-outs
-# ---------------------------------------------------------------------------
-
-
-def test_vec_stats_columns_match_commstats():
-    a, b = CommStats(4), VecCommStats(4)
-    traffic = [
-        Message(1, 3, "t0", 100, "x"),
-        Message(1, 2, "t1", 50, "x"),
-        Message(2, 0, "t2", 7, "y"),
-    ]
-    for s in (a, b):
-        for msg in traffic:
-            s.on_send(msg)
-        s.on_receive(traffic[0])
-    assert isinstance(b._sent["x"], np.ndarray)
-    for k in ("x", "y"):
+def test_vec_machine_stats_readouts_match_legacy():
+    """A drained VecMachine's stats read-outs equal the legacy machine's:
+    per-category bytes and integer counts, and both totals.  Read-outs
+    are copies, so mutating one leaves the live tallies alone."""
+    outs = []
+    for cls in (Machine, VecMachine):
+        m = _machine(cls)
+        _fan_in(m, ("a", "b"))
+        m.run()
+        outs.append(m.stats)
+    a, b = outs
+    assert list(b.sent) == list(a.sent) == ["b", "a"]
+    for k in ("a", "b"):
         assert list(b.sent[k]) == list(a.sent[k])
+        assert list(b.received[k]) == list(a.received[k])
         assert list(b.messages_sent[k]) == list(a.messages_sent[k])
-    assert b.messages_sent["x"].dtype == np.int64
-    assert list(b.received["x"]) == list(a.received["x"])
+        assert list(b.total_sent(k)) == list(a.total_sent(k))
+        assert list(b.total_received(k)) == list(a.total_received(k))
+    assert b.messages_sent["a"].dtype == np.int64
     assert list(b.total_sent()) == list(a.total_sent())
-    assert list(b.total_sent("x")) == list(a.total_sent("x"))
-    assert list(b.total_sent("missing")) == [0.0] * 4
-    assert list(b.total_received("x")) == list(a.total_received("x"))
-    # Read-outs are copies, not aliases of the live columns.
-    view = b.sent["x"]
-    view[1] = 999.0
-    assert b._sent["x"][1] != 999.0
+    assert list(b.total_received()) == list(a.total_received())
+    assert list(b.total_sent("missing")) == [0.0] * _N
+    for view in (b.sent["a"], b.received["a"], b.messages_sent["a"],
+                 b.total_sent("a"), b.total_received("a")):
+        view[:] = 999
+    assert b.sent["a"][2] == 4096.0
+    assert b.received["a"][0] == 4096.0 * (_N // 2 - 1)
+    assert b.messages_sent["a"][2] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -831,12 +810,11 @@ def test_metrics_and_hotspots_stay_on_specialized_route(problem):
     assert inspect.ismethod(hooked.machine.send_pt)
 
 
-def test_vec_machine_uses_column_stats(problem):
+def test_vec_machine_on_calendar_engine(problem):
     sim = SimulatedPSelInv(
         problem.struct, ProcessorGrid(2, 2), "shifted", engine="vectorized"
     )
     assert isinstance(sim.machine, VecMachine)
-    assert isinstance(sim.machine.stats, VecCommStats)
     assert isinstance(sim.machine.sim, VecSimulator)
     res = sim.run()
     assert res.events > 0
