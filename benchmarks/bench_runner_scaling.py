@@ -4,7 +4,7 @@ Measurements recorded here:
 
 0. *Engine head-to-head* -- the reference run on the legacy binary-heap
    engine vs the vectorized engine (calendar queue, compiled collective
-   state machines, batched delivery), in :data:`ENGINE_ROUNDS`
+   state machines, one scalar per-message route), in :data:`ENGINE_ROUNDS`
    alternated rounds, reporting each engine's median wall time with its
    IQR and the median of the per-round speedups, asserting a
    bitwise-identical outcome (every :class:`~repro.runner.RunRecord`
@@ -20,8 +20,8 @@ Measurements recorded here:
    with one core is real and expected.
 2. *Telemetry overhead* -- the same reference run on the default
    engine with telemetry off, with the runner's bundle (metrics + hot
-   spots, read out after the drain on the specialized route) and with
-   :meth:`Telemetry.full` (the timeline adds the hooked route), in
+   spots, read out after the drain) and with :meth:`Telemetry.full`
+   (the timeline adds a per-message hook), in
    alternated rounds, medians reported.  The runner bundle must cost at
    most 15% over off, and all three runs must have the same outcome
    (:meth:`RunRecord.same_outcome`).

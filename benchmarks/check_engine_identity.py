@@ -6,8 +6,8 @@ Runs the exact Fig. 8 sweep specs once under each simulation engine
 reference (:meth:`RunRecord.same_outcome`: makespan, event count,
 compute and communication split, and every per-rank byte/message/
 busy-time array).  Each spec also runs a second time with
-``telemetry=True`` (metrics + hot spots, which stay on the vectorized
-engine's specialized route and are read out after the drain); for those
+``telemetry=True`` (metrics + hot spots, which are read out after the
+drain); for those
 copies the telemetry payload (:attr:`RunRecord.metrics`: hot-spot
 statistics, top ranks and the metrics snapshot) must agree as well,
 minus the host-dependent series (wall-clock gauges, ``runner.*`` and

@@ -31,7 +31,6 @@ __all__ = [
     "TreeReduce",
     "VecBroadcast",
     "VecReduce",
-    "BATCH_FANOUT_MIN",
     "record_shapes",
 ]
 
@@ -262,8 +261,8 @@ class TreeReduce:
 # * reductions are driven by contributor *positions* precomputed by the
 #   protocol (:meth:`VecReduce.contribute_pos`), with no per-call rank ->
 #   position lookup;
-# * wide fan-outs (flat/hybrid trees) are emitted as one column batch via
-#   :meth:`~repro.simulate.machine.VecMachine.send_batch`;
+# * every fan-out, flat and hybrid trees' wide ones included, is one
+#   point send per child, in ascending child position;
 # * the ``coll.*`` telemetry series come from the tree shapes: with
 #   metrics attached, each collective bumps one
 #   ``(op, category, family, size, nbytes)`` count in the machine's
@@ -278,12 +277,6 @@ class TreeReduce:
 # at construction in ascending position), which is what keeps vectorized
 # runs bit-identical to the legacy engine.
 # ---------------------------------------------------------------------------
-
-#: Fan-outs at or above this go through the machine's column-batch send
-#: (numpy injection chain + per-pair gather); below it, the scalar
-#: per-child send is cheaper than the array round trip.
-BATCH_FANOUT_MIN = 6
-
 
 def record_shapes(metrics, counts: dict) -> None:
     """Emit the ``coll.*`` series of every counted collective shape: the
@@ -382,27 +375,14 @@ class VecBroadcast:
         if hi > lo:
             ranks = self._ranks
             childpos = self._childpos
-            if hi - lo >= BATCH_FANOUT_MIN:
-                auxs = childpos[lo:hi]
-                self.machine.send_batch(
-                    dst,
-                    [ranks[c] for c in auxs],
-                    self.tag,
-                    self.nbytes,
-                    self.cid,
-                    self.on_message,
-                    auxs,
-                    payload,
-                )
-            else:
-                send = self._send
-                tag = self.tag
-                nbytes = self.nbytes
-                cid = self.cid
-                om = self.on_message
-                for ci in range(lo, hi):
-                    child = childpos[ci]
-                    send(dst, ranks[child], tag, nbytes, cid, om, child, payload)
+            send = self._send
+            tag = self.tag
+            nbytes = self.nbytes
+            cid = self.cid
+            om = self.on_message
+            for ci in range(lo, hi):
+                child = childpos[ci]
+                send(dst, ranks[child], tag, nbytes, cid, om, child, payload)
         self.on_delivery(self.ctx, dst, payload)
 
 

@@ -51,11 +51,10 @@ Two interchangeable execution engines (``engine=``), one protocol each:
   closure-free (pre-registered handler ids + tuple arguments).  Every
   mode runs on it: numeric payloads ride the same point records
   (numeric tasks get their data wrapped onto the precomputed argument
-  and a numeric handler variant under the same id).  Metrics and
-  hot-spot runs stay on the machine's specialized route (their series
-  are read out after the drain); timeline, event-log and
-  per-message-overhead runs take its unspecialized route, which calls
-  the hooks.
+  and a numeric handler variant under the same id).  Every mode takes
+  the machine's one per-message route: metrics and hot spots are read
+  out after the drain, while the timeline, the event log and the
+  per-message overhead are one hook test per stage.
 * ``"legacy"`` -- the original heapq :class:`Simulator` + per-message
   :class:`Message` objects + dict-based
   :class:`~repro.comm.collectives.TreeBroadcast` /
@@ -609,6 +608,11 @@ class SimulatedPSelInv(_PSelInvDriver):
         if engine not in _TREE_BUILDERS:
             raise ValueError(
                 f"unknown engine {engine!r}; expected 'vectorized' or 'legacy'"
+            )
+        if not per_message_cpu_overhead >= 0.0:
+            raise ValueError(
+                "per_message_cpu_overhead must be a non-negative time, "
+                f"got {per_message_cpu_overhead!r}"
             )
         self.engine = engine
         self._vec = engine == "vectorized"

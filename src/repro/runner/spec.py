@@ -63,8 +63,8 @@ class ExperimentSpec:
     # simulated outcome is bit-identical either way.
     telemetry: bool = False
     # DES engine: "vectorized" (default: calendar-queue scheduler plus
-    # compiled collective state machines and batched delivery, for every
-    # mode) or "legacy" (binary-heap reference oracle); any other value
+    # compiled collective state machines and one scalar per-message
+    # route, for every mode) or "legacy" (binary-heap reference oracle); any other value
     # is rejected when the run starts.  The simulated outcome is
     # bit-identical across engines, so the result store does not hash
     # this field; it exists for head-to-head benchmarking and as an

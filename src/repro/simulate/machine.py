@@ -180,12 +180,27 @@ class CommStats:
         return out
 
 
+class _SparseTable(dict):
+    """A per-(src, dst) table too large to hold densely: keyed by the
+    same flat index as the dense list, and a missing key reads as the
+    table's empty value (without inserting it)."""
+
+    __slots__ = ("empty",)
+
+    def __init__(self, empty: Any) -> None:
+        super().__init__()
+        self.empty = empty
+
+    def __missing__(self, key: int) -> Any:
+        return self.empty
+
+
 class Machine:
     """The simulated distributed-memory machine."""
 
-    # Below this rank count the per-(src, dst) channel clocks live in a
-    # flat dense list (no tuple allocation / hashing per message); above
-    # it the dense table would waste memory and a dict takes over.
+    # Below this rank count the per-(src, dst) tables (channel clocks,
+    # the vectorized machine's pair costs) are flat dense lists; above
+    # it a dense table would waste memory and a _SparseTable takes over.
     _FLAT_CHANNEL_MAX_RANKS = 1024
 
     def __init__(
@@ -220,11 +235,7 @@ class Machine:
         self._nic_in_free = [0.0] * nranks  # incoming (ejection) port
         self._cpu_free = [0.0] * nranks
         # FIFO channel clocks: last delivery time per (src, dst).
-        self._flat_channels = nranks <= self._FLAT_CHANNEL_MAX_RANKS
-        if self._flat_channels:
-            self._channel_last: Any = [0.0] * (nranks * nranks)
-        else:
-            self._channel_last = {}
+        self._channel_last = self._pair_table(0.0)
         self._recv_overhead = network.config.receive_overhead
         # Pre-bound network queries: post_send/_receive run once per
         # message, and the two attribute hops per call add up.
@@ -233,6 +244,16 @@ class Machine:
         self._ejection_time = network.ejection_time
         # Message handler per rank: fn(msg) -> None.
         self._handlers: list[Callable[[Message], None] | None] = [None] * nranks
+
+    def _pair_table(self, empty: Any) -> Any:
+        """A per-(src, dst) table indexed by ``src * nranks + dst``,
+        every entry ``empty`` at first: a dense list up to
+        :attr:`_FLAT_CHANNEL_MAX_RANKS` ranks, a :class:`_SparseTable`
+        above it."""
+        n = self.nranks
+        if n <= self._FLAT_CHANNEL_MAX_RANKS:
+            return [empty] * (n * n)
+        return _SparseTable(empty)
 
     # -- wiring --------------------------------------------------------------
 
@@ -289,17 +310,10 @@ class Machine:
         arrival = finish + self._transit_time(src, dst, nbytes)
         # Enforce MPI-style non-overtaking per (src, dst) channel.
         ch = self._channel_last
-        if self._flat_channels:
-            idx = src * self.nranks + dst
-            if arrival < ch[idx]:
-                arrival = ch[idx]
-            ch[idx] = arrival
-        else:
-            key = (src, dst)
-            last = ch.get(key, 0.0)
-            if arrival < last:
-                arrival = last
-            ch[key] = arrival
+        idx = src * self.nranks + dst
+        if arrival < ch[idx]:
+            arrival = ch[idx]
+        ch[idx] = arrival
         if self._rec is not None:
             self._rec.record_send(msg, now, start, finish, arrival)
         sim.schedule_at(arrival, self._receive, msg)
@@ -405,41 +419,41 @@ class VecMachine(Machine):
     :class:`~repro.simulate.engine.VecSimulator`:
 
     * **Point records** -- an in-flight message is the tuple ``(dst,
-      nbytes, cid, cb, aux, payload)`` carried in the engine's event-
-      argument column (the unspecialized route appends ``src, tag`` for
-      the hooks); delivery calls ``cb(dst, payload, aux)``, so the
-      collective layer routes a message straight to its continuation
-      with ``aux`` carrying the receiver's tree position.  No
-      :class:`Message` object exists except for the timeline hooks and
-      the :meth:`post_send` / :meth:`set_handler` compatibility path.
+      nbytes, cid, cb, aux, payload, src, tag)`` in the engine's event-
+      argument column; delivery calls ``cb(dst, payload, aux)``, so a
+      collective routes a message straight to its continuation with
+      ``aux`` carrying the receiver's tree position.
     * **Integer handler dispatch** -- the receive and deliver stages and
       the protocol's compute completions (:meth:`register_task` +
-      :meth:`post_named`) are registered once in the engine's handler
-      table; every schedule is a flat ``(time, hid, arg)`` triple.
+      ``post_named``) sit in the engine's handler table; every schedule
+      is a flat ``(time, hid, arg)`` triple.
     * **Fused network arithmetic** -- injection/ejection/transit costs
       are inlined from the network's flattened constants, with the
       per-pair ``(latency, 1/bandwidth, jitter)`` triple memoized in a
-      dense table (see :meth:`Network.pair_params` for the bit-identity
-      argument).
-    * **Fan-out batches** -- :meth:`send_batch` emits one rank's whole
-      fan-out at once (numpy injection chain, elementwise per-pair
-      arithmetic); every receive and delivery is one scalar handler
-      call updating the plain-list :class:`CommStats` tallies.
+      per-(src, dst) table (see :meth:`Network.pair_params`).
 
-    ``deliver_cpu_overhead`` charges a fixed CPU cost on the destination
-    rank per delivered message (the protocol layer's
-    ``per_message_cpu_overhead``, hoisted into the machine so it needs
-    no wrapper handler).
+    Each per-message stage exists once, built in ``__init__`` as a
+    closure with all stable state (calendar buckets and heap, resource
+    clocks, stats columns, pair tables) in cells:
+    ``send_pt(src, dst, tag, nbytes, cid, cb, aux=0, payload=None)``
+    (``cid`` from :meth:`category_id`; a fan-out is one call per
+    child), the receive stage (NIC-in ejection, then the receive-side
+    CPU overhead), the deliver stage (hooks, then ``cb``) and
+    ``post_named(rank, seconds, hid, arg)`` (occupy ``rank``'s CPU for
+    the precomputed ``seconds``, then dispatch ``table[hid](arg)``).
+    Each inlines :meth:`VecSimulator._push` without its past-time guard
+    (every machine-scheduled time is ``now`` plus non-negative costs);
+    only the engine's cursor state stays behind attribute loads.  The
+    arithmetic is expression-for-expression that of :class:`Machine`,
+    so timestamps are bit-identical.
 
-    The methods below are the unspecialized route: they call the trace
-    log and timeline-recorder hooks and charge the per-delivery
-    overhead.  A hook-free machine swaps them for closure-specialized
-    versions (:meth:`_install_fast_path`) with identical timestamps.
-    Metrics and hot spots need no hook: the simulator reports its loop
-    series from the drain, the compiled collectives tally their shapes
-    in :attr:`coll_shapes`, and :meth:`repro.obs.Telemetry.finish`
-    reads the rest from :attr:`stats` after the run, so a metrics +
-    hot-spot run stays on the specialized route.
+    The timeline recorder, the trace log and ``deliver_cpu_overhead``
+    (a CPU cost per delivered message on its destination: the
+    protocol's ``per_message_cpu_overhead``) are one hook test per
+    stage.  Metrics and hot spots need none: the simulator reports its
+    loop series, the compiled collectives tally their shapes in
+    :attr:`coll_shapes`, and :meth:`repro.obs.Telemetry.finish` reads
+    :attr:`stats` after the drain.
     """
 
     def __init__(
@@ -461,9 +475,6 @@ class VecMachine(Machine):
             recorder=recorder,
             metrics=metrics,
         )
-        sim_ = self.sim
-        self._hid_receive_pt = sim_.register_handler(self._receive_pt)
-        self._hid_deliver_pt = sim_.register_handler(self._deliver_pt)
         # Compute-task label per registered handler id (telemetry only).
         self._labels: dict[int, str] = {}
         # Category interning: id -> name, and per-id CommStats tally
@@ -478,34 +489,167 @@ class VecMachine(Machine):
         # nbytes) -> count, kept only with metrics attached; the protocol
         # layer turns them into coll.* after the drain.
         self.coll_shapes: dict | None = {} if metrics is not None else None
-        # Fused network constants + per-pair memo (dense under the same
-        # rank bound as the channel clocks, dict above it).
-        self._inj_oh = network._inj_overhead
-        self._inj_bw_inv = network._inj_ibw
-        self._ej_bw_inv = network._ej_ibw
-        self._pairs: Any
-        if self._flat_channels:
-            self._pairs = [None] * (nranks * nranks)
-        else:
-            self._pairs = {}
-        self._pair_params = network.pair_params
         self._deliver_oh = float(deliver_cpu_overhead)
-        # Busy-time columns bound once (self.stats.X costs two lookups
-        # per event on the hot path).
-        self._nic_out_col = self.stats._nic_out_busy
-        self._nic_in_col = self.stats._nic_in_busy
-        self._recv_oh_col = self.stats._recv_overhead_busy
-        # Hook-free configuration (no timeline, no trace log, no
-        # per-delivery CPU tax, dense channel tables): swap the
-        # per-message stages for closure-specialized versions with every
-        # hook test resolved away.
-        if (
-            self._rec is None
-            and self._event_log is None
-            and self._deliver_oh == 0.0
-            and self._flat_channels
-        ):
-            self._install_fast_path()
+
+        # -- the per-message stages (see the class docstring) ----------------
+        sim = self.sim
+        stats = self.stats
+        nranks = self.nranks
+        sent_cols = self._sent_cols
+        sent_counts = self._sent_counts
+        recv_cols = self._recv_cols
+        bind_sent = self._bind_sent
+        bind_recv = self._bind_recv
+        nic_free = self._nic_free
+        nic_in_free = self._nic_in_free
+        cpu_free = self._cpu_free
+        nic_out_col = stats._nic_out_busy
+        nic_in_col = stats._nic_in_busy
+        recv_oh_col = stats._recv_overhead_busy
+        compute_busy = stats._compute_busy
+        ch = self._channel_last
+        pairs = self._pair_table(None)
+        pair_params = network.pair_params
+        inj_oh = network._inj_overhead
+        inj_bw_inv = network._inj_ibw
+        ej_bw_inv = network._ej_ibw
+        recv_oh = self._recv_overhead
+        labels = self._labels
+        message = self._message
+        hook_send = self._hook_send
+        hook_deliver = self._hook_deliver
+        timeline = recorder
+        hooked = (
+            recorder is not None
+            or event_log is not None
+            or self._deliver_oh > 0.0
+        )
+        # Engine internals (the inlined _push).
+        sbk = sim._buckets
+        sheap = sim._bucket_heap
+        inv_width = sim._inv_width
+
+        def deliver_pt(rec):
+            if hooked:
+                hook_deliver(rec)
+            rec[3](rec[0], rec[5], rec[4])
+
+        def receive_pt(rec):
+            dst = rec[0]
+            nbytes = rec[1]
+            col = recv_cols[rec[2]]
+            if col is None:
+                bind_recv(rec[2])
+                col = recv_cols[rec[2]]
+            col[dst] += nbytes
+            now = sim.now
+            eject = nbytes * ej_bw_inv
+            nic = nic_in_free[dst]
+            nic_start = nic if nic > now else now
+            nic_done = nic_start + eject
+            nic_in_free[dst] = nic_done
+            nic_in_col[dst] += eject
+            cpu = cpu_free[dst]
+            start = cpu if cpu > nic_done else nic_done
+            deliver_at = start + recv_oh
+            cpu_free[dst] = deliver_at
+            recv_oh_col[dst] += recv_oh
+            if timeline is not None:
+                timeline.record_receive(
+                    message(rec), nic_start, nic_done, start, deliver_at
+                )
+            s = sim._seq
+            sim._seq = s + 1
+            sim._npending += 1
+            ev = (deliver_at, s, hid_deliver_pt, rec)
+            b = int(deliver_at * inv_width)
+            if b == sim._active_bucket:
+                insort(sim._active_list, ev)
+            else:
+                try:
+                    sbk[b].append(ev)
+                except KeyError:
+                    sbk[b] = [ev]
+                    heappush(sheap, b)
+
+        hid_receive_pt = sim.register_handler(receive_pt)
+        hid_deliver_pt = sim.register_handler(deliver_pt)
+
+        def send_pt(src, dst, tag, nbytes, cid, cb, aux=0, payload=None):
+            now = sim.now
+            rec = (dst, nbytes, cid, cb, aux, payload, src, tag)
+            if src == dst:
+                if hooked:
+                    hook_send(rec, now)
+                arrival = now
+                hid = hid_deliver_pt
+            else:
+                col = sent_cols[cid]
+                if col is None:
+                    bind_sent(cid)
+                    col = sent_cols[cid]
+                col[src] += nbytes
+                sent_counts[cid][src] += 1
+                inj = inj_oh + nbytes * inj_bw_inv
+                nic = nic_free[src]
+                start = nic if nic > now else now
+                finish = start + inj
+                nic_free[src] = finish
+                nic_out_col[src] += inj
+                pidx = src * nranks + dst
+                pp = pairs[pidx]
+                if pp is None:
+                    pp = pair_params(src, dst)
+                    pairs[pidx] = pp
+                lat, ibw, jit = pp
+                arrival = finish + (lat + nbytes * ibw) * jit
+                # Enforce MPI-style non-overtaking per (src, dst) channel.
+                last = ch[pidx]
+                if arrival < last:
+                    arrival = last
+                ch[pidx] = arrival
+                if hooked:
+                    hook_send(rec, now, start, finish, arrival)
+                hid = hid_receive_pt
+            s = sim._seq
+            sim._seq = s + 1
+            sim._npending += 1
+            ev = (arrival, s, hid, rec)
+            b = int(arrival * inv_width)
+            if b == sim._active_bucket:
+                insort(sim._active_list, ev)
+            else:
+                try:
+                    sbk[b].append(ev)
+                except KeyError:
+                    sbk[b] = [ev]
+                    heappush(sheap, b)
+
+        def post_named(rank, seconds, hid, arg):
+            now = sim.now
+            cpu = cpu_free[rank]
+            start = cpu if cpu > now else now
+            finish = start + seconds
+            cpu_free[rank] = finish
+            compute_busy[rank] += seconds
+            if timeline is not None:
+                timeline.record_compute(rank, start, finish, labels[hid])
+            s = sim._seq
+            sim._seq = s + 1
+            sim._npending += 1
+            ev = (finish, s, hid, arg)
+            b = int(finish * inv_width)
+            if b == sim._active_bucket:
+                insort(sim._active_list, ev)
+            else:
+                try:
+                    sbk[b].append(ev)
+                except KeyError:
+                    sbk[b] = [ev]
+                    heappush(sheap, b)
+
+        self.send_pt = send_pt
+        self.post_named = post_named
 
     # -- wiring --------------------------------------------------------------
 
@@ -522,7 +666,7 @@ class VecMachine(Machine):
         return cid
 
     def register_task(self, fn: Callable[[Any], None], label: str) -> int:
-        """Register a compute-completion handler for :meth:`post_named`;
+        """Register a compute-completion handler for ``post_named``;
         ``label`` names its tasks on the telemetry timeline."""
         hid = self.sim.register_handler(fn)
         self._labels[hid] = label
@@ -538,12 +682,42 @@ class VecMachine(Machine):
         stats = self.stats
         self._recv_cols[cid] = stats._get(stats._received, self._cat_names[cid])
 
+    # -- hooks ---------------------------------------------------------------
+
     def _message(self, rec) -> Message:
-        """Materialize a :class:`Message` view of an unspecialized point
-        record for the telemetry hooks."""
+        """Materialize a :class:`Message` view of a point record for the
+        timeline hooks."""
         return Message(
             rec[6], rec[0], rec[7], rec[1], self._cat_names[rec[2]], rec[5]
         )
+
+    def _hook_send(self, rec, now, start=None, finish=None, arrival=None):
+        """Send-stage hooks; ``start`` is None for a self-send."""
+        if self._event_log is not None:
+            self._event_log.append(
+                TraceEvent("send", now, rec[6], rec[0], rec[7], rec[1])
+            )
+        if self._rec is not None:
+            if start is None:
+                self._rec.record_local(self._message(rec), now)
+            else:
+                self._rec.record_send(
+                    self._message(rec), now, start, finish, arrival
+                )
+
+    def _hook_deliver(self, rec) -> None:
+        """Deliver-stage hooks, in :meth:`Machine._deliver` order, then
+        the per-delivery CPU overhead."""
+        dst = rec[0]
+        now = self.sim.now
+        if self._rec is not None:
+            self._rec.record_deliver(self._message(rec), now)
+        if self._event_log is not None:
+            self._event_log.append(
+                TraceEvent("deliver", now, rec[6], dst, rec[7], rec[1])
+            )
+        if self._deliver_oh > 0.0:
+            self.post_compute(dst, self._deliver_oh, label="msg-overhead")
 
     # -- communication ---------------------------------------------------------
 
@@ -571,363 +745,3 @@ class VecMachine(Machine):
         if fn is None:
             raise RuntimeError(f"no handler installed on rank {dst}")
         fn(msg)
-
-    def send_pt(
-        self, src, dst, tag, nbytes, cid, cb, aux=0, payload=None
-    ) -> None:
-        """Point send: ``cb(dst, payload, aux)`` runs on delivery.
-
-        ``cid`` is a pre-interned category (:meth:`category_id`).  Cost
-        model identical to :meth:`Machine.post_send`.
-        """
-        sim = self.sim
-        now = sim.now
-        rec = (dst, nbytes, cid, cb, aux, payload, src, tag)
-        if self._event_log is not None:
-            self._event_log.append(
-                TraceEvent("send", now, src, dst, tag, nbytes)
-            )
-        if src == dst:
-            if self._rec is not None:
-                self._rec.record_local(self._message(rec), now)
-            sim.schedule_msg(now, self._hid_deliver_pt, rec)
-            return
-        col = self._sent_cols[cid]
-        if col is None:
-            self._bind_sent(cid)
-            col = self._sent_cols[cid]
-        col[src] += nbytes
-        self._sent_counts[cid][src] += 1
-        inj = self._inj_oh + nbytes * self._inj_bw_inv
-        nic = self._nic_free[src]
-        start = nic if nic > now else now
-        finish = start + inj
-        self._nic_free[src] = finish
-        self._nic_out_col[src] += inj
-        flat = self._flat_channels
-        pidx = src * self.nranks + dst if flat else (src, dst)
-        pairs = self._pairs
-        pp = pairs[pidx] if flat else pairs.get(pidx)
-        if pp is None:
-            pp = self._pair_params(src, dst)
-            pairs[pidx] = pp
-        lat, ibw, jit = pp
-        arrival = finish + (lat + nbytes * ibw) * jit
-        # Enforce MPI-style non-overtaking per (src, dst) channel.
-        ch = self._channel_last
-        last = ch[pidx] if flat else ch.get(pidx, 0.0)
-        if arrival < last:
-            arrival = last
-        ch[pidx] = arrival
-        if self._rec is not None:
-            self._rec.record_send(
-                self._message(rec), now, start, finish, arrival
-            )
-        sim.schedule_msg(arrival, self._hid_receive_pt, rec)
-
-    def send_batch(self, src, dsts, tag, nbytes, cid, cb, auxs, payload=None):
-        """Emit one rank's fan-out (one :meth:`send_pt` per child)."""
-        send = self.send_pt
-        for dst, aux in zip(dsts, auxs):
-            send(src, dst, tag, nbytes, cid, cb, aux, payload)
-
-    def _receive_pt(self, rec) -> None:
-        """Receive stage: ejection through the NIC-in port, then the
-        receive-side CPU overhead (:meth:`Machine._receive`)."""
-        dst = rec[0]
-        nbytes = rec[1]
-        cid = rec[2]
-        col = self._recv_cols[cid]
-        if col is None:
-            self._bind_recv(cid)
-            col = self._recv_cols[cid]
-        col[dst] += nbytes
-        sim = self.sim
-        now = sim.now
-        eject = nbytes * self._ej_bw_inv
-        nic = self._nic_in_free[dst]
-        nic_start = nic if nic > now else now
-        nic_done = nic_start + eject
-        self._nic_in_free[dst] = nic_done
-        self._nic_in_col[dst] += eject
-        oh = self._recv_overhead
-        cpu = self._cpu_free[dst]
-        start = cpu if cpu > nic_done else nic_done
-        deliver_at = start + oh
-        self._cpu_free[dst] = deliver_at
-        self._recv_oh_col[dst] += oh
-        if self._rec is not None:
-            self._rec.record_receive(
-                self._message(rec), nic_start, nic_done, start, deliver_at
-            )
-        sim.schedule_msg(deliver_at, self._hid_deliver_pt, rec)
-
-    def _deliver_pt(self, rec) -> None:
-        """Deliver stage: hooks, per-delivery overhead, then the callback
-        (the order of :meth:`Machine._deliver` plus the legacy
-        protocol's overhead handler)."""
-        dst = rec[0]
-        now = self.sim.now
-        if self._rec is not None:
-            self._rec.record_deliver(self._message(rec), now)
-        if self._event_log is not None:
-            self._event_log.append(
-                TraceEvent("deliver", now, rec[6], dst, rec[7], rec[1])
-            )
-        if self._deliver_oh > 0.0:
-            self.post_compute(dst, self._deliver_oh, label="msg-overhead")
-        rec[3](dst, rec[5], rec[4])
-
-    # -- computation -------------------------------------------------------------
-
-    def post_named(self, rank, seconds, hid, arg) -> None:
-        """Closure-free compute: dispatch ``table[hid](arg)`` after
-        occupying ``rank``'s CPU for the precomputed ``seconds``.
-
-        Timestamp arithmetic is identical to :meth:`Machine.post_compute`
-        with a callback; the protocol layer precomputes ``seconds`` with
-        the exact ``compute_time`` expression.  ``hid`` comes from
-        :meth:`register_task`, whose label the recorder sees.
-        """
-        sim = self.sim
-        now = sim.now
-        cpu = self._cpu_free[rank]
-        start = cpu if cpu > now else now
-        finish = start + seconds
-        self._cpu_free[rank] = finish
-        self.stats._compute_busy[rank] += seconds
-        if self._rec is not None:
-            self._rec.record_compute(rank, start, finish, self._labels[hid])
-        sim.schedule_msg(finish, hid, arg)
-
-    # -- closure-specialized fast path ----------------------------------------
-
-    def _install_fast_path(self) -> None:
-        """Specialize the per-message stages for the hook-free configuration.
-
-        Rebuilds :meth:`send_pt`, :meth:`send_batch`, :meth:`post_named`
-        and the receive/deliver handler-table entries as closures with
-        every per-event branch (timeline recorder, trace log, delivery
-        overhead, dense-vs-dict channels) resolved at construction time
-        and all stable state -- the engine's calendar buckets and heap,
-        the resource clocks and stats columns -- bound as closure cells
-        (``LOAD_DEREF`` beats two ``LOAD_ATTR`` per access, and on a
-        path run a few million times per simulation that is the
-        difference that shows up on the profile).  Only the engine's
-        scalar cursor state (``_seq``/``_npending``/``_active_bucket``/
-        ``_active_list``) stays behind attribute loads: it must be
-        visible to the engine's own drain loop.  The push sequence is
-        :meth:`VecSimulator._push` inlined; the past-time guard is
-        elided because every machine-scheduled time is ``now`` plus
-        non-negative cost terms.
-
-        The closures shadow the methods as instance attributes and
-        replace the handler-table slots registered in ``__init__``, so
-        the callable ids seen by the protocol layer do not change.  All
-        hooks are constructor arguments, so the specialization decision
-        is final for the machine's lifetime.  Timestamp arithmetic is
-        expression-for-expression identical to the unspecialized stages
-        (and therefore to :class:`Machine`): same terms, same order,
-        bit-identical floats.
-        """
-        sim = self.sim
-        nranks = self.nranks
-        sent_cols = self._sent_cols
-        sent_counts = self._sent_counts
-        recv_cols = self._recv_cols
-        bind_sent = self._bind_sent
-        bind_recv = self._bind_recv
-        nic_free = self._nic_free
-        nic_in_free = self._nic_in_free
-        cpu_free = self._cpu_free
-        nic_out_col = self._nic_out_col
-        nic_in_col = self._nic_in_col
-        recv_oh_col = self._recv_oh_col
-        compute_busy = self.stats._compute_busy
-        ch = self._channel_last
-        pairs = self._pairs
-        pair_params = self._pair_params
-        inj_oh = self._inj_oh
-        inj_bw_inv = self._inj_bw_inv
-        ej_bw_inv = self._ej_bw_inv
-        recv_oh = self._recv_overhead
-        hid_receive_pt = self._hid_receive_pt
-        hid_deliver_pt = self._hid_deliver_pt
-        # Engine internals (the inlined _push).
-        sbk = sim._buckets
-        sheap = sim._bucket_heap
-        inv_width = sim._inv_width
-
-        def fast_send_pt(src, dst, tag, nbytes, cid, cb, aux=0, payload=None):
-            now = sim.now
-            if src == dst:
-                arrival = now
-                hid = hid_deliver_pt
-            else:
-                col = sent_cols[cid]
-                if col is None:
-                    bind_sent(cid)
-                    col = sent_cols[cid]
-                col[src] += nbytes
-                sent_counts[cid][src] += 1
-                inj = inj_oh + nbytes * inj_bw_inv
-                nic = nic_free[src]
-                start = nic if nic > now else now
-                finish = start + inj
-                nic_free[src] = finish
-                nic_out_col[src] += inj
-                pidx = src * nranks + dst
-                pp = pairs[pidx]
-                if pp is None:
-                    pp = pair_params(src, dst)
-                    pairs[pidx] = pp
-                lat, ibw, jit = pp
-                arrival = finish + (lat + nbytes * ibw) * jit
-                last = ch[pidx]
-                if arrival < last:
-                    arrival = last
-                ch[pidx] = arrival
-                hid = hid_receive_pt
-            s = sim._seq
-            sim._seq = s + 1
-            sim._npending += 1
-            ev = (arrival, s, hid, (dst, nbytes, cid, cb, aux, payload))
-            b = int(arrival * inv_width)
-            if b == sim._active_bucket:
-                insort(sim._active_list, ev)
-            else:
-                try:
-                    sbk[b].append(ev)
-                except KeyError:
-                    sbk[b] = [ev]
-                    heappush(sheap, b)
-
-        def fast_receive_pt(rec):
-            dst = rec[0]
-            nbytes = rec[1]
-            col = recv_cols[rec[2]]
-            if col is None:
-                bind_recv(rec[2])
-                col = recv_cols[rec[2]]
-            col[dst] += nbytes
-            now = sim.now
-            eject = nbytes * ej_bw_inv
-            nic = nic_in_free[dst]
-            nic_start = nic if nic > now else now
-            nic_done = nic_start + eject
-            nic_in_free[dst] = nic_done
-            nic_in_col[dst] += eject
-            cpu = cpu_free[dst]
-            start = cpu if cpu > nic_done else nic_done
-            deliver_at = start + recv_oh
-            cpu_free[dst] = deliver_at
-            recv_oh_col[dst] += recv_oh
-            s = sim._seq
-            sim._seq = s + 1
-            sim._npending += 1
-            ev = (deliver_at, s, hid_deliver_pt, rec)
-            b = int(deliver_at * inv_width)
-            if b == sim._active_bucket:
-                insort(sim._active_list, ev)
-            else:
-                try:
-                    sbk[b].append(ev)
-                except KeyError:
-                    sbk[b] = [ev]
-                    heappush(sheap, b)
-
-        def fast_deliver_pt(rec):
-            rec[3](rec[0], rec[5], rec[4])
-
-        def fast_post_named(rank, seconds, hid, arg):
-            now = sim.now
-            cpu = cpu_free[rank]
-            start = cpu if cpu > now else now
-            finish = start + seconds
-            cpu_free[rank] = finish
-            compute_busy[rank] += seconds
-            s = sim._seq
-            sim._seq = s + 1
-            sim._npending += 1
-            ev = (finish, s, hid, arg)
-            b = int(finish * inv_width)
-            if b == sim._active_bucket:
-                insort(sim._active_list, ev)
-            else:
-                try:
-                    sbk[b].append(ev)
-                except KeyError:
-                    sbk[b] = [ev]
-                    heappush(sheap, b)
-
-        def fast_send_batch(src, dsts, tag, nbytes, cid, cb, auxs, payload=None):
-            n = len(dsts)
-            now = sim.now
-            col = sent_cols[cid]
-            if col is None:
-                bind_sent(cid)
-                col = sent_cols[cid]
-            # n integer-valued adds collapse to one (exact below 2^53).
-            col[src] += nbytes * n
-            sent_counts[cid][src] += n
-            inj = inj_oh + nbytes * inj_bw_inv
-            nic = nic_free[src]
-            start = nic if nic > now else now
-            # NIC injection chain: finish_k = finish_{k-1} + inj.
-            # np.add.accumulate is a sequential left fold -- bit-identical
-            # to the scalar chained adds (and start + inj > now always,
-            # so the scalar max() never rebases mid-chain).
-            steps = np.full(n, inj)
-            steps[0] = start + inj
-            fins = np.add.accumulate(steps)
-            nic_free[src] = float(fins[-1])
-            bsteps = np.full(n, inj)
-            bsteps[0] = nic_out_col[src] + inj
-            nic_out_col[src] = float(np.add.accumulate(bsteps)[-1])
-            pidxs = [src * nranks + d for d in dsts]
-            pps = []
-            app = pps.append
-            for x in range(n):
-                pi = pidxs[x]
-                pp = pairs[pi]
-                if pp is None:
-                    pp = pair_params(src, dsts[x])
-                    pairs[pi] = pp
-                app(pp)
-            lats = np.array([p[0] for p in pps])
-            ibws = np.array([p[1] for p in pps])
-            jits = np.array([p[2] for p in pps])
-            arrl = (fins + (lats + nbytes * ibws) * jits).tolist()
-            # Channel FIFO clamps stay scalar (stateful per pair).
-            for x in range(n):
-                pi = pidxs[x]
-                a = arrl[x]
-                last = ch[pi]
-                if a < last:
-                    a = last
-                    arrl[x] = a
-                ch[pi] = a
-            s0 = sim._seq
-            sim._seq = s0 + n
-            sim._npending += n
-            ab = sim._active_bucket
-            al = sim._active_list
-            for x in range(n):
-                a = arrl[x]
-                ev = (a, s0 + x, hid_receive_pt,
-                      (dsts[x], nbytes, cid, cb, auxs[x], payload))
-                b = int(a * inv_width)
-                if b == ab:
-                    insort(al, ev)
-                else:
-                    try:
-                        sbk[b].append(ev)
-                    except KeyError:
-                        sbk[b] = [ev]
-                        heappush(sheap, b)
-
-        self.send_pt = fast_send_pt
-        self.send_batch = fast_send_batch
-        self.post_named = fast_post_named
-        sim._table[hid_receive_pt] = fast_receive_pt
-        sim._table[hid_deliver_pt] = fast_deliver_pt

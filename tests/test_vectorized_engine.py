@@ -23,7 +23,6 @@ never a behavior change.  Four layers pin it:
   trace-event stream, the ``repro trace`` output and the metrics.
 """
 
-import inspect
 import json
 
 import numpy as np
@@ -741,12 +740,72 @@ def test_vectorized_trace_log_identical(problem):
 
 
 def test_vectorized_with_per_message_overhead(problem):
-    """A per-delivery CPU tax takes the unspecialized route; it must
-    still match the legacy engine exactly."""
+    """A per-delivery CPU tax (a deliver-stage hook) must still match
+    the legacy engine exactly."""
     kwargs = dict(scheme="shifted", grid=(2, 2), seed=9, jitter_seed=1,
                   jitter_sigma=0.1, overhead=2e-7)
     assert (_outcome(problem, "vectorized", **kwargs)
             == _outcome(problem, "legacy", **kwargs))
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "legacy"])
+@pytest.mark.parametrize("overhead", [-2e-7, float("nan")])
+def test_invalid_per_message_overhead_rejected(problem, engine, overhead):
+    """A negative or NaN per-message tax is an error on both engines,
+    like a negative compute time, instead of running as zero."""
+    with pytest.raises(ValueError, match="per_message_cpu_overhead"):
+        SimulatedPSelInv(problem.struct, ProcessorGrid(2, 2), "shifted",
+                         per_message_cpu_overhead=overhead, engine=engine)
+
+
+def _max_fanout(log) -> int:
+    """The widest fan-out in an event log: sends of one tag by one rank."""
+    sends: dict = {}
+    for ev in log:
+        if ev.kind == "send" and ev.src != ev.dst:
+            key = (ev.src, ev.tag)
+            sends[key] = sends.get(key, 0) + 1
+    return max(sends.values())
+
+
+@pytest.mark.parametrize("scheme", ["flat", "hybrid"])
+def test_wide_fanout_matches_legacy(problem, scheme):
+    """Grid columns of 8 ranks give fan-outs of 6 and more: hook-free,
+    and then with an event log and a per-message tax, both engines
+    agree on the whole outcome and on the event stream."""
+    kwargs = dict(scheme=scheme, grid=(8, 2), seed=3, jitter_seed=11,
+                  jitter_sigma=0.3)
+    assert (_outcome(problem, "vectorized", **kwargs)
+            == _outcome(problem, "legacy", **kwargs))
+    outs, logs = [], []
+    for engine in ("vectorized", "legacy"):
+        log: list = []
+        outs.append(_outcome(problem, engine, overhead=2e-7, event_log=log,
+                             **kwargs))
+        logs.append(log)
+    assert outs[0] == outs[1]
+    assert logs[0] == logs[1]
+    assert _max_fanout(logs[0]) >= 6  # non-vacuous
+
+
+@pytest.mark.parametrize("scheme", ["flat", "shifted", "randperm"])
+def test_sparse_pair_tables_match_dense(problem, monkeypatch, scheme):
+    """Above the dense bound the per-(src, dst) tables are sparse; with
+    the bound at 0 both engines still reproduce the dense-layout
+    outcome, hook-free and with an event log and a per-message tax."""
+    kwargs = dict(scheme=scheme, grid=(2, 4), seed=8, jitter_seed=2,
+                  jitter_sigma=0.3)
+
+    def outcomes(engine):
+        log: list = []
+        hooked = _outcome(problem, engine, overhead=2e-7, event_log=log,
+                          **kwargs)
+        return _outcome(problem, engine, **kwargs), hooked, log
+
+    dense = outcomes("vectorized")
+    monkeypatch.setattr(Machine, "_FLAT_CHANNEL_MAX_RANKS", 0)
+    assert isinstance(VecMachine(2, Network(2))._channel_last, dict)
+    assert outcomes("vectorized") == outcomes("legacy") == dense
 
 
 def test_overhead_with_telemetry_matches_legacy(problem):
@@ -794,20 +853,6 @@ def test_repro_trace_byte_identical(tmp_path, capsys):
         )
     assert out["vectorized"] == out["legacy"]
     capsys.readouterr()
-
-
-def test_metrics_and_hotspots_stay_on_specialized_route(problem):
-    """Only the timeline, the event log and a per-delivery tax select the
-    hooked route; a metrics + hot-spot run keeps the specialized
-    closures."""
-    grid = ProcessorGrid(2, 2)
-    fast = SimulatedPSelInv(problem.struct, grid, "flat", telemetry=_telemetry(grid))
-    assert not inspect.ismethod(fast.machine.send_pt)
-    assert not inspect.ismethod(fast.machine.post_named)
-    hooked = SimulatedPSelInv(
-        problem.struct, grid, "flat", telemetry=Telemetry.full(grid.size)
-    )
-    assert inspect.ismethod(hooked.machine.send_pt)
 
 
 def test_vec_machine_on_calendar_engine(problem):
