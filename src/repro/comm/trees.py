@@ -807,7 +807,6 @@ class CompiledTree:
         "childpos",
         "parentpos",
         "child_counts",
-        "_pos",
     )
 
     def __init__(
@@ -824,14 +823,6 @@ class CompiledTree:
         self.indptr, self.childpos = _children_csr(family, p)
         self.parentpos = _parent_positions(family, p)
         self.child_counts = _child_counts_list(family, p)
-        self._pos: dict[int, int] | None = None
-
-    def pos_of(self) -> dict[int, int]:
-        """rank -> construction-order position (built lazily, once)."""
-        pos = self._pos
-        if pos is None:
-            pos = self._pos = dict(zip(self.ranks, range(self.size)))
-        return pos
 
     def depth(self) -> int:
         """Longest root-to-leaf path length in edges."""

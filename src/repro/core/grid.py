@@ -11,11 +11,20 @@ along a grid row, which -- combined with MPI's fill-a-node-first placement
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["ProcessorGrid", "square_grids"]
+
+# One int object per rank number, shared by every grid in the process and
+# grown on demand by ``ProcessorGrid.rank`` (under the lock, so ``_RANKS[r]``
+# is always ``r``).  CPython caches only the ints up to 256; without this,
+# every rank a plan stores (roots, endpoints, participants) would be its
+# own 32-byte object.
+_RANKS: list[int] = []
+_RANKS_GROW = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -34,10 +43,19 @@ class ProcessorGrid:
         return self.pr * self.pc
 
     def rank(self, row: int, col: int) -> int:
-        """Rank at grid coordinates (row-major numbering)."""
+        """Rank at grid coordinates (row-major numbering).
+
+        Equal ranks are one shared int object (see ``_RANKS``).
+        """
         if not (0 <= row < self.pr and 0 <= col < self.pc):
             raise ValueError(f"grid coordinate ({row}, {col}) out of range")
-        return row * self.pc + col
+        r = row * self.pc + col
+        try:
+            return _RANKS[r]
+        except IndexError:
+            with _RANKS_GROW:
+                _RANKS.extend(range(len(_RANKS), r + 1))
+            return _RANKS[r]
 
     def coords(self, rank: int) -> tuple[int, int]:
         """Grid coordinates of ``rank``."""
@@ -51,10 +69,14 @@ class ProcessorGrid:
 
     def row_ranks(self, grid_row: int) -> np.ndarray:
         """All ranks in one grid row (a row communication group)."""
+        if not 0 <= grid_row < self.pr:
+            raise ValueError(f"grid row {grid_row} out of range")
         return np.arange(grid_row * self.pc, (grid_row + 1) * self.pc)
 
     def col_ranks(self, grid_col: int) -> np.ndarray:
         """All ranks in one grid column (a column communication group)."""
+        if not 0 <= grid_col < self.pc:
+            raise ValueError(f"grid column {grid_col} out of range")
         return np.arange(grid_col, self.size, self.pc)
 
     def volume_heatmap(self, per_rank: np.ndarray) -> np.ndarray:

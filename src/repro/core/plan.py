@@ -123,6 +123,48 @@ def supernode_plan(
     ``bytes_per_entry`` is 8 for real double matrices and 16 for the
     complex matrices of PEXSI pole loops.
     """
+    return _supernode_plan(struct, grid, k, bytes_per_entry, {})
+
+
+def _participant_groups(
+    grid: ProcessorGrid,
+    k: int,
+    blocks: list[BlockInfo],
+    intern: dict[tuple, tuple],
+) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+    """The participant tuples of supernode ``k``'s restricted collectives.
+
+    Every collective of ``k`` spans one grid column over the grid rows
+    hosting ``k`` or a block row of its panel, or one grid row over the
+    grid columns hosting ``k`` or a block row.  Returns ``(col_group,
+    row_group)``: ``col_group[c]`` is the sorted ranks of grid column
+    ``c`` over those rows, ``row_group[r]`` the sorted ranks of grid row
+    ``r`` over those columns, for every such ``c`` and ``r``.  Each tuple
+    is built once and passed through ``intern``, so equal groups of
+    different supernodes are one object.
+    """
+    pr, pc = grid.pr, grid.pc
+    rows = sorted({k % pr, *(b.snode % pr for b in blocks)})
+    cols = sorted({k % pc, *(b.snode % pc for b in blocks)})
+    rank = grid.rank
+    col_group = {}
+    for c in cols:
+        t = tuple([rank(r, c) for r in rows])
+        col_group[c] = intern.setdefault(t, t)
+    row_group = {}
+    for r in rows:
+        t = tuple([rank(r, c) for c in cols])
+        row_group[r] = intern.setdefault(t, t)
+    return col_group, row_group
+
+
+def _supernode_plan(
+    struct: SupernodalStructure,
+    grid: ProcessorGrid,
+    k: int,
+    bytes_per_entry: int,
+    intern: dict[tuple, tuple],
+) -> SupernodePlan:
     pr, pc = grid.pr, grid.pc
     s = struct.width(k)
     kr, kc = k % pr, k % pc
@@ -148,12 +190,10 @@ def supernode_plan(
             cross_backs=[],
         )
 
+    col_group, row_group = _participant_groups(grid, k, blocks, intern)
+
     # First loop: diagonal block broadcast down grid column kc to the
     # owners of the L(I,K) panel blocks.
-    l_owner_rows = sorted({b.snode % pr for b in blocks})
-    diag_participants = tuple(
-        sorted({diag_owner} | {grid.rank(r, kc) for r in l_owner_rows})
-    )
     # Singleton collectives (all participants collapse onto one rank) are
     # kept in the plan: they carry no bytes but the simulator still needs
     # them as dataflow joints.
@@ -161,7 +201,7 @@ def supernode_plan(
         kind="diag-bcast",
         key=("db", k),
         root=diag_owner,
-        participants=diag_participants,
+        participants=col_group[kc],
         nbytes=nb_diag,
     )
 
@@ -169,11 +209,6 @@ def supernode_plan(
     col_bcasts: list[CollectiveSpec] = []
     row_reduces: list[CollectiveSpec] = []
     cross_backs: list[PointToPointSpec] = []
-
-    # Grid rows hosting any block row of C -- the Ainv block owners within
-    # each broadcast column are exactly these rows.
-    c_rows = sorted({b.snode % pr for b in blocks})
-    c_cols = sorted({b.snode % pc for b in blocks})
 
     for b in blocks:
         i = b.snode
@@ -189,15 +224,13 @@ def supernode_plan(
                 nbytes=nb_panel,
             )
         )
-        participants = tuple(
-            sorted({u_owner} | {grid.rank(r, i % pc) for r in c_rows})
-        )
+        # The Ainv block owners of grid column I mod Pc.
         col_bcasts.append(
             CollectiveSpec(
                 kind="col-bcast",
                 key=("cb", k, i),
                 root=u_owner,
-                participants=participants,
+                participants=col_group[i % pc],
                 nbytes=nb_panel,
             )
         )
@@ -206,14 +239,12 @@ def supernode_plan(
         j = b.snode
         nb_panel = s * b.nrows * bytes_per_entry
         dest = grid.rank(j % pr, kc)  # owner of L(J,K): reduce destination
-        contributors = {grid.rank(j % pr, c) for c in c_cols}
-        participants = tuple(sorted(contributors | {dest}))
         row_reduces.append(
             CollectiveSpec(
                 kind="row-reduce",
                 key=("rr", k, j),
                 root=dest,
-                participants=participants,
+                participants=row_group[j % pr],
                 nbytes=nb_panel,
             )
         )
@@ -230,12 +261,11 @@ def supernode_plan(
 
     # Diagonal update: contributions live on the owners of L(J,K) (grid
     # column kc), reduced onto the diagonal owner.
-    contrib = tuple(sorted({grid.rank(r, kc) for r in c_rows} | {diag_owner}))
     col_reduce = CollectiveSpec(
         kind="col-reduce",
         key=("cr", k),
         root=diag_owner,
-        participants=contrib,
+        participants=col_group[kc],
         nbytes=nb_diag,
     )
 
@@ -259,6 +289,10 @@ def iter_plans(
     *,
     bytes_per_entry: int = BYTES_PER_ENTRY,
 ) -> Iterator[SupernodePlan]:
-    """Plans for every supernode, ascending index order."""
+    """Plans for every supernode, ascending index order.
+
+    Equal participant tuples are shared across supernodes.
+    """
+    intern: dict[tuple, tuple] = {}
     for k in range(struct.nsup):
-        yield supernode_plan(struct, grid, k, bytes_per_entry=bytes_per_entry)
+        yield _supernode_plan(struct, grid, k, bytes_per_entry, intern)

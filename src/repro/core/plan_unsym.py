@@ -37,6 +37,7 @@ from .plan import (
     BlockInfo,
     CollectiveSpec,
     PointToPointSpec,
+    _participant_groups,
 )
 
 __all__ = ["UnsymSupernodePlan", "unsym_supernode_plan", "iter_unsym_plans"]
@@ -82,6 +83,16 @@ def unsym_supernode_plan(
     bytes_per_entry: int = BYTES_PER_ENTRY,
 ) -> UnsymSupernodePlan:
     """Build the unsymmetric communication plan of supernode ``k``."""
+    return _unsym_supernode_plan(struct, grid, k, bytes_per_entry, {})
+
+
+def _unsym_supernode_plan(
+    struct: SupernodalStructure,
+    grid: ProcessorGrid,
+    k: int,
+    bytes_per_entry: int,
+    intern: dict[tuple, tuple],
+) -> UnsymSupernodePlan:
     pr, pc = grid.pr, grid.pc
     s = struct.width(k)
     kr, kc = k % pr, k % pc
@@ -100,25 +111,20 @@ def unsym_supernode_plan(
             row_reduces=[], col_ureduces=[], diag_rreduce=None,
         )
 
-    c_rows = sorted({b.snode % pr for b in blocks})
-    c_cols = sorted({b.snode % pc for b in blocks})
+    col_group, row_group = _participant_groups(grid, k, blocks, intern)
 
     diag_bcast = CollectiveSpec(
         kind="diag-bcast",
         key=("db", k),
         root=diag_owner,
-        participants=tuple(
-            sorted({diag_owner} | {grid.rank(r, kc) for r in c_rows})
-        ),
+        participants=col_group[kc],
         nbytes=nb_diag,
     )
     diag_rbcast = CollectiveSpec(
         kind="diag-rbcast",
         key=("dr", k),
         root=diag_owner,
-        participants=tuple(
-            sorted({diag_owner} | {grid.rank(kr, c) for c in c_cols})
-        ),
+        participants=row_group[kr],
         nbytes=nb_diag,
     )
 
@@ -149,18 +155,14 @@ def unsym_supernode_plan(
         col_bcasts.append(
             CollectiveSpec(
                 kind="col-bcast", key=("cb", k, i), root=u_owner,
-                participants=tuple(
-                    sorted({u_owner} | {grid.rank(r, i % pc) for r in c_rows})
-                ),
+                participants=col_group[i % pc],
                 nbytes=nb_panel,
             )
         )
         row_bcasts.append(
             CollectiveSpec(
                 kind="row-bcast", key=("rb", k, i), root=l_owner,
-                participants=tuple(
-                    sorted({l_owner} | {grid.rank(i % pr, c) for c in c_cols})
-                ),
+                participants=row_group[i % pr],
                 nbytes=nb_panel,
             )
         )
@@ -172,9 +174,7 @@ def unsym_supernode_plan(
         row_reduces.append(
             CollectiveSpec(
                 kind="row-reduce", key=("rr", k, j), root=l_dest,
-                participants=tuple(
-                    sorted({l_dest} | {grid.rank(j % pr, c) for c in c_cols})
-                ),
+                participants=row_group[j % pr],
                 nbytes=nb_panel,
             )
         )
@@ -182,9 +182,7 @@ def unsym_supernode_plan(
         col_ureduces.append(
             CollectiveSpec(
                 kind="col-ureduce", key=("cu2", k, j), root=u_dest,
-                participants=tuple(
-                    sorted({u_dest} | {grid.rank(r, j % pc) for r in c_rows})
-                ),
+                participants=col_group[j % pc],
                 nbytes=nb_panel,
             )
         )
@@ -193,9 +191,7 @@ def unsym_supernode_plan(
         kind="diag-rreduce",
         key=("dq", k),
         root=diag_owner,
-        participants=tuple(
-            sorted({diag_owner} | {grid.rank(kr, c) for c in c_cols})
-        ),
+        participants=row_group[kr],
         nbytes=nb_diag,
     )
 
@@ -215,8 +211,10 @@ def iter_unsym_plans(
     *,
     bytes_per_entry: int = BYTES_PER_ENTRY,
 ) -> Iterator[UnsymSupernodePlan]:
-    """Unsymmetric plans for every supernode, ascending index order."""
+    """Unsymmetric plans for every supernode, ascending index order.
+
+    Equal participant tuples are shared across supernodes.
+    """
+    intern: dict[tuple, tuple] = {}
     for k in range(struct.nsup):
-        yield unsym_supernode_plan(
-            struct, grid, k, bytes_per_entry=bytes_per_entry
-        )
+        yield _unsym_supernode_plan(struct, grid, k, bytes_per_entry, intern)

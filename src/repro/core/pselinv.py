@@ -249,6 +249,51 @@ class _SupernodeState:
         self.base = None
 
 
+def _check_plans(
+    plans: list, struct: SupernodalStructure, grid: ProcessorGrid,
+    bytes_per_entry: int | None,
+) -> None:
+    """Reject caller-supplied plans of another problem, grid or entry size.
+
+    One look per plan (O(nsup)), not a scan of every collective: the
+    plan list must hold supernode ``k``'s plan at index ``k``, with the
+    structure's width and ``grid``'s diagonal owner, and -- when
+    ``bytes_per_entry`` is given (numeric runs, where the factor fixes
+    it) -- a diagonal broadcast of ``width**2`` such entries.  Symbolic
+    runs accept any entry size: 16-byte plans model a complex matrix.
+    """
+    if len(plans) != struct.nsup:
+        raise ValueError(
+            f"plans cover {len(plans)} supernodes; the structure has "
+            f"{struct.nsup}"
+        )
+    for k, plan in enumerate(plans):
+        if plan.k != k:
+            raise ValueError(f"plans[{k}] is the plan of supernode {plan.k}")
+        if plan.width != struct.width(k):
+            raise ValueError(
+                f"plan {k} has width {plan.width}; supernode {k} has "
+                f"{struct.width(k)} columns"
+            )
+        owner = grid.owner(k, k)
+        if plan.diag_owner != owner:
+            raise ValueError(
+                f"plan {k} puts the diagonal block on rank "
+                f"{plan.diag_owner}; the {grid.pr}x{grid.pc} grid puts it "
+                f"on rank {owner}"
+            )
+        spec = plan.diag_bcast
+        if bytes_per_entry is None or spec is None:
+            continue
+        want = plan.width * plan.width * bytes_per_entry
+        if spec.nbytes != want:
+            raise ValueError(
+                f"plan {k}'s diagonal broadcast carries {spec.nbytes} B; "
+                f"the factor's {plan.width}x{plan.width} block of "
+                f"{bytes_per_entry}-byte entries is {want} B"
+            )
+
+
 class _PSelInvDriver:
     """The driver skeleton both value symmetries share.
 
@@ -313,14 +358,15 @@ class _PSelInvDriver:
             jitter_seed=jitter_seed,
         )
         self.machine: Machine = machine_cls(grid.size, net, **(machine_kwargs or {}))
-        if plans is not None:
-            self.plans = plans
+        # Complex matrices (PEXSI pole shifts) move 16-byte entries.
+        bpe = BYTES_PER_ENTRY
+        if factor is not None and factor.LX and np.iscomplexobj(factor.LX[0]):
+            bpe = 2 * BYTES_PER_ENTRY
+        if plans is None:
+            plans = list(self._iter_plans(struct, grid, bytes_per_entry=bpe))
         else:
-            # Complex matrices (PEXSI pole shifts) move 16-byte entries.
-            bpe = BYTES_PER_ENTRY
-            if factor is not None and factor.LX and np.iscomplexobj(factor.LX[0]):
-                bpe = 2 * BYTES_PER_ENTRY
-            self.plans = list(self._iter_plans(struct, grid, bytes_per_entry=bpe))
+            _check_plans(plans, struct, grid, bpe if self.numeric else None)
+        self.plans = plans
         self.states = [self._state_cls(p) for p in self.plans]
         self.collectives: dict[tuple, Any] = {}
         # Readiness of Ainv blocks: (row_snode, col_snode) -> ready flag;
@@ -942,10 +988,12 @@ class SimulatedPSelInv(_PSelInvDriver):
         gl: dict[int, int] = {}
         st.gemms_left = gl
         fin_args: dict[int, tuple] = {}
+        # Each reduce's rank -> tree position map lives only in this
+        # call: the memoized trees carry none.
         for spec in plan.row_reduces:
             j = spec.key[2]
             tree = self._tree(spec)
-            pos = tree.pos_of()
+            pos = dict(zip(tree.ranks, range(tree.size)))
             jrow_j = (j % pr) * pc
             jn = j * nranks
             red = VecReduce(
@@ -964,7 +1012,7 @@ class SimulatedPSelInv(_PSelInvDriver):
             dl[jrow + kc] = len(g)
         spec = plan.col_reduce
         tree = self._tree(spec)
-        pos = tree.pos_of()
+        pos = dict(zip(tree.ranks, range(tree.size)))
         cr = VecReduce(
             m, tree, spec.key, spec.nbytes, spec.kind,
             [pos[d] for d in dl],

@@ -41,6 +41,17 @@ class TestProcessorGrid:
         assert np.array_equal(g.row_ranks(1), [4, 5, 6, 7])
         assert np.array_equal(g.col_ranks(2), [2, 6, 10])
 
+    @pytest.mark.parametrize(
+        "method, index",
+        [("col_ranks", 4), ("col_ranks", -1), ("row_ranks", 3), ("row_ranks", -1)],
+    )
+    def test_row_and_col_groups_range_checked(self, method, index):
+        # Unchecked, col_ranks(4) on a 3x4 grid was [4, 8] (column 0
+        # without rank 0), row_ranks(3) ranks 12-15 and row_ranks(-1)
+        # negative ranks.
+        with pytest.raises(ValueError, match="out of range"):
+            getattr(ProcessorGrid(3, 4), method)(index)
+
     def test_heatmap_reshape(self):
         g = ProcessorGrid(2, 3)
         hm = g.volume_heatmap(np.arange(6))
