@@ -49,7 +49,7 @@ __all__ = [
 BYTES_PER_ENTRY = 8  # float64; the paper's matrices are real double
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockInfo:
     """One nonzero block row ``I`` of supernode ``K``'s panel."""
 
@@ -57,7 +57,7 @@ class BlockInfo:
     nrows: int  # rows of supernode I present in K's structure (r_I)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollectiveSpec:
     """One restricted collective (broadcast or reduction)."""
 
@@ -72,7 +72,7 @@ class CollectiveSpec:
         return len(self.participants)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointToPointSpec:
     """One plain point-to-point transfer (the cross sends)."""
 

@@ -180,28 +180,8 @@ class CommStats:
         return out
 
 
-class _SparseTable(dict):
-    """A per-(src, dst) table too large to hold densely: keyed by the
-    same flat index as the dense list, and a missing key reads as the
-    table's empty value (without inserting it)."""
-
-    __slots__ = ("empty",)
-
-    def __init__(self, empty: Any) -> None:
-        super().__init__()
-        self.empty = empty
-
-    def __missing__(self, key: int) -> Any:
-        return self.empty
-
-
 class Machine:
     """The simulated distributed-memory machine."""
-
-    # Below this rank count the per-(src, dst) tables (channel clocks,
-    # the vectorized machine's pair costs) are flat dense lists; above
-    # it a dense table would waste memory and a _SparseTable takes over.
-    _FLAT_CHANNEL_MAX_RANKS = 1024
 
     def __init__(
         self,
@@ -234,8 +214,10 @@ class Machine:
         self._nic_free = [0.0] * nranks  # outgoing (injection) port
         self._nic_in_free = [0.0] * nranks  # incoming (ejection) port
         self._cpu_free = [0.0] * nranks
-        # FIFO channel clocks: last delivery time per (src, dst).
-        self._channel_last = self._pair_table(0.0)
+        # FIFO channel clocks: last delivery time per (src, dst), keyed
+        # ``src * nranks + dst`` and holding only the pairs that carried
+        # a message (an absent pair reads as 0.0).
+        self._channel_last: dict[int, float] = {}
         self._recv_overhead = network.config.receive_overhead
         # Pre-bound network queries: post_send/_receive run once per
         # message, and the two attribute hops per call add up.
@@ -244,16 +226,6 @@ class Machine:
         self._ejection_time = network.ejection_time
         # Message handler per rank: fn(msg) -> None.
         self._handlers: list[Callable[[Message], None] | None] = [None] * nranks
-
-    def _pair_table(self, empty: Any) -> Any:
-        """A per-(src, dst) table indexed by ``src * nranks + dst``,
-        every entry ``empty`` at first: a dense list up to
-        :attr:`_FLAT_CHANNEL_MAX_RANKS` ranks, a :class:`_SparseTable`
-        above it."""
-        n = self.nranks
-        if n <= self._FLAT_CHANNEL_MAX_RANKS:
-            return [empty] * (n * n)
-        return _SparseTable(empty)
 
     # -- wiring --------------------------------------------------------------
 
@@ -311,8 +283,9 @@ class Machine:
         # Enforce MPI-style non-overtaking per (src, dst) channel.
         ch = self._channel_last
         idx = src * self.nranks + dst
-        if arrival < ch[idx]:
-            arrival = ch[idx]
+        last = ch.get(idx, 0.0)
+        if arrival < last:
+            arrival = last
         ch[idx] = arrival
         if self._rec is not None:
             self._rec.record_send(msg, now, start, finish, arrival)
@@ -429,12 +402,14 @@ class VecMachine(Machine):
       is a flat ``(time, hid, arg)`` triple.
     * **Fused network arithmetic** -- injection/ejection/transit costs
       are inlined from the network's flattened constants, with the
-      per-pair ``(latency, 1/bandwidth, jitter)`` triple memoized in a
-      per-(src, dst) table (see :meth:`Network.pair_params`).
+      ``(latency, 1/bandwidth, jitter)`` triple memoized per *node*
+      pair (it depends only on the two nodes, see
+      :meth:`Network.pair_params`) in a list indexed ``node_of[src] *
+      nnodes + node_of[dst]``.
 
     Each per-message stage exists once, built in ``__init__`` as a
     closure with all stable state (calendar buckets and heap, resource
-    clocks, stats columns, pair tables) in cells:
+    clocks, stats columns, the node-pair cost memo) in cells:
     ``send_pt(src, dst, tag, nbytes, cid, cb, aux=0, payload=None)``
     (``cid`` from :meth:`category_id`; a fan-out is one call per
     child), the receive stage (NIC-in ejection, then the receive-side
@@ -508,7 +483,11 @@ class VecMachine(Machine):
         recv_oh_col = stats._recv_overhead_busy
         compute_busy = stats._compute_busy
         ch = self._channel_last
-        pairs = self._pair_table(None)
+        ch_get = ch.get
+        node_of = network._node_list
+        nnodes = network.nnodes
+        # (latency, 1/bandwidth, jitter) per node pair, filled on first use.
+        pairs: list[Any] = [None] * (nnodes * nnodes)
         pair_params = network.pair_params
         inj_oh = network._inj_overhead
         inj_bw_inv = network._inj_ibw
@@ -596,15 +575,16 @@ class VecMachine(Machine):
                 finish = start + inj
                 nic_free[src] = finish
                 nic_out_col[src] += inj
-                pidx = src * nranks + dst
-                pp = pairs[pidx]
+                nidx = node_of[src] * nnodes + node_of[dst]
+                pp = pairs[nidx]
                 if pp is None:
                     pp = pair_params(src, dst)
-                    pairs[pidx] = pp
+                    pairs[nidx] = pp
                 lat, ibw, jit = pp
                 arrival = finish + (lat + nbytes * ibw) * jit
                 # Enforce MPI-style non-overtaking per (src, dst) channel.
-                last = ch[pidx]
+                pidx = src * nranks + dst
+                last = ch_get(pidx, 0.0)
                 if arrival < last:
                     arrival = last
                 ch[pidx] = arrival

@@ -215,7 +215,8 @@ class Network:
     def pair_params(self, src: int, dst: int) -> tuple[float, float, float]:
         """``(latency, 1/bandwidth, jitter)`` for one rank pair.
 
-        The vectorized machine memoizes this triple per pair and computes
+        It reads only the two ranks' nodes and groups, so the vectorized
+        machine memoizes the triple per *node* pair and computes
         ``transit = (latency + nbytes / bandwidth) * jitter`` inline.
         Bit-identical to :meth:`transit_time` for every case: intra-node
         and jitter-free pairs return a jitter of exactly 1.0, and an

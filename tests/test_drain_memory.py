@@ -9,6 +9,10 @@ still pending, not what has already run.
   numeric panels, and no collective is kept alive by a reference cycle:
   with the cyclic collector off for the whole run, no
   :class:`VecBroadcast` / :class:`VecReduce` survives it.
+* **Machine.**  Per-pair state follows the traffic: wire costs are
+  memoized per node pair and channel clocks exist only for the
+  (src, dst) pairs that carried a message, so nothing is sized
+  ``nranks**2``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import pytest
 
 from repro.comm.collectives import VecBroadcast, VecReduce
 from repro.core import ProcessorGrid, SimulatedPSelInv
-from repro.simulate import VecSimulator
+from repro.simulate import Network, VecMachine, VecSimulator
 from repro.sparse import analyze
 from repro.sparse.factor import factorize
 from repro.workloads import dg_hamiltonian, make_workload
@@ -34,6 +38,11 @@ from .test_pselinv_numeric import PINNED_DG_INVERSE_SHA256
 #: chain alone takes ~1.6 MB of pointers (plus ~4.8 MB of float objects
 #: for a time column).
 DRAIN_PEAK_BOUND = 64 * 1024
+
+#: Traced bound of constructing a 1,024-rank machine: a few per-rank
+#: lists of 8 kB each and a 43 x 43 node-pair memo, where two dense
+#: per-(src, dst) tables would take 16 MiB.
+MACHINE_TRACED_BOUND = 256 * 1024
 
 
 def _drain_peak(nevents: int, chains: int, bounded: bool) -> int:
@@ -124,3 +133,30 @@ def test_numeric_run_frees_its_protocol(collector_off):
     got = res.inverse.to_dense_at_structure().tobytes()
     assert hashlib.sha256(got).hexdigest() == PINNED_DG_INVERSE_SHA256
     _assert_protocol_released(sim)
+
+
+def test_machine_state_not_sized_by_rank_pairs():
+    network = Network(1024)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        machine = VecMachine(1024, network)
+        traced = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert machine.nranks == 1024
+    assert traced < MACHINE_TRACED_BOUND, f"{traced} B traced"
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "legacy"])
+def test_channel_clocks_only_for_used_pairs(engine):
+    prob = analyze(make_workload("audikw_1", "tiny"), ordering="nd")
+    log: list = []
+    sim = SimulatedPSelInv(prob.struct, ProcessorGrid(4, 4), "shifted",
+                           seed=3, event_log=log, engine=engine)
+    sim.run()
+    used = {
+        (ev.src, ev.dst) for ev in log if ev.kind == "send" and ev.src != ev.dst
+    }
+    assert len(used) > 16
+    assert len(sim.machine._channel_last) == len(used)

@@ -6,12 +6,21 @@ were recorded before the compaction), while the plans share one int
 object per rank and one tuple per distinct participant set.
 """
 
+import dataclasses
 import hashlib
 import tracemalloc
 
 import pytest
 
-from repro.core import ProcessorGrid, SimulatedPSelInv, iter_plans, iter_unsym_plans
+from repro.core import (
+    BlockInfo,
+    CollectiveSpec,
+    PointToPointSpec,
+    ProcessorGrid,
+    SimulatedPSelInv,
+    iter_plans,
+    iter_unsym_plans,
+)
 from repro.runner import cache as runner_cache
 
 # sha256 of repr(list(iter_plans(...))) / repr(list(iter_unsym_plans(...)))
@@ -26,8 +35,9 @@ PLANNERS = {"sym": iter_plans, "unsym": iter_unsym_plans}
 KEYS = sorted(PLAN_SHA256)
 KEY_IDS = [f"{pr}x{pc}-{kind}" for (pr, pc), kind in KEYS]
 #: Traced bytes of the 32x32 symmetric plan list (22.0 MiB, traced the
-#: same way, with a fresh int per rank and a fresh tuple per collective).
-PLAN_TRACED_MAX = 10.5 * 2**20
+#: same way, with a fresh int per rank and a fresh tuple per collective;
+#: 9.3 MiB with shared ranks and tuples but a ``__dict__`` per record).
+PLAN_TRACED_MAX = 8.5 * 2**20
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +88,39 @@ def test_plans_share_ranks_and_tuples(plans_of, key):
         for p2p in plan.point_to_points():
             assert own(p2p.src) and own(p2p.dst)
     assert len(tuples) < n_specs
+
+
+@pytest.mark.parametrize("key", KEYS, ids=KEY_IDS)
+def test_plan_records_have_no_dict(plans_of, key):
+    _, plans = plans_of(key)
+    n = 0
+    for plan in plans:
+        for rec in (*plan.blocks, *plan.collectives(), *plan.point_to_points()):
+            assert not hasattr(rec, "__dict__"), type(rec).__name__
+            n += 1
+    assert n > len(plans)
+
+
+def test_plan_records_value_semantics():
+    """Slotted records still compare, hash, replace and stay frozen like
+    plain frozen dataclasses."""
+    records = [
+        BlockInfo(3, 7),
+        CollectiveSpec("col-bcast", ("cb", 4, 3), 5, (1, 5, 9), 448),
+        PointToPointSpec("cross-send", ("cs", 4, 3), 5, 9, 448),
+    ]
+    for rec in records:
+        twin = type(rec)(*dataclasses.astuple(rec))
+        assert twin == rec and twin is not rec
+        assert hash(twin) == hash(rec)
+        assert dataclasses.replace(rec) == rec
+        field = dataclasses.fields(rec)[-1].name
+        other = dataclasses.replace(rec, **{field: getattr(rec, field) + 1})
+        assert other != rec
+        assert len({rec, twin, other}) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, field, 0)
+    assert records[1].size == 3
 
 
 def test_rank_objects_shared_across_grids():

@@ -422,6 +422,30 @@ class TestMachineParity:
             m.run()
         assert log_a == log_b
 
+    def test_non_overtaking_clamp(self):
+        # A large message and then a small one on one inter-node channel:
+        # the small one would arrive first, so the channel clock holds it
+        # back to the large one's arrival, on both machines alike.
+        big, small = 1_000_000, 8
+        outs = []
+        for m in _machines(4, cores_per_node=2, jitter_sigma=0.3):
+            net = m.network
+            assert net.distance_class(0, 2) != 0
+            got = []
+            m.set_handler(2, lambda msg, m=m: got.append((msg.tag, m.now)))
+            m.post_send(0, 2, "big", big, "cat")
+            m.post_send(0, 2, "small", small, "cat")
+            m.run()
+            big_done = net.injection_time(big)
+            big_arrival = big_done + net.transit_time(0, 2, big)
+            small_arrival = (big_done + net.injection_time(small)
+                             + net.transit_time(0, 2, small))
+            assert small_arrival < big_arrival
+            assert m._channel_last == {2: big_arrival}  # the clamp fired
+            assert [tag for tag, _ in got] == ["big", "small"]
+            outs.append(got)
+        assert outs[0] == outs[1]
+
     def test_negative_compute_rejected(self):
         for m in _machines():
             with pytest.raises(ValueError, match="negative compute"):
@@ -560,14 +584,16 @@ def problem():
 
 
 def _outcome(problem, engine, *, scheme, grid, seed=123, jitter_seed=7,
-             jitter_sigma=0.3, lookahead=32, overhead=0.0, event_log=None):
+             jitter_sigma=0.3, lookahead=32, overhead=0.0, event_log=None,
+             network=None, placement_seed=None):
     sim = SimulatedPSelInv(
         problem.struct,
         ProcessorGrid(*grid),
         scheme,
-        network=NetworkConfig(jitter_sigma=jitter_sigma),
+        network=network or NetworkConfig(jitter_sigma=jitter_sigma),
         seed=seed,
         jitter_seed=jitter_seed,
+        placement_seed=placement_seed,
         lookahead=lookahead,
         per_message_cpu_overhead=overhead,
         engine=engine,
@@ -789,12 +815,15 @@ def test_wide_fanout_matches_legacy(problem, scheme):
 
 
 @pytest.mark.parametrize("scheme", ["flat", "shifted", "randperm"])
-def test_sparse_pair_tables_match_dense(problem, monkeypatch, scheme):
-    """Above the dense bound the per-(src, dst) tables are sparse; with
-    the bound at 0 both engines still reproduce the dense-layout
-    outcome, hook-free and with an event log and a per-message tax."""
-    kwargs = dict(scheme=scheme, grid=(2, 4), seed=8, jitter_seed=2,
-                  jitter_sigma=0.3)
+def test_node_pair_costs_match_legacy(problem, scheme):
+    """Two ranks per node, two nodes per group and a shuffled placement:
+    the vectorized machine's node-pair cost memo and used-pairs channel
+    clocks reproduce the legacy machine, hook-free and with an event log
+    and a per-message tax, over all three distance classes."""
+    net = NetworkConfig(cores_per_node=2, nodes_per_group=2,
+                        jitter_sigma=0.3)
+    kwargs = dict(scheme=scheme, grid=(4, 4), seed=8, jitter_seed=2,
+                  network=net, placement_seed=5)
 
     def outcomes(engine):
         log: list = []
@@ -802,10 +831,15 @@ def test_sparse_pair_tables_match_dense(problem, monkeypatch, scheme):
                           **kwargs)
         return _outcome(problem, engine, **kwargs), hooked, log
 
-    dense = outcomes("vectorized")
-    monkeypatch.setattr(Machine, "_FLAT_CHANNEL_MAX_RANKS", 0)
-    assert isinstance(VecMachine(2, Network(2))._channel_last, dict)
-    assert outcomes("vectorized") == outcomes("legacy") == dense
+    vec = outcomes("vectorized")
+    assert vec == outcomes("legacy")
+    network = Network(16, net, placement_seed=5)
+    assert network.nnodes == 8
+    classes = {
+        network.distance_class(ev.src, ev.dst)
+        for ev in vec[2] if ev.kind == "send" and ev.src != ev.dst
+    }
+    assert classes == {0, 1, 2}  # non-vacuous
 
 
 def test_overhead_with_telemetry_matches_legacy(problem):
