@@ -57,6 +57,12 @@ class ProcessorGrid:
                 _RANKS.extend(range(len(_RANKS), r + 1))
             return _RANKS[r]
 
+    def rank_table(self) -> list[int]:
+        """The shared rank ints, at least ``size`` long: ``rank(row, col)``
+        is ``rank_table()[row * pc + col]``, unchecked.  Read only."""
+        self.rank(self.pr - 1, self.pc - 1)
+        return _RANKS
+
     def coords(self, rank: int) -> tuple[int, int]:
         """Grid coordinates of ``rank``."""
         if not (0 <= rank < self.size):

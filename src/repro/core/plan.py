@@ -126,8 +126,20 @@ def supernode_plan(
     return _supernode_plan(struct, grid, k, bytes_per_entry, {})
 
 
+def _blocks(struct: SupernodalStructure, k: int) -> list[BlockInfo]:
+    """Supernode ``k``'s panel blocks, one count per block row."""
+    return [
+        BlockInfo(snode=i, nrows=r)
+        for i, r in zip(
+            struct.block_rows[k].tolist(), struct.block_row_counts(k).tolist()
+        )
+    ]
+
+
 def _participant_groups(
-    grid: ProcessorGrid,
+    ranks: list[int],
+    pr: int,
+    pc: int,
     k: int,
     blocks: list[BlockInfo],
     intern: dict[tuple, tuple],
@@ -140,20 +152,20 @@ def _participant_groups(
     row_group)``: ``col_group[c]`` is the sorted ranks of grid column
     ``c`` over those rows, ``row_group[r]`` the sorted ranks of grid row
     ``r`` over those columns, for every such ``c`` and ``r``.  Each tuple
-    is built once and passed through ``intern``, so equal groups of
-    different supernodes are one object.
+    is built once from the shared ``ranks`` table
+    (:meth:`ProcessorGrid.rank_table`) and passed through ``intern``, so
+    equal groups of different supernodes are one object.
     """
-    pr, pc = grid.pr, grid.pc
     rows = sorted({k % pr, *(b.snode % pr for b in blocks)})
     cols = sorted({k % pc, *(b.snode % pc for b in blocks)})
-    rank = grid.rank
+    offs = [r * pc for r in rows]
     col_group = {}
     for c in cols:
-        t = tuple([rank(r, c) for r in rows])
+        t = tuple([ranks[o + c] for o in offs])
         col_group[c] = intern.setdefault(t, t)
     row_group = {}
-    for r in rows:
-        t = tuple([rank(r, c) for c in cols])
+    for r, o in zip(rows, offs):
+        t = tuple([ranks[o + c] for c in cols])
         row_group[r] = intern.setdefault(t, t)
     return col_group, row_group
 
@@ -166,14 +178,12 @@ def _supernode_plan(
     intern: dict[tuple, tuple],
 ) -> SupernodePlan:
     pr, pc = grid.pr, grid.pc
+    ranks = grid.rank_table()
     s = struct.width(k)
-    kr, kc = k % pr, k % pc
-    diag_owner = grid.rank(kr, kc)
-    cblocks = struct.block_rows[k]
-    blocks = [
-        BlockInfo(snode=int(i), nrows=struct.block_row_count(k, int(i)))
-        for i in cblocks
-    ]
+    kc = k % pc
+    krow = (k % pr) * pc
+    diag_owner = ranks[krow + kc]
+    blocks = _blocks(struct, k)
     nb_diag = s * s * bytes_per_entry
 
     if not blocks:
@@ -190,7 +200,7 @@ def _supernode_plan(
             cross_backs=[],
         )
 
-    col_group, row_group = _participant_groups(grid, k, blocks, intern)
+    col_group, row_group = _participant_groups(ranks, pr, pc, k, blocks, intern)
 
     # First loop: diagonal block broadcast down grid column kc to the
     # owners of the L(I,K) panel blocks.
@@ -213,8 +223,8 @@ def _supernode_plan(
     for b in blocks:
         i = b.snode
         nb_panel = s * b.nrows * bytes_per_entry
-        l_owner = grid.rank(i % pr, kc)  # owner of L(I,K)
-        u_owner = grid.rank(kr, i % pc)  # owner of U(K,I)
+        l_owner = ranks[(i % pr) * pc + kc]  # owner of L(I,K)
+        u_owner = ranks[krow + i % pc]  # owner of U(K,I)
         cross_sends.append(
             PointToPointSpec(
                 kind="cross-send",
@@ -238,7 +248,7 @@ def _supernode_plan(
     for b in blocks:
         j = b.snode
         nb_panel = s * b.nrows * bytes_per_entry
-        dest = grid.rank(j % pr, kc)  # owner of L(J,K): reduce destination
+        dest = ranks[(j % pr) * pc + kc]  # owner of L(J,K): reduce destination
         row_reduces.append(
             CollectiveSpec(
                 kind="row-reduce",
@@ -248,7 +258,7 @@ def _supernode_plan(
                 nbytes=nb_panel,
             )
         )
-        u_owner = grid.rank(kr, j % pc)
+        u_owner = ranks[krow + j % pc]
         cross_backs.append(
             PointToPointSpec(
                 kind="cross-back",

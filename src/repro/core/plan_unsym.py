@@ -37,6 +37,7 @@ from .plan import (
     BlockInfo,
     CollectiveSpec,
     PointToPointSpec,
+    _blocks,
     _participant_groups,
 )
 
@@ -94,13 +95,12 @@ def _unsym_supernode_plan(
     intern: dict[tuple, tuple],
 ) -> UnsymSupernodePlan:
     pr, pc = grid.pr, grid.pc
+    ranks = grid.rank_table()
     s = struct.width(k)
     kr, kc = k % pr, k % pc
-    diag_owner = grid.rank(kr, kc)
-    blocks = [
-        BlockInfo(snode=int(i), nrows=struct.block_row_count(k, int(i)))
-        for i in struct.block_rows[k]
-    ]
+    krow = kr * pc
+    diag_owner = ranks[krow + kc]
+    blocks = _blocks(struct, k)
     nb_diag = s * s * bytes_per_entry
 
     if not blocks:
@@ -111,7 +111,7 @@ def _unsym_supernode_plan(
             row_reduces=[], col_ureduces=[], diag_rreduce=None,
         )
 
-    col_group, row_group = _participant_groups(grid, k, blocks, intern)
+    col_group, row_group = _participant_groups(ranks, pr, pc, k, blocks, intern)
 
     diag_bcast = CollectiveSpec(
         kind="diag-bcast",
@@ -138,8 +138,8 @@ def _unsym_supernode_plan(
     for b in blocks:
         i = b.snode
         nb_panel = s * b.nrows * bytes_per_entry
-        l_owner = grid.rank(i % pr, kc)
-        u_owner = grid.rank(kr, i % pc)
+        l_owner = ranks[(i % pr) * pc + kc]
+        u_owner = ranks[krow + i % pc]
         cross_l2u.append(
             PointToPointSpec(
                 kind="cross-l2u", key=("cl", k, i),
@@ -170,7 +170,7 @@ def _unsym_supernode_plan(
     for b in blocks:
         j = b.snode
         nb_panel = s * b.nrows * bytes_per_entry
-        l_dest = grid.rank(j % pr, kc)
+        l_dest = ranks[(j % pr) * pc + kc]
         row_reduces.append(
             CollectiveSpec(
                 kind="row-reduce", key=("rr", k, j), root=l_dest,
@@ -178,7 +178,7 @@ def _unsym_supernode_plan(
                 nbytes=nb_panel,
             )
         )
-        u_dest = grid.rank(kr, j % pc)
+        u_dest = ranks[krow + j % pc]
         col_ureduces.append(
             CollectiveSpec(
                 kind="col-ureduce", key=("cu2", k, j), root=u_dest,

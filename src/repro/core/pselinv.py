@@ -220,16 +220,26 @@ class _SupernodeState:
         # block, shared by every col-bcast delivered there.
         self.norm_blocks: dict[int, list] = {}
         self.bcast_gemms: dict[Any, Any] = {}
-        self.nrows: dict[int, int] = {b.snode: b.nrows for b in plan.blocks}
-        # Message sizes straight from the plan so simulator and analytic
-        # volume model can never disagree (incl. complex 16-byte entries).
-        self.cross_nbytes = {p.key[2]: p.nbytes for p in plan.cross_sends}
-        self.back_nbytes = {p.key[2]: p.nbytes for p in plan.cross_backs}
+        # Legacy protocol only, set by enter_legacy(): I -> r_I and the
+        # cross-send / cross-back sizes by block row.
+        self.nrows: dict[int, int] | None = None
+        self.cross_nbytes: dict[int, int] | None = None
+        self.back_nbytes: dict[int, int] | None = None
         # Compiled-protocol tables, set on window entry: rr_info is
         # J -> the row-reduce completion's arguments, norm_vec is L-panel
         # owner rank -> [(normalize seconds, cross-send arguments)].
         self.rr_info: dict[int, tuple] | None = None
         self.norm_vec: dict[int, list] | None = None
+
+    def enter_legacy(self) -> None:
+        """Window entry on the legacy protocol: the per-block-row tables
+        its handlers look up.  Message sizes come straight from the plan
+        so simulator and analytic volume model can never disagree (incl.
+        complex 16-byte entries)."""
+        plan = self.plan
+        self.nrows = {b.snode: b.nrows for b in plan.blocks}
+        self.cross_nbytes = {p.key[2]: p.nbytes for p in plan.cross_sends}
+        self.back_nbytes = {p.key[2]: p.nbytes for p in plan.cross_backs}
 
     def release(self) -> None:
         """Drop the compiled protocol's tables and the numeric panels of
@@ -1020,7 +1030,8 @@ class SimulatedPSelInv(_PSelInvDriver):
         )
         dfin = {d: (dl, d, cr, pos[d]) for d in dl}
         # Per row block j: everything its row-reduce completion touches.
-        xnb = st.back_nbytes
+        # Cross-sends and cross-backs are in block order.
+        backs = plan.cross_backs
         rr_info: dict[int, tuple] = {}
         st.rr_info = rr_info
         for idx in range(nb):
@@ -1031,13 +1042,13 @@ class SimulatedPSelInv(_PSelInvDriver):
                 dest,                   # owner of L(J,K)
                 kr_pc + cols_l[idx],    # owner of U(K,J) (cross-back)
                 ("xb", k, j),
-                xnb[j],
+                backs[idx].nbytes,
                 kn + j,                 # readiness key of Ainv(K,J)
                 dc_secs[idx],
                 dfin[dest],
             )
         # Per L-panel owner: normalize duration + cross-send arguments.
-        cnb = st.cross_nbytes
+        sends = plan.cross_sends
         nv: dict[int, list] = {}
         st.norm_vec = nv
         for idx in range(nb):
@@ -1045,7 +1056,7 @@ class SimulatedPSelInv(_PSelInvDriver):
             lowner = jrows_l[idx] + kc
             ent = (
                 norm_secs[idx],
-                (lowner, kr_pc + cols_l[idx], ("cs", k, i), cnb[i], kn + i),
+                (lowner, kr_pc + cols_l[idx], ("cs", k, i), sends[idx].nbytes, kn + i),
             )
             g = nv.get(lowner)
             if g is None:
@@ -1217,6 +1228,7 @@ class SimulatedPSelInv(_PSelInvDriver):
     def _enter_window(self, plan: SupernodePlan) -> tuple:
         if self._vec:
             return (self._setup_supernode_vec(plan),)
+        self.states[plan.k].enter_legacy()
         self._gemm_counts(plan)
         self._build_collectives(plan)
         return (self.collectives[plan.diag_bcast.key],)

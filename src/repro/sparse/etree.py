@@ -34,11 +34,12 @@ def elimination_tree(a: SparseMatrix) -> np.ndarray:
     disconnected).
     """
     n = a.n
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
+    indptr = a.indptr.tolist()
+    indices = a.indices.tolist()
+    parent = [-1] * n
+    ancestor = [-1] * n
     for j in range(n):
-        for i in a.column_rows(j):
-            i = int(i)
+        for i in indices[indptr[j] : indptr[j + 1]]:
             if i >= j:
                 continue  # only strictly-upper entries i < j drive the tree
             # Follow the path from i to the root of its current virtual
@@ -52,18 +53,16 @@ def elimination_tree(a: SparseMatrix) -> np.ndarray:
                     break
                 if anc == j:
                     break
-                i = int(anc)
-    return parent
+                i = anc
+    return np.asarray(parent, dtype=np.int64)
 
 
 def children_lists(parent: np.ndarray) -> list[list[int]]:
     """Children of each node (and of the virtual root via ``parent==-1``)."""
-    n = len(parent)
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        p = parent[v]
+    kids: list[list[int]] = [[] for _ in range(len(parent))]
+    for v, p in enumerate(np.asarray(parent).tolist()):
         if p >= 0:
-            kids[int(p)].append(v)
+            kids[p].append(v)
     return kids
 
 
@@ -76,24 +75,21 @@ def postorder(parent: np.ndarray) -> np.ndarray:
     """
     n = len(parent)
     kids = children_lists(parent)
-    roots = [v for v in range(n) if parent[v] == -1]
-    post = np.empty(n, dtype=np.int64)
-    k = 0
-    for root in roots:
+    post: list[int] = []
+    for root in np.flatnonzero(np.asarray(parent) == -1).tolist():
         # Iterative DFS; push children reversed so they pop in order.
         stack: list[tuple[int, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
-                post[k] = node
-                k += 1
+                post.append(node)
             else:
                 stack.append((node, True))
                 for c in reversed(kids[node]):
                     stack.append((c, False))
-    if k != n:
+    if len(post) != n:
         raise AssertionError("postorder did not visit every node")
-    return post
+    return np.asarray(post, dtype=np.int64)
 
 
 def is_postordered(parent: np.ndarray) -> bool:
@@ -103,11 +99,9 @@ def is_postordered(parent: np.ndarray) -> bool:
     topological (postorder-compatible) order; supernode detection assumes
     it.
     """
-    for v in range(len(parent)):
-        p = parent[v]
-        if p >= 0 and p <= v:
-            return False
-    return True
+    parent = np.asarray(parent)
+    has = parent >= 0
+    return not np.any(parent[has] <= np.flatnonzero(has))
 
 
 def subtree_sizes(parent: np.ndarray) -> np.ndarray:
@@ -115,15 +109,13 @@ def subtree_sizes(parent: np.ndarray) -> np.ndarray:
 
     Requires a topologically ordered tree (``parent[v] > v``).
     """
-    n = len(parent)
-    size = np.ones(n, dtype=np.int64)
-    for v in range(n):
-        p = parent[v]
+    if not is_postordered(parent):
+        raise ValueError("tree is not topologically ordered")
+    size = [1] * len(parent)
+    for v, p in enumerate(np.asarray(parent).tolist()):
         if p >= 0:
-            if p <= v:
-                raise ValueError("tree is not topologically ordered")
             size[p] += size[v]
-    return size
+    return np.asarray(size, dtype=np.int64)
 
 
 def tree_levels(parent: np.ndarray) -> np.ndarray:
@@ -131,10 +123,10 @@ def tree_levels(parent: np.ndarray) -> np.ndarray:
 
     Requires a topologically ordered tree; computed root-down in one pass.
     """
-    n = len(parent)
-    level = np.zeros(n, dtype=np.int64)
-    for v in range(n - 1, -1, -1):
-        p = parent[v]
+    par = np.asarray(parent).tolist()
+    level = [0] * len(par)
+    for v in range(len(par) - 1, -1, -1):
+        p = par[v]
         if p >= 0:
             level[v] = level[p] + 1
-    return level
+    return np.asarray(level, dtype=np.int64)

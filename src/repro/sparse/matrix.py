@@ -88,14 +88,15 @@ class SparseMatrix:
         lo, hi = self.indptr[j], self.indptr[j + 1]
         return self.indices[lo:hi]
 
+    def column_of(self) -> np.ndarray:
+        """Column index of every stored entry (the COO ``col`` array)."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+
     def diagonal(self) -> np.ndarray:
         """Dense array of the diagonal entries (zeros where unstored)."""
         d = np.zeros(self.n, dtype=self.data.dtype)
-        for j in range(self.n):
-            rows, vals = self.column(j)
-            k = np.searchsorted(rows, j)
-            if k < len(rows) and rows[k] == j:
-                d[j] = vals[k]
+        on = self.indices == self.column_of()
+        d[self.indices[on]] = self.data[on]
         return d
 
     # -- conversions ------------------------------------------------------
@@ -103,9 +104,7 @@ class SparseMatrix:
     def to_dense(self) -> np.ndarray:
         """Materialize as a dense ``(n, n)`` array."""
         out = np.zeros((self.n, self.n), dtype=self.data.dtype)
-        for j in range(self.n):
-            rows, vals = self.column(j)
-            out[rows, j] = vals
+        out[self.indices, self.column_of()] = self.data
         return out
 
     def to_scipy(self):
@@ -118,22 +117,15 @@ class SparseMatrix:
 
     def transpose(self) -> "SparseMatrix":
         """Return the transpose, again in sorted CSC form."""
-        n = self.n
-        counts = np.bincount(self.indices, minlength=n)
-        tptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=tptr[1:])
-        tind = np.empty(self.nnz, dtype=np.int64)
-        tdat = np.empty(self.nnz, dtype=self.data.dtype)
-        cursor = tptr[:-1].copy()
-        for j in range(n):
-            lo, hi = self.indptr[j], self.indptr[j + 1]
-            for k in range(lo, hi):
-                i = self.indices[k]
-                p = cursor[i]
-                tind[p] = j
-                tdat[p] = self.data[k]
-                cursor[i] = p + 1
-        return SparseMatrix(n, tptr, tind, tdat)
+        # Entries are stored column-major, so a stable sort on the row
+        # index alone leaves each new column's rows (old columns) sorted.
+        order = np.argsort(self.indices, kind="stable")
+        return SparseMatrix(
+            self.n,
+            _ptr_from_counts(self.indices, self.n),
+            self.column_of()[order],
+            self.data[order],
+        )
 
     def is_structurally_symmetric(self) -> bool:
         """True if the nonzero pattern equals the pattern of the transpose."""
@@ -145,15 +137,19 @@ class SparseMatrix:
 
     def lower_pattern(self) -> "SparseMatrix":
         """Pattern (data = 1.0) of the lower triangle, diagonal included."""
-        cols: list[np.ndarray] = []
-        ptr = np.zeros(self.n + 1, dtype=np.int64)
-        for j in range(self.n):
-            rows = self.column_rows(j)
-            keep = rows[rows >= j]
-            cols.append(keep)
-            ptr[j + 1] = ptr[j] + len(keep)
-        ind = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-        return SparseMatrix(self.n, ptr, ind, np.ones(len(ind)))
+        cols = self.column_of()
+        keep = self.indices >= cols
+        ind = self.indices[keep]
+        return SparseMatrix(
+            self.n, _ptr_from_counts(cols[keep], self.n), ind, np.ones(len(ind))
+        )
+
+
+def _ptr_from_counts(cols: np.ndarray, n: int) -> np.ndarray:
+    """CSC ``indptr`` of entries whose column indices are ``cols``."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=ptr[1:])
+    return ptr
 
 
 def from_coo(
@@ -193,10 +189,7 @@ def from_coo(
             v = np.add.reduceat(v, starts)
             r = r[starts]
             c = c[starts]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, c + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return SparseMatrix(n, indptr, r.astype(np.int64), v)
+    return SparseMatrix(n, _ptr_from_counts(c, n), r.astype(np.int64), v)
 
 
 def from_dense(a: np.ndarray, *, tol: float = 0.0) -> SparseMatrix:
@@ -219,26 +212,20 @@ def symmetrize_pattern(a: SparseMatrix) -> SparseMatrix:
     symmetric input; this is the standard preprocessing step (SuperLU_DIST
     does the same for unsymmetric matrices).
     """
-    t = a.transpose()
     n = a.n
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    ind_parts: list[np.ndarray] = []
-    dat_parts: list[np.ndarray] = []
-    for j in range(n):
-        ra, va = a.column(j)
-        rt = t.column_rows(j)
-        extra = np.setdiff1d(rt, ra, assume_unique=True)
-        rows = np.concatenate([ra, extra])
-        vals = np.concatenate([va, np.zeros(len(extra), dtype=a.data.dtype)])
-        order = np.argsort(rows, kind="stable")
-        ind_parts.append(rows[order])
-        dat_parts.append(vals[order])
-        ptr[j + 1] = ptr[j] + len(rows)
-    ind = (
-        np.concatenate(ind_parts) if ind_parts else np.empty(0, dtype=np.int64)
-    )
-    dat = np.concatenate(dat_parts) if dat_parts else np.empty(0)
-    return SparseMatrix(n, ptr, ind, dat)
+    cols = a.column_of()
+    # A's triples, then the transpose's with zero values; lexsort is
+    # stable, so where both hold an entry A's own value comes first and
+    # is the one kept.
+    rows = np.concatenate([a.indices, cols])
+    cols = np.concatenate([cols, a.indices])
+    vals = np.concatenate([a.data, np.zeros(a.nnz, dtype=a.data.dtype)])
+    order = np.lexsort((rows, cols))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    cols = cols[first]
+    return SparseMatrix(n, _ptr_from_counts(cols, n), rows[first], vals[first])
 
 
 def permute_symmetric(a: SparseMatrix, perm: np.ndarray) -> SparseMatrix:
@@ -254,19 +241,9 @@ def permute_symmetric(a: SparseMatrix, perm: np.ndarray) -> SparseMatrix:
         raise ValueError("perm must be a permutation of range(n)")
     inv = np.empty(n, dtype=np.int64)
     inv[perm] = np.arange(n)
-    rows_new: list[np.ndarray] = []
-    vals_new: list[np.ndarray] = []
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    for jnew in range(n):
-        jold = perm[jnew]
-        r, v = a.column(jold)
-        rn = inv[r]
-        order = np.argsort(rn, kind="stable")
-        rows_new.append(rn[order])
-        vals_new.append(v[order])
-        ptr[jnew + 1] = ptr[jnew] + len(rn)
-    ind = (
-        np.concatenate(rows_new) if rows_new else np.empty(0, dtype=np.int64)
+    rows = inv[a.indices]
+    cols = inv[a.column_of()]
+    order = np.lexsort((rows, cols))
+    return SparseMatrix(
+        n, _ptr_from_counts(cols, n), rows[order], a.data[order]
     )
-    dat = np.concatenate(vals_new) if vals_new else np.empty(0)
-    return SparseMatrix(n, ptr, ind, dat)

@@ -40,6 +40,15 @@ __all__ = [
 ]
 
 
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of every run of equal values in ``x``
+    (on sorted ``x``: of every distinct value)."""
+    first = np.empty(len(x), dtype=bool)
+    first[:1] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    return first
+
+
 def fundamental_partition(parent: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Partition columns into maximal structure-identical supernodes.
 
@@ -52,12 +61,9 @@ def fundamental_partition(parent: np.ndarray, counts: np.ndarray) -> np.ndarray:
     columns ``[sn_ptr[K], sn_ptr[K+1])``.
     """
     n = len(parent)
-    starts = [0]
-    for j in range(n - 1):
-        if not (parent[j] == j + 1 and counts[j] == counts[j + 1] + 1):
-            starts.append(j + 1)
-    starts.append(n)
-    return np.asarray(starts, dtype=np.int64)
+    j = np.arange(n - 1)
+    joins = (parent[:-1] == j + 1) & (counts[:-1] == counts[1:] + 1)
+    return np.concatenate(([0], np.flatnonzero(~joins) + 1, [n])).astype(np.int64)
 
 
 def relax_partition(
@@ -83,21 +89,20 @@ def relax_partition(
     recomputed with :func:`supernodal_structure` afterwards.
     """
     nsup = len(sn_ptr) - 1
-    first = sn_ptr[:-1].copy()
-    last = sn_ptr[1:] - 1
-    width = (sn_ptr[1:] - sn_ptr[:-1]).astype(np.int64)
-    # Union-find over supernodes; we only ever merge K into K+1 when the
-    # column ranges are adjacent, so the partition stays contiguous.
-    merged_into_next = np.zeros(nsup, dtype=bool)
+    parent = np.asarray(parent).tolist()
+    counts = np.asarray(counts).tolist()
+    first = sn_ptr[:-1].tolist()
+    last = (sn_ptr[1:] - 1).tolist()
+    # We only ever merge K into K+1 when the column ranges are adjacent,
+    # so the partition stays contiguous.
+    merged_into_next = [False] * nsup
     # Effective width/zero estimates as we merge.
-    eff_width = width.copy()
-    eff_rows = counts[first] - 1  # below-diagonal rows of the snode's 1st col
-    eff_zeros = np.zeros(nsup, dtype=np.int64)
+    eff_width = np.diff(sn_ptr).tolist()
+    eff_rows = [counts[f] - 1 for f in first]  # below-diagonal rows of the 1st col
+    eff_zeros = [0] * nsup
 
     for k in range(nsup - 1):
-        j_last = last[k]
-        p = parent[j_last]
-        if p != first[k + 1]:
+        if parent[last[k]] != first[k + 1]:
             continue  # parent supernode is not the adjacent one
         w = eff_width[k] + eff_width[k + 1]
         if w > max_size:
@@ -105,10 +110,10 @@ def relax_partition(
         # Zeros introduced: child columns get padded up to the parent's
         # structure.  Estimate per merged child column: parent's rows + its
         # own extra width vs its true count.
-        padded = int(eff_rows[k + 1]) + int(eff_width[k + 1])
-        true = int(counts[first[k]]) - 1
-        extra = max(0, (padded - true)) * int(eff_width[k])
-        total = (int(eff_rows[k + 1]) + w) * w
+        padded = eff_rows[k + 1] + eff_width[k + 1]
+        true = counts[first[k]] - 1
+        extra = max(0, (padded - true)) * eff_width[k]
+        total = (eff_rows[k + 1] + w) * w
         ok_small = eff_width[k] <= small and eff_width[k + 1] <= small
         if not ok_small and total > 0 and (eff_zeros[k] + extra) / total > zero_fraction:
             continue
@@ -117,11 +122,7 @@ def relax_partition(
         eff_zeros[k + 1] = eff_zeros[k] + extra
         first[k + 1] = first[k]
     # Rebuild pointer array from surviving starts.
-    keep = [0]
-    for k in range(nsup):
-        if merged_into_next[k]:
-            continue
-        keep.append(int(last[k]) + 1)
+    keep = [0] + [last[k] + 1 for k in range(nsup) if not merged_into_next[k]]
     out = np.asarray(keep, dtype=np.int64)
     assert out[0] == 0 and out[-1] == len(parent)
     return out
@@ -140,12 +141,13 @@ def split_partition(sn_ptr: np.ndarray, max_size: int) -> np.ndarray:
     """
     if max_size < 1:
         raise ValueError("max_size must be positive")
-    starts: list[int] = []
-    for k in range(len(sn_ptr) - 1):
-        fc, end = int(sn_ptr[k]), int(sn_ptr[k + 1])
-        for c in range(fc, end, max_size):
-            starts.append(c)
-    starts.append(int(sn_ptr[-1]))
+    bounds = sn_ptr.tolist()
+    starts = [
+        c
+        for fc, end in zip(bounds[:-1], bounds[1:])
+        for c in range(fc, end, max_size)
+    ]
+    starts.append(bounds[-1])
     return np.asarray(starts, dtype=np.int64)
 
 
@@ -205,6 +207,12 @@ class SupernodalStructure:
         """Number of rows of supernode ``I`` present in ``rows_below[K]``."""
         lo, hi = self.rows_below[k].searchsorted(self.sn_ptr[i : i + 2])
         return int(hi - lo)
+
+    def block_row_counts(self, k: int) -> np.ndarray:
+        """``block_row_count(k, i)`` for every ``i`` of ``block_rows[k]``,
+        in that order."""
+        snodes = self.snode_of[self.rows_below[k]]  # sorted
+        return np.diff(np.flatnonzero(_run_starts(snodes)), append=len(snodes))
 
     def block_row_indices(self, k: int, i: int) -> np.ndarray:
         """Row indices of block ``L_{I,K}`` (subset of supernode I's cols)."""
@@ -305,38 +313,32 @@ def supernodal_structure(
         )
     sn_ptr = split_partition(sn_ptr, max_size)
     nsup = len(sn_ptr) - 1
-    snode_of = np.empty(a.n, dtype=np.int64)
-    for k in range(nsup):
-        snode_of[sn_ptr[k] : sn_ptr[k + 1]] = k
+    snode_of = np.repeat(np.arange(nsup, dtype=np.int64), np.diff(sn_ptr))
 
+    # One slice of A per supernode: its columns' rows below its last column.
+    bounds = sn_ptr.tolist()
+    indptr = a.indptr[sn_ptr].tolist()
+    indices = a.indices
     rows_below: list[np.ndarray] = [np.empty(0, np.int64)] * nsup
+    block_rows: list[np.ndarray] = [np.empty(0, np.int64)] * nsup
     sparent = np.full(nsup, -1, dtype=np.int64)
     pending: dict[int, list[np.ndarray]] = {}
     for k in range(nsup):
-        fc, lc = sn_ptr[k], sn_ptr[k + 1] - 1
+        lc = bounds[k + 1] - 1
+        arows = indices[indptr[k] : indptr[k + 1]]
         parts = pending.pop(k, [])
-        for j in range(fc, lc + 1):
-            arows = a.column_rows(j)
-            parts.append(arows[arows > lc].astype(np.int64))
-        if parts:
-            rows = np.unique(np.concatenate(parts))
-        else:
-            rows = np.empty(0, dtype=np.int64)
+        parts.append(arows[arows > lc])
+        rows = np.sort(np.concatenate(parts))
+        rows = rows[_run_starts(rows)]
         rows_below[k] = rows
         if len(rows):
-            p = int(snode_of[rows[0]])
+            snodes = snode_of[rows]
+            block_rows[k] = snodes[_run_starts(snodes)]
+            p = int(snodes[0])
             sparent[k] = p
-            tail = rows[rows > sn_ptr[p + 1] - 1]
+            tail = rows[rows >= bounds[p + 1]]
             if len(tail):
                 pending.setdefault(p, []).append(tail)
-
-    block_rows: list[np.ndarray] = []
-    for k in range(nsup):
-        rows = rows_below[k]
-        if len(rows):
-            block_rows.append(np.unique(snode_of[rows]))
-        else:
-            block_rows.append(np.empty(0, dtype=np.int64))
 
     return SupernodalStructure(
         n=a.n,

@@ -135,6 +135,27 @@ def test_numeric_run_frees_its_protocol(collector_off):
     _assert_protocol_released(sim)
 
 
+def test_legacy_block_tables_only_on_the_legacy_route():
+    # The per-block-row dicts (row counts, cross-send and cross-back
+    # sizes) are read only by the legacy protocol; the compiled one
+    # reads the plan's records in block order, so no state holds them.
+    prob = analyze(make_workload("audikw_1", "tiny"), ordering="nd")
+    tables = ("nrows", "cross_nbytes", "back_nbytes")
+    for engine in ("vectorized", "legacy"):
+        sim = SimulatedPSelInv(prob.struct, ProcessorGrid(4, 4), "shifted",
+                               seed=3, lookahead=4, engine=engine)
+        sim.run()
+        held = [
+            st.plan.k for st in sim.states
+            if any(getattr(st, name) is not None for name in tables)
+        ]
+        if engine == "vectorized":
+            assert held == []
+        else:
+            # Supernodes without panel blocks enter no window.
+            assert held == [st.plan.k for st in sim.states if st.plan.blocks]
+
+
 def test_machine_state_not_sized_by_rank_pairs():
     network = Network(1024)
     tracemalloc.start()
