@@ -62,3 +62,12 @@ def dense_symmetric(rng) -> np.ndarray:
 @pytest.fixture
 def matrix_symmetric(dense_symmetric) -> SparseMatrix:
     return from_dense(dense_symmetric)
+
+
+@pytest.fixture(scope="session")
+def digest_struct():
+    """The structure the pinned symbolic outcome digests are recorded on
+    (both value symmetries): an unsymmetric random matrix, AMD-ordered,
+    supernodes of at most 8 columns."""
+    a = random_unsymmetric_dense(60, 3.5, np.random.default_rng(1708))
+    return analyze(from_dense(a), ordering="amd", max_supernode=8).struct

@@ -195,12 +195,14 @@ PINNED_DG_INVERSE_SHA256 = (
 )
 
 
-def test_numeric_inverse_bytes_pinned():
+@pytest.mark.parametrize("engine", ["legacy", "vectorized"])
+def test_numeric_inverse_bytes_pinned(engine):
     a = dg_hamiltonian((5, 5), 4, rng=np.random.default_rng(0))
     prob = analyze(a, ordering="nd", max_supernode=8)
     fac = factorize(prob.matrix, prob.struct)
     res = SimulatedPSelInv(
-        prob.struct, ProcessorGrid(2, 4), "shifted", factor=fac, seed=0
+        prob.struct, ProcessorGrid(2, 4), "shifted", factor=fac, seed=0,
+        engine=engine,
     ).run()
     got = res.inverse.to_dense_at_structure().tobytes()
     assert hashlib.sha256(got).hexdigest() == PINNED_DG_INVERSE_SHA256

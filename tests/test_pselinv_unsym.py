@@ -25,6 +25,7 @@ from repro.sparse import analyze, from_dense
 from repro.sparse.factor import factorize
 from repro.sparse.selinv import normalize, selected_inversion
 from tests.conftest import random_symmetric_dense, random_unsymmetric_dense
+from tests.digests import symbolic_outcome_digest
 
 
 def make_problem(n, rng):
@@ -240,34 +241,6 @@ class TestUnsymVolumeParity:
                 )
 
 
-def _symbolic_outcome_digest(res) -> str:
-    """sha256 over a symbolic run's whole outcome: the makespan's
-    ``float.hex``, the event count and every ``CommStats`` column
-    (dtype, shape and bytes), category tables in sorted order."""
-    h = hashlib.sha256(f"{res.makespan.hex()};{res.events};".encode())
-    stats = res.stats
-    columns = []
-    for name in ("sent", "received", "messages_sent"):
-        table = getattr(stats, name)
-        columns += [(f"{name}.{cat}", table[cat]) for cat in sorted(table)]
-    columns += [
-        (name, getattr(stats, name))
-        for name in ("compute_busy", "recv_overhead_busy",
-                     "nic_out_busy", "nic_in_busy")
-    ]
-    for name, col in columns:
-        col = np.ascontiguousarray(col)
-        h.update(f"{name}:{col.dtype.str}:{col.shape}:".encode())
-        h.update(col.tobytes())
-    return h.hexdigest()
-
-
-@pytest.fixture(scope="module")
-def digest_struct():
-    a = random_unsymmetric_dense(60, 3.5, np.random.default_rng(1708))
-    return analyze(from_dense(a), ordering="amd", max_supernode=8).struct
-
-
 # Symbolic outcome digests of the configuration below: a jittered,
 # multi-node network, so every scheme's tree shape and every window
 # release order reaches the timestamps (``hybrid_threshold=3`` makes the
@@ -305,5 +278,5 @@ def test_unsym_symbolic_outcome_pinned(scheme, lookahead, digest_struct):
         placement_seed=5, jitter_seed=11, lookahead=lookahead,
         hybrid_threshold=3,
     ).run()
-    got = _symbolic_outcome_digest(res)
+    got = symbolic_outcome_digest(res)
     assert got == PINNED_UNSYM_SYMBOLIC_DIGESTS[(scheme, lookahead)]

@@ -1,5 +1,7 @@
 """Tests for the synthetic workload generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,38 @@ class TestLaplacians:
         b = grid_laplacian_2d(4, 4, rng=np.random.default_rng(7))
         assert np.array_equal(a.indices, b.indices)
         assert not np.allclose(a.data, b.data)
+
+
+# sha256 of (indptr, indices, data) -- dtype, shape and bytes of each --
+# recorded with the per-edge loop the whole-array generators replaced:
+# the edge order, one weight draw per edge in that order and each
+# vertex's degree summation order are all part of the matrix bytes.
+PINNED_LAPLACIAN_SHA256 = {
+    "audikw_1-small": (
+        "b83362ed43b0f4fb64fa7f5403d18f55f7ec33e08f36a5f25fe3b9ce0ce2ae53"
+    ),
+    "2d-9pt-9x7-rng5": (
+        "ab40bffc3ff60b4d24bab4c142a8dfc71d54b17071b0791d8fc19cd2f37af6f5"
+    ),
+}
+
+
+def _matrix_digest(m) -> str:
+    h = hashlib.sha256()
+    for arr in (m.indptr, m.indices, m.data):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}:{arr.shape}:".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_LAPLACIAN_SHA256))
+def test_laplacian_bytes_pinned(case):
+    if case == "audikw_1-small":
+        m = make_workload("audikw_1", "small")
+    else:
+        m = grid_laplacian_2d(9, 7, stencil=9, rng=np.random.default_rng(5))
+    assert _matrix_digest(m) == PINNED_LAPLACIAN_SHA256[case]
 
 
 class TestDG:
