@@ -11,12 +11,16 @@ In numeric mode payloads are ndarrays and reductions really sum; in
 symbolic (timing/volume-only) mode payloads are ``None`` and reductions
 just count.
 
-Two implementations of the same state machines: :class:`TreeBroadcast` /
-:class:`TreeReduce` over dict-based :class:`~repro.comm.trees.CommTree`
-trees and :class:`~repro.simulate.machine.Message` handlers (the legacy
-engine's reference), and :class:`VecBroadcast` / :class:`VecReduce`
-compiled against :class:`~repro.comm.trees.CompiledTree` tables for the
-vectorized engine.
+Two implementations of the same state machines:
+
+* :class:`VecBroadcast` / :class:`VecReduce`, compiled against
+  :class:`~repro.comm.trees.CompiledTree` tables and driven through the
+  machine's point route (``send_pt``).  The symmetric protocol runs on
+  them on both engines.
+* :class:`TreeBroadcast` / :class:`TreeReduce` over dict-based
+  :class:`~repro.comm.trees.CommTree` trees and
+  :class:`~repro.simulate.machine.Message` handlers: the per-rank tag
+  dispatch of the unsymmetric driver, on the heapq machine only.
 """
 
 from __future__ import annotations
@@ -78,26 +82,6 @@ class TreeBroadcast:
         self.category = category
         self.on_delivery = on_delivery
         self._started = False
-        # Telemetry instruments, cached once per collective (the machine
-        # carries the registry; None disables at one attribute test).
-        metrics = machine.metrics
-        if metrics is not None:
-            metrics.histogram("coll.depth", op="bcast", category=category).observe(
-                tree.depth()
-            )
-            self._fanout = metrics.histogram(
-                "coll.fanout", op="bcast", category=category
-            )
-            self._forwards = metrics.counter(
-                "coll.forwarded_messages", op="bcast", category=category
-            )
-            self._forward_bytes = metrics.counter(
-                "coll.forwarded_bytes", op="bcast", category=category
-            )
-        else:
-            self._fanout = None
-            self._forwards = None
-            self._forward_bytes = None
 
     def start(self, payload: Any = None) -> None:
         """Called (once) on the root when its data is ready."""
@@ -111,16 +95,10 @@ class TreeBroadcast:
         self._forward(msg.dst, msg.payload)
 
     def _forward(self, rank: int, payload: Any) -> None:
-        children = self.tree.children.get(rank, ())
-        for child in children:
+        for child in self.tree.children.get(rank, ()):
             self.machine.post_send(
                 rank, child, self.tag, self.nbytes, self.category, payload
             )
-        if self._fanout is not None:
-            self._fanout.observe(len(children))
-            if children:
-                self._forwards.inc(len(children))
-                self._forward_bytes.inc(len(children) * self.nbytes)
         self.on_delivery(rank, payload)
 
 
@@ -155,24 +133,6 @@ class TreeReduce:
         self.contributors = set(int(r) for r in contributors)
         self.on_complete = on_complete
         self.combine = combine
-        metrics = machine.metrics
-        if metrics is not None:
-            metrics.histogram("coll.depth", op="reduce", category=category).observe(
-                tree.depth()
-            )
-            self._fanin = metrics.histogram(
-                "coll.fanout", op="reduce", category=category
-            )
-            self._forwards = metrics.counter(
-                "coll.forwarded_messages", op="reduce", category=category
-            )
-            self._forward_bytes = metrics.counter(
-                "coll.forwarded_bytes", op="reduce", category=category
-            )
-        else:
-            self._fanin = None
-            self._forwards = None
-            self._forward_bytes = None
         unknown = self.contributors - set(tree.ranks())
         if unknown:
             raise ValueError(
@@ -223,15 +183,9 @@ class TreeReduce:
 
     def _finish(self, rank: int) -> None:
         self._done[rank] = True
-        if self._fanin is not None:
-            # Fan-in degree: messages this rank absorbed from children.
-            self._fanin.observe(self.tree.child_count(rank))
         if rank == self.tree.root:
             self.on_complete(self._value[rank])
         else:
-            if self._forwards is not None:
-                self._forwards.inc()
-                self._forward_bytes.inc(self.nbytes)
             self.machine.post_send(
                 rank,
                 self.tree.parent[rank],
@@ -243,7 +197,7 @@ class TreeReduce:
 
 
 # ---------------------------------------------------------------------------
-# Compiled collectives (the vectorized engine's protocol layer)
+# Compiled collectives (the symmetric protocol's layer, on both engines)
 #
 # The same state machines as above, compiled against a
 # :class:`~repro.comm.trees.CompiledTree`:
@@ -252,7 +206,7 @@ class TreeReduce:
 #   per-shape memos (shared across every tree of the same family and
 #   size);
 # * forwarded messages travel on the machine's point route
-#   (:meth:`~repro.simulate.machine.VecMachine.send_pt`) with the
+#   (:meth:`~repro.simulate.machine.Machine.send_pt`) with the
 #   receiver's tree position in ``aux`` and a direct delivery callback,
 #   so a delivery routes straight back into the collective without any
 #   per-rank tag dispatch;
@@ -268,14 +222,13 @@ class TreeReduce:
 #   ``(op, category, family, size, nbytes)`` count in the machine's
 #   ``coll_shapes`` dict when it is built, and :func:`record_shapes`
 #   turns the counts into series after the drain.  A run that returns
-#   has completed every collective, so the totals equal the per-message
-#   tallies of the dict-based classes (all ints, so exactly).
+#   has completed every collective, so the totals equal per-message
+#   tallies (all ints, so exactly).
 #
 # Send order, combine order, finish order and degenerate-tree behavior
-# replicate the dict-based classes exactly (children forward in ascending
-# position = the dict builders' append order; zero-input positions finish
-# at construction in ascending position), which is what keeps vectorized
-# runs bit-identical to the legacy engine.
+# match the dict-based classes (children forward in ascending position =
+# the dict builders' append order; zero-input positions finish at
+# construction in ascending position).
 # ---------------------------------------------------------------------------
 
 def record_shapes(metrics, counts: dict) -> None:

@@ -37,39 +37,41 @@ Two modes share all protocol code:
   counts and the virtual clock matter.  This is the mode the large-scale
   strong-scaling experiments use.
 
-Two interchangeable execution engines (``engine=``), one protocol each:
+One protocol, compiled, on either of two schedulers (``engine=``).  On
+window entry every per-event quantity of a supernode (GEMM/normalize/diag
+durations, send destinations, tags, readiness keys) is precomputed in
+bulk with numpy, collectives run as
+:class:`~repro.comm.collectives.VecBroadcast` /
+:class:`~repro.comm.collectives.VecReduce` state machines over shared
+:class:`~repro.comm.trees.CompiledTree` tables, and the handlers are
+closure-free (registered task ids + tuple arguments).  Numeric payloads
+ride the same point records (numeric tasks get their data wrapped onto
+the precomputed argument and a numeric handler variant under the same
+id).  The protocol speaks only the machine's compiled interface --
+``category_id``, ``register_task``, ``send_pt`` and ``post_named`` --
+which both machines implement:
 
-* ``"vectorized"`` (default) -- the
-  :class:`~repro.simulate.machine.VecMachine` /
-  :class:`~repro.simulate.engine.VecSimulator` stack plus a *compiled*
-  protocol layer: on window entry every per-event quantity of a
-  supernode (GEMM/normalize/diag durations, send destinations, tags,
-  readiness keys) is precomputed in bulk with numpy, collectives run as
-  :class:`~repro.comm.collectives.VecBroadcast` /
-  :class:`~repro.comm.collectives.VecReduce` state machines over shared
-  :class:`~repro.comm.trees.CompiledTree` tables, and the handlers are
-  closure-free (pre-registered handler ids + tuple arguments).  Every
-  mode runs on it: numeric payloads ride the same point records
-  (numeric tasks get their data wrapped onto the precomputed argument
-  and a numeric handler variant under the same id).  Every mode takes
-  the machine's one per-message route: metrics and hot spots are read
-  out after the drain, while the timeline, the event log and the
-  per-message overhead are one hook test per stage.
-* ``"legacy"`` -- the original heapq :class:`Simulator` + per-message
-  :class:`Message` objects + dict-based
-  :class:`~repro.comm.collectives.TreeBroadcast` /
-  :class:`~repro.comm.collectives.TreeReduce`: the reference oracle.
+* ``"vectorized"`` (default) -- :class:`~repro.simulate.machine.VecMachine`
+  on the calendar-queue :class:`~repro.simulate.engine.VecSimulator`:
+  fused per-message closures, the production scheduler.
+* ``"legacy"`` -- :class:`~repro.simulate.machine.Machine` on the heapq
+  :class:`~repro.simulate.engine.Simulator`, with per-message
+  :class:`~repro.simulate.machine.Message` objects and its own cost
+  arithmetic: the reference oracle for the scheduler and the machine.
 
 Both produce bit-identical results -- same event count, same final
 timestamps, same per-rank stats, the same numeric inverse -- which the
 engine-equivalence tests, ``benchmarks/check_engine_identity.py`` and
-``benchmarks/bench_runner_scaling.py`` assert; the vectorized engine is
-the faster, hence the default.  This driver and the unsymmetric one
-(:mod:`repro.core.pselinv_unsym`) run on one skeleton,
-:class:`_PSelInvDriver` (window, numeric kernels, ``Ainv`` readiness,
-result), and every GEMM of both takes its ``Ainv`` operand through
-:func:`gather_block`: one ``ndarray.searchsorted`` on the structural
-side of the stored block and one open-mesh index per GEMM.
+``benchmarks/bench_runner_scaling.py`` assert.  Since the engines share
+the protocol, those checks cover the scheduler and the machine; the
+pinned outcome digests (``tests/test_pselinv_pinned.py``) cover the
+protocol.  This driver and the unsymmetric one
+(:mod:`repro.core.pselinv_unsym`, still a per-rank tag dispatch on the
+heapq machine) run on one skeleton, :class:`_PSelInvDriver` (window,
+numeric kernels, result), and every GEMM of both takes its ``Ainv``
+operand through :func:`gather_block`: one ``ndarray.searchsorted`` on
+the structural side of the stored block and one open-mesh index per
+GEMM.
 """
 
 from __future__ import annotations
@@ -80,15 +82,9 @@ from typing import Any
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ..comm.collectives import (
-    TreeBroadcast,
-    TreeReduce,
-    VecBroadcast,
-    VecReduce,
-    record_shapes,
-)
-from ..comm.trees import build_tree, compiled_tree, tree_cache_info
-from ..simulate.machine import CommStats, Machine, Message, VecMachine
+from ..comm.collectives import VecBroadcast, VecReduce, record_shapes
+from ..comm.trees import compiled_tree, tree_cache_info
+from ..simulate.machine import CommStats, Machine, VecMachine
 from ..simulate.network import Network, NetworkConfig
 from ..sparse.factor import SupernodalFactor
 from ..sparse.selinv import SelectedInverse
@@ -99,11 +95,8 @@ from .volume import collective_seed
 
 __all__ = ["PSelInvResult", "SimulatedPSelInv", "gather_block", "run_pselinv"]
 
-# Tree representation per engine (see :meth:`SimulatedPSelInv._tree`).
-_TREE_BUILDERS = {
-    "legacy": build_tree,
-    "vectorized": compiled_tree,
-}
+# The machine (and through it the scheduler) each engine runs on.
+_MACHINES = {"vectorized": VecMachine, "legacy": Machine}
 
 
 def _accumulate(partials: dict, key: Any, contrib: Any) -> None:
@@ -165,11 +158,8 @@ class _SupernodeState:
     """Mutable per-supernode bookkeeping (global in the simulation; every
     field is only touched by handlers running 'on' its owning rank).
 
-    Several tables are keyed differently by the two protocols: the
-    legacy one uses ``(J, rank)`` / ``(I, rank)`` tuples, the compiled
-    one (``engine="vectorized"``) flat ints or bare ranks, as noted per
-    field.  On the compiled protocol a supernode keeps after it finishes
-    only what :meth:`_PSelInvDriver._gather_inverse` reads -- ``plan``,
+    A supernode keeps after it finishes only what
+    :meth:`_PSelInvDriver._gather_inverse` reads -- ``plan``,
     ``diag_value`` and ``ainv_low`` (plus the driver's ``ainv_data``) --
     and :meth:`release` drops the rest, so memory follows the lookahead
     window instead of the number of supernodes run.
@@ -186,12 +176,7 @@ class _SupernodeState:
         "diag_left",
         "base",
         "diag_value",
-        "norm_blocks",
         "bcast_gemms",
-        "nrows",
-        "cross_nbytes",
-        "back_nbytes",
-        # Compiled-protocol tables (engine="vectorized"):
         "rr_info",
         "norm_vec",
         "base_sec",
@@ -203,47 +188,28 @@ class _SupernodeState:
         self.lhat: dict[int, Any] = {}  # I -> Lhat(I,K) at owner of L(I,K)
         self.uhat: dict[tuple[int, int], Any] = {}  # (I, rank) -> Uhat(K,I)
         self.ainv_low: dict[int, Any] = {}  # J -> Ainv(J,K) at owner L(J,K)
-        # (J, rank) -> sum; the compiled protocol keys J * nranks + rank.
-        self.row_partial: dict[Any, Any] = {}
-        # (J, rank) -> outstanding GEMMs; compiled: J * nranks + rank.
-        self.gemms_left: dict[Any, int] = {}
+        self.row_partial: dict[int, Any] = {}  # J * nranks + rank -> sum
         self.diag_partial: dict[int, Any] = {}  # rank -> partial (s, s)
-        self.diag_left: dict[int, int] = {}  # rank -> outstanding rows J
         self.base: Any = None  # inv(U_KK) inv(L_KK) at the diagonal owner
         self.diag_value: Any = None
-        # Dispatch tables built when the supernode enters the window.
-        # norm_blocks (legacy): rank -> [BlockInfo] of the L(I,K) blocks
-        # normalized there.  bcast_gemms: legacy (I, rank) -> [J, ...],
-        # the local GEMM row blocks per broadcast; compiled rank ->
+        # Tables compiled on window entry (_setup_supernode_vec), which
+        # also sets the diagonal task durations base_sec / finish_sec:
+        # gemms_left is J * nranks + rank -> outstanding GEMMs and
+        # diag_left rank -> outstanding rows J; bcast_gemms is rank ->
         # (group, fins, jsn), that rank's row-group block indices, the
         # GEMM countdown tuples of its (J, rank) pairs and J * nsup per
-        # block, shared by every col-bcast delivered there.
-        self.norm_blocks: dict[int, list] = {}
-        self.bcast_gemms: dict[Any, Any] = {}
-        # Legacy protocol only, set by enter_legacy(): I -> r_I and the
-        # cross-send / cross-back sizes by block row.
-        self.nrows: dict[int, int] | None = None
-        self.cross_nbytes: dict[int, int] | None = None
-        self.back_nbytes: dict[int, int] | None = None
-        # Compiled-protocol tables, set on window entry: rr_info is
-        # J -> the row-reduce completion's arguments, norm_vec is L-panel
+        # block, shared by every col-bcast delivered there; rr_info is
+        # J -> the row-reduce completion's arguments; norm_vec is L-panel
         # owner rank -> [(normalize seconds, cross-send arguments)].
+        self.gemms_left: dict[int, int] | None = None
+        self.diag_left: dict[int, int] | None = None
+        self.bcast_gemms: dict[int, tuple] | None = None
         self.rr_info: dict[int, tuple] | None = None
         self.norm_vec: dict[int, list] | None = None
 
-    def enter_legacy(self) -> None:
-        """Window entry on the legacy protocol: the per-block-row tables
-        its handlers look up.  Message sizes come straight from the plan
-        so simulator and analytic volume model can never disagree (incl.
-        complex 16-byte entries)."""
-        plan = self.plan
-        self.nrows = {b.snode: b.nrows for b in plan.blocks}
-        self.cross_nbytes = {p.key[2]: p.nbytes for p in plan.cross_sends}
-        self.back_nbytes = {p.key[2]: p.nbytes for p in plan.cross_backs}
-
     def release(self) -> None:
-        """Drop the compiled protocol's tables and the numeric panels of
-        a finished supernode.  Late diag/col-bcast deliveries to relay
+        """Drop the protocol's tables and the numeric panels of a
+        finished supernode.  Late diag/col-bcast deliveries to relay
         ranks still look themselves up in ``norm_vec`` / ``bcast_gemms``,
         so those two become empty; ``rr_info``, the two countdown dicts,
         ``lhat``, ``uhat`` and ``base`` become ``None``.  Dropping the
@@ -311,25 +277,12 @@ class _PSelInvDriver:
     :class:`~repro.core.pselinv_unsym.SimulatedPSelInvUnsym` differ only
     in their protocol.  Shared here: the lookahead window (Algorithm 1's
     second loop) with its root-supernode shortcut, the diagonal and
-    L-panel kernels, ``Ainv`` readiness, the per-rank tag dispatch, the
-    sum-then-reduce GEMM tasks, the diagonal finish and the result.  A
-    subclass supplies ``_iter_plans`` and ``_state_cls`` (its plans and
-    per-supernode bookkeeping), ``_enter_window(plan)`` (build supernode
-    ``plan.k``'s collectives, return the diagonal broadcasts to start),
-    ``_schedule_gemm(*item)`` and its handlers.
+    L-panel kernels and the result.  A subclass supplies ``_iter_plans``
+    and ``_state_cls`` (its plans and per-supernode bookkeeping),
+    ``_enter_window(plan)`` (build supernode ``plan.k``'s collectives,
+    return the diagonal broadcasts to start), ``_mark_ainv_ready(key,
+    data)`` (``Ainv`` block ``key`` is available) and its handlers.
     """
-
-    # Set by the symmetric driver on engine="vectorized", whose compiled
-    # protocol keeps Ainv readiness under flat int keys and registers its
-    # own handlers.
-    _vec = False
-    # Message tag kind -> name of the method handling that kind's
-    # point-to-point sends, called as ``method(k, i, payload)`` for a tag
-    # ``(kind, k, i)``; every other tag names a collective.
-    _point_handlers: dict[str, str] = {}
-    # CPU seconds charged per delivered message (the symmetric driver's
-    # ``per_message_cpu_overhead``).
-    extra_msg_overhead = 0.0
 
     def __init__(
         self,
@@ -378,37 +331,10 @@ class _PSelInvDriver:
             _check_plans(plans, struct, grid, bpe if self.numeric else None)
         self.plans = plans
         self.states = [self._state_cls(p) for p in self.plans]
-        self.collectives: dict[tuple, Any] = {}
-        # Readiness of Ainv blocks: (row_snode, col_snode) -> ready flag;
-        # waiters hold deferred GEMMs.
-        self.ainv_ready: set[tuple[int, int]] = set()
+        # Numeric Ainv blocks by (row_snode, col_snode).
         self.ainv_data: dict[tuple[int, int], Any] = {}
-        self.waiters: dict[tuple[int, int], list] = {}
         self.done_diag = 0
         self._ran = False
-        if not self._vec:
-            for r in range(grid.size):
-                self.machine.set_handler(r, self._make_handler(r))
-
-    def _make_handler(self, rank: int):
-        points = {
-            kind: getattr(self, name)
-            for kind, name in self._point_handlers.items()
-        }
-
-        def handler(msg: Message) -> None:
-            if self.extra_msg_overhead > 0.0:
-                self.machine.post_compute(
-                    rank, self.extra_msg_overhead, label="msg-overhead"
-                )
-            key = msg.tag
-            point = points.get(key[0])
-            if point is None:
-                self.collectives[key].on_message(msg)
-            else:
-                point(key[1], key[2], msg.payload)
-
-        return handler
 
     # -- the lookahead window ------------------------------------------------
 
@@ -469,83 +395,8 @@ class _PSelInvDriver:
         st = self.states[k]
         if self.numeric:
             st.diag_value = self._invert_diag(payload)
-        if self._vec:
-            self.ainv_data[(k, k)] = st.diag_value
-            self._mark_ready_vec(k * self._nsup + k)
-        else:
-            self._mark_ainv_ready((k, k), st.diag_value)
+        self._mark_ainv_ready((k, k), st.diag_value)
         self._supernode_finished()
-
-    def _schedule_or_wait(self, key: tuple[int, int], item: tuple) -> None:
-        """Post the GEMM ``item`` now if its operand ``Ainv`` block
-        ``key`` is ready, else park it until :meth:`_mark_ainv_ready`."""
-        if key in self.ainv_ready:
-            self._schedule_gemm(*item)
-        else:
-            self.waiters.setdefault(key, []).append(item)
-
-    def _mark_ainv_ready(self, key: tuple[int, int], data: Any) -> None:
-        self.ainv_ready.add(key)
-        self.ainv_data[key] = data
-        for item in self.waiters.pop(key, []):
-            self._schedule_gemm(*item)
-
-    def _post_contribution(
-        self,
-        rank: int,
-        flops: float,
-        label: str,
-        contrib: Any,
-        partials: dict,
-        left: dict,
-        key: Any,
-        red_key: tuple,
-    ) -> None:
-        """Post one local task on ``rank`` whose numeric result
-        ``contrib()`` is summed into ``partials[key]``; the last of the
-        ``left[key]`` tasks there hands the sum to the reduction
-        ``red_key``.  Every GEMM and diagonal contribution of the
-        dict-based protocols runs through here."""
-
-        def fin():
-            if self.numeric:
-                _accumulate(partials, key, contrib())
-            left[key] -= 1
-            if left[key] == 0:
-                self.collectives[red_key].contribute(
-                    rank, partials.pop(key, None)
-                )
-
-        self.machine.post_compute(rank, 0.0, fin, flops=flops, label=label)
-
-    # -- the diagonal block --------------------------------------------------
-
-    def _post_base(self, st: Any, rank: int, payload: Any) -> None:
-        """At the diagonal owner, compute the base term
-        ``inv(U_KK) inv(L_KK)`` while the panels move."""
-
-        def fin_base():
-            st.base = self._invert_diag(payload) if self.numeric else None
-
-        self.machine.post_compute(
-            rank, 0.0, fin_base, flops=st.plan.width**3, label="diag-inv"
-        )
-
-    def _on_diag_reduce(self, k: int, value: Any) -> None:
-        """The diagonal reduction landed: the diagonal owner finishes
-        ``Ainv(K,K) = base - sum`` and the supernode leaves the window."""
-        st = self.states[k]
-        s = st.plan.width
-
-        def fin():
-            if self.numeric:
-                st.diag_value = st.base - value
-            self._mark_ainv_ready((k, k), st.diag_value)
-            self._supernode_finished()
-
-        self.machine.post_compute(
-            st.plan.diag_owner, 0.0, fin, flops=float(s * s), label="finish-diag"
-        )
 
     # -- numeric kernels ------------------------------------------------------
 
@@ -639,7 +490,6 @@ class SimulatedPSelInv(_PSelInvDriver):
 
     _iter_plans = staticmethod(iter_plans)
     _state_cls = _SupernodeState
-    _point_handlers = {"cs": "_on_cross_send", "xb": "_on_cross_back"}
 
     def __init__(
         self,
@@ -661,7 +511,7 @@ class SimulatedPSelInv(_PSelInvDriver):
         telemetry=None,
         engine: str = "vectorized",
     ) -> None:
-        if engine not in _TREE_BUILDERS:
+        if engine not in _MACHINES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected 'vectorized' or 'legacy'"
             )
@@ -671,10 +521,6 @@ class SimulatedPSelInv(_PSelInvDriver):
                 f"got {per_message_cpu_overhead!r}"
             )
         self.engine = engine
-        self._vec = engine == "vectorized"
-        # Extra software overhead charged per delivered message; used to
-        # model the less-optimized v0.7.3 code path.
-        self.extra_msg_overhead = per_message_cpu_overhead
         # ``telemetry`` (a repro.obs.Telemetry bundle, or None) turns on
         # the observability layer: the timeline records on the machine,
         # the simulator reports its loop metrics, and run() reads the
@@ -692,12 +538,13 @@ class SimulatedPSelInv(_PSelInvDriver):
                 )
         # ``event_log`` (a caller-owned list) enables the machine's
         # structured trace hook; ``repro check`` replays it against the
-        # static happens-before model.
+        # static happens-before model.  ``per_message_cpu_overhead`` is
+        # charged per delivered message; it models the less-optimized
+        # v0.7.3 code path.
         machine_kwargs = {
             "event_log": event_log, "recorder": recorder, "metrics": metrics,
+            "deliver_cpu_overhead": per_message_cpu_overhead,
         }
-        if self._vec:
-            machine_kwargs["deliver_cpu_overhead"] = per_message_cpu_overhead
         super().__init__(
             struct,
             grid,
@@ -710,20 +557,19 @@ class SimulatedPSelInv(_PSelInvDriver):
             hybrid_threshold=hybrid_threshold,
             lookahead=lookahead,
             plans=plans,
-            machine_cls=VecMachine if self._vec else Machine,
+            machine_cls=_MACHINES[engine],
             machine_kwargs=machine_kwargs,
         )
         if metrics is not None:
             self.machine.sim.attach_metrics(metrics)
-        # Trees depend on (scheme, seed, hybrid threshold, grid, struct)
-        # -- and on the engine, which determines the cached
-        # representation (dict CommTree or CompiledTree); callers sweeping
-        # over jitter/placement seeds may share a cache across runs with
-        # identical configuration.  A guard key catches accidental reuse.
+        # Trees depend on (scheme, seed, hybrid threshold, grid, struct),
+        # not on the engine; callers sweeping over jitter/placement seeds
+        # may share a cache across runs with identical configuration.  A
+        # guard key catches accidental reuse.
         self._tree_cache = tree_cache if tree_cache is not None else {}
         guard = (
             "__config__", scheme, seed, hybrid_threshold, grid.pr, grid.pc,
-            struct.nsup, engine,
+            struct.nsup,
         )
         prior = self._tree_cache.setdefault("__guard__", guard)
         if prior != guard:
@@ -731,19 +577,16 @@ class SimulatedPSelInv(_PSelInvDriver):
                 "tree_cache was built for a different configuration: "
                 f"{prior} vs {guard}"
             )
-        if self._vec:
-            self._init_vec_protocol()
+        self._init_vec_protocol()
 
     # -- setup ------------------------------------------------------------
 
     def _tree(self, spec) -> Any:
-        """The spec's communication tree, in the engine's representation
-        (dict :class:`CommTree` for legacy, :class:`CompiledTree` for
-        vectorized), memoized per run/config."""
+        """The spec's :class:`CompiledTree`, memoized per run/config."""
         key = spec.key
         tree = self._tree_cache.get(key)
         if tree is None:
-            tree = _TREE_BUILDERS[self.engine](
+            tree = compiled_tree(
                 self.scheme,
                 spec.root,
                 spec.participants,
@@ -753,142 +596,15 @@ class SimulatedPSelInv(_PSelInvDriver):
             self._tree_cache[key] = tree
         return tree
 
-    def _build_collectives(self, plan: SupernodePlan) -> None:
-        """Instantiate supernode ``plan.k``'s collectives (window entry).
-
-        Lazy construction matters: a medium problem has O(10^5)
-        collectives, and building their trees up front would dominate the
-        run; it also mirrors the real code, which materializes its
-        communication trees as supernodes enter the lookahead window.
-        """
-        m = self.machine
-        k = plan.k
-        if plan.diag_bcast is not None:
-            spec = plan.diag_bcast
-            self.collectives[spec.key] = TreeBroadcast(
-                m,
-                self._tree(spec),
-                spec.key,
-                spec.nbytes,
-                spec.kind,
-                lambda rank, payload, k=k: self._on_diag_delivery(
-                    k, rank, payload
-                ),
-            )
-        for spec in plan.col_bcasts:
-            i = spec.key[2]
-            self.collectives[spec.key] = TreeBroadcast(
-                m,
-                self._tree(spec),
-                spec.key,
-                spec.nbytes,
-                spec.kind,
-                lambda rank, payload, k=k, i=i: self._on_colbcast_delivery(
-                    k, i, rank, payload
-                ),
-            )
-        pc = self.grid.pc
-        for spec in plan.row_reduces:
-            j = spec.key[2]
-            jrow = (j % self.grid.pr) * pc
-            contributors = {
-                jrow + (b.snode % pc) for b in plan.blocks
-            }
-            self.collectives[spec.key] = TreeReduce(
-                m,
-                self._tree(spec),
-                spec.key,
-                spec.nbytes,
-                spec.kind,
-                contributors,
-                lambda value, k=k, j=j: self._on_rowreduce_complete(
-                    k, j, value
-                ),
-            )
-        if plan.col_reduce is not None and plan.blocks:
-            spec = plan.col_reduce
-            kc = k % pc
-            contributors = {
-                (b.snode % self.grid.pr) * pc + kc for b in plan.blocks
-            }
-            self.collectives[spec.key] = TreeReduce(
-                m,
-                self._tree(spec),
-                spec.key,
-                spec.nbytes,
-                spec.kind,
-                contributors,
-                lambda value, k=k: self._on_diag_reduce(k, value),
-            )
-
-    # -- helpers ------------------------------------------------------------
-
-    def _gemm_counts(self, plan: SupernodePlan) -> None:
-        """Build dispatch tables for supernode ``plan.k`` (on window entry).
-
-        Logically this is the all-pairs loop ``for bj in blocks: for bi
-        in blocks`` counting one GEMM per (row block, column block) pair.
-        Run that way it costs O(B^2) dict operations and dominates the
-        window-entry path on large supernodes, so the pairs are batched
-        by grid row instead: every row block ``j`` in the same grid row
-        meets every column position with the same multiplicity, and a
-        ``bcast_gemms`` key ``(i, r)`` pins down the grid row of ``r``,
-        so each of its lists receives the ``j``'s of exactly one row
-        group -- in block order, as before.  Neither table's key order is
-        observable (both are only read by key), and the counts and list
-        contents are identical to the all-pairs loop.
-        """
-        st = self.states[plan.k]
-        pr, pc = self.grid.pr, self.grid.pc
-        k = plan.k
-        kc = k % pc
-        blocks = plan.blocks
-        snodes = [b.snode for b in blocks]
-        # Row blocks grouped by grid row (insertion = block order).
-        rowgroups: dict[int, list[int]] = {}
-        for j in snodes:
-            jrow = (j % pr) * pc
-            g = rowgroups.get(jrow)
-            if g is None:
-                rowgroups[jrow] = [j]
-            else:
-                g.append(j)
-        # Column-position multiplicity over the column blocks.
-        cols = [i % pc for i in snodes]
-        colcount: dict[int, int] = {}
-        for ic in cols:
-            colcount[ic] = colcount.get(ic, 0) + 1
-        gl = st.gemms_left
-        bg = st.bcast_gemms
-        diag_left = st.diag_left
-        norm_blocks = st.norm_blocks
-        for jrow, js in rowgroups.items():
-            for j in js:
-                for ic, cnt in colcount.items():
-                    key = (j, jrow + ic)
-                    gl[key] = gl.get(key, 0) + cnt
-            for i, ic in zip(snodes, cols):
-                key = (i, jrow + ic)
-                lst = bg.get(key)
-                if lst is None:
-                    bg[key] = list(js)
-                else:
-                    lst.extend(js)
-            dest = jrow + kc
-            diag_left[dest] = diag_left.get(dest, 0) + len(js)
-        for bj in blocks:
-            lowner = (bj.snode % pr) * pc + kc
-            norm_blocks.setdefault(lowner, []).append(bj)
-
-    # -- compiled protocol (engine="vectorized") ---------------------------------
+    # -- the compiled protocol ---------------------------------------------------
     #
-    # Same dataflow, same timestamps, zero per-event closures: window
-    # entry precomputes every duration/destination/tag in bulk with
-    # numpy, handlers are pre-registered ids dispatching on tuple
-    # arguments, collective traffic rides the machine's point route, and
-    # Ainv readiness keys are flat ints (row * nsup + col).  Every
-    # simulator event maps one-to-one onto a legacy-engine event, in the
-    # same sequence order -- that is the whole bit-identity argument.
+    # Zero per-event closures: window entry precomputes every
+    # duration/destination/tag in bulk with numpy, handlers are
+    # registered task ids dispatching on tuple arguments, collective
+    # traffic rides the machine's point route (send_pt), and Ainv
+    # readiness keys are flat ints (row * nsup + col).  The ``_vec``
+    # suffix marks the compiled protocol's methods, which run on both
+    # engines.
     #
     # Numeric mode changes no event: payloads ride the point records,
     # and the three task kinds whose precomputed argument is shared
@@ -923,12 +639,12 @@ class SimulatedPSelInv(_PSelInvDriver):
         """Window entry: compile supernode ``plan.k``'s whole protocol;
         returns its (unstarted) diagonal broadcast.
 
-        Fuses ``_gemm_counts`` + ``_build_collectives`` and additionally
-        precomputes, in bulk numpy expressions, every compute duration
-        the per-message path derives one flop count at a time.  All
-        duration arithmetic reproduces ``Network.compute_time``'s exact
-        float expression (the products are exact integers below 2^53,
-        so factoring them elementwise cannot change a bit).
+        Builds the collectives and the per-rank GEMM, normalize and
+        diagonal tables, and precomputes, in bulk numpy expressions,
+        every compute duration.  All duration arithmetic reproduces
+        ``Network.compute_time``'s exact float expression (the products
+        are exact integers below 2^53, so factoring them elementwise
+        cannot change a bit).
         """
         m = self.machine
         k = plan.k
@@ -972,10 +688,10 @@ class SimulatedPSelInv(_PSelInvDriver):
             colcount[c] = colcount.get(c, 0) + 1
         ucols = list(colcount)
         ucnts = list(colcount.values())
-        # Collectives go up in the legacy protocol's construction order
-        # (diag bcast, col bcasts, row reduces, col reduce): reduce
-        # construction can emit degenerate-relay sends, so this order is
-        # part of the bit-identity contract.
+        # Collectives go up in a fixed order (diag bcast, col bcasts, row
+        # reduces, col reduce): reduce construction can emit
+        # degenerate-relay sends, so this order is part of the pinned
+        # outcome.
         spec = plan.diag_bcast
         diag_bc = VecBroadcast(
             m, self._tree(spec), spec.key, spec.nbytes, spec.kind,
@@ -986,8 +702,7 @@ class SimulatedPSelInv(_PSelInvDriver):
         # The delivery context of col-bcast i carries its GEMM-duration
         # row and snode id directly; the per-rank work tables are shared
         # across every i (a rank's row group does the same j's for each
-        # broadcast it receives -- the legacy tables stored one copy per
-        # (i, rank) pair).
+        # broadcast it receives).
         idx_of = {sn_: x for x, sn_ in enumerate(snodes)}
         for spec in plan.col_bcasts:
             i = spec.key[2]
@@ -1169,6 +884,15 @@ class SimulatedPSelInv(_PSelInvDriver):
         if n == 0:
             red.contribute_pos(cpos, partial.pop(gkey))
 
+    def _compute_gemm(self, k: int, i: int, j: int) -> np.ndarray:
+        """Numeric contribution  Ainv(J,I)[needed rows, needed cols] @ Lhat(I,K)."""
+        struct = self.struct
+        rows_j = struct.block_row_indices(k, j)  # needed rows of supernode J
+        rows_i = struct.block_row_indices(k, i)  # needed rows (=cols here) of I
+        sub = gather_block(struct, self.ainv_data[(j, i)], j, i, rows_j, rows_i)
+        uhat = self.states[k].uhat[(i, self.grid.rank(j % self.grid.pr, i % self.grid.pc))]
+        return sub @ uhat.T  # uhat.T = Lhat(I,K), (r_i, s)
+
     def _on_rowreduce_complete_vec(self, ctx, value) -> None:
         st, j = ctx
         rkey, dest, u_owner, xbtag, nbytes, bkey, dcsec, dfin = st.rr_info[j]
@@ -1226,112 +950,13 @@ class SimulatedPSelInv(_PSelInvDriver):
     # -- window entry ----------------------------------------------------------
 
     def _enter_window(self, plan: SupernodePlan) -> tuple:
-        if self._vec:
-            return (self._setup_supernode_vec(plan),)
-        self.states[plan.k].enter_legacy()
-        self._gemm_counts(plan)
-        self._build_collectives(plan)
-        return (self.collectives[plan.diag_bcast.key],)
+        return (self._setup_supernode_vec(plan),)
 
-    # -- phase 1: diagonal broadcast and panel normalization ---------------------
-
-    def _on_diag_delivery(self, k: int, rank: int, payload: Any) -> None:
-        st = self.states[k]
-        plan = st.plan
-        s = plan.width
-        pr, pc = self.grid.pr, self.grid.pc
-        if rank == plan.diag_owner:
-            self._post_base(st, rank, payload)
-        # Normalize every local L(I,K) block owned by this rank.
-        for b in st.norm_blocks.get(rank, ()):
-            i = b.snode
-
-            def fin_norm(i=i, b=b, payload=payload, rank=rank):
-                lhat = self._normalize(k, i, payload) if self.numeric else None
-                st.lhat[i] = lhat
-                # Cross-send Lhat^T to the owner of U(K,I).
-                u_owner = self.grid.rank(k % pr, i % pc)
-                nbytes = st.cross_nbytes[i]
-                self.machine.post_send(
-                    rank,
-                    u_owner,
-                    ("cs", k, i),
-                    nbytes,
-                    "cross-send",
-                    lhat.T if self.numeric else None,
-                )
-
-            self.machine.post_compute(
-                rank, 0.0, fin_norm, flops=s * s * b.nrows, label="normalize"
-            )
-
-    # -- phase 2: cross send -> column broadcast ---------------------------------
-
-    def _on_cross_send(self, k: int, i: int, payload: Any) -> None:
-        bc = self.collectives.get(("cb", k, i))
-        if bc is None:  # pragma: no cover - plan always emits col-bcasts
-            raise RuntimeError(f"missing col-bcast ({k}, {i})")
-        bc.start(payload)
-
-    # -- phase 3: broadcast delivery -> local GEMMs -------------------------------
-
-    def _on_colbcast_delivery(self, k: int, i: int, rank: int, payload: Any) -> None:
-        st = self.states[k]
-        st.uhat[(i, rank)] = payload
-        for j in st.bcast_gemms.get((i, rank), ()):
-            self._schedule_or_wait((j, i), (k, i, j, rank))
-
-    def _schedule_gemm(self, k: int, i: int, j: int, rank: int) -> None:
-        st = self.states[k]
-        self._post_contribution(
-            rank, 2.0 * st.nrows[i] * st.nrows[j] * st.plan.width, "gemm",
-            lambda: self._compute_gemm(k, i, j),
-            st.row_partial, st.gemms_left, (j, rank), ("rr", k, j),
-        )
-
-    def _compute_gemm(self, k: int, i: int, j: int) -> np.ndarray:
-        """Numeric contribution  Ainv(J,I)[needed rows, needed cols] @ Lhat(I,K)."""
-        struct = self.struct
-        rows_j = struct.block_row_indices(k, j)  # needed rows of supernode J
-        rows_i = struct.block_row_indices(k, i)  # needed rows (=cols here) of I
-        sub = gather_block(struct, self.ainv_data[(j, i)], j, i, rows_j, rows_i)
-        uhat = self.states[k].uhat[(i, self.grid.rank(j % self.grid.pr, i % self.grid.pc))]
-        return sub @ uhat.T  # uhat.T = Lhat(I,K), (r_i, s)
-
-    # -- phase 4: row reduce completion -------------------------------------------
-
-    def _on_rowreduce_complete(self, k: int, j: int, value: Any) -> None:
-        st = self.states[k]
-        plan = st.plan
-        s = plan.width
-        pr, pc = self.grid.pr, self.grid.pc
-        dest = self.grid.rank(j % pr, k % pc)
-        rj = st.nrows[j]
-        ainv_jk = -value if self.numeric else None
-        st.ainv_low[j] = ainv_jk
-        self._mark_ainv_ready((j, k), ainv_jk)
-        # Cross-back: populate the upper storage at the owner of U(K,J).
-        u_owner = self.grid.rank(k % pr, j % pc)
-        nbytes = st.back_nbytes[j]
-        self.machine.post_send(
-            dest,
-            u_owner,
-            ("xb", k, j),
-            nbytes,
-            "cross-back",
-            ainv_jk.T if self.numeric else None,
-        )
-
-        # Local diagonal contribution Lhat(J,K)^T @ Ainv(J,K).
-        self._post_contribution(
-            dest, 2.0 * s * rj * s, "diag-contrib",
-            lambda: st.lhat[j].T @ ainv_jk,
-            st.diag_partial, st.diag_left, dest, ("cr", k),
-        )
-
-    def _on_cross_back(self, k: int, j: int, payload: Any) -> None:
-        # Upper Ainv block (K, J): rows = cols(K), cols = block rows of J.
-        self._mark_ainv_ready((k, j), payload)
+    def _mark_ainv_ready(self, key: tuple[int, int], data: Any) -> None:
+        """A root supernode's diagonal block is ready (the skeleton's
+        hook; the compiled handlers call :meth:`_mark_ready_vec`)."""
+        self.ainv_data[key] = data
+        self._mark_ready_vec(key[0] * self._nsup + key[1])
 
     # -- driver ------------------------------------------------------------------
 
@@ -1344,8 +969,7 @@ class SimulatedPSelInv(_PSelInvDriver):
         if self.telemetry is not None:
             self.telemetry.finish(self.machine.stats)
         if metrics is not None:
-            if self._vec:
-                record_shapes(metrics, self.machine.coll_shapes)
+            record_shapes(metrics, self.machine.coll_shapes)
             self._record_tree_cache_metrics(metrics, cache_before)
         return makespan
 

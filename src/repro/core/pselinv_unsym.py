@@ -19,9 +19,14 @@ U-side stage (see :mod:`repro.core.plan_unsym` for the event table):
   owner because it was that block's column-broadcast root.
 
 Everything but the protocol -- the lookahead window, the L-side numeric
-kernels, ``Ainv`` readiness and the result -- comes from the symmetric
-driver's skeleton, :class:`~repro.core.pselinv._PSelInvDriver`.  It
-runs on the legacy heapq machine only (no ``engine=`` option).
+kernels and the result -- comes from the symmetric driver's skeleton,
+:class:`~repro.core.pselinv._PSelInvDriver`.  The protocol itself is
+still a per-rank tag dispatch over
+:class:`~repro.comm.collectives.TreeBroadcast` /
+:class:`~repro.comm.collectives.TreeReduce`, with ``Ainv`` readiness
+under ``(row, col)`` keys and one closure per task, so it runs on the
+heapq :class:`~repro.simulate.machine.Machine` only (no ``engine=``
+option).
 
 Numeric mode is verified against the sequential unsymmetric oracle
 exactly, which is the strongest evidence the mirrored dataflow is right.
@@ -36,12 +41,13 @@ from scipy.linalg import solve_triangular
 
 from ..comm.collectives import TreeBroadcast, TreeReduce
 from ..comm.trees import build_tree
+from ..simulate.machine import Message
 from ..simulate.network import NetworkConfig
 from ..sparse.factor import SupernodalFactor
 from ..sparse.supernodes import SupernodalStructure
 from .grid import ProcessorGrid
 from .plan_unsym import UnsymSupernodePlan, iter_unsym_plans
-from .pselinv import PSelInvResult, _PSelInvDriver, gather_block
+from .pselinv import PSelInvResult, _accumulate, _PSelInvDriver, gather_block
 from .volume import collective_seed
 
 __all__ = ["SimulatedPSelInvUnsym", "run_pselinv_unsym"]
@@ -109,6 +115,9 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
 
     _iter_plans = staticmethod(iter_unsym_plans)
     _state_cls = _UnsymState
+    # Message tag kind -> the method handling that kind's point-to-point
+    # sends, called as ``method(k, i, payload)`` for a tag ``(kind, k,
+    # i)``; every other tag names a collective.
     _point_handlers = {"cl": "_on_cross_l2u", "cu": "_on_cross_u2l"}
 
     def __init__(
@@ -132,8 +141,32 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
             hybrid_threshold=hybrid_threshold, lookahead=lookahead,
             plans=plans,
         )
+        self.collectives: dict[tuple, Any] = {}
+        # Ainv blocks ready by (row_snode, col_snode); waiters hold the
+        # GEMMs deferred until their operand is.
+        self.ainv_ready: set[tuple[int, int]] = set()
+        self.waiters: dict[tuple[int, int], list] = {}
+        handler = self._make_handler()
+        for r in range(grid.size):
+            self.machine.set_handler(r, handler)
 
     # -- wiring -------------------------------------------------------------
+
+    def _make_handler(self):
+        points = {
+            kind: getattr(self, name)
+            for kind, name in self._point_handlers.items()
+        }
+
+        def handler(msg: Message) -> None:
+            key = msg.tag
+            point = points.get(key[0])
+            if point is None:
+                self.collectives[key].on_message(msg)
+            else:
+                point(key[1], key[2], msg.payload)
+
+        return handler
 
     def _tree(self, spec):
         return build_tree(
@@ -226,6 +259,80 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
             self.collectives[plan.diag_bcast.key],
             self.collectives[plan.diag_rbcast.key],
         )
+
+    # -- Ainv readiness, local contributions, the diagonal block -------------
+
+    def _schedule_or_wait(self, key: tuple[int, int], item: tuple) -> None:
+        """Post the GEMM ``item`` now if its operand ``Ainv`` block
+        ``key`` is ready, else park it until :meth:`_mark_ainv_ready`."""
+        if key in self.ainv_ready:
+            self._schedule_gemm(*item)
+        else:
+            self.waiters.setdefault(key, []).append(item)
+
+    def _mark_ainv_ready(self, key: tuple[int, int], data: Any) -> None:
+        self.ainv_ready.add(key)
+        self.ainv_data[key] = data
+        for item in self.waiters.pop(key, []):
+            self._schedule_gemm(*item)
+
+    def _post_contribution(
+        self,
+        rank: int,
+        flops: float,
+        label: str,
+        contrib: Any,
+        partials: dict,
+        left: dict,
+        key: Any,
+        red_key: tuple,
+    ) -> None:
+        """Post one local task on ``rank`` whose numeric result
+        ``contrib()`` is summed into ``partials[key]``; the last of the
+        ``left[key]`` tasks there hands the sum to the reduction
+        ``red_key``.  Every GEMM and diagonal contribution runs through
+        here."""
+
+        def fin():
+            if self.numeric:
+                _accumulate(partials, key, contrib())
+            left[key] -= 1
+            if left[key] == 0:
+                self.collectives[red_key].contribute(
+                    rank, partials.pop(key, None)
+                )
+
+        self.machine.post_compute(rank, 0.0, fin, flops=flops, label=label)
+
+    # -- the diagonal block --------------------------------------------------
+
+    def _post_base(self, st: Any, rank: int, payload: Any) -> None:
+        """At the diagonal owner, compute the base term
+        ``inv(U_KK) inv(L_KK)`` while the panels move."""
+
+        def fin_base():
+            st.base = self._invert_diag(payload) if self.numeric else None
+
+        self.machine.post_compute(
+            rank, 0.0, fin_base, flops=st.plan.width**3, label="diag-inv"
+        )
+
+    def _on_diag_reduce(self, k: int, value: Any) -> None:
+        """The diagonal reduction landed: the diagonal owner finishes
+        ``Ainv(K,K) = base - sum`` and the supernode leaves the window."""
+        st = self.states[k]
+        s = st.plan.width
+
+        def fin():
+            if self.numeric:
+                st.diag_value = st.base - value
+            self._mark_ainv_ready((k, k), st.diag_value)
+            self._supernode_finished()
+
+        self.machine.post_compute(
+            st.plan.diag_owner, 0.0, fin, flops=float(s * s), label="finish-diag"
+        )
+
 
     # -- normalization ------------------------------------------------------
 

@@ -70,17 +70,25 @@ class TraceEvent(NamedTuple):
 
 
 class Message:
-    """An in-flight message (payload is opaque to the machine)."""
+    """An in-flight message (payload is opaque to the machine).
 
-    __slots__ = ("src", "dst", "tag", "nbytes", "category", "payload")
+    ``cb`` is the delivery callback of a :meth:`Machine.send_pt` message,
+    called as ``cb(dst, payload, aux)``; ``None`` routes delivery to the
+    receiving rank's :meth:`Machine.set_handler` handler.
+    """
 
-    def __init__(self, src, dst, tag, nbytes, category, payload=None):
+    __slots__ = ("src", "dst", "tag", "nbytes", "category", "payload", "cb", "aux")
+
+    def __init__(self, src, dst, tag, nbytes, category, payload=None,
+                 cb=None, aux=0):
         self.src = src
         self.dst = dst
         self.tag = tag
         self.nbytes = nbytes
         self.category = category
         self.payload = payload
+        self.cb = cb
+        self.aux = aux
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -181,7 +189,17 @@ class CommStats:
 
 
 class Machine:
-    """The simulated distributed-memory machine."""
+    """The simulated distributed-memory machine.
+
+    Two send routes share one cost path: :meth:`post_send` delivers a
+    :class:`Message` to the receiving rank's handler, and :meth:`send_pt`
+    (the compiled protocol's route, a message category interned by
+    :meth:`category_id`) hands it straight to a delivery callback.
+    :meth:`post_named` runs a task registered with :meth:`register_task`
+    after the CPU time it occupies.  ``deliver_cpu_overhead`` is a CPU
+    cost charged on the destination per delivered message, before its
+    handler or callback runs.
+    """
 
     def __init__(
         self,
@@ -192,6 +210,7 @@ class Machine:
         event_log: list | None = None,
         recorder=None,
         metrics=None,
+        deliver_cpu_overhead: float = 0.0,
     ):
         if network.nranks < nranks:
             raise ValueError("network sized for fewer ranks than requested")
@@ -207,9 +226,17 @@ class Machine:
         # same times the machine computes for its own scheduling.  Off
         # (None) on the hot path -- one identity test per message.
         self._rec = recorder
-        # Optional MetricsRegistry, exposed so the protocol layers
-        # (collectives) can cache instruments at construction.
-        self.metrics = metrics
+        self._deliver_oh = float(deliver_cpu_overhead)
+        # Per-collective shape tallies, (op, category, family, size,
+        # nbytes) -> count, kept only with metrics attached; the protocol
+        # layer turns them into coll.* series after the drain.
+        self.coll_shapes: dict | None = {} if metrics is not None else None
+        # Interned message categories (id -> name) and the label of each
+        # registered task (telemetry only).
+        self._cat_ids: dict[str, int] = {}
+        self._cat_names: list[str] = []
+        self._labels: dict[int, str] = {}
+        self._tasks: list[Callable[[Any], None]] = []
         # Resource availability clocks (plain lists -- hot path).
         self._nic_free = [0.0] * nranks  # outgoing (injection) port
         self._nic_in_free = [0.0] * nranks  # incoming (ejection) port
@@ -232,6 +259,23 @@ class Machine:
     def set_handler(self, rank: int, fn: Callable[[Message], None]) -> None:
         """Install the message handler for ``rank``."""
         self._handlers[rank] = fn
+
+    def category_id(self, category: str) -> int:
+        """Intern a message category; returns its integer id."""
+        cid = self._cat_ids.get(category)
+        if cid is None:
+            cid = len(self._cat_names)
+            self._cat_ids[category] = cid
+            self._cat_names.append(category)
+        return cid
+
+    def register_task(self, fn: Callable[[Any], None], label: str) -> int:
+        """Register a compute-completion task for :meth:`post_named`;
+        ``label`` names its tasks on the telemetry timeline."""
+        self._tasks.append(fn)
+        hid = len(self._tasks) - 1
+        self._labels[hid] = label
+        return hid
 
     # -- time accessors --------------------------------------------------------
 
@@ -259,12 +303,21 @@ class Machine:
         cost (a rank "sending to itself" is just a local hand-off, and the
         paper's per-rank volume counters only see real messages).
         """
-        nbytes = int(nbytes)
-        msg = Message(src, dst, tag, nbytes, category, payload)
+        self._send(Message(src, dst, tag, int(nbytes), category, payload))
+
+    def send_pt(self, src, dst, tag, nbytes, cid, cb, aux=0, payload=None):
+        """:meth:`post_send` of a message of category id ``cid`` whose
+        delivery calls ``cb(dst, payload, aux)`` instead of a handler."""
+        self._send(
+            Message(src, dst, tag, nbytes, self._cat_names[cid], payload, cb, aux)
+        )
+
+    def _send(self, msg: Message) -> None:
+        src, dst, nbytes = msg.src, msg.dst, msg.nbytes
         sim = self.sim
         if self._event_log is not None:
             self._event_log.append(
-                TraceEvent("send", sim.now, src, dst, tag, nbytes)
+                TraceEvent("send", sim.now, src, dst, msg.tag, nbytes)
             )
         if src == dst:
             if self._rec is not None:
@@ -323,6 +376,11 @@ class Machine:
                     msg.nbytes,
                 )
             )
+        if self._deliver_oh > 0.0:
+            self.post_compute(msg.dst, self._deliver_oh, label="msg-overhead")
+        if msg.cb is not None:
+            msg.cb(msg.dst, msg.payload, msg.aux)
+            return
         fn = self._handlers[msg.dst]
         if fn is None:
             raise RuntimeError(f"no handler installed on rank {msg.dst}")
@@ -346,6 +404,18 @@ class Machine:
             seconds = self.network.compute_time(flops)
         if seconds < 0:
             raise ValueError("negative compute time")
+        finish = self._occupy_cpu(rank, seconds, label)
+        if fn is not None:
+            self.sim.schedule_at(finish, fn)
+
+    def post_named(self, rank: int, seconds: float, hid: int, arg: Any) -> None:
+        """Occupy ``rank``'s CPU for ``seconds``, then run the task
+        registered as ``hid`` as ``fn(arg)``."""
+        finish = self._occupy_cpu(rank, seconds, self._labels[hid])
+        self.sim.schedule_at(finish, self._tasks[hid], arg)
+
+    def _occupy_cpu(self, rank: int, seconds: float, label: str | None) -> float:
+        """Queue ``seconds`` of work on ``rank``'s CPU; returns its finish."""
         now = self.sim.now
         cpu = self._cpu_free[rank]
         start = cpu if cpu > now else now
@@ -354,8 +424,7 @@ class Machine:
         self.stats._compute_busy[rank] += seconds
         if self._rec is not None:
             self._rec.record_compute(rank, start, finish, label)
-        if fn is not None:
-            self.sim.schedule_at(finish, fn)
+        return finish
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -449,22 +518,14 @@ class VecMachine(Machine):
             event_log=event_log,
             recorder=recorder,
             metrics=metrics,
+            deliver_cpu_overhead=deliver_cpu_overhead,
         )
-        # Compute-task label per registered handler id (telemetry only).
-        self._labels: dict[int, str] = {}
-        # Category interning: id -> name, and per-id CommStats tally
-        # lists bound lazily on first use so the CommStats dicts gain
-        # keys in the exact order the legacy machine would (bit-identity).
-        self._cat_ids: dict[str, int] = {}
-        self._cat_names: list[str] = []
+        # Per category id, the CommStats tally lists, bound lazily on
+        # first use so the CommStats dicts gain keys in the exact order
+        # the heapq machine's would (bit-identity).
         self._sent_cols: list[Any] = []
         self._sent_counts: list[Any] = []
         self._recv_cols: list[Any] = []
-        # Per-collective shape tallies, (op, category, family, size,
-        # nbytes) -> count, kept only with metrics attached; the protocol
-        # layer turns them into coll.* after the drain.
-        self.coll_shapes: dict | None = {} if metrics is not None else None
-        self._deliver_oh = float(deliver_cpu_overhead)
 
         # -- the per-message stages (see the class docstring) ----------------
         sim = self.sim
@@ -634,20 +695,15 @@ class VecMachine(Machine):
     # -- wiring --------------------------------------------------------------
 
     def category_id(self, category: str) -> int:
-        """Intern a message category; returns its integer id."""
-        cid = self._cat_ids.get(category)
-        if cid is None:
-            cid = len(self._cat_names)
-            self._cat_ids[category] = cid
-            self._cat_names.append(category)
+        cid = super().category_id(category)
+        if cid == len(self._sent_cols):
             self._sent_cols.append(None)
             self._sent_counts.append(None)
             self._recv_cols.append(None)
         return cid
 
     def register_task(self, fn: Callable[[Any], None], label: str) -> int:
-        """Register a compute-completion handler for ``post_named``;
-        ``label`` names its tasks on the telemetry timeline."""
+        # The id is the engine's handler id: post_named schedules it as is.
         hid = self.sim.register_handler(fn)
         self._labels[hid] = label
         return hid
