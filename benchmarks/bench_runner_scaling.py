@@ -2,13 +2,15 @@
 
 Measurements recorded here:
 
-0. *Engine head-to-head* -- the reference run on the legacy binary-heap
-   engine vs the vectorized engine (calendar queue, compiled collective
-   state machines, one scalar per-message route), in :data:`ENGINE_ROUNDS`
-   alternated rounds, reporting each engine's median wall time with its
-   IQR and the median of the per-round speedups, asserting a
-   bitwise-identical outcome (every :class:`~repro.runner.RunRecord`
-   column) and a speedup floor on that median.
+0. *Engine head-to-head* -- the reference run on the legacy engine
+   (binary-heap scheduler, one ``Message`` object per message) vs the
+   vectorized engine (calendar queue, fused per-stage closures), both
+   running the same compiled protocol, so the ratio measures the
+   scheduler and the machine only; :data:`ENGINE_ROUNDS` alternated
+   rounds, reporting each engine's median wall time with its IQR and
+   the median of the per-round speedups, asserting a bitwise-identical
+   outcome (every :class:`~repro.runner.RunRecord` column) and a
+   speedup floor on that median.
 
 1. *Process-pool fan-out* -- the exact Fig. 8 quick sweep (imported from
    :mod:`bench_fig8_scaling`, so this measures the real workload, not a

@@ -12,8 +12,12 @@ copies the telemetry payload (:attr:`RunRecord.metrics`: hot-spot
 statistics, top ranks and the metrics snapshot) must agree as well,
 minus the host-dependent series (wall-clock gauges, ``runner.*`` and
 the process-global ``comm.tree_cache.*``).  This is the CI guard for
-the vectorized engine: the calendar-queue scheduler and the compiled
-collective state machines are optimizations, never behavior changes.
+the vectorized engine's scheduler and machine: both engines run the
+same compiled PSelInv protocol, so the comparison covers the
+calendar-queue scheduler and :class:`~repro.simulate.machine.VecMachine`
+against the heapq scheduler and :class:`~repro.simulate.machine.Machine`
+(optimizations, never behavior changes).  The protocol itself is
+checked by the pinned outcome digests in the test suite.
 
 Run from ``benchmarks/`` with ``PYTHONPATH=../src:.``:
 

@@ -15,6 +15,14 @@ Reads ``results/BENCH_runner.json`` (written by
   accidentally disabled fast path, while tolerating slow shared CI
   hosts; raise it when gating on known hardware).
 
+Both engines run the same compiled PSelInv protocol, so the ratio and
+the identity cover only what differs between them: the scheduler (the
+calendar queue against the heapq loop) and the machine
+(:class:`~repro.simulate.machine.VecMachine`'s fused per-stage closures
+against :class:`~repro.simulate.machine.Machine`'s per-message
+:class:`~repro.simulate.machine.Message` route).  The protocol's own
+behaviour is pinned by outcome digests in the test suite.
+
 The relative floors are the primary regression signal: wall-clock on
 shared runners swings too much for a tight absolute gate, but the
 engines run alternated in one process, so their *ratio* is stable.

@@ -260,7 +260,7 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
             self.collectives[plan.diag_rbcast.key],
         )
 
-    # -- Ainv readiness, local contributions, the diagonal block -------------
+    # -- Ainv readiness and local contributions ----------------------------
 
     def _schedule_or_wait(self, key: tuple[int, int], item: tuple) -> None:
         """Post the GEMM ``item`` now if its operand ``Ainv`` block

@@ -117,17 +117,16 @@ def get_tree_cache(
     """Shared communication-tree cache for one simulation configuration.
 
     Trees depend on ``(struct, grid, scheme, seed, hybrid_threshold)``
-    -- and on the engine, which fixes the cached representation
-    (``CompiledTree`` for the default vectorized engine, dict
-    ``CommTree`` for legacy)
-    -- but not on jitter/placement seeds, so repeated runs of a sweep
-    point share one cache -- the same sharing the serial Fig. 8 loop
-    used.  Problems outside the memo get a fresh private cache.
+    but not on jitter/placement seeds, so repeated runs of a sweep point
+    share one cache -- the same sharing the serial Fig. 8 loop used.
+    Both engines hold the same ``CompiledTree`` objects, so ``engine``
+    is accepted (specs carry it) but does not split the cache.  Problems
+    outside the memo get a fresh private cache.
     """
     pkey = problem_key_of(prob)
     if pkey is None:
         return {}
-    key = (*pkey, grid.pr, grid.pc, scheme, seed, hybrid_threshold, engine)
+    key = (*pkey, grid.pr, grid.pc, scheme, seed, hybrid_threshold)
     cache = _TREE_CACHES.get(key)
     if cache is None:
         _STATS["tree_cache_misses"] += 1

@@ -24,7 +24,10 @@ Two engines share this contract:
 
 Both drain any schedule stream in the exact same ``(time, seq)`` order
 (pinned by a Hypothesis equivalence test), so every simulated outcome is
-bit-identical across engines.
+bit-identical across engines.  The symmetric PSelInv protocol runs
+unchanged on either (through :class:`~repro.simulate.machine.Machine` or
+:class:`~repro.simulate.machine.VecMachine`), so an engine comparison
+measures the scheduler and the machine, not the protocol.
 """
 
 from __future__ import annotations

@@ -4,26 +4,32 @@ Binds the :class:`~repro.simulate.engine.Simulator` clock to the
 :class:`~repro.simulate.network.Network` cost model and exposes the small
 asynchronous API the PSelInv layers program against:
 
-* :meth:`Machine.post_send` -- non-blocking tagged send.  The sender's NIC
-  is occupied for the injection time (messages queue FIFO behind each
-  other -- the flat-tree hot-spot mechanism), then the message transits
-  and is delivered to the receiver's handler, respecting per
-  ``(src, dst)`` channel FIFO order like MPI's non-overtaking rule.
-  Converging messages additionally serialize through the receiver's
-  NIC-in port (what a flat *reduce* root saturates).
-* :meth:`Machine.post_compute` -- enqueue a compute task on a rank's CPU;
-  tasks on one rank serialize (one core per rank, as in the paper's
-  flat-MPI runs).
+* :meth:`Machine.post_send` / :meth:`Machine.send_pt` -- non-blocking
+  tagged send.  The sender's NIC is occupied for the injection time
+  (messages queue FIFO behind each other -- the flat-tree hot-spot
+  mechanism), then the message transits and is delivered -- to the
+  receiver's handler (``post_send``) or to a delivery callback
+  (``send_pt``, category interned by :meth:`Machine.category_id`) --
+  respecting per ``(src, dst)`` channel FIFO order like MPI's
+  non-overtaking rule.  Converging messages additionally serialize
+  through the receiver's NIC-in port (what a flat *reduce* root
+  saturates).
+* :meth:`Machine.post_compute` / :meth:`Machine.post_named` -- enqueue a
+  compute task on a rank's CPU (a closure, or a task registered with
+  :meth:`Machine.register_task` and its argument); tasks on one rank
+  serialize (one core per rank, as in the paper's flat-MPI runs).
 
 Every byte movement is tallied per rank *and per category* in
 :class:`CommStats`, which is what the Table I / Table II / heat-map
 benchmarks read out.
 
-Two machines share this cost model: :class:`Machine` on the heapq
-:class:`~repro.simulate.engine.Simulator` (the reference,
-``engine="legacy"``) and :class:`VecMachine` on the calendar-queue
-:class:`~repro.simulate.engine.VecSimulator` (``engine="vectorized"``),
-which reproduces it bit for bit.
+Two machines implement this interface on one cost model: :class:`Machine`
+on the heapq :class:`~repro.simulate.engine.Simulator` (the reference
+oracle, ``engine="legacy"``: one :class:`Message` per message and the
+network's own cost methods) and :class:`VecMachine` on the
+calendar-queue :class:`~repro.simulate.engine.VecSimulator`
+(``engine="vectorized"``: fused per-stage closures), which reproduces
+it bit for bit.  The symmetric protocol runs unchanged on either.
 
 Implementation note: this is the simulator's innermost loop (millions of
 messages per run), so per-rank clocks and counters are plain Python lists
@@ -456,8 +462,8 @@ class VecMachine(Machine):
     """The machine on the vectorized engine: point route, fused costs.
 
     Same cost model and same API surface as :class:`Machine` (it *is*
-    one, for :meth:`post_send`, :meth:`post_compute`, :meth:`set_handler`
-    and stats), but traffic rides the *point route* of
+    one, for :meth:`post_compute`, :meth:`set_handler`, the category and
+    task tables and stats), but traffic rides the *point route* of
     :class:`~repro.simulate.engine.VecSimulator`:
 
     * **Point records** -- an in-flight message is the tuple ``(dst,
@@ -492,12 +498,11 @@ class VecMachine(Machine):
     so timestamps are bit-identical.
 
     The timeline recorder, the trace log and ``deliver_cpu_overhead``
-    (a CPU cost per delivered message on its destination: the
-    protocol's ``per_message_cpu_overhead``) are one hook test per
-    stage.  Metrics and hot spots need none: the simulator reports its
-    loop series, the compiled collectives tally their shapes in
-    :attr:`coll_shapes`, and :meth:`repro.obs.Telemetry.finish` reads
-    :attr:`stats` after the drain.
+    are one hook test per stage.  Metrics and hot spots need none: the
+    simulator reports its loop series, the compiled collectives tally
+    their shapes in :attr:`coll_shapes`, and
+    :meth:`repro.obs.Telemetry.finish` reads :attr:`stats` after the
+    drain.
     """
 
     def __init__(
@@ -766,9 +771,9 @@ class VecMachine(Machine):
         category: str,
         payload: Any = None,
     ) -> None:
-        """Legacy-signature send: delivers a :class:`Message` to the
-        rank's :meth:`set_handler` handler (the point record's ``aux``
-        slot carries it)."""
+        """:meth:`Machine.post_send` on the point route: delivers a
+        :class:`Message` to the rank's :meth:`set_handler` handler (the
+        point record's ``aux`` slot carries it)."""
         nbytes = int(nbytes)
         msg = Message(src, dst, tag, nbytes, category, payload)
         self.send_pt(

@@ -21,6 +21,41 @@ from ..sparse.matrix import SparseMatrix, from_coo
 __all__ = ["grid_laplacian_2d", "grid_laplacian_3d", "random_spd_sparse"]
 
 
+def _lattice_laplacian(
+    shape: tuple[int, ...],
+    offsets: list[tuple[int, ...]],
+    shift: float,
+    rng: np.random.Generator | None,
+) -> SparseMatrix:
+    """Shifted Laplacian of the stencil ``offsets`` on a row-major grid.
+
+    Edges come in vertex order and, per vertex, in ``offsets`` order;
+    their weights are drawn in that order (one ``rng.random`` value per
+    edge), and each vertex's degree sums its edges in that order too.
+    """
+    n = int(np.prod(shape))
+    coords = np.indices(shape).reshape(len(shape), n, 1)
+    nbr = coords + np.array(offsets).T[:, None, :]  # (dims, n, offsets)
+    inside = ((nbr >= 0) & (nbr < np.array(shape)[:, None, None])).all(axis=0)
+    u = np.broadcast_to(np.arange(n)[:, None], inside.shape)[inside]
+    v = np.ravel_multi_index(tuple(np.where(inside, nbr, 0)), shape)[inside]
+    m = len(u)
+    w = np.full(m, -1.0) if rng is None else -1.0 - 0.1 * rng.random(m)
+    # Each edge contributes (u, v, w) then (v, u, w).
+    rows = np.stack([u, v], axis=1).ravel()
+    cols = np.stack([v, u], axis=1).ravel()
+    vals = np.repeat(w, 2)
+    deg = np.zeros(n)
+    np.subtract.at(deg, rows, vals)
+    diag = np.arange(n)
+    return from_coo(
+        n,
+        np.concatenate([rows, diag]),
+        np.concatenate([cols, diag]),
+        np.concatenate([vals, deg + shift]),
+    )
+
+
 def grid_laplacian_2d(
     nx: int,
     ny: int,
@@ -43,33 +78,7 @@ def grid_laplacian_2d(
     offsets = [(1, 0), (0, 1)]
     if stencil == 9:
         offsets += [(1, 1), (1, -1)]
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    deg = np.zeros(nx * ny)
-
-    def weight() -> float:
-        if rng is None:
-            return -1.0
-        return -1.0 - 0.1 * rng.random()
-
-    for ix in range(nx):
-        for iy in range(ny):
-            u = ix * ny + iy
-            for dx, dy in offsets:
-                jx, jy = ix + dx, iy + dy
-                if 0 <= jx < nx and 0 <= jy < ny:
-                    v = jx * ny + jy
-                    w = weight()
-                    rows += [u, v]
-                    cols += [v, u]
-                    vals += [w, w]
-                    deg[u] -= w
-                    deg[v] -= w
-    rows += list(range(nx * ny))
-    cols += list(range(nx * ny))
-    vals += list(deg + shift)
-    return from_coo(nx * ny, rows, cols, vals)
+    return _lattice_laplacian((nx, ny), offsets, shift, rng)
 
 
 def grid_laplacian_3d(
@@ -83,6 +92,7 @@ def grid_laplacian_3d(
 ) -> SparseMatrix:
     """SPD 7-point or 27-point Laplacian on an ``nx * ny * nz`` grid.
 
+    Vertices are numbered row-major (``idx = (ix * ny + iy) * nz + iz``).
     The 27-point variant couples all lattice neighbours within a unit
     Chebyshev distance, emulating the denser connectivity of hexahedral
     finite elements (the ``audikw_1`` / ``Flan_1565`` regime).
@@ -101,38 +111,7 @@ def grid_laplacian_3d(
             for dz in (-1, 0, 1)
             if (dx, dy, dz) > (0, 0, 0)
         ]
-    n = nx * ny * nz
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    deg = np.zeros(n)
-
-    def weight() -> float:
-        if rng is None:
-            return -1.0
-        return -1.0 - 0.1 * rng.random()
-
-    def idx(ix: int, iy: int, iz: int) -> int:
-        return (ix * ny + iy) * nz + iz
-
-    for ix in range(nx):
-        for iy in range(ny):
-            for iz in range(nz):
-                u = idx(ix, iy, iz)
-                for dx, dy, dz in offsets:
-                    jx, jy, jz = ix + dx, iy + dy, iz + dz
-                    if 0 <= jx < nx and 0 <= jy < ny and 0 <= jz < nz:
-                        v = idx(jx, jy, jz)
-                        w = weight()
-                        rows += [u, v]
-                        cols += [v, u]
-                        vals += [w, w]
-                        deg[u] -= w
-                        deg[v] -= w
-    rows += list(range(n))
-    cols += list(range(n))
-    vals += list(deg + shift)
-    return from_coo(n, rows, cols, vals)
+    return _lattice_laplacian((nx, ny, nz), offsets, shift, rng)
 
 
 def random_spd_sparse(

@@ -1,7 +1,10 @@
 """Vectorized engine: calendar queue, point-route machine, bit-identity.
 
-The vectorized engine is an optimization of the legacy heapq engine,
-never a behavior change.  Four layers pin it:
+The vectorized engine is an optimization of the heapq engine's scheduler
+and machine, never a behavior change.  Both engines run the same compiled
+PSelInv protocol, so the cross-engine tests here check the scheduler and
+the machine; the protocol itself is checked by the outcome digests of
+``tests/test_pselinv_pinned.py``.  Four layers pin the engines:
 
 * **Scheduler.**  The calendar-queue :class:`VecSimulator` executes ANY
   mix of ``schedule``/``schedule_at``/``schedule_msg`` calls in exactly
@@ -17,10 +20,11 @@ never a behavior change.  Four layers pin it:
 * **Stats read-outs.**  A drained :class:`VecMachine`'s read-out views
   and totals match :class:`Machine`'s exactly, with integer message
   counts and copies, not aliases, of the live tallies.
-* **Protocol.**  Full runs -- symbolic, numeric, telemetry, event-log
-  and per-message-overhead -- agree with the legacy engine bit-for-bit:
-  makespan, event count, every stats table, the numeric inverse, the
-  trace-event stream, the ``repro trace`` output and the metrics.
+* **Full runs.**  Symbolic, numeric, telemetry, event-log and
+  per-message-overhead runs agree across the two schedulers and
+  machines bit-for-bit: makespan, event count, every stats table, the
+  numeric inverse, the trace-event stream, the ``repro trace`` output
+  and the metrics.
 """
 
 import json

@@ -1,11 +1,12 @@
 """Tests for the synthetic workload generators."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
-from repro.sparse import analyze
+from repro.sparse import analyze, from_coo
 from repro.workloads import (
     WORKLOADS,
     dg_hamiltonian,
@@ -103,6 +104,51 @@ def test_laplacian_bytes_pinned(case):
     else:
         m = grid_laplacian_2d(9, 7, stencil=9, rng=np.random.default_rng(5))
     assert _matrix_digest(m) == PINNED_LAPLACIAN_SHA256[case]
+
+
+def _loop_laplacian(shape, stencil, rng):
+    """The per-edge loop: vertices row-major, offsets in order, one
+    weight draw per edge, degrees summed edge by edge."""
+    if len(shape) == 2:
+        offsets = [(1, 0), (0, 1)] + ([(1, 1), (1, -1)] if stencil == 9 else [])
+    elif stencil == 7:
+        offsets = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    else:
+        offsets = [o for o in itertools.product((-1, 0, 1), repeat=3) if o > (0, 0, 0)]
+    n = int(np.prod(shape))
+    rows, cols, vals = [], [], []
+    deg = np.zeros(n)
+    for c in itertools.product(*map(range, shape)):
+        u = int(np.ravel_multi_index(c, shape))
+        for off in offsets:
+            nb = tuple(a + b for a, b in zip(c, off))
+            if all(0 <= x < d for x, d in zip(nb, shape)):
+                v = int(np.ravel_multi_index(nb, shape))
+                w = -1.0 if rng is None else -1.0 - 0.1 * rng.random()
+                rows += [u, v]
+                cols += [v, u]
+                vals += [w, w]
+                deg[u] -= w
+                deg[v] -= w
+    return from_coo(n, rows + list(range(n)), cols + list(range(n)),
+                    vals + list(deg + 1.0))
+
+
+@pytest.mark.parametrize("seed", [None, 11])
+@pytest.mark.parametrize(
+    "shape,stencil",
+    [((1, 1), 5), ((1, 6), 9), ((5, 4), 5), ((6, 5), 9),
+     ((1, 1, 3), 27), ((3, 4, 2), 7), ((4, 3, 5), 27)],
+)
+def test_laplacian_matches_per_edge_loop(shape, stencil, seed):
+    rngs = [None if seed is None else np.random.default_rng(seed) for _ in "ab"]
+    gen = grid_laplacian_2d if len(shape) == 2 else grid_laplacian_3d
+    got = gen(*shape, stencil=stencil, rng=rngs[0])
+    want = _loop_laplacian(shape, stencil, rngs[1])
+    assert _matrix_digest(got) == _matrix_digest(want)
+    if seed is not None:
+        # Both consumed one draw per edge.
+        assert rngs[0].random() == rngs[1].random()
 
 
 class TestDG:
