@@ -445,8 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine",
             default="vectorized",
             choices=["vectorized", "legacy"],
-            help="DES engine: compiled vectorized dispatch (default) or "
-            "the binary-heap reference oracle; outcomes are bit-identical",
+            help="DES scheduler and machine: the calendar-queue "
+            "vectorized engine (default) or the binary-heap reference "
+            "oracle; both run one protocol, outcomes are bit-identical",
         )
 
     def store_options(sp):

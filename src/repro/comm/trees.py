@@ -751,8 +751,8 @@ def tree_arrays(
 ) -> TreeArrays:
     """Cached array view of one communication tree (any scheme).
 
-    The path :func:`build_tree` goes through (the legacy simulator, the
-    plan checker and the reference volume engine).  The cache holds
+    The path :func:`build_tree` goes through (the unsymmetric driver's
+    tag dispatch, the plan checker and the reference volume engine).  The cache holds
     rank-free :class:`_TreeStructure` entries keyed by
     :func:`structure_tree_key`; the caller's concrete ranks are laid onto
     the cached structure by a cheap relabeling step.  Bit-identical in shape to the dict-based
@@ -869,8 +869,8 @@ def build_tree(
     *,
     hybrid_threshold: int = 8,
 ) -> CommTree:
-    """Dict-based tree for the legacy simulator, the plan checker and the
-    reference volume engine.
+    """Dict-based tree for the unsymmetric driver's tag dispatch, the plan
+    checker and the reference volume engine.
 
     Goes through the shared :func:`tree_arrays` cache and materializes the
     dict-based :class:`CommTree` view on top (identical trees to the

@@ -62,10 +62,10 @@ class ExperimentSpec:
     # snapshot back in ``RunRecord.metrics``.  Off by default; the
     # simulated outcome is bit-identical either way.
     telemetry: bool = False
-    # DES engine: "vectorized" (default: calendar-queue scheduler plus
-    # compiled collective state machines and one scalar per-message
-    # route, for every mode) or "legacy" (binary-heap reference oracle); any other value
-    # is rejected when the run starts.  The simulated outcome is
+    # DES engine, i.e. the scheduler and machine the one compiled protocol
+    # runs on: "vectorized" (default: calendar-queue scheduler and one
+    # scalar per-message route, for every mode) or "legacy" (binary-heap
+    # reference oracle); any other value is rejected when the run starts.  The simulated outcome is
     # bit-identical across engines, so the result store does not hash
     # this field; it exists for head-to-head benchmarking and as an
     # escape hatch / oracle.

@@ -19,10 +19,12 @@ ENGINES = ("legacy", "vectorized")
 
 # Symbolic outcome digests on the configuration of
 # test_unsym_symbolic_outcome_pinned: a jittered multi-node network, a
-# 2x4 grid and ``hybrid_threshold=3``.  On this grid no symmetric
-# collective has more than four participants, and a hybrid tree of at
-# most three is flat while one of four is shifted -- the same trees the
-# shifted scheme builds -- so the hybrid and shifted digests coincide.
+# 2x4 grid and ``hybrid_threshold=3``.  On this grid every symmetric
+# broadcast runs down a grid column of two ranks, and a hybrid reduce
+# over at most three ranks is a flat star where the shifted scheme
+# builds a star with its children rotated, which a reduce does not see
+# (over four ranks hybrid is shifted), so the hybrid and shifted
+# digests coincide.
 PINNED_SYM_SYMBOLIC_DIGESTS = {
     ("flat", 1): "079768e9761ee08efa99e35471b4af65dea2bcb9e7b8f903046a8901346f0318",
     ("flat", 4): "ce6f765fb089d846bf976c20941ffdae10aa2d672f9b7b670d2d027b0a786713",
