@@ -280,3 +280,27 @@ def test_unsym_symbolic_outcome_pinned(scheme, lookahead, digest_struct):
     ).run()
     got = symbolic_outcome_digest(res)
     assert got == PINNED_UNSYM_SYMBOLIC_DIGESTS[(scheme, lookahead)]
+
+
+# The same configuration on a 3x4 grid, lookahead 4: grid columns of three
+# ranks, so every column broadcast and column reduction has a relay to
+# place, and the six schemes give six distinct outcomes.  Recorded on
+# the heapq machine with the per-rank tag-dispatch protocol.
+PINNED_UNSYM_3X4_DIGESTS = {
+    "flat": "e0ea9eb1268c0be822ed8fa371fddec71a62d0dcdbef54bb90546223c7943d44",
+    "binary": "b7fa433c7a84f76895be47d942a1f6e519edad7396912d57ef11ff743768823a",
+    "shifted": "96af01c6f40df1512051600737515b13139468f913d161c9c745ba887de6084e",
+    "randperm": "44e240add31ebee5b582b3426db1b2510b32dd19ef78c74a7a2e941a03d15669",
+    "hybrid": "782d274dc124bd81c81377a551b4cb942f3ed754cd9e6b70b799285f3806a5ff",
+    "binomial": "7098f15bbff251e23c9aa587567aba2d7b180e355a5065b62d2d61b576ef6f1f",
+}
+
+
+@pytest.mark.parametrize("scheme", TREE_SCHEMES)
+def test_unsym_symbolic_outcome_pinned_3x4(scheme, digest_struct):
+    net = NetworkConfig(cores_per_node=2, nodes_per_group=2, jitter_sigma=0.25)
+    res = SimulatedPSelInvUnsym(
+        digest_struct, ProcessorGrid(3, 4), scheme, network=net, seed=3,
+        placement_seed=5, jitter_seed=11, lookahead=4, hybrid_threshold=3,
+    ).run()
+    assert symbolic_outcome_digest(res) == PINNED_UNSYM_3X4_DIGESTS[scheme]
