@@ -101,6 +101,10 @@ class TestNumericThroughput:
         assert inv.struct is prob.struct
 
 
+def _drop(dst, payload, aux):
+    """A delivery callback that discards the message."""
+
+
 class TestCommThroughput:
     def test_shifted_tree_construction(self, benchmark):
         participants = set(range(0, 2048, 2))
@@ -117,13 +121,12 @@ class TestCommThroughput:
 
         def run():
             m = Machine(64, Network(64, NetworkConfig()))
-            for r in range(64):
-                m.set_handler(r, lambda msg: None)
+            cid = m.category_id("x")
             rng = np.random.default_rng(0)
             src = rng.integers(0, 64, 10_000)
             dst = rng.integers(0, 64, 10_000)
             for s, d in zip(src, dst):
-                m.post_send(int(s), int(d), "t", 1024, "x")
+                m.send_pt(int(s), int(d), "t", 1024, cid, _drop)
             makespan = m.run()
             tally["events"] += m.sim.events_processed
             return makespan

@@ -1,235 +1,60 @@
 """Asynchronous restricted collectives over point-to-point messages.
 
-State machines that move data along a :class:`~repro.comm.trees.CommTree`
-using only the machine's non-blocking sends -- the software equivalent of
+State machines that move data along a compiled communication tree using
+only the machine's non-blocking sends -- the software equivalent of
 building ``MPI_Bcast`` / ``MPI_Reduce`` out of ``MPI_Isend`` /
 ``MPI_Irecv`` as the paper does.  Any number of instances can be in
 flight simultaneously; progress is purely message-driven, which is what
-lets PSelInv pipeline supernodes without barriers.
+lets PSelInv pipeline supernodes without barriers.  Both drivers, on
+both machines, run on these two classes.
 
 In numeric mode payloads are ndarrays and reductions really sum; in
 symbolic (timing/volume-only) mode payloads are ``None`` and reductions
 just count.
 
-Two implementations of the same state machines:
+:class:`VecBroadcast` / :class:`VecReduce` are compiled against a
+:class:`~repro.comm.trees.CompiledTree`:
 
-* :class:`VecBroadcast` / :class:`VecReduce`, compiled against
-  :class:`~repro.comm.trees.CompiledTree` tables and driven through the
-  machine's point route (``send_pt``).  The symmetric protocol runs on
-  them on both engines.
-* :class:`TreeBroadcast` / :class:`TreeReduce` over dict-based
-  :class:`~repro.comm.trees.CommTree` trees and
-  :class:`~repro.simulate.machine.Message` handlers: the per-rank tag
-  dispatch of the unsymmetric driver, on the heapq machine only.
+* positions, adjacency and child counts come straight from the
+  per-shape memos (shared across every tree of the same family and
+  size);
+* forwarded messages travel on the machine's point route
+  (:meth:`~repro.simulate.machine.Machine.send_pt`) with the receiver's
+  tree position in ``aux`` and a direct delivery callback, so a delivery
+  routes straight back into the collective without any per-rank tag
+  dispatch;
+* delivery and completion callbacks receive a caller-supplied ``ctx``
+  object, so the protocol layer binds no lambdas per collective;
+* reductions are driven by contributor *positions* precomputed by the
+  protocol (:meth:`VecReduce.contribute_pos`), with no per-call rank ->
+  position lookup;
+* every fan-out, flat and hybrid trees' wide ones included, is one point
+  send per child, in ascending child position (the order in which
+  :func:`~repro.comm.trees.build_tree` lists a rank's children), and a
+  broadcast forwards before it delivers locally;
+* reductions combine with ``+`` in arrival order, and zero-input
+  positions (a degenerate tree's leaf relays) finish at construction in
+  ascending position;
+* the ``coll.*`` telemetry series come from the tree shapes: with metrics
+  attached, each collective bumps one ``(op, category, family, size,
+  nbytes)`` count in the machine's ``coll_shapes`` dict when it is
+  built, and :func:`record_shapes` turns the counts into series after
+  the drain.  A run that returns has completed every collective, so the
+  totals equal per-message tallies (all ints, so exactly).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..simulate.machine import Machine, Message
-from .trees import CommTree, CompiledTree, _child_counts_list, _shape_depth
+from .trees import CompiledTree, _child_counts_list, _shape_depth
 
 __all__ = [
-    "TreeBroadcast",
-    "TreeReduce",
     "VecBroadcast",
     "VecReduce",
     "record_shapes",
 ]
 
-
-def _require_hashable_tag(tag: Any) -> Any:
-    """Fail fast on unhashable tags.
-
-    Tags key the machine's channel bookkeeping and the protocol layers'
-    collective registries; an unhashable tag would otherwise surface as
-    an opaque ``dict`` TypeError deep inside :class:`Machine` on the
-    first forwarded message.
-    """
-    try:
-        hash(tag)
-    except TypeError:
-        raise TypeError(
-            f"collective tag must be hashable, got {type(tag).__name__}: "
-            f"{tag!r}"
-        ) from None
-    return tag
-
-
-class TreeBroadcast:
-    """One restricted broadcast: root pushes, internal nodes forward.
-
-    ``on_delivery(rank, payload)`` fires on every participant (including
-    the root) once the data is locally available.  Forwarding costs the
-    forwarder NIC time via :meth:`Machine.post_send`; the receive-side
-    overhead is charged by the machine itself.
-    """
-
-    def __init__(
-        self,
-        machine: Machine,
-        tree: CommTree,
-        tag: Any,
-        nbytes: int,
-        category: str,
-        on_delivery: Callable[[int, Any], None],
-    ) -> None:
-        self.machine = machine
-        self.tree = tree
-        self.tag = _require_hashable_tag(tag)
-        self.nbytes = int(nbytes)
-        self.category = category
-        self.on_delivery = on_delivery
-        self._started = False
-
-    def start(self, payload: Any = None) -> None:
-        """Called (once) on the root when its data is ready."""
-        if self._started:
-            raise RuntimeError(f"broadcast {self.tag!r} started twice")
-        self._started = True
-        self._forward(self.tree.root, payload)
-
-    def on_message(self, msg: Message) -> None:
-        """Handler entry point: a tree parent forwarded us the payload."""
-        self._forward(msg.dst, msg.payload)
-
-    def _forward(self, rank: int, payload: Any) -> None:
-        for child in self.tree.children.get(rank, ()):
-            self.machine.post_send(
-                rank, child, self.tag, self.nbytes, self.category, payload
-            )
-        self.on_delivery(rank, payload)
-
-
-class TreeReduce:
-    """One restricted reduction: contributions combine leaves -> root.
-
-    Every rank in ``contributors`` must eventually call
-    :meth:`contribute` exactly once; tree-internal ranks combine child
-    messages with their own contribution (if any) and send the partial
-    result to their parent.  ``on_complete(value)`` fires on the root.
-
-    ``combine`` defaults to ``+`` for ndarray payloads and is skipped for
-    ``None`` payloads (symbolic mode).
-    """
-
-    def __init__(
-        self,
-        machine: Machine,
-        tree: CommTree,
-        tag: Any,
-        nbytes: int,
-        category: str,
-        contributors: set[int],
-        on_complete: Callable[[Any], None],
-        combine: Callable[[Any, Any], Any] | None = None,
-    ) -> None:
-        self.machine = machine
-        self.tree = tree
-        self.tag = _require_hashable_tag(tag)
-        self.nbytes = int(nbytes)
-        self.category = category
-        self.contributors = set(int(r) for r in contributors)
-        self.on_complete = on_complete
-        self.combine = combine
-        unknown = self.contributors - set(tree.ranks())
-        if unknown:
-            raise ValueError(
-                f"reduce {self.tag!r}: contributors {sorted(unknown)} "
-                "not in the tree"
-            )
-        # Per-rank progress: how many inputs are still outstanding and the
-        # running partial value.
-        self._pending: dict[int, int] = {}
-        self._value: dict[int, Any] = {}
-        self._done: dict[int, bool] = {}
-        for r in tree.ranks():
-            expected = tree.child_count(r) + (1 if r in self.contributors else 0)
-            self._pending[r] = expected
-            self._value[r] = None
-            self._done[r] = False
-            if expected == 0:
-                # A pure relay with no children and no contribution can
-                # only happen for a degenerate tree; fire immediately.
-                self._finish(r)
-
-    def contribute(self, rank: int, value: Any = None) -> None:
-        """Provide ``rank``'s local contribution (exactly once)."""
-        if rank not in self.contributors:
-            raise ValueError(
-                f"reduce {self.tag!r}: rank {rank} is not a contributor"
-            )
-        self._absorb(rank, value)
-
-    def on_message(self, msg: Message) -> None:
-        """Handler entry point: a child sent us its partial result."""
-        self._absorb(msg.dst, msg.payload)
-
-    def _absorb(self, rank: int, value: Any) -> None:
-        if self._done[rank]:
-            raise RuntimeError(
-                f"reduce {self.tag!r}: input after completion at rank {rank}"
-            )
-        cur = self._value[rank]
-        if cur is None:
-            self._value[rank] = value
-        elif value is not None:
-            fn = self.combine if self.combine is not None else (lambda a, b: a + b)
-            self._value[rank] = fn(cur, value)
-        self._pending[rank] -= 1
-        if self._pending[rank] == 0:
-            self._finish(rank)
-
-    def _finish(self, rank: int) -> None:
-        self._done[rank] = True
-        if rank == self.tree.root:
-            self.on_complete(self._value[rank])
-        else:
-            self.machine.post_send(
-                rank,
-                self.tree.parent[rank],
-                self.tag,
-                self.nbytes,
-                self.category,
-                self._value[rank],
-            )
-
-
-# ---------------------------------------------------------------------------
-# Compiled collectives (the symmetric protocol's layer, on both engines)
-#
-# The same state machines as above, compiled against a
-# :class:`~repro.comm.trees.CompiledTree`:
-#
-# * positions, adjacency and child counts come straight from the
-#   per-shape memos (shared across every tree of the same family and
-#   size);
-# * forwarded messages travel on the machine's point route
-#   (:meth:`~repro.simulate.machine.Machine.send_pt`) with the
-#   receiver's tree position in ``aux`` and a direct delivery callback,
-#   so a delivery routes straight back into the collective without any
-#   per-rank tag dispatch;
-# * completion callbacks receive a caller-supplied ``ctx`` object, so the
-#   protocol layer binds no lambdas per collective;
-# * reductions are driven by contributor *positions* precomputed by the
-#   protocol (:meth:`VecReduce.contribute_pos`), with no per-call rank ->
-#   position lookup;
-# * every fan-out, flat and hybrid trees' wide ones included, is one
-#   point send per child, in ascending child position;
-# * the ``coll.*`` telemetry series come from the tree shapes: with
-#   metrics attached, each collective bumps one
-#   ``(op, category, family, size, nbytes)`` count in the machine's
-#   ``coll_shapes`` dict when it is built, and :func:`record_shapes`
-#   turns the counts into series after the drain.  A run that returns
-#   has completed every collective, so the totals equal per-message
-#   tallies (all ints, so exactly).
-#
-# Send order, combine order, finish order and degenerate-tree behavior
-# match the dict-based classes (children forward in ascending position =
-# the dict builders' append order; zero-input positions finish at
-# construction in ascending position).
-# ---------------------------------------------------------------------------
 
 def record_shapes(metrics, counts: dict) -> None:
     """Emit the ``coll.*`` series of every counted collective shape: the
@@ -345,8 +170,8 @@ class VecReduce:
     The protocol layer supplies contributor *positions* up front and
     drives progress through :meth:`contribute_pos`; per-position pending
     counters start from the shared child-count list.  Values (numeric
-    mode) combine with ``+`` in arrival order, exactly like
-    :class:`TreeReduce`; ``None`` values (symbolic mode) only count.
+    mode) combine with ``+`` in arrival order; ``None`` values (symbolic
+    mode) only count.
     ``on_complete(ctx, value)`` fires on the root.  Zero-input positions
     (degenerate trees) finish at construction in ascending position
     order.

@@ -869,8 +869,9 @@ def build_tree(
     *,
     hybrid_threshold: int = 8,
 ) -> CommTree:
-    """Dict-based tree for the unsymmetric driver's tag dispatch, the plan
-    checker and the reference volume engine.
+    """Dict-based tree for the plan checker, the happens-before model of
+    ``repro check`` and the reference volume engine (the simulator runs
+    on :func:`compiled_tree`, which lays out the same trees).
 
     Goes through the shared :func:`tree_arrays` cache and materializes the
     dict-based :class:`CommTree` view on top (identical trees to the

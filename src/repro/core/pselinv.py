@@ -66,12 +66,12 @@ engine-equivalence tests, ``benchmarks/check_engine_identity.py`` and
 the protocol, those checks cover the scheduler and the machine; the
 pinned outcome digests (``tests/test_pselinv_pinned.py``) cover the
 protocol.  This driver and the unsymmetric one
-(:mod:`repro.core.pselinv_unsym`, still a per-rank tag dispatch on the
-heapq machine) run on one skeleton, :class:`_PSelInvDriver` (window,
-numeric kernels, result), and every GEMM of both takes its ``Ainv``
-operand through :func:`gather_block`: one ``ndarray.searchsorted`` on
-the structural side of the stored block and one open-mesh index per
-GEMM.
+(:mod:`repro.core.pselinv_unsym`, the same compiled interface and
+collectives, on :class:`~repro.simulate.machine.VecMachine`) run on one
+skeleton, :class:`_PSelInvDriver` (window, numeric kernels, result), and
+every GEMM of both takes its ``Ainv`` operand through
+:func:`gather_block`: one ``ndarray.searchsorted`` on the structural side
+of the stored block and one open-mesh index per GEMM.
 """
 
 from __future__ import annotations
@@ -277,11 +277,12 @@ class _PSelInvDriver:
     :class:`~repro.core.pselinv_unsym.SimulatedPSelInvUnsym` differ only
     in their protocol.  Shared here: the lookahead window (Algorithm 1's
     second loop) with its root-supernode shortcut, the diagonal and
-    L-panel kernels and the result.  A subclass supplies ``_iter_plans``
-    and ``_state_cls`` (its plans and per-supernode bookkeeping),
-    ``_enter_window(plan)`` (build supernode ``plan.k``'s collectives,
-    return the diagonal broadcasts to start), ``_mark_ainv_ready(key,
-    data)`` (``Ainv`` block ``key`` is available) and its handlers.
+    L-panel kernels and the result.  A subclass passes its machine class
+    (``machine_cls``) and supplies ``_iter_plans`` and ``_state_cls`` (its
+    plans and per-supernode bookkeeping), ``_enter_window(plan)`` (build
+    supernode ``plan.k``'s collectives, return the diagonal broadcasts to
+    start), ``_mark_ainv_ready(key, data)`` (``Ainv`` block ``key`` is
+    available) and its handlers.
     """
 
     def __init__(
@@ -298,7 +299,7 @@ class _PSelInvDriver:
         hybrid_threshold: int,
         lookahead: int | None,
         plans: list | None,
-        machine_cls: type[Machine] = Machine,
+        machine_cls: type[Machine],
         machine_kwargs: dict | None = None,
     ) -> None:
         self.struct = struct

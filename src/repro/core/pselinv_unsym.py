@@ -20,13 +20,18 @@ U-side stage (see :mod:`repro.core.plan_unsym` for the event table):
 
 Everything but the protocol -- the lookahead window, the L-side numeric
 kernels and the result -- comes from the symmetric driver's skeleton,
-:class:`~repro.core.pselinv._PSelInvDriver`.  The protocol itself is
-still a per-rank tag dispatch over
-:class:`~repro.comm.collectives.TreeBroadcast` /
-:class:`~repro.comm.collectives.TreeReduce`, with ``Ainv`` readiness
-under ``(row, col)`` keys and one closure per task, so it runs on the
-heapq :class:`~repro.simulate.machine.Machine` only (no ``engine=``
-option).
+:class:`~repro.core.pselinv._PSelInvDriver`.  The protocol speaks the
+machine's compiled interface, like the symmetric one: collectives are
+:class:`~repro.comm.collectives.VecBroadcast` /
+:class:`~repro.comm.collectives.VecReduce` over
+:class:`~repro.comm.trees.CompiledTree` tables, whose delivery and
+completion callbacks get the supernode's state as their ``ctx``; the two
+cross sends ride ``send_pt``; every compute task is a registered task
+posted with ``post_named``, its duration ``Network.compute_time`` of the
+task's flop count.  ``Ainv`` readiness is keyed ``(row, col)``.  The
+driver runs on :class:`~repro.simulate.machine.VecMachine` (no
+``engine=`` option); its pinned outcomes were recorded on the heapq
+machine and hold on either.
 
 Numeric mode is verified against the sequential unsymmetric oracle
 exactly, which is the strongest evidence the mirrored dataflow is right.
@@ -39,9 +44,9 @@ from typing import Any
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ..comm.collectives import TreeBroadcast, TreeReduce
-from ..comm.trees import build_tree
-from ..simulate.machine import Message
+from ..comm.collectives import VecBroadcast, VecReduce
+from ..comm.trees import compiled_tree
+from ..simulate.machine import VecMachine
 from ..simulate.network import NetworkConfig
 from ..sparse.factor import SupernodalFactor
 from ..sparse.supernodes import SupernodalStructure
@@ -54,12 +59,17 @@ __all__ = ["SimulatedPSelInvUnsym", "run_pselinv_unsym"]
 
 
 class _UnsymState:
-    """Per-supernode bookkeeping for the mirrored pipelines."""
+    """Per-supernode bookkeeping for the mirrored pipelines.
+
+    A reduction is held here, with its rank -> tree position map, only
+    until it completes: its completion context holds this state, so a
+    reduction kept after that would be a reference cycle outliving the
+    run while the drain pauses the cyclic collector.  Each broadcast
+    waiting on a cross send is held until that send starts it.
+    """
 
     __slots__ = (
         "plan",
-        "lhat",       # I -> Lhat(I,K) at L owner
-        "uhat",       # I -> Uhat(K,I) at U owner
         "lhat_at_u",  # I -> Lhat(I,K) stashed at its col-bcast root
         "bcast_l",    # (I, rank) -> Lhat payload from col-bcast
         "bcast_u",    # (I, rank) -> Uhat payload from row-bcast
@@ -80,13 +90,15 @@ class _UnsymState:
         "nrows",
         "l2u_nbytes",
         "u2l_nbytes",
-        "diag_fired",
+        "cb",         # I -> col-bcast waiting on its cross-l2u
+        "rb",         # I -> row-bcast waiting on its cross-u2l
+        "rr",         # J -> (row-reduce, positions) until it completes
+        "cu",         # J -> (col-ureduce, positions) until it completes
+        "dq",         # (diag-rreduce, positions) until it completes
     )
 
     def __init__(self, plan: UnsymSupernodePlan):
         self.plan = plan
-        self.lhat: dict[int, Any] = {}
-        self.uhat: dict[int, Any] = {}
         self.lhat_at_u: dict[int, Any] = {}
         self.bcast_l: dict[tuple[int, int], Any] = {}
         self.bcast_u: dict[tuple[int, int], Any] = {}
@@ -107,7 +119,22 @@ class _UnsymState:
         self.nrows: dict[int, int] = {b.snode: b.nrows for b in plan.blocks}
         self.l2u_nbytes = {p.key[2]: p.nbytes for p in plan.cross_l2u}
         self.u2l_nbytes = {p.key[2]: p.nbytes for p in plan.cross_u2l}
-        self.diag_fired: set[int] = set()
+        self.cb: dict[int, VecBroadcast] = {}
+        self.rb: dict[int, VecBroadcast] = {}
+        self.rr: dict[int, tuple] = {}
+        self.cu: dict[int, tuple] = {}
+        self.dq: tuple | None = None
+
+
+def _count_down(left: dict, partials: dict, key: Any, reduction: tuple,
+                rank: int) -> None:
+    """One of the ``left[key]`` local tasks of ``rank`` finished; the
+    last hands their summed ``partials[key]`` to ``reduction``."""
+    n = left[key] - 1
+    left[key] = n
+    if n == 0:
+        red, pos = reduction
+        red.contribute_pos(pos[rank], partials.pop(key, None))
 
 
 class SimulatedPSelInvUnsym(_PSelInvDriver):
@@ -115,10 +142,6 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
 
     _iter_plans = staticmethod(iter_unsym_plans)
     _state_cls = _UnsymState
-    # Message tag kind -> the method handling that kind's point-to-point
-    # sends, called as ``method(k, i, payload)`` for a tag ``(kind, k,
-    # i)``; every other tag names a collective.
-    _point_handlers = {"cl": "_on_cross_l2u", "cu": "_on_cross_u2l"}
 
     def __init__(
         self,
@@ -139,99 +162,47 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
             struct, grid, scheme, factor=factor, network=network, seed=seed,
             placement_seed=placement_seed, jitter_seed=jitter_seed,
             hybrid_threshold=hybrid_threshold, lookahead=lookahead,
-            plans=plans,
+            plans=plans, machine_cls=VecMachine,
         )
-        self.collectives: dict[tuple, Any] = {}
-        # Ainv blocks ready by (row_snode, col_snode); waiters hold the
-        # GEMMs deferred until their operand is.
-        self.ainv_ready: set[tuple[int, int]] = set()
+        m = self.machine
+        task = m.register_task
+        self._seconds = m.network.compute_time
+        self._cid_l2u = m.category_id("cross-l2u")
+        self._cid_u2l = m.category_id("cross-u2l")
+        self._hid_base = task(self._base_fin, "diag-inv")
+        self._hid_norm_l = task(self._norm_l_fin, "normalize")
+        self._hid_norm_u = task(self._norm_u_fin, "normalize")
+        self._hid_gemm_l = task(self._gemm_l_fin, "gemm")
+        self._hid_gemm_u = task(self._gemm_u_fin, "gemm")
+        self._hid_diagc = task(self._diagc_fin, "diag-contrib")
+        self._hid_finish = task(self._finish_fin, "finish-diag")
+        # GEMMs parked until their Ainv operand, by (row_snode, col_snode);
+        # a key is ready once it is in ``ainv_data`` (None in symbolic runs).
         self.waiters: dict[tuple[int, int], list] = {}
-        handler = self._make_handler()
-        for r in range(grid.size):
-            self.machine.set_handler(r, handler)
 
-    # -- wiring -------------------------------------------------------------
-
-    def _make_handler(self):
-        points = {
-            kind: getattr(self, name)
-            for kind, name in self._point_handlers.items()
-        }
-
-        def handler(msg: Message) -> None:
-            key = msg.tag
-            point = points.get(key[0])
-            if point is None:
-                self.collectives[key].on_message(msg)
-            else:
-                point(key[1], key[2], msg.payload)
-
-        return handler
+    # -- window entry -------------------------------------------------------
 
     def _tree(self, spec):
-        return build_tree(
+        return compiled_tree(
             self.scheme, spec.root, spec.participants,
             collective_seed(self.seed, spec.key),
             hybrid_threshold=self.hybrid_threshold,
         )
 
-    def _build_collectives(self, plan: UnsymSupernodePlan) -> None:
-        m = self.machine
-        k = plan.k
-        pr, pc = self.grid.pr, self.grid.pc
-        c_rows = sorted({b.snode % pr for b in plan.blocks})
-        c_cols = sorted({b.snode % pc for b in plan.blocks})
-        kr, kc = k % pr, k % pc
+    def _bcast(self, spec, on_delivery, ctx) -> VecBroadcast:
+        return VecBroadcast(
+            self.machine, self._tree(spec), spec.key, spec.nbytes, spec.kind,
+            on_delivery, ctx,
+        )
 
-        spec = plan.diag_bcast
-        self.collectives[spec.key] = TreeBroadcast(
-            m, self._tree(spec), spec.key, spec.nbytes, spec.kind,
-            lambda rank, payload, k=k: self._on_diag_col(k, rank, payload),
+    def _reduce(self, spec, contributors, on_complete, ctx) -> tuple:
+        tree = self._tree(spec)
+        pos = dict(zip(tree.ranks, range(tree.size)))
+        red = VecReduce(
+            self.machine, tree, spec.key, spec.nbytes, spec.kind,
+            [pos[r] for r in contributors], on_complete, ctx,
         )
-        spec = plan.diag_rbcast
-        self.collectives[spec.key] = TreeBroadcast(
-            m, self._tree(spec), spec.key, spec.nbytes, spec.kind,
-            lambda rank, payload, k=k: self._on_diag_row(k, rank, payload),
-        )
-        for spec in plan.col_bcasts:
-            i = spec.key[2]
-            self.collectives[spec.key] = TreeBroadcast(
-                m, self._tree(spec), spec.key, spec.nbytes, spec.kind,
-                lambda rank, payload, k=k, i=i: self._on_col_delivery(
-                    k, i, rank, payload
-                ),
-            )
-        for spec in plan.row_bcasts:
-            i = spec.key[2]
-            self.collectives[spec.key] = TreeBroadcast(
-                m, self._tree(spec), spec.key, spec.nbytes, spec.kind,
-                lambda rank, payload, k=k, i=i: self._on_row_delivery(
-                    k, i, rank, payload
-                ),
-            )
-        for spec in plan.row_reduces:
-            j = spec.key[2]
-            contributors = {self.grid.rank(j % pr, c) for c in c_cols}
-            self.collectives[spec.key] = TreeReduce(
-                m, self._tree(spec), spec.key, spec.nbytes, spec.kind,
-                contributors,
-                lambda value, k=k, j=j: self._on_rowreduce(k, j, value),
-            )
-        for spec in plan.col_ureduces:
-            j = spec.key[2]
-            contributors = {self.grid.rank(r, j % pc) for r in c_rows}
-            self.collectives[spec.key] = TreeReduce(
-                m, self._tree(spec), spec.key, spec.nbytes, spec.kind,
-                contributors,
-                lambda value, k=k, j=j: self._on_col_ureduce(k, j, value),
-            )
-        spec = plan.diag_rreduce
-        contributors = {self.grid.rank(kr, c) for c in c_cols}
-        self.collectives[spec.key] = TreeReduce(
-            m, self._tree(spec), spec.key, spec.nbytes, spec.kind,
-            contributors,
-            lambda value, k=k: self._on_diag_reduce(k, value),
-        )
+        return red, pos
 
     def _dispatch_tables(self, plan: UnsymSupernodePlan) -> None:
         st = self.states[plan.k]
@@ -254,226 +225,231 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
 
     def _enter_window(self, plan: UnsymSupernodePlan) -> tuple:
         self._dispatch_tables(plan)
-        self._build_collectives(plan)
-        return (
-            self.collectives[plan.diag_bcast.key],
-            self.collectives[plan.diag_rbcast.key],
+        st = self.states[plan.k]
+        rank = self.grid.rank
+        pr, pc = self.grid.pr, self.grid.pc
+        c_rows = sorted({b.snode % pr for b in plan.blocks})
+        c_cols = sorted({b.snode % pc for b in plan.blocks})
+        # Collectives go up in a fixed order (diag bcasts, col bcasts, row
+        # bcasts, row reduces, col reduces, diag reduce): reduce
+        # construction can emit degenerate-relay sends, so this order is
+        # part of the pinned outcome.
+        diag_col = self._bcast(plan.diag_bcast, self._on_diag_col, st)
+        diag_row = self._bcast(plan.diag_rbcast, self._on_diag_row, st)
+        for spec in plan.col_bcasts:
+            i = spec.key[2]
+            st.cb[i] = self._bcast(spec, self._on_col_delivery, (st, i))
+        for spec in plan.row_bcasts:
+            i = spec.key[2]
+            st.rb[i] = self._bcast(spec, self._on_row_delivery, (st, i))
+        for spec in plan.row_reduces:
+            j = spec.key[2]
+            st.rr[j] = self._reduce(
+                spec, [rank(j % pr, c) for c in c_cols],
+                self._on_rowreduce, (st, j),
+            )
+        for spec in plan.col_ureduces:
+            j = spec.key[2]
+            st.cu[j] = self._reduce(
+                spec, [rank(r, j % pc) for r in c_rows],
+                self._on_col_ureduce, (st, j),
+            )
+        st.dq = self._reduce(
+            plan.diag_rreduce, [rank(plan.k % pr, c) for c in c_cols],
+            self._on_diag_reduce, st,
         )
+        return diag_col, diag_row
 
-    # -- Ainv readiness and local contributions ----------------------------
+    # -- Ainv readiness -------------------------------------------------------
 
-    def _schedule_or_wait(self, key: tuple[int, int], item: tuple) -> None:
-        """Post the GEMM ``item`` now if its operand ``Ainv`` block
-        ``key`` is ready, else park it until :meth:`_mark_ainv_ready`."""
-        if key in self.ainv_ready:
-            self._schedule_gemm(*item)
+    def _post_gemm(self, key: tuple[int, int], rank: int, flops: float,
+                   hid: int, arg: tuple) -> None:
+        """Post a GEMM now if its operand ``Ainv`` block ``key`` is
+        ready, else park it until :meth:`_mark_ainv_ready`."""
+        item = (rank, self._seconds(flops), hid, arg)
+        if key in self.ainv_data:
+            self.machine.post_named(*item)
         else:
             self.waiters.setdefault(key, []).append(item)
 
     def _mark_ainv_ready(self, key: tuple[int, int], data: Any) -> None:
-        self.ainv_ready.add(key)
         self.ainv_data[key] = data
-        for item in self.waiters.pop(key, []):
-            self._schedule_gemm(*item)
+        post = self.machine.post_named
+        for item in self.waiters.pop(key, ()):
+            post(*item)
 
-    def _post_contribution(
-        self,
-        rank: int,
-        flops: float,
-        label: str,
-        contrib: Any,
-        partials: dict,
-        left: dict,
-        key: Any,
-        red_key: tuple,
-    ) -> None:
-        """Post one local task on ``rank`` whose numeric result
-        ``contrib()`` is summed into ``partials[key]``; the last of the
-        ``left[key]`` tasks there hands the sum to the reduction
-        ``red_key``.  Every GEMM and diagonal contribution runs through
-        here."""
-
-        def fin():
-            if self.numeric:
-                _accumulate(partials, key, contrib())
-            left[key] -= 1
-            if left[key] == 0:
-                self.collectives[red_key].contribute(
-                    rank, partials.pop(key, None)
-                )
-
-        self.machine.post_compute(rank, 0.0, fin, flops=flops, label=label)
-
-    # -- the diagonal block --------------------------------------------------
-
-    def _post_base(self, st: Any, rank: int, payload: Any) -> None:
-        """At the diagonal owner, compute the base term
-        ``inv(U_KK) inv(L_KK)`` while the panels move."""
-
-        def fin_base():
-            st.base = self._invert_diag(payload) if self.numeric else None
-
-        self.machine.post_compute(
-            rank, 0.0, fin_base, flops=st.plan.width**3, label="diag-inv"
-        )
-
-    def _on_diag_reduce(self, k: int, value: Any) -> None:
-        """The diagonal reduction landed: the diagonal owner finishes
-        ``Ainv(K,K) = base - sum`` and the supernode leaves the window."""
-        st = self.states[k]
-        s = st.plan.width
-
-        def fin():
-            if self.numeric:
-                st.diag_value = st.base - value
-            self._mark_ainv_ready((k, k), st.diag_value)
-            self._supernode_finished()
-
-        self.machine.post_compute(
-            st.plan.diag_owner, 0.0, fin, flops=float(s * s), label="finish-diag"
-        )
-
-
-    # -- normalization ------------------------------------------------------
+    # -- the diagonal block and normalization ---------------------------------
 
     def _raw_u_block(self, k: int, i: int) -> np.ndarray:
         lo, hi = self.struct.rows_below[k].searchsorted(self.struct.sn_ptr[i : i + 2])
         return self.factor.u_panel(k)[:, lo:hi]
 
-    def _on_diag_col(self, k: int, rank: int, payload: Any) -> None:
-        st = self.states[k]
+    def _on_diag_col(self, st: _UnsymState, rank: int, payload: Any) -> None:
         plan = st.plan
         s = plan.width
+        post = self.machine.post_named
         if rank == plan.diag_owner:
-            self._post_base(st, rank, payload)
-        pr, pc = self.grid.pr, self.grid.pc
+            # The base term inv(U_KK) inv(L_KK), while the panels move.
+            post(rank, self._seconds(s**3), self._hid_base, (st, payload))
         for b in st.norm_l.get(rank, ()):
-            i = b.snode
+            post(rank, self._seconds(s * s * b.nrows), self._hid_norm_l,
+                 (st, b.snode, rank, payload))
 
-            def fin(i=i, b=b, payload=payload, rank=rank):
-                lhat = self._normalize(k, i, payload) if self.numeric else None
-                st.lhat[i] = lhat
-                u_owner = self.grid.rank(k % pr, i % pc)
-                self.machine.post_send(
-                    rank, u_owner, ("cl", k, i), st.l2u_nbytes[i],
-                    "cross-l2u", lhat,
-                )
-
-            self.machine.post_compute(rank, 0.0, fin, flops=s * s * b.nrows)
-
-    def _on_diag_row(self, k: int, rank: int, payload: Any) -> None:
-        st = self.states[k]
+    def _on_diag_row(self, st: _UnsymState, rank: int, payload: Any) -> None:
         s = st.plan.width
-        pr, pc = self.grid.pr, self.grid.pc
         for b in st.norm_u.get(rank, ()):
-            i = b.snode
+            self.machine.post_named(
+                rank, self._seconds(s * s * b.nrows), self._hid_norm_u,
+                (st, b.snode, rank, payload),
+            )
 
-            def fin(i=i, b=b, payload=payload, rank=rank):
-                if self.numeric:
-                    raw = self._raw_u_block(k, i)
-                    uhat = solve_triangular(payload, raw, lower=False)
-                else:
-                    uhat = None
-                st.uhat[i] = uhat
-                l_owner = self.grid.rank(i % pr, k % pc)
-                self.machine.post_send(
-                    rank, l_owner, ("cu", k, i), st.u2l_nbytes[i],
-                    "cross-u2l", uhat,
-                )
+    def _base_fin(self, arg) -> None:
+        st, lu = arg
+        if self.numeric:
+            st.base = self._invert_diag(lu)
 
-            self.machine.post_compute(rank, 0.0, fin, flops=s * s * b.nrows)
+    def _norm_l_fin(self, arg) -> None:
+        st, i, rank, lu = arg
+        k = st.plan.k
+        lhat = self._normalize(k, i, lu) if self.numeric else None
+        u_owner = self.grid.rank(k % self.grid.pr, i % self.grid.pc)
+        self.machine.send_pt(
+            rank, u_owner, ("cl", k, i), st.l2u_nbytes[i], self._cid_l2u,
+            self._on_cross_l2u, (st, i), lhat,
+        )
+
+    def _norm_u_fin(self, arg) -> None:
+        st, i, rank, lu = arg
+        k = st.plan.k
+        if self.numeric:
+            uhat = solve_triangular(lu, self._raw_u_block(k, i), lower=False)
+        else:
+            uhat = None
+        l_owner = self.grid.rank(i % self.grid.pr, k % self.grid.pc)
+        self.machine.send_pt(
+            rank, l_owner, ("cu", k, i), st.u2l_nbytes[i], self._cid_u2l,
+            self._on_cross_u2l, (st, i), uhat,
+        )
 
     # -- cross sends start the panel broadcasts -------------------------------
 
-    def _on_cross_l2u(self, k: int, i: int, payload: Any) -> None:
-        st = self.states[k]
+    def _on_cross_l2u(self, dst: int, payload: Any, aux: tuple) -> None:
+        st, i = aux
         st.lhat_at_u[i] = payload  # kept for the diagonal update
-        self.collectives[("cb", k, i)].start(payload)
+        st.cb.pop(i).start(payload)
         # The diagonal contribution joins on {Ainv(K,i) reduced} AND
         # {Lhat(i,K) cross-shipped}; fire if the reduce finished first.
         if i in st.ainv_up:
-            self._try_diag_contrib(k, i)
+            self._post_diag_contrib(st, i)
 
-    def _on_cross_u2l(self, k: int, i: int, payload: Any) -> None:
-        self.collectives[("rb", k, i)].start(payload)
+    def _on_cross_u2l(self, dst: int, payload: Any, aux: tuple) -> None:
+        st, i = aux
+        st.rb.pop(i).start(payload)
 
     # -- GEMM pipelines -------------------------------------------------------
 
-    def _on_col_delivery(self, k: int, i: int, rank: int, payload: Any) -> None:
-        st = self.states[k]
-        st.bcast_l[(i, rank)] = payload
+    def _on_col_delivery(self, ctx, rank: int, payload: Any) -> None:
+        st, i = ctx
+        if payload is not None:
+            st.bcast_l[(i, rank)] = payload
+        s, nrows = st.plan.width, st.nrows
         for j in st.gemms_l.get((i, rank), ()):
-            self._schedule_or_wait((j, i), ("L", k, i, j, rank))
+            self._post_gemm(
+                (j, i), rank, 2.0 * nrows[i] * nrows[j] * s, self._hid_gemm_l,
+                (st, i, j, rank),
+            )
 
-    def _on_row_delivery(self, k: int, i: int, rank: int, payload: Any) -> None:
-        st = self.states[k]
-        st.bcast_u[(i, rank)] = payload
+    def _on_row_delivery(self, ctx, rank: int, payload: Any) -> None:
+        st, i = ctx
+        if payload is not None:
+            st.bcast_u[(i, rank)] = payload
+        s, nrows = st.plan.width, st.nrows
         for j in st.gemms_u.get((i, rank), ()):
-            self._schedule_or_wait((i, j), ("U", k, i, j, rank))
-
-    def _schedule_gemm(self, side: str, k: int, i: int, j: int, rank: int) -> None:
-        st = self.states[k]
-        flops = 2.0 * st.nrows[i] * st.nrows[j] * st.plan.width
-        if side == "L":
-            self._post_contribution(
-                rank, flops, "gemm", lambda: self._gemm_l(k, i, j, rank),
-                st.rowp, st.gl_left, (j, rank), ("rr", k, j),
-            )
-        else:
-            self._post_contribution(
-                rank, flops, "gemm", lambda: self._gemm_u(k, i, j, rank),
-                st.colp, st.gu_left, (j, rank), ("cu2", k, j),
+            self._post_gemm(
+                (i, j), rank, 2.0 * nrows[i] * nrows[j] * s, self._hid_gemm_u,
+                (st, i, j, rank),
             )
 
-    def _gemm_l(self, k: int, i: int, j: int, rank: int) -> np.ndarray:
-        struct = self.struct
-        rows_j = struct.block_row_indices(k, j)
-        rows_i = struct.block_row_indices(k, i)
-        sub = gather_block(struct, self.ainv_data[(j, i)], j, i, rows_j, rows_i)
-        lhat = self.states[k].bcast_l[(i, rank)]  # (r_i, s)
-        return sub @ lhat
+    def _gemm_l_fin(self, arg) -> None:
+        st, i, j, rank = arg
+        key = (j, rank)
+        if self.numeric:
+            struct = self.struct
+            k = st.plan.k
+            sub = gather_block(
+                struct, self.ainv_data[(j, i)], j, i,
+                struct.block_row_indices(k, j), struct.block_row_indices(k, i),
+            )
+            _accumulate(st.rowp, key, sub @ st.bcast_l[(i, rank)])
+        _count_down(st.gl_left, st.rowp, key, st.rr[j], rank)
 
-    def _gemm_u(self, k: int, i: int, j: int, rank: int) -> np.ndarray:
-        struct = self.struct
-        rows_i = struct.block_row_indices(k, i)
-        rows_j = struct.block_row_indices(k, j)
-        sub = gather_block(struct, self.ainv_data[(i, j)], i, j, rows_i, rows_j)
-        uhat = self.states[k].bcast_u[(i, rank)]  # (s, r_i)
-        return uhat @ sub
+    def _gemm_u_fin(self, arg) -> None:
+        st, i, j, rank = arg
+        key = (j, rank)
+        if self.numeric:
+            struct = self.struct
+            k = st.plan.k
+            sub = gather_block(
+                struct, self.ainv_data[(i, j)], i, j,
+                struct.block_row_indices(k, i), struct.block_row_indices(k, j),
+            )
+            _accumulate(st.colp, key, st.bcast_u[(i, rank)] @ sub)
+        _count_down(st.gu_left, st.colp, key, st.cu[j], rank)
 
     # -- reductions -------------------------------------------------------------
 
-    def _on_rowreduce(self, k: int, j: int, value: Any) -> None:
-        st = self.states[k]
+    def _on_rowreduce(self, ctx, value: Any) -> None:
+        st, j = ctx
+        del st.rr[j]
         ainv_jk = -value if self.numeric else None
         st.ainv_low[j] = ainv_jk
-        self._mark_ainv_ready((j, k), ainv_jk)
+        self._mark_ainv_ready((j, st.plan.k), ainv_jk)
 
-    def _on_col_ureduce(self, k: int, j: int, value: Any) -> None:
-        st = self.states[k]
+    def _on_col_ureduce(self, ctx, value: Any) -> None:
+        st, j = ctx
+        del st.cu[j]
         ainv_kj = -value if self.numeric else None
         st.ainv_up[j] = ainv_kj
-        self._mark_ainv_ready((k, j), ainv_kj)
+        self._mark_ainv_ready((st.plan.k, j), ainv_kj)
         if j in st.lhat_at_u:
-            self._try_diag_contrib(k, j)
+            self._post_diag_contrib(st, j)
 
-    def _try_diag_contrib(self, k: int, j: int) -> None:
+    def _post_diag_contrib(self, st: _UnsymState, j: int) -> None:
         """Both inputs of the diagonal contribution for row-block ``j``
-        are at the owner of U(K,J); schedule the GEMM once, exactly."""
-        st = self.states[k]
-        if j in st.diag_fired:
-            return
-        st.diag_fired.add(j)
+        are at the owner of U(K,J).  Exactly one of the two joining
+        events sees the other's result, so this runs once per ``j``."""
         s = st.plan.width
-        pr, pc = self.grid.pr, self.grid.pc
-        dest = self.grid.rank(k % pr, j % pc)
-        rj = st.nrows[j]
-        ainv_kj = st.ainv_up[j]
-        self._post_contribution(
-            dest, 2.0 * s * rj * s, "diag-contrib",
-            lambda: ainv_kj @ st.lhat_at_u[j],  # (s, rj) @ (rj, s)
-            st.diag_partial, st.diag_left, dest, ("dq", k),
+        dest = self.grid.rank(st.plan.k % self.grid.pr, j % self.grid.pc)
+        self.machine.post_named(
+            dest, self._seconds(2.0 * s * st.nrows[j] * s), self._hid_diagc,
+            (st, j, dest),
         )
+
+    def _diagc_fin(self, arg) -> None:
+        st, j, dest = arg
+        if self.numeric:
+            # (s, rj) @ (rj, s)
+            contrib = st.ainv_up[j] @ st.lhat_at_u[j]
+            _accumulate(st.diag_partial, dest, contrib)
+        _count_down(st.diag_left, st.diag_partial, dest, st.dq, dest)
+
+    def _on_diag_reduce(self, st: _UnsymState, value: Any) -> None:
+        """The diagonal reduction landed: the diagonal owner finishes
+        ``Ainv(K,K) = base - sum`` and the supernode leaves the window."""
+        st.dq = None
+        s = st.plan.width
+        self.machine.post_named(
+            st.plan.diag_owner, self._seconds(float(s * s)), self._hid_finish,
+            (st, value),
+        )
+
+    def _finish_fin(self, arg) -> None:
+        st, value = arg
+        if self.numeric:
+            st.diag_value = st.base - value
+        k = st.plan.k
+        self._mark_ainv_ready((k, k), st.diag_value)
+        self._supernode_finished()
 
 
 def run_pselinv_unsym(

@@ -25,8 +25,9 @@ from repro.check import (
     verify_plans,
 )
 from repro.cli import main
-from repro.comm import TreeBroadcast, TreeReduce, build_tree
-from repro.comm.trees import CommTree
+from repro.comm import build_tree
+from repro.comm.collectives import VecBroadcast
+from repro.comm.trees import CommTree, compiled_tree
 from repro.core import ProcessorGrid, SimulatedPSelInv, iter_plans
 from repro.core.plan import BlockInfo, CollectiveSpec, SupernodePlan
 from repro.simulate import Machine, Network, NetworkConfig
@@ -386,27 +387,10 @@ class TestCommTreeValidation:
 
 
 class TestCollectiveTagHandling:
-    def _machine(self, n=4):
-        return Machine(n, Network(n, NetworkConfig()))
-
-    def test_broadcast_unhashable_tag_fails_fast(self):
-        m = self._machine()
-        tree = build_tree("flat", 0, range(4))
-        with pytest.raises(TypeError, match="hashable"):
-            TreeBroadcast(m, tree, ["not", "hashable"], 64, "c", lambda r, p: None)
-
-    def test_reduce_unhashable_tag_fails_fast(self):
-        m = self._machine()
-        tree = build_tree("flat", 0, range(4))
-        with pytest.raises(TypeError, match="hashable"):
-            TreeReduce(
-                m, tree, {"tag": 1}, 64, "c", set(range(4)), lambda v: None
-            )
-
     def test_double_start_message_includes_tag(self):
-        m = self._machine()
-        tree = build_tree("flat", 0, range(4))
-        bc = TreeBroadcast(m, tree, ("db", 7), 64, "c", lambda r, p: None)
+        m = Machine(4, Network(4, NetworkConfig()))
+        tree = compiled_tree("flat", 0, (0, 1, 2, 3))
+        bc = VecBroadcast(m, tree, ("db", 7), 64, "c", lambda c, r, p: None, None)
         bc.start()
         with pytest.raises(RuntimeError, match=r"\('db', 7\)"):
             bc.start()

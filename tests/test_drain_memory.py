@@ -5,10 +5,11 @@ still pending, not what has already run.
   arg)`` state and is freed with its bucket, so draining a long chain
   with only a few events pending at a time allocates a fixed amount,
   whatever the chain's length.
-* **Protocol.**  A finished supernode releases its compiled tables and
-  numeric panels, and no collective is kept alive by a reference cycle:
-  with the cyclic collector off for the whole run, no
-  :class:`VecBroadcast` / :class:`VecReduce` survives it.
+* **Protocol.**  A finished symmetric supernode releases its compiled
+  tables and numeric panels, and in either driver no collective is kept
+  alive by a reference cycle: with the cyclic collector off for the
+  whole run, no :class:`VecBroadcast` / :class:`VecReduce` survives a
+  symmetric or an unsymmetric run.
 * **Machine.**  Per-pair state follows the traffic: wire costs are
   memoized per node pair and channel clocks exist only for the
   (src, dst) pairs that carried a message, so nothing is sized
@@ -25,13 +26,15 @@ import numpy as np
 import pytest
 
 from repro.comm.collectives import VecBroadcast, VecReduce
-from repro.core import ProcessorGrid, SimulatedPSelInv
+from repro.core import ProcessorGrid, SimulatedPSelInv, SimulatedPSelInvUnsym
 from repro.simulate import Network, VecMachine, VecSimulator
-from repro.sparse import analyze
+from repro.sparse import analyze, from_dense
 from repro.sparse.factor import factorize
 from repro.workloads import dg_hamiltonian, make_workload
 
+from .conftest import random_unsymmetric_dense
 from .test_pselinv_numeric import PINNED_DG_INVERSE_SHA256
+from .test_pselinv_unsym import PINNED_UNSYM_INVERSE_SHA256
 
 #: Traced-peak bound of a drain, in bytes.  A few pending entries and
 #: calendar buckets take a few kB; a per-event column of a 200k-event
@@ -84,13 +87,17 @@ def test_drain_peak_does_not_grow_with_event_count(nevents, bounded):
     )
 
 
-def _assert_protocol_released(sim: SimulatedPSelInv) -> None:
+def _assert_no_live_collectives() -> None:
     live = [
         type(o).__name__
         for o in gc.get_objects()
         if isinstance(o, (VecBroadcast, VecReduce))
     ]
     assert not live, f"{len(live)} collectives outlived the run"
+
+
+def _assert_protocol_released(sim: SimulatedPSelInv) -> None:
+    _assert_no_live_collectives()
     for st in sim.states:
         if not st.plan.blocks:
             continue
@@ -133,6 +140,36 @@ def test_numeric_run_frees_its_protocol(collector_off):
     got = res.inverse.to_dense_at_structure().tobytes()
     assert hashlib.sha256(got).hexdigest() == PINNED_DG_INVERSE_SHA256
     _assert_protocol_released(sim)
+
+
+def _assert_unsym_protocol_released(sim: SimulatedPSelInvUnsym) -> None:
+    _assert_no_live_collectives()
+    for st in sim.states:
+        assert not (st.cb or st.rb or st.rr or st.cu), st.plan.k
+        assert st.dq is None, st.plan.k
+
+
+def test_unsym_symbolic_run_frees_its_collectives(collector_off):
+    prob = analyze(make_workload("audikw_1", "tiny"), ordering="nd")
+    sim = SimulatedPSelInvUnsym(prob.struct, ProcessorGrid(4, 4), "shifted",
+                                seed=3, lookahead=4)
+    res = sim.run()
+    assert res.events > 0
+    _assert_unsym_protocol_released(sim)
+
+
+def test_unsym_numeric_run_frees_its_collectives(collector_off):
+    # The configuration of test_unsym_numeric_inverse_bytes_pinned.
+    a = random_unsymmetric_dense(60, 3.5, np.random.default_rng(1708))
+    prob = analyze(from_dense(a), ordering="amd", max_supernode=8)
+    fac = factorize(prob.matrix, prob.struct)
+    sim = SimulatedPSelInvUnsym(
+        prob.struct, ProcessorGrid(2, 4), "shifted", factor=fac, seed=0
+    )
+    res = sim.run()
+    got = res.inverse.to_dense_at_structure().tobytes()
+    assert hashlib.sha256(got).hexdigest() == PINNED_UNSYM_INVERSE_SHA256
+    _assert_unsym_protocol_released(sim)
 
 
 def test_machine_state_not_sized_by_rank_pairs():

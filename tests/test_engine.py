@@ -137,6 +137,15 @@ class TestNetwork:
         assert net.ejection_time(1000) == pytest.approx(5e-7)
 
 
+def _send(m, src, dst, tag, nbytes, category, cb=None, payload=None):
+    """``send_pt`` with the category by name; ``cb(dst, payload, aux)``
+    defaults to dropping the message, and ``aux`` carries the tag."""
+    m.send_pt(
+        src, dst, tag, nbytes, m.category_id(category),
+        cb or (lambda dst, payload, aux: None), tag, payload,
+    )
+
+
 class TestMachine:
     def _machine(self, n=4, **cfg):
         return Machine(n, Network(n, NetworkConfig(**cfg)))
@@ -144,16 +153,17 @@ class TestMachine:
     def test_send_delivers_to_handler(self):
         m = self._machine()
         got = []
-        m.set_handler(1, lambda msg: got.append((msg.src, msg.payload)))
-        m.post_send(0, 1, "t", 100, "test", payload="hello")
+        _send(m, 0, 1, "t", 100, "test",
+              lambda dst, payload, aux: got.append((dst, payload, aux)),
+              payload="hello")
         m.run()
-        assert got == [(0, "hello")]
+        assert got == [(1, "hello", "t")]
 
     def test_self_send_costs_nothing_and_is_uncounted(self):
         m = self._machine()
         got = []
-        m.set_handler(2, lambda msg: got.append(msg.tag))
-        m.post_send(2, 2, "t", 10**9, "test")
+        _send(m, 2, 2, "t", 10**9, "test",
+              lambda dst, payload, aux: got.append(aux))
         end = m.run()
         assert got == ["t"]
         assert end == 0.0
@@ -161,10 +171,8 @@ class TestMachine:
 
     def test_stats_accounting(self):
         m = self._machine()
-        m.set_handler(1, lambda msg: None)
-        m.set_handler(2, lambda msg: None)
-        m.post_send(0, 1, "a", 500, "cat1")
-        m.post_send(0, 2, "b", 300, "cat2")
+        _send(m, 0, 1, "a", 500, "cat1")
+        _send(m, 0, 2, "b", 300, "cat2")
         m.run()
         assert m.stats.total_sent("cat1")[0] == 500
         assert m.stats.total_sent("cat2")[0] == 300
@@ -176,10 +184,12 @@ class TestMachine:
         # Two messages from one sender must serialize through its NIC.
         m = self._machine(injection_overhead=1e-3, injection_bandwidth=1e12)
         arrivals = []
-        m.set_handler(1, lambda msg: arrivals.append(m.now))
-        m.set_handler(2, lambda msg: arrivals.append(m.now))
-        m.post_send(0, 1, "a", 8, "x")
-        m.post_send(0, 2, "b", 8, "x")
+
+        def arrive(dst, payload, aux):
+            arrivals.append(m.now)
+
+        _send(m, 0, 1, "a", 8, "x", arrive)
+        _send(m, 0, 2, "b", 8, "x", arrive)
         m.run()
         assert arrivals[1] - arrivals[0] >= 1e-3 * 0.99
 
@@ -188,9 +198,12 @@ class TestMachine:
         # not be overtaken.
         m = self._machine(injection_bandwidth=1e12)
         order = []
-        m.set_handler(1, lambda msg: order.append(msg.tag))
-        m.post_send(0, 1, "big", 10**7, "x")
-        m.post_send(0, 1, "small", 1, "x")
+
+        def arrive(dst, payload, aux):
+            order.append(aux)
+
+        _send(m, 0, 1, "big", 10**7, "x", arrive)
+        _send(m, 0, 1, "small", 1, "x", arrive)
         m.run()
         assert order == ["big", "small"]
 
@@ -210,16 +223,9 @@ class TestMachine:
         m.run()
         assert done[0] == pytest.approx(2.0)
 
-    def test_missing_handler_raises(self):
-        m = self._machine()
-        m.post_send(0, 1, "t", 10, "x")
-        with pytest.raises(RuntimeError, match="no handler"):
-            m.run()
-
     def test_makespan_is_final_event_time(self):
         m = self._machine()
-        m.set_handler(3, lambda msg: None)
-        m.post_send(0, 3, "t", 10**6, "x")
+        _send(m, 0, 3, "t", 10**6, "x")
         end = m.run()
         assert end > 0
 

@@ -15,12 +15,14 @@ from repro.simulate import Machine, Network, NetworkConfig
 def storm(machine, sends):
     """Post a batch of (src, dst, size) sends; returns delivery log."""
     log = []
-    for r in range(machine.nranks):
-        machine.set_handler(
-            r, lambda msg, r=r: log.append((msg.src, r, msg.tag, machine.now))
-        )
+    cid = machine.category_id("storm")
+
+    def deliver(dst, payload, aux):
+        src, tag = aux
+        log.append((src, dst, tag, machine.now))
+
     for t, (s, d, b) in enumerate(sends):
-        machine.post_send(s, d, t, b, "storm")
+        machine.send_pt(s, d, t, b, cid, deliver, (s, t))
     machine.run()
     return log
 
@@ -82,17 +84,17 @@ def test_determinism_property(sends, seed):
 def test_broadcast_reaches_everyone_property(nranks, nbytes):
     """A shifted-tree broadcast over random machine sizes delivers to all
     participants, with total traffic (p-1) * nbytes."""
-    from repro.comm import TreeBroadcast, build_tree
+    from repro.comm.collectives import VecBroadcast
+    from repro.comm.trees import compiled_tree
 
     m = Machine(nranks, Network(nranks, NetworkConfig()))
     participants = set(range(nranks))
-    tree = build_tree("shifted", nranks // 2, participants, seed=nbytes)
+    tree = compiled_tree("shifted", nranks // 2, tuple(range(nranks)), nbytes)
     got = set()
-    bc = TreeBroadcast(
-        m, tree, "b", nbytes, "x", lambda rank, payload: got.add(rank)
+    bc = VecBroadcast(
+        m, tree, "b", nbytes, "x", lambda ctx, rank, payload: got.add(rank),
+        None,
     )
-    for r in range(nranks):
-        m.set_handler(r, lambda msg: bc.on_message(msg))
     bc.start()
     m.run()
     assert got == participants

@@ -25,10 +25,9 @@ class TestFlatRootSerialization:
         for fanout in (4, 16):
             m = Machine(32, Network(32, cfg))
             last = []
+            cid = m.category_id("x")
             for r in range(1, fanout + 1):
-                m.set_handler(r, lambda msg: last.append(m.now))
-            for r in range(1, fanout + 1):
-                m.post_send(0, r, r, 8, "x")
+                m.send_pt(0, r, r, 8, cid, lambda d, p, a: last.append(m.now))
             m.run()
             times[fanout] = max(last)
         # 16 sends should take ~4x the NIC time of 4 sends.
@@ -38,9 +37,9 @@ class TestFlatRootSerialization:
         cfg = NetworkConfig(ejection_bandwidth=1e6)  # 1 MB/s: 1s per MB
         m = Machine(8, Network(8, cfg))
         arrivals = []
-        m.set_handler(0, lambda msg: arrivals.append(m.now))
+        cid = m.category_id("x")
         for r in range(1, 8):
-            m.post_send(r, 0, r, 10**6, "x")
+            m.send_pt(r, 0, r, 10**6, cid, lambda d, p, a: arrivals.append(m.now))
         m.run()
         arrivals.sort()
         gaps = np.diff(arrivals)

@@ -352,34 +352,32 @@ def _machines(n=4, **cfg):
     )
 
 
+def _send(m, src, dst, tag, nbytes, category, log=None):
+    """``send_pt`` by category name; delivery appends ``(src, dst, tag,
+    now)`` to ``log`` (when given)."""
+
+    def deliver(dst, payload, aux):
+        if log is not None:
+            log.append((aux, dst, tag, m.now))
+
+    m.send_pt(src, dst, tag, nbytes, m.category_id(category), deliver, src)
+
+
 class TestMachineParity:
-    def test_legacy_handler_compat(self):
-        # set_handler-based delivery (Message view) works on both.
-        for m in _machines():
-            got = []
-            m.set_handler(1, lambda msg: got.append((msg.src, msg.payload)))
-            m.post_send(0, 1, "t", 100, "test", payload="hello")
-            m.run()
-            assert got == [(0, "hello")]
-
     def test_point_send_delivers_to_callback(self):
-        # The point route hands (dst, payload, aux) to the callback,
-        # past any rank handler -- on the hooked route as well.
+        # The point route hands (dst, payload, aux) to the callback, on
+        # the hooked route as well.
         for log in (None, []):
-            m = VecMachine(4, Network(4, NetworkConfig()), event_log=log)
-            got = []
-            m.set_handler(1, lambda msg: got.append("handler"))
-            m.send_pt(0, 1, "t", 64, m.category_id("test"),
-                      lambda dst, payload, aux: got.append((dst, payload, aux)),
-                      7, "p")
-            m.run()
-            assert got == [(1, "p", 7)]
-
-    def test_missing_handler_raises(self):
-        for m in _machines():
-            m.post_send(0, 1, "t", 10, "x")
-            with pytest.raises(RuntimeError, match="no handler"):
+            for cls in (Machine, VecMachine):
+                m = cls(4, Network(4, NetworkConfig()), event_log=log)
+                got = []
+                m.send_pt(
+                    0, 1, "t", 64, m.category_id("test"),
+                    lambda dst, payload, aux: got.append((dst, payload, aux)),
+                    7, "p",
+                )
                 m.run()
+                assert got == [(1, "p", 7)]
 
     def test_identical_timestamps_and_stats(self):
         # A deterministic traffic script (fan-in, fan-out, self-sends,
@@ -389,13 +387,10 @@ class TestMachineParity:
         outs = []
         for m in (mlegacy, mvec):
             log = []
-            for r in range(8):
-                m.set_handler(r, lambda msg, m=m: log.append(
-                    (msg.src, msg.dst, msg.tag, m.now)))
             for i in range(6):
-                m.post_send(0, 1 + i % 3, ("msg", i), 1000 * (i + 1), "a")
-                m.post_send(i % 4, 5, ("fan", i), 512, "b")
-                m.post_send(2, 2, ("self", i), 9999, "c")
+                _send(m, 0, 1 + i % 3, ("msg", i), 1000 * (i + 1), "a", log)
+                _send(m, i % 4, 5, ("fan", i), 512, "b", log)
+                _send(m, 2, 2, ("self", i), 9999, "c", log)
             m.post_compute(3, 0.0, flops=1e6)
             end = m.run()
             outs.append((
@@ -417,12 +412,10 @@ class TestMachineParity:
         log_a, log_b = [], []
         ma = Machine(4, Network(4, net_cfg), event_log=log_a)
         mb = VecMachine(4, Network(4, net_cfg), event_log=log_b)
-        for m, log in ((ma, log_a), (mb, log_b)):
-            m.set_handler(1, lambda msg: None)
-            m.set_handler(2, lambda msg: None)
-            m.post_send(0, 1, "x", 100, "cat")
-            m.post_send(0, 2, "y", 200, "cat")
-            m.post_send(1, 1, "self", 50, "cat")
+        for m in (ma, mb):
+            _send(m, 0, 1, "x", 100, "cat")
+            _send(m, 0, 2, "y", 200, "cat")
+            _send(m, 1, 1, "self", 50, "cat")
             m.run()
         assert log_a == log_b
 
@@ -435,11 +428,11 @@ class TestMachineParity:
         for m in _machines(4, cores_per_node=2, jitter_sigma=0.3):
             net = m.network
             assert net.distance_class(0, 2) != 0
-            got = []
-            m.set_handler(2, lambda msg, m=m: got.append((msg.tag, m.now)))
-            m.post_send(0, 2, "big", big, "cat")
-            m.post_send(0, 2, "small", small, "cat")
+            log = []
+            _send(m, 0, 2, "big", big, "cat", log)
+            _send(m, 0, 2, "small", small, "cat", log)
             m.run()
+            got = [(tag, now) for _, _, tag, now in log]
             big_done = net.injection_time(big)
             big_arrival = big_done + net.transit_time(0, 2, big)
             small_arrival = (big_done + net.injection_time(small)
@@ -472,16 +465,13 @@ def _fan_in(m, categories=("fan",)):
     jitter the receive events share one timestamp, one bucket, and one
     handler id.  Returns the delivery log."""
     got = []
-    if isinstance(m, VecMachine):
-        cb = lambda dst, payload, aux: got.append((dst, m.now, aux))  # noqa: E731
-        cids = [m.category_id(c) for c in categories]
-        for src in range(1, _N):
-            m.send_pt(src, 0, ("t", src), 4096, cids[src % len(cids)], cb, src)
-    else:
-        m.set_handler(0, lambda msg: got.append((msg.dst, m.now, msg.src)))
-        for src in range(1, _N):
-            m.post_send(src, 0, ("t", src), 4096,
-                        categories[src % len(categories)])
+
+    def cb(dst, payload, aux):
+        got.append((dst, m.now, aux))
+
+    cids = [m.category_id(c) for c in categories]
+    for src in range(1, _N):
+        m.send_pt(src, 0, ("t", src), 4096, cids[src % len(cids)], cb, src)
     return got
 
 
