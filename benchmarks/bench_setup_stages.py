@@ -3,8 +3,9 @@ simulated event goes.
 
 Every experiment first turns a matrix into a ready-to-simulate problem:
 ``analyze()`` (symmetrize, nested dissection, permute, elimination tree,
-postorder, permute again, elimination tree again, column counts,
-supernodal structure) and then ``iter_plans`` on the processor grid.
+postorder, permute again, relabel the tree through the postorder
+(stage ``etree_2``), column counts, supernodal structure) and then
+``iter_plans`` on the processor grid.
 This bench runs that chain stage by stage, exactly as
 :func:`repro.sparse.analyze` composes it (``max_supernode=8``, as the
 runner's problem cache uses), and also times the two composites:
@@ -17,8 +18,11 @@ runner's problem cache uses), and also times the two composites:
 Inputs: ``audikw_1`` small on 32x32 (the Fig. 8 reference run) and
 ``audikw_1`` medium on 80x80 (the paper-scale run).  Each round runs
 both inputs, in alternating order; every stage reports its median and
-IQR over the rounds.  The chain's output is checked against
-``analyze()`` once per input.  Results land in
+IQR over the rounds.  The chain's output is checked once per input:
+its permutation, tree and supernode partition against ``analyze()``,
+its tree against a second ``elimination_tree`` run on the permuted
+matrix, and its column counts against the sizes of
+``column_structures``.  Results land in
 ``results/BENCH_setup.json`` (and ``results/setup_stages.txt``).  A
 record, not a gate.
 
@@ -43,6 +47,7 @@ from repro.runner import cache
 from repro.sparse import (
     analyze,
     column_counts,
+    column_structures,
     elimination_tree,
     nested_dissection,
     permute_symmetric,
@@ -50,6 +55,7 @@ from repro.sparse import (
     supernodal_structure,
     symmetrize_pattern,
 )
+from repro.sparse.etree import relabel_tree
 from repro.workloads import make_workload
 
 INPUTS = {
@@ -70,9 +76,9 @@ def _iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def _chain(a, grid: ProcessorGrid) -> tuple[dict[str, float], tuple]:
+def _chain(a, grid: ProcessorGrid) -> tuple[dict[str, float], dict]:
     """One pass of every stage; returns the seconds per stage and the
-    chain's (perm, sn_ptr) for the check against ``analyze()``."""
+    chain's outputs for the check against ``analyze()``."""
     secs: dict[str, float] = {}
 
     def timed(name, fn, *args, **kwargs):
@@ -88,7 +94,7 @@ def _chain(a, grid: ProcessorGrid) -> tuple[dict[str, float], tuple]:
     post = timed("postorder", postorder, parent1)
     perm = perm0[post]
     matrix = timed("permute_2", permute_symmetric, sym, perm)
-    parent = timed("etree_2", elimination_tree, matrix)
+    parent = timed("etree_2", relabel_tree, parent1, post)
     counts = timed("column_counts", column_counts, matrix, parent)
     struct = timed(
         "supernodal_structure", supernodal_structure, matrix,
@@ -96,7 +102,9 @@ def _chain(a, grid: ProcessorGrid) -> tuple[dict[str, float], tuple]:
     )
     timed("iter_plans", lambda: list(iter_plans(struct, grid)))
     timed("analyze", analyze, a, ordering="nd", max_supernode=MAX_SUPERNODE)
-    return secs, (perm, struct.sn_ptr)
+    return secs, {
+        "perm": perm, "parent": parent, "counts": counts, "sn_ptr": struct.sn_ptr,
+    }
 
 
 def _setup(workload: str, scale: str, grid: ProcessorGrid) -> float:
@@ -114,10 +122,18 @@ def measure() -> dict:
     }
     grids = {name: ProcessorGrid(g, g) for name, (_, _, g) in INPUTS.items()}
     for name, a in matrices.items():
-        _, (perm, sn_ptr) = _chain(a, grids[name])
+        _, got = _chain(a, grids[name])
         prob = analyze(a, ordering="nd", max_supernode=MAX_SUPERNODE)
-        assert np.array_equal(perm, prob.perm), name
-        assert np.array_equal(sn_ptr, prob.struct.sn_ptr), name
+        want = {
+            "perm": prob.perm,
+            "parent": prob.parent,
+            "sn_ptr": prob.struct.sn_ptr,
+        }
+        for what, value in want.items():
+            assert np.array_equal(got[what], value), (name, what)
+        assert np.array_equal(got["parent"], elimination_tree(prob.matrix)), name
+        sizes = [len(s) + 1 for s in column_structures(prob.matrix, prob.parent)]
+        assert np.array_equal(got["counts"], sizes), name
     samples = {name: {s: [] for s in STAGES} for name in INPUTS}
     names = list(INPUTS)
     for r in range(ROUNDS):

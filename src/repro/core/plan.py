@@ -29,9 +29,11 @@ the two.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
+import numpy as np
 
 from ..sparse.supernodes import SupernodalStructure
 from .grid import ProcessorGrid
@@ -123,17 +125,61 @@ def supernode_plan(
     ``bytes_per_entry`` is 8 for real double matrices and 16 for the
     complex matrices of PEXSI pole loops.
     """
-    return _supernode_plan(struct, grid, k, bytes_per_entry, {})
+    (blocks,) = _block_lists(struct, [k])
+    return _supernode_plan(struct, grid, k, blocks, bytes_per_entry, {})
 
 
-def _blocks(struct: SupernodalStructure, k: int) -> list[BlockInfo]:
-    """Supernode ``k``'s panel blocks, one count per block row."""
-    return [
-        BlockInfo(snode=i, nrows=r)
-        for i, r in zip(
-            struct.block_rows[k].tolist(), struct.block_row_counts(k).tolist()
-        )
-    ]
+def _block_lists(
+    struct: SupernodalStructure, ks: Sequence[int]
+) -> list[list[BlockInfo]]:
+    """The panel blocks of each supernode of ``ks``, one count per block
+    row, from one whole-array pass over their ``rows_below``: a block
+    starts wherever the supernode of a row, or the supernode whose
+    structure holds it, changes."""
+    rows = [struct.rows_below[k] for k in ks]
+    lens = [len(r) for r in rows]
+    if not any(lens):
+        return [[] for _ in lens]
+    snodes = struct.snode_of[np.concatenate(rows)]
+    owner = np.repeat(np.arange(len(lens)), lens)
+    start = np.ones(len(snodes), dtype=bool)
+    start[1:] = (snodes[1:] != snodes[:-1]) | (owner[1:] != owner[:-1])
+    at = np.flatnonzero(start)
+    counts = np.diff(at, append=len(snodes)).tolist()
+    first = snodes[at].tolist()
+    ends = np.cumsum(np.bincount(owner[at], minlength=len(lens))).tolist()
+    out = []
+    lo = 0
+    for hi in ends:
+        out.append(list(map(BlockInfo, first[lo:hi], counts[lo:hi])))
+        lo = hi
+    return out
+
+
+def _build_all(
+    build: Callable, struct: SupernodalStructure, grid: ProcessorGrid,
+    bytes_per_entry: int,
+) -> list:
+    """``build(struct, grid, k, blocks, bytes_per_entry, intern)`` for
+    every supernode, ascending index order, sharing one ``intern`` table.
+
+    The records are built with the cyclic collector paused, since its
+    passes over freshly built records cost more than building them; the
+    collector's previous state is restored before anything is returned
+    (or raised).
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        blocks = _block_lists(struct, range(struct.nsup))
+        intern: dict[tuple, tuple] = {}
+        return [
+            build(struct, grid, k, bk, bytes_per_entry, intern)
+            for k, bk in enumerate(blocks)
+        ]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _participant_groups(
@@ -152,12 +198,17 @@ def _participant_groups(
     row_group)``: ``col_group[c]`` is the sorted ranks of grid column
     ``c`` over those rows, ``row_group[r]`` the sorted ranks of grid row
     ``r`` over those columns, for every such ``c`` and ``r``.  Each tuple
-    is built once from the shared ``ranks`` table
+    is built from the shared ``ranks`` table
     (:meth:`ProcessorGrid.rank_table`) and passed through ``intern``, so
-    equal groups of different supernodes are one object.
+    equal groups of different supernodes are one object; ``intern`` also
+    keeps the two dicts under their ``(rows, cols)`` pair, so supernodes
+    on the same grid lines share them and build no tuple.
     """
-    rows = sorted({k % pr, *(b.snode % pr for b in blocks)})
-    cols = sorted({k % pc, *(b.snode % pc for b in blocks)})
+    rows = tuple(sorted({k % pr, *[b.snode % pr for b in blocks]}))
+    cols = tuple(sorted({k % pc, *[b.snode % pc for b in blocks]}))
+    groups = intern.get((rows, cols))
+    if groups is not None:
+        return groups
     offs = [r * pc for r in rows]
     col_group = {}
     for c in cols:
@@ -167,13 +218,15 @@ def _participant_groups(
     for r, o in zip(rows, offs):
         t = tuple([ranks[o + c] for c in cols])
         row_group[r] = intern.setdefault(t, t)
-    return col_group, row_group
+    groups = intern[(rows, cols)] = (col_group, row_group)
+    return groups
 
 
 def _supernode_plan(
     struct: SupernodalStructure,
     grid: ProcessorGrid,
     k: int,
+    blocks: list[BlockInfo],
     bytes_per_entry: int,
     intern: dict[tuple, tuple],
 ) -> SupernodePlan:
@@ -183,7 +236,6 @@ def _supernode_plan(
     kc = k % pc
     krow = (k % pr) * pc
     diag_owner = ranks[krow + kc]
-    blocks = _blocks(struct, k)
     nb_diag = s * s * bytes_per_entry
 
     if not blocks:
@@ -220,53 +272,32 @@ def _supernode_plan(
     row_reduces: list[CollectiveSpec] = []
     cross_backs: list[PointToPointSpec] = []
 
+    # Records are built positionally (a keyword call costs about a third
+    # more): PointToPointSpec(kind, key, src, dst, nbytes) and
+    # CollectiveSpec(kind, key, root, participants, nbytes).
     for b in blocks:
         i = b.snode
         nb_panel = s * b.nrows * bytes_per_entry
         l_owner = ranks[(i % pr) * pc + kc]  # owner of L(I,K)
         u_owner = ranks[krow + i % pc]  # owner of U(K,I)
         cross_sends.append(
-            PointToPointSpec(
-                kind="cross-send",
-                key=("cs", k, i),
-                src=l_owner,
-                dst=u_owner,
-                nbytes=nb_panel,
-            )
+            PointToPointSpec("cross-send", ("cs", k, i), l_owner, u_owner, nb_panel)
         )
         # The Ainv block owners of grid column I mod Pc.
         col_bcasts.append(
             CollectiveSpec(
-                kind="col-bcast",
-                key=("cb", k, i),
-                root=u_owner,
-                participants=col_group[i % pc],
-                nbytes=nb_panel,
+                "col-bcast", ("cb", k, i), u_owner, col_group[i % pc], nb_panel
             )
         )
-
-    for b in blocks:
-        j = b.snode
-        nb_panel = s * b.nrows * bytes_per_entry
-        dest = ranks[(j % pr) * pc + kc]  # owner of L(J,K): reduce destination
+        # GEMM contributions along grid row I mod Pr, reduced onto the
+        # owner of L(I,K), which sends the result back to U(K,I).
         row_reduces.append(
             CollectiveSpec(
-                kind="row-reduce",
-                key=("rr", k, j),
-                root=dest,
-                participants=row_group[j % pr],
-                nbytes=nb_panel,
+                "row-reduce", ("rr", k, i), l_owner, row_group[i % pr], nb_panel
             )
         )
-        u_owner = ranks[krow + j % pc]
         cross_backs.append(
-            PointToPointSpec(
-                kind="cross-back",
-                key=("xb", k, j),
-                src=dest,
-                dst=u_owner,
-                nbytes=nb_panel,
-            )
+            PointToPointSpec("cross-back", ("xb", k, i), l_owner, u_owner, nb_panel)
         )
 
     # Diagonal update: contributions live on the owners of L(J,K) (grid
@@ -301,8 +332,7 @@ def iter_plans(
 ) -> Iterator[SupernodePlan]:
     """Plans for every supernode, ascending index order.
 
-    Equal participant tuples are shared across supernodes.
+    Equal participant tuples are shared across supernodes.  The plans
+    are all built before the first is yielded.
     """
-    intern: dict[tuple, tuple] = {}
-    for k in range(struct.nsup):
-        yield _supernode_plan(struct, grid, k, bytes_per_entry, intern)
+    yield from _build_all(_supernode_plan, struct, grid, bytes_per_entry)

@@ -37,7 +37,8 @@ from .plan import (
     BlockInfo,
     CollectiveSpec,
     PointToPointSpec,
-    _blocks,
+    _block_lists,
+    _build_all,
     _participant_groups,
 )
 
@@ -84,13 +85,15 @@ def unsym_supernode_plan(
     bytes_per_entry: int = BYTES_PER_ENTRY,
 ) -> UnsymSupernodePlan:
     """Build the unsymmetric communication plan of supernode ``k``."""
-    return _unsym_supernode_plan(struct, grid, k, bytes_per_entry, {})
+    (blocks,) = _block_lists(struct, [k])
+    return _unsym_supernode_plan(struct, grid, k, blocks, bytes_per_entry, {})
 
 
 def _unsym_supernode_plan(
     struct: SupernodalStructure,
     grid: ProcessorGrid,
     k: int,
+    blocks: list[BlockInfo],
     bytes_per_entry: int,
     intern: dict[tuple, tuple],
 ) -> UnsymSupernodePlan:
@@ -100,7 +103,6 @@ def _unsym_supernode_plan(
     kr, kc = k % pr, k % pc
     krow = kr * pc
     diag_owner = ranks[krow + kc]
-    blocks = _blocks(struct, k)
     nb_diag = s * s * bytes_per_entry
 
     if not blocks:
@@ -135,56 +137,33 @@ def _unsym_supernode_plan(
     row_reduces: list[CollectiveSpec] = []
     col_ureduces: list[CollectiveSpec] = []
 
+    # Positional records, as in the symmetric planner:
+    # PointToPointSpec(kind, key, src, dst, nbytes) and
+    # CollectiveSpec(kind, key, root, participants, nbytes).
     for b in blocks:
         i = b.snode
         nb_panel = s * b.nrows * bytes_per_entry
-        l_owner = ranks[(i % pr) * pc + kc]
-        u_owner = ranks[krow + i % pc]
+        l_owner = ranks[(i % pr) * pc + kc]  # owner of L(I,K)
+        u_owner = ranks[krow + i % pc]  # owner of U(K,I)
+        col_group_i, row_group_i = col_group[i % pc], row_group[i % pr]
         cross_l2u.append(
-            PointToPointSpec(
-                kind="cross-l2u", key=("cl", k, i),
-                src=l_owner, dst=u_owner, nbytes=nb_panel,
-            )
+            PointToPointSpec("cross-l2u", ("cl", k, i), l_owner, u_owner, nb_panel)
         )
         cross_u2l.append(
-            PointToPointSpec(
-                kind="cross-u2l", key=("cu", k, i),
-                src=u_owner, dst=l_owner, nbytes=nb_panel,
-            )
+            PointToPointSpec("cross-u2l", ("cu", k, i), u_owner, l_owner, nb_panel)
         )
         col_bcasts.append(
-            CollectiveSpec(
-                kind="col-bcast", key=("cb", k, i), root=u_owner,
-                participants=col_group[i % pc],
-                nbytes=nb_panel,
-            )
+            CollectiveSpec("col-bcast", ("cb", k, i), u_owner, col_group_i, nb_panel)
         )
         row_bcasts.append(
-            CollectiveSpec(
-                kind="row-bcast", key=("rb", k, i), root=l_owner,
-                participants=row_group[i % pr],
-                nbytes=nb_panel,
-            )
+            CollectiveSpec("row-bcast", ("rb", k, i), l_owner, row_group_i, nb_panel)
         )
-
-    for b in blocks:
-        j = b.snode
-        nb_panel = s * b.nrows * bytes_per_entry
-        l_dest = ranks[(j % pr) * pc + kc]
+        # The GEMM-L sums reduce onto L(I,K), the GEMM-U sums onto U(K,I).
         row_reduces.append(
-            CollectiveSpec(
-                kind="row-reduce", key=("rr", k, j), root=l_dest,
-                participants=row_group[j % pr],
-                nbytes=nb_panel,
-            )
+            CollectiveSpec("row-reduce", ("rr", k, i), l_owner, row_group_i, nb_panel)
         )
-        u_dest = ranks[krow + j % pc]
         col_ureduces.append(
-            CollectiveSpec(
-                kind="col-ureduce", key=("cu2", k, j), root=u_dest,
-                participants=col_group[j % pc],
-                nbytes=nb_panel,
-            )
+            CollectiveSpec("col-ureduce", ("cu2", k, i), u_owner, col_group_i, nb_panel)
         )
 
     diag_rreduce = CollectiveSpec(
@@ -213,8 +192,7 @@ def iter_unsym_plans(
 ) -> Iterator[UnsymSupernodePlan]:
     """Unsymmetric plans for every supernode, ascending index order.
 
-    Equal participant tuples are shared across supernodes.
+    Equal participant tuples are shared across supernodes.  The plans
+    are all built before the first is yielded.
     """
-    intern: dict[tuple, tuple] = {}
-    for k in range(struct.nsup):
-        yield _unsym_supernode_plan(struct, grid, k, bytes_per_entry, intern)
+    yield from _build_all(_unsym_supernode_plan, struct, grid, bytes_per_entry)

@@ -62,10 +62,19 @@ class _UnsymState:
     """Per-supernode bookkeeping for the mirrored pipelines.
 
     A reduction is held here, with its rank -> tree position map, only
-    until it completes: its completion context holds this state, so a
-    reduction kept after that would be a reference cycle outliving the
-    run while the drain pauses the cyclic collector.  Each broadcast
+    until it completes (the diagonal one until the diagonal finishes):
+    its completion context holds this state, so a reduction kept for
+    good would be a reference cycle outliving the run while the drain
+    pauses the cyclic collector.  Each broadcast
     waiting on a cross send is held until that send starts it.
+
+    A supernode is done once its diagonal is finished and every row
+    reduction has landed (the diagonal does not wait for the row
+    reductions): ``dq`` is held until the diagonal finishes, so an
+    empty ``rr`` with ``dq`` cleared marks it.  It then keeps only what
+    :meth:`~repro.core.pselinv._PSelInvDriver._gather_inverse` reads --
+    ``plan``, ``diag_value`` and ``ainv_low`` (plus the driver's
+    ``ainv_data``) -- and :meth:`release` drops the rest.
     """
 
     __slots__ = (
@@ -94,7 +103,7 @@ class _UnsymState:
         "rb",         # I -> row-bcast waiting on its cross-u2l
         "rr",         # J -> (row-reduce, positions) until it completes
         "cu",         # J -> (col-ureduce, positions) until it completes
-        "dq",         # (diag-rreduce, positions) until it completes
+        "dq",         # (diag-rreduce, positions) until the diagonal finishes
     )
 
     def __init__(self, plan: UnsymSupernodePlan):
@@ -124,6 +133,31 @@ class _UnsymState:
         self.rr: dict[int, tuple] = {}
         self.cu: dict[int, tuple] = {}
         self.dq: tuple | None = None
+
+    def release(self) -> None:
+        """Drop the dispatch tables and the numeric panels of a done
+        supernode.  Late broadcast deliveries to relay ranks still look
+        themselves up in ``norm_l`` / ``norm_u`` / ``gemms_l`` /
+        ``gemms_u``, so those become empty; every other table and panel
+        becomes ``None``."""
+        self.norm_l = {}
+        self.norm_u = {}
+        self.gemms_l = {}
+        self.gemms_u = {}
+        self.lhat_at_u = None
+        self.bcast_l = None
+        self.bcast_u = None
+        self.ainv_up = None
+        self.rowp = None
+        self.colp = None
+        self.gl_left = None
+        self.gu_left = None
+        self.diag_partial = None
+        self.diag_left = None
+        self.base = None
+        self.nrows = None
+        self.l2u_nbytes = None
+        self.u2l_nbytes = None
 
 
 def _count_down(left: dict, partials: dict, key: Any, reduction: tuple,
@@ -350,10 +384,13 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
 
     def _on_col_delivery(self, ctx, rank: int, payload: Any) -> None:
         st, i = ctx
+        js = st.gemms_l.get((i, rank))
+        if not js:
+            return  # a relay rank
         if payload is not None:
             st.bcast_l[(i, rank)] = payload
         s, nrows = st.plan.width, st.nrows
-        for j in st.gemms_l.get((i, rank), ()):
+        for j in js:
             self._post_gemm(
                 (j, i), rank, 2.0 * nrows[i] * nrows[j] * s, self._hid_gemm_l,
                 (st, i, j, rank),
@@ -361,10 +398,13 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
 
     def _on_row_delivery(self, ctx, rank: int, payload: Any) -> None:
         st, i = ctx
+        js = st.gemms_u.get((i, rank))
+        if not js:
+            return  # a relay rank
         if payload is not None:
             st.bcast_u[(i, rank)] = payload
         s, nrows = st.plan.width, st.nrows
-        for j in st.gemms_u.get((i, rank), ()):
+        for j in js:
             self._post_gemm(
                 (i, j), rank, 2.0 * nrows[i] * nrows[j] * s, self._hid_gemm_u,
                 (st, i, j, rank),
@@ -404,6 +444,8 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
         ainv_jk = -value if self.numeric else None
         st.ainv_low[j] = ainv_jk
         self._mark_ainv_ready((j, st.plan.k), ainv_jk)
+        if not st.rr and st.dq is None:
+            st.release()  # the diagonal finished first
 
     def _on_col_ureduce(self, ctx, value: Any) -> None:
         st, j = ctx
@@ -435,8 +477,8 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
 
     def _on_diag_reduce(self, st: _UnsymState, value: Any) -> None:
         """The diagonal reduction landed: the diagonal owner finishes
-        ``Ainv(K,K) = base - sum`` and the supernode leaves the window."""
-        st.dq = None
+        ``Ainv(K,K) = base - sum`` and the supernode leaves the window
+        (``_finish_fin`` drops the reduction)."""
         s = st.plan.width
         self.machine.post_named(
             st.plan.diag_owner, self._seconds(float(s * s)), self._hid_finish,
@@ -445,10 +487,13 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
 
     def _finish_fin(self, arg) -> None:
         st, value = arg
+        st.dq = None
         if self.numeric:
             st.diag_value = st.base - value
         k = st.plan.k
         self._mark_ainv_ready((k, k), st.diag_value)
+        if not st.rr:
+            st.release()  # every row reduction landed first
         self._supernode_finished()
 
 

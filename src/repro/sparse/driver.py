@@ -3,8 +3,9 @@
 Chains the preprocessing pipeline every experiment starts from:
 
     symmetrize -> fill-reducing ordering -> symmetric permutation ->
-    elimination tree -> postorder relabeling -> supernode partition ->
-    supernodal symbolic structure
+    elimination tree -> postorder relabeling (of the matrix and of its
+    tree) -> column counts -> supernode partition -> supernodal symbolic
+    structure
 
 and returns an :class:`AnalyzedProblem` that downstream layers (numeric
 factorization, sequential selected inversion, the parallel simulator and
@@ -20,7 +21,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from . import ordering as _ordering
-from .etree import elimination_tree, postorder
+from .etree import elimination_tree, postorder, relabel_tree
 from .factor import SupernodalFactor, factorize
 from .matrix import SparseMatrix, permute_symmetric, symmetrize_pattern
 from .selinv import SelectedInverse, normalize, selected_inversion
@@ -120,7 +121,7 @@ def analyze(
     post = postorder(parent1)
     perm = perm0[post]
     matrix = permute_symmetric(sym, perm)
-    parent = elimination_tree(matrix)
+    parent = relabel_tree(parent1, post)
     counts = column_counts(matrix, parent)
     struct = supernodal_structure(
         matrix,

@@ -22,6 +22,7 @@ __all__ = [
     "tree_levels",
     "is_postordered",
     "children_lists",
+    "relabel_tree",
 ]
 
 
@@ -90,6 +91,22 @@ def postorder(parent: np.ndarray) -> np.ndarray:
     if len(post) != n:
         raise AssertionError("postorder did not visit every node")
     return np.asarray(post, dtype=np.int64)
+
+
+def relabel_tree(parent: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """The tree ``parent`` with its nodes renumbered by ``post``
+    (``post[new] = old``), roots kept at ``-1``.
+
+    A postorder of the elimination tree is an equivalent reordering, so
+    relabelling the tree of ``A`` through it gives exactly the
+    elimination tree of the permuted matrix, without a second pass over
+    its pattern.
+    """
+    parent = np.asarray(parent)
+    inv = np.empty(len(post), dtype=np.int64)
+    inv[post] = np.arange(len(post), dtype=np.int64)
+    old = parent[post]
+    return np.where(old >= 0, inv[old], -1)
 
 
 def is_postordered(parent: np.ndarray) -> bool:

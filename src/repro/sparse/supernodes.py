@@ -208,12 +208,6 @@ class SupernodalStructure:
         lo, hi = self.rows_below[k].searchsorted(self.sn_ptr[i : i + 2])
         return int(hi - lo)
 
-    def block_row_counts(self, k: int) -> np.ndarray:
-        """``block_row_count(k, i)`` for every ``i`` of ``block_rows[k]``,
-        in that order."""
-        snodes = self.snode_of[self.rows_below[k]]  # sorted
-        return np.diff(np.flatnonzero(_run_starts(snodes)), append=len(snodes))
-
     def block_row_indices(self, k: int, i: int) -> np.ndarray:
         """Row indices of block ``L_{I,K}`` (subset of supernode I's cols)."""
         rows = self.rows_below[k]

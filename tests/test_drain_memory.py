@@ -5,10 +5,10 @@ still pending, not what has already run.
   arg)`` state and is freed with its bucket, so draining a long chain
   with only a few events pending at a time allocates a fixed amount,
   whatever the chain's length.
-* **Protocol.**  A finished symmetric supernode releases its compiled
-  tables and numeric panels, and in either driver no collective is kept
-  alive by a reference cycle: with the cyclic collector off for the
-  whole run, no :class:`VecBroadcast` / :class:`VecReduce` survives a
+* **Protocol.**  A finished supernode of either driver releases its
+  dispatch tables and numeric panels, and no collective is kept alive
+  by a reference cycle: with the cyclic collector off for the whole
+  run, no :class:`VecBroadcast` / :class:`VecReduce` survives a
   symmetric or an unsymmetric run.
 * **Machine.**  Per-pair state follows the traffic: wire costs are
   memoized per node pair and channel clocks exist only for the
@@ -145,8 +145,21 @@ def test_numeric_run_frees_its_protocol(collector_off):
 def _assert_unsym_protocol_released(sim: SimulatedPSelInvUnsym) -> None:
     _assert_no_live_collectives()
     for st in sim.states:
-        assert not (st.cb or st.rb or st.rr or st.cu), st.plan.k
-        assert st.dq is None, st.plan.k
+        k = st.plan.k
+        assert not (st.cb or st.rb or st.rr or st.cu), k
+        assert st.dq is None, k
+        if not st.plan.blocks:
+            continue
+        # Only what the inverse is gathered from stays.
+        assert st.gemms_l == {} and st.gemms_u == {}, k
+        assert st.norm_l == {} and st.norm_u == {}, k
+        for name in ("gl_left", "gu_left", "diag_left", "nrows",
+                     "l2u_nbytes", "u2l_nbytes", "rowp", "colp",
+                     "diag_partial", "lhat_at_u", "bcast_l", "bcast_u",
+                     "ainv_up", "base"):
+            assert getattr(st, name) is None, (k, name)
+        assert len(st.ainv_low) == len(st.plan.blocks), k
+        assert st.diag_value is not None or not sim.numeric, k
 
 
 def test_unsym_symbolic_run_frees_its_collectives(collector_off):

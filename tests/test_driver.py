@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.sparse import analyze, from_dense, selinv_sequential
+from repro.sparse import analyze, elimination_tree, from_dense, selinv_sequential
 from repro.sparse.etree import is_postordered
+from repro.workloads import make_workload
 from tests.conftest import random_symmetric_dense, random_unsymmetric_dense
 
 
@@ -26,6 +27,20 @@ class TestAnalyze:
         prob = analyze(from_dense(a), ordering=perm)
         # The composite perm must still be a permutation of range(n).
         assert np.array_equal(np.sort(prob.perm), np.arange(30))
+
+    @pytest.mark.parametrize("ordering", ["amd", "nd", "rcm", "natural", "random"])
+    def test_parent_is_the_etree_of_the_matrix(self, rng, ordering):
+        """The relabelled first tree is the permuted matrix's own tree."""
+        for a in (
+            from_dense(random_symmetric_dense(40, 2.0, rng)),
+            from_dense(random_unsymmetric_dense(33, 2.5, rng)),
+            make_workload("audikw_1", "tiny"),
+        ):
+            order = rng.permutation(a.n) if ordering == "random" else ordering
+            prob = analyze(a, ordering=order)
+            want = elimination_tree(prob.matrix)
+            assert prob.parent.dtype == want.dtype
+            assert np.array_equal(prob.parent, want)
 
     def test_unknown_ordering_rejected(self, rng):
         a = random_symmetric_dense(10, 2.0, rng)

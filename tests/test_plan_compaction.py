@@ -7,6 +7,7 @@ object per rank and one tuple per distinct participant set.
 """
 
 import dataclasses
+import gc
 import hashlib
 import tracemalloc
 
@@ -20,7 +21,11 @@ from repro.core import (
     SimulatedPSelInv,
     iter_plans,
     iter_unsym_plans,
+    supernode_plan,
+    unsym_supernode_plan,
 )
+from repro.core import plan as plan_mod
+from repro.core import plan_unsym as plan_unsym_mod
 from repro.runner import cache as runner_cache
 
 # sha256 of repr(list(iter_plans(...))) / repr(list(iter_unsym_plans(...)))
@@ -121,6 +126,60 @@ def test_plan_records_value_semantics():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(rec, field, 0)
     assert records[1].size == 3
+
+
+@pytest.mark.parametrize("kind", ["sym", "unsym"])
+def test_single_supernode_plan_equals_the_listed_one(plans_of, audikw_small, kind):
+    grid, plans = plans_of(((5, 7), kind))
+    one = {"sym": supernode_plan, "unsym": unsym_supernode_plan}[kind]
+    struct = audikw_small.struct
+    for k in (0, struct.nsup // 2, struct.nsup - 1):
+        assert one(struct, grid, k) == plans[k]
+
+
+def _set_collector(on: bool) -> None:
+    if on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("kind", ["sym", "unsym"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_planners_restore_the_collector(audikw_small, monkeypatch, kind, enabled):
+    """The planners pause the cyclic collector while they build, and
+    leave it as they found it: after the plans, and when the build
+    raises."""
+    planner = PLANNERS[kind]
+    module, name = {
+        "sym": (plan_mod, "_supernode_plan"),
+        "unsym": (plan_unsym_mod, "_unsym_supernode_plan"),
+    }[kind]
+    build = getattr(module, name)
+    seen = []
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return build(*args)
+
+    def boom(*args):
+        raise RuntimeError("build failed")
+
+    was = gc.isenabled()
+    grid = ProcessorGrid(2, 3)
+    try:
+        _set_collector(enabled)
+        monkeypatch.setattr(module, name, spy)
+        plans = list(planner(audikw_small.struct, grid))
+        assert len(plans) == len(seen) == audikw_small.struct.nsup
+        assert not any(seen)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(module, name, boom)
+        with pytest.raises(RuntimeError, match="build failed"):
+            list(planner(audikw_small.struct, grid))
+        assert gc.isenabled() is enabled
+    finally:
+        _set_collector(was)
 
 
 def test_rank_objects_shared_across_grids():

@@ -112,12 +112,35 @@ class TestFillStatistics:
         assert st_["fill_ratio"] >= 0.99  # filled pattern includes A
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=2, max_value=28), st.integers(0, 2**31 - 1))
-def test_counts_equal_structure_sizes_property(n, seed):
+def _pattern(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A random symmetric test matrix of one of four shapes."""
+    if kind == "diagonal":
+        return np.eye(n)
+    if kind == "dense":
+        return np.ones((n, n))
+    if kind == "random":
+        return random_symmetric_dense(n, 2.0, rng)
+    # "forest": disconnected components, interleaved by a relabelling.
+    a = np.eye(n)
+    cuts = np.unique(rng.integers(0, n + 1, size=3))
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        a[lo:hi, lo:hi] += rng.random((hi - lo, hi - lo)) < 0.3
+    a += a.T
+    p = rng.permutation(n)
+    return a[np.ix_(p, p)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["random", "diagonal", "dense", "forest"]),
+    st.integers(min_value=1, max_value=28),
+    st.integers(0, 2**31 - 1),
+)
+def test_counts_equal_structure_sizes_property(kind, n, seed):
     rng = np.random.default_rng(seed)
-    a = random_symmetric_dense(n, 2.0, rng)
-    m = topologically_ordered(from_dense(a))
+    m = topologically_ordered(from_dense(_pattern(kind, n, rng)))
     counts = column_counts(m)
     structs = column_structures(m)
+    assert counts.dtype == np.int64
     assert np.array_equal(counts, [len(s) + 1 for s in structs])
+    assert np.array_equal(counts, dense_symbolic_cholesky(m.to_dense()).sum(axis=0))
