@@ -70,8 +70,9 @@ protocol.  This driver and the unsymmetric one
 collectives, on :class:`~repro.simulate.machine.VecMachine`) run on one
 skeleton, :class:`_PSelInvDriver` (window, numeric kernels, result), and
 every GEMM of both takes its ``Ainv`` operand through
-:func:`gather_block`: one ``ndarray.searchsorted`` on the structural side
-of the stored block and one open-mesh index per GEMM.
+:meth:`_PSelInvDriver._ainv_operand`: one open-mesh index per GEMM, from
+block offsets computed once per numeric supernode on window entry and
+a locator per stored off-diagonal block (no search per GEMM).
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ from .grid import ProcessorGrid
 from .plan import BYTES_PER_ENTRY, SupernodePlan, iter_plans
 from .volume import collective_seed
 
-__all__ = ["PSelInvResult", "SimulatedPSelInv", "gather_block", "run_pselinv"]
+__all__ = ["PSelInvResult", "SimulatedPSelInv", "run_pselinv"]
 
 # The machine (and through it the scheduler) each engine runs on.
 _MACHINES = {"vectorized": VecMachine, "legacy": Machine}
@@ -104,37 +105,6 @@ def _accumulate(partials: dict, key: Any, contrib: Any) -> None:
     as is), in arrival order -- the order both engines share."""
     cur = partials.get(key)
     partials[key] = contrib if cur is None else cur + contrib
-
-
-def gather_block(
-    struct: SupernodalStructure,
-    block: np.ndarray,
-    row_sn: int,
-    col_sn: int,
-    rows: np.ndarray,
-    cols: np.ndarray,
-) -> np.ndarray:
-    """Sub-block of the stored ``Ainv(row_sn, col_sn)`` block at the
-    global row indices ``rows`` (of supernode ``row_sn``) and column
-    indices ``cols`` (of supernode ``col_sn``) -- the GEMM operand of
-    Algorithm 1, shared by the symmetric and unsymmetric drivers.
-
-    A lower block (``row_sn > col_sn``) stores the rows of ``row_sn``
-    present in ``rows_below[col_sn]`` by all columns of ``col_sn``; an
-    upper block is its mirror; a diagonal block is dense.  Dense sides
-    are located by offset, structural sides by binary search.
-    """
-    ptr = struct.sn_ptr
-    if row_sn > col_sn:
-        posr = struct.block_row_indices(col_sn, row_sn).searchsorted(rows)
-        posc = cols - ptr[col_sn]
-    elif row_sn < col_sn:
-        posr = rows - ptr[row_sn]
-        posc = struct.block_row_indices(row_sn, col_sn).searchsorted(cols)
-    else:
-        posr = rows - ptr[row_sn]
-        posc = cols - ptr[row_sn]
-    return block[posr[:, None], posc]
 
 
 @dataclass
@@ -181,6 +151,8 @@ class _SupernodeState:
         "norm_vec",
         "base_sec",
         "finish_sec",
+        "offs",
+        "segs",
     )
 
     def __init__(self, plan: SupernodePlan):
@@ -206,15 +178,19 @@ class _SupernodeState:
         self.bcast_gemms: dict[int, tuple] | None = None
         self.rr_info: dict[int, tuple] | None = None
         self.norm_vec: dict[int, list] | None = None
+        # Numeric runs only (_PSelInvDriver._block_offsets): I -> local
+        # column offsets of block I's rows, and I -> its panel rows.
+        self.offs: dict[int, np.ndarray] | None = None
+        self.segs: dict[int, slice] | None = None
 
     def release(self) -> None:
         """Drop the protocol's tables and the numeric panels of a
         finished supernode.  Late diag/col-bcast deliveries to relay
         ranks still look themselves up in ``norm_vec`` / ``bcast_gemms``,
         so those two become empty; ``rr_info``, the two countdown dicts,
-        ``lhat``, ``uhat`` and ``base`` become ``None``.  Dropping the
-        countdown tuples also drops the last references to the
-        supernode's reductions."""
+        ``lhat``, ``uhat``, ``base`` and the block offsets become
+        ``None``.  Dropping the countdown tuples also drops the last
+        references to the supernode's reductions."""
         self.bcast_gemms = {}
         self.norm_vec = {}
         self.rr_info = None
@@ -223,6 +199,8 @@ class _SupernodeState:
         self.lhat = None
         self.uhat = None
         self.base = None
+        self.offs = None
+        self.segs = None
 
 
 def _check_plans(
@@ -277,12 +255,12 @@ class _PSelInvDriver:
     :class:`~repro.core.pselinv_unsym.SimulatedPSelInvUnsym` differ only
     in their protocol.  Shared here: the lookahead window (Algorithm 1's
     second loop) with its root-supernode shortcut, the diagonal and
-    L-panel kernels and the result.  A subclass passes its machine class
-    (``machine_cls``) and supplies ``_iter_plans`` and ``_state_cls`` (its
-    plans and per-supernode bookkeeping), ``_enter_window(plan)`` (build
-    supernode ``plan.k``'s collectives, return the diagonal broadcasts to
-    start), ``_mark_ainv_ready(key, data)`` (``Ainv`` block ``key`` is
-    available) and its handlers.
+    L-panel kernels, the GEMM operand and the result.  A subclass passes
+    its machine class (``machine_cls``) and supplies ``_iter_plans`` and
+    ``_state_cls`` (its plans and per-supernode bookkeeping),
+    ``_enter_window(plan)`` (build supernode ``plan.k``'s collectives,
+    return the diagonal broadcasts to start), ``_mark_ainv_ready(key,
+    data)`` (``Ainv`` block ``key`` is available) and its handlers.
     """
 
     def __init__(
@@ -332,8 +310,11 @@ class _PSelInvDriver:
             _check_plans(plans, struct, grid, bpe if self.numeric else None)
         self.plans = plans
         self.states = [self._state_cls(p) for p in self.plans]
-        # Numeric Ainv blocks by (row_snode, col_snode).
+        # Numeric Ainv blocks by (row_snode, col_snode), and the locator
+        # of each stored off-diagonal pair by its lower key (J, K), J > K
+        # (see _store_locator).
         self.ainv_data: dict[tuple[int, int], Any] = {}
+        self.ainv_loc: dict[tuple[int, int], np.ndarray] = {}
         self.done_diag = 0
         self._ran = False
 
@@ -383,6 +364,8 @@ class _PSelInvDriver:
                 label="diag-inv",
             )
             return
+        if self.numeric:
+            self._block_offsets(st)
         # The diagonal broadcasts start as soon as the supernode enters
         # the lookahead window (its factorization output already sits at
         # the root; SuperLU timing is reported separately, as in the
@@ -401,10 +384,62 @@ class _PSelInvDriver:
 
     # -- numeric kernels ------------------------------------------------------
 
+    def _block_offsets(self, st) -> None:
+        """Numeric window entry of supernode ``K``: for each panel block
+        ``I``, its rows' local column offsets in ``I``,
+        ``rows_below[K][seg_I] - first_col(I)`` (``st.offs``), and the
+        segment ``seg_I`` itself (``st.segs``).  Blocks are in
+        ``rows_below`` order, so the segments are the running sum of
+        the plan's ``nrows``, and one vector expression gives every
+        offset."""
+        struct = self.struct
+        blocks = st.plan.blocks
+        sn = [b.snode for b in blocks]
+        nr = [b.nrows for b in blocks]
+        local = struct.rows_below[st.plan.k] - np.repeat(struct.sn_ptr[sn], nr)
+        offs: dict[int, np.ndarray] = {}
+        segs: dict[int, slice] = {}
+        lo = 0
+        for i, hi in zip(sn, np.cumsum(nr).tolist()):
+            seg = segs[i] = slice(lo, hi)
+            offs[i] = local[seg]
+            lo = hi
+        st.offs = offs
+        st.segs = segs
+
+    def _store_locator(self, st, j: int) -> None:
+        """Supernode ``K`` stores an off-diagonal ``Ainv`` block of the
+        pair ``(J, K)``: the lower one keeps the rows of ``J`` present
+        in ``rows_below[K]`` (by all columns of ``K``), the upper one is
+        its mirror.  Both share one locator, keyed ``(J, K)``: a
+        ``width(J)`` int map from ``J``'s local column to the stored
+        row.  Built once, when the first of the two is stored."""
+        key = (j, st.plan.k)
+        if key not in self.ainv_loc:
+            o = st.offs[j]
+            loc = np.zeros(self.struct.width(j), np.intp)
+            loc[o] = np.arange(o.size)
+            self.ainv_loc[key] = loc
+
+    def _ainv_operand(self, offs: dict, row_sn: int, col_sn: int) -> np.ndarray:
+        """The GEMM operand of Algorithm 1 for supernode ``K`` (whose
+        block offsets are ``offs``): the stored ``Ainv(row_sn, col_sn)``
+        at the rows of ``row_sn`` and the columns of ``col_sn`` present
+        in ``rows_below[K]``.  A diagonal block is dense, so the offsets
+        index it directly; the structural side of an off-diagonal block
+        (rows of a lower block, columns of an upper one) goes through
+        its locator."""
+        rows = offs[row_sn]
+        cols = offs[col_sn]
+        if row_sn > col_sn:
+            rows = self.ainv_loc[(row_sn, col_sn)][rows]
+        elif row_sn < col_sn:
+            cols = self.ainv_loc[(col_sn, row_sn)][cols]
+        return self.ainv_data[(row_sn, col_sn)][rows[:, None], cols]
+
     def _raw_l_block(self, k: int, i: int) -> np.ndarray:
         """Slice the raw factor panel block L(I,K) (numeric mode)."""
-        lo, hi = self.struct.rows_below[k].searchsorted(self.struct.sn_ptr[i : i + 2])
-        return self.factor.l_panel(k)[lo:hi, :]
+        return self.factor.l_panel(k)[self.states[k].segs[i], :]
 
     @staticmethod
     def _invert_diag(lu: np.ndarray) -> np.ndarray:
@@ -635,6 +670,7 @@ class SimulatedPSelInv(_PSelInvDriver):
         # k * nsup + i (popped exactly once when the Lhat panel lands).
         self._vec_cb: dict[int, Any] = {}
         self._nsup = self.struct.nsup
+        self._nranks = self.grid.size
 
     def _setup_supernode_vec(self, plan: SupernodePlan) -> VecBroadcast:
         """Window entry: compile supernode ``plan.k``'s whole protocol;
@@ -876,23 +912,17 @@ class SimulatedPSelInv(_PSelInvDriver):
 
     def _gemm_fin_num(self, arg) -> None:
         (gl, gkey, red, cpos), i = arg
-        k = red.tag[1]  # the row reduce's tag is ("rr", k, j)
-        j = gkey // self.grid.size
-        partial = self.states[k].row_partial
-        _accumulate(partial, gkey, self._compute_gemm(k, i, j))
+        st = self.states[red.tag[1]]  # the row reduce's tag is ("rr", k, j)
+        j, rank = divmod(gkey, self._nranks)
+        partial = st.row_partial
+        # Ainv(J,I)[needed rows, needed cols] @ Lhat(I,K), where
+        # uhat.T = Lhat(I,K), (r_i, s).
+        sub = self._ainv_operand(st.offs, j, i)
+        _accumulate(partial, gkey, sub @ st.uhat[(i, rank)].T)
         n = gl[gkey] - 1
         gl[gkey] = n
         if n == 0:
             red.contribute_pos(cpos, partial.pop(gkey))
-
-    def _compute_gemm(self, k: int, i: int, j: int) -> np.ndarray:
-        """Numeric contribution  Ainv(J,I)[needed rows, needed cols] @ Lhat(I,K)."""
-        struct = self.struct
-        rows_j = struct.block_row_indices(k, j)  # needed rows of supernode J
-        rows_i = struct.block_row_indices(k, i)  # needed rows (=cols here) of I
-        sub = gather_block(struct, self.ainv_data[(j, i)], j, i, rows_j, rows_i)
-        uhat = self.states[k].uhat[(i, self.grid.rank(j % self.grid.pr, i % self.grid.pc))]
-        return sub @ uhat.T  # uhat.T = Lhat(I,K), (r_i, s)
 
     def _on_rowreduce_complete_vec(self, ctx, value) -> None:
         st, j = ctx
@@ -902,6 +932,7 @@ class SimulatedPSelInv(_PSelInvDriver):
             ainv_jk = -value
             st.ainv_low[j] = ainv_jk
             self.ainv_data[(j, st.plan.k)] = ainv_jk
+            self._store_locator(st, j)
             back = ainv_jk.T
             dfin = (dfin, st, j)
         self._mark_ready_vec(rkey)

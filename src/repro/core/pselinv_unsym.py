@@ -19,7 +19,9 @@ U-side stage (see :mod:`repro.core.plan_unsym` for the event table):
   owner because it was that block's column-broadcast root.
 
 Everything but the protocol -- the lookahead window, the L-side numeric
-kernels and the result -- comes from the symmetric driver's skeleton,
+kernels, the GEMM operand (block offsets computed once per supernode,
+one locator per stored off-diagonal pair) and the result -- comes from
+the symmetric driver's skeleton,
 :class:`~repro.core.pselinv._PSelInvDriver`.  The protocol speaks the
 machine's compiled interface, like the symmetric one: collectives are
 :class:`~repro.comm.collectives.VecBroadcast` /
@@ -52,7 +54,7 @@ from ..sparse.factor import SupernodalFactor
 from ..sparse.supernodes import SupernodalStructure
 from .grid import ProcessorGrid
 from .plan_unsym import UnsymSupernodePlan, iter_unsym_plans
-from .pselinv import PSelInvResult, _accumulate, _PSelInvDriver, gather_block
+from .pselinv import PSelInvResult, _accumulate, _PSelInvDriver
 from .volume import collective_seed
 
 __all__ = ["SimulatedPSelInvUnsym", "run_pselinv_unsym"]
@@ -104,6 +106,8 @@ class _UnsymState:
         "rr",         # J -> (row-reduce, positions) until it completes
         "cu",         # J -> (col-ureduce, positions) until it completes
         "dq",         # (diag-rreduce, positions) until the diagonal finishes
+        "offs",       # I -> local column offsets of block I (numeric)
+        "segs",       # I -> block I's panel rows (numeric)
     )
 
     def __init__(self, plan: UnsymSupernodePlan):
@@ -133,6 +137,8 @@ class _UnsymState:
         self.rr: dict[int, tuple] = {}
         self.cu: dict[int, tuple] = {}
         self.dq: tuple | None = None
+        self.offs: dict[int, np.ndarray] | None = None
+        self.segs: dict[int, slice] | None = None
 
     def release(self) -> None:
         """Drop the dispatch tables and the numeric panels of a done
@@ -158,6 +164,8 @@ class _UnsymState:
         self.nrows = None
         self.l2u_nbytes = None
         self.u2l_nbytes = None
+        self.offs = None
+        self.segs = None
 
 
 def _count_down(left: dict, partials: dict, key: Any, reduction: tuple,
@@ -315,8 +323,7 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
     # -- the diagonal block and normalization ---------------------------------
 
     def _raw_u_block(self, k: int, i: int) -> np.ndarray:
-        lo, hi = self.struct.rows_below[k].searchsorted(self.struct.sn_ptr[i : i + 2])
-        return self.factor.u_panel(k)[:, lo:hi]
+        return self.factor.u_panel(k)[:, self.states[k].segs[i]]
 
     def _on_diag_col(self, st: _UnsymState, rank: int, payload: Any) -> None:
         plan = st.plan
@@ -414,12 +421,7 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
         st, i, j, rank = arg
         key = (j, rank)
         if self.numeric:
-            struct = self.struct
-            k = st.plan.k
-            sub = gather_block(
-                struct, self.ainv_data[(j, i)], j, i,
-                struct.block_row_indices(k, j), struct.block_row_indices(k, i),
-            )
+            sub = self._ainv_operand(st.offs, j, i)
             _accumulate(st.rowp, key, sub @ st.bcast_l[(i, rank)])
         _count_down(st.gl_left, st.rowp, key, st.rr[j], rank)
 
@@ -427,12 +429,7 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
         st, i, j, rank = arg
         key = (j, rank)
         if self.numeric:
-            struct = self.struct
-            k = st.plan.k
-            sub = gather_block(
-                struct, self.ainv_data[(i, j)], i, j,
-                struct.block_row_indices(k, i), struct.block_row_indices(k, j),
-            )
+            sub = self._ainv_operand(st.offs, i, j)
             _accumulate(st.colp, key, st.bcast_u[(i, rank)] @ sub)
         _count_down(st.gu_left, st.colp, key, st.cu[j], rank)
 
@@ -441,7 +438,10 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
     def _on_rowreduce(self, ctx, value: Any) -> None:
         st, j = ctx
         del st.rr[j]
-        ainv_jk = -value if self.numeric else None
+        ainv_jk = None
+        if self.numeric:
+            ainv_jk = -value
+            self._store_locator(st, j)
         st.ainv_low[j] = ainv_jk
         self._mark_ainv_ready((j, st.plan.k), ainv_jk)
         if not st.rr and st.dq is None:
@@ -450,7 +450,10 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
     def _on_col_ureduce(self, ctx, value: Any) -> None:
         st, j = ctx
         del st.cu[j]
-        ainv_kj = -value if self.numeric else None
+        ainv_kj = None
+        if self.numeric:
+            ainv_kj = -value
+            self._store_locator(st, j)
         st.ainv_up[j] = ainv_kj
         self._mark_ainv_ready((st.plan.k, j), ainv_kj)
         if j in st.lhat_at_u:

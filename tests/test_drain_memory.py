@@ -6,10 +6,11 @@ still pending, not what has already run.
   with only a few events pending at a time allocates a fixed amount,
   whatever the chain's length.
 * **Protocol.**  A finished supernode of either driver releases its
-  dispatch tables and numeric panels, and no collective is kept alive
-  by a reference cycle: with the cyclic collector off for the whole
-  run, no :class:`VecBroadcast` / :class:`VecReduce` survives a
-  symmetric or an unsymmetric run.
+  dispatch tables, numeric panels and block offsets (only the per-block
+  ``Ainv`` locators stay, with ``ainv_data``), and no collective is
+  kept alive by a reference cycle: with the cyclic collector off for
+  the whole run, no :class:`VecBroadcast` / :class:`VecReduce`
+  survives a symmetric or an unsymmetric run.
 * **Machine.**  Per-pair state follows the traffic: wire costs are
   memoized per node pair and channel clocks exist only for the
   (src, dst) pairs that carried a message, so nothing is sized
@@ -96,8 +97,18 @@ def _assert_no_live_collectives() -> None:
     assert not live, f"{len(live)} collectives outlived the run"
 
 
+def _assert_offsets_released(sim) -> None:
+    """No finished supernode keeps its block-offset table; a numeric run
+    keeps one locator per off-diagonal block pair, a symbolic run none."""
+    for st in sim.states:
+        assert st.offs is None and st.segs is None, st.plan.k
+    nblocks = sum(len(st.plan.blocks) for st in sim.states)
+    assert len(sim.ainv_loc) == (nblocks if sim.numeric else 0)
+
+
 def _assert_protocol_released(sim: SimulatedPSelInv) -> None:
     _assert_no_live_collectives()
+    _assert_offsets_released(sim)
     for st in sim.states:
         if not st.plan.blocks:
             continue
@@ -144,6 +155,7 @@ def test_numeric_run_frees_its_protocol(collector_off):
 
 def _assert_unsym_protocol_released(sim: SimulatedPSelInvUnsym) -> None:
     _assert_no_live_collectives()
+    _assert_offsets_released(sim)
     for st in sim.states:
         k = st.plan.k
         assert not (st.cb or st.rb or st.rr or st.cu), k

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import ProcessorGrid, SimulatedPSelInv
-from repro.core.pselinv import gather_block
+from repro.core import ProcessorGrid, SimulatedPSelInv, SimulatedPSelInvUnsym
 from repro.sparse import analyze, from_dense, supernodal_structure
 from repro.sparse.factor import factorize
 from repro.sparse.selinv import normalize, selected_inversion
+from repro.sparse.supernodes import SupernodalStructure
 from repro.workloads import dg_hamiltonian, grid_laplacian_2d, random_spd_sparse
-from tests.conftest import random_symmetric_dense
+from tests.conftest import random_symmetric_dense, random_unsymmetric_dense
 from tests.test_supernodes import prepared
 
 
@@ -185,11 +185,12 @@ def test_parallel_equals_sequential_property(n, seed, scheme, pr, pc):
 
 
 # sha256 of ``to_dense_at_structure().tobytes()`` for the run below,
-# recorded with the np.searchsorted + np.ix_ gather that ``gather_block``
-# replaced.  Any gather or accumulation-order change shows up here even
-# when it stays within the oracle tolerance.  A BLAS that rounds its
-# GEMMs differently yields other bytes; re-record the digest against the
-# old gather on such a stack.
+# recorded with the np.searchsorted + np.ix_ gather (``_reference_gather``
+# below) that the GEMM operand path replaced.  Any gather or
+# accumulation-order change shows up here even when it stays within the
+# oracle tolerance.  A BLAS that rounds its GEMMs differently yields
+# other bytes; re-record the digest against the old gather on such a
+# stack.
 PINNED_DG_INVERSE_SHA256 = (
     "b1fe54839a9750d1d21844836176372c468ec4c016b39ce6c0bd9df889b36a2a"
 )
@@ -208,6 +209,36 @@ def test_numeric_inverse_bytes_pinned(engine):
     assert hashlib.sha256(got).hexdigest() == PINNED_DG_INVERSE_SHA256
 
 
+@pytest.mark.parametrize("unsym", [False, True], ids=["sym", "unsym"])
+def test_numeric_drain_reads_block_rows_once_per_panel_block(unsym,
+                                                            monkeypatch):
+    """GEMM operands come from per-supernode block offsets: a numeric
+    drain of either driver asks ``block_row_indices`` at most once per
+    panel block, not once per GEMM."""
+    if unsym:
+        a = random_unsymmetric_dense(60, 3.5, np.random.default_rng(1708))
+        prob = analyze(from_dense(a), ordering="amd", max_supernode=8)
+        cls = SimulatedPSelInvUnsym
+    else:
+        a = dg_hamiltonian((5, 5), 4, rng=np.random.default_rng(0))
+        prob = analyze(a, ordering="nd", max_supernode=8)
+        cls = SimulatedPSelInv
+    fac = factorize(prob.matrix, prob.struct)
+    sim = cls(prob.struct, ProcessorGrid(2, 4), "shifted", factor=fac, seed=0)
+    calls = [0]
+    original = SupernodalStructure.block_row_indices
+
+    def counted(self, k, i):
+        calls[0] += 1
+        return original(self, k, i)
+
+    monkeypatch.setattr(SupernodalStructure, "block_row_indices", counted)
+    res = sim.run()
+    nblocks = sum(len(p.blocks) for p in sim.plans)
+    assert nblocks > 0 and res.inverse is not None
+    assert calls[0] <= nblocks, f"{calls[0]} calls for {nblocks} panel blocks"
+
+
 def _reference_rows(struct, k, i):
     """Rows of supernode ``i`` in ``rows_below[k]``, the wrapper way."""
     rows = struct.rows_below[k]
@@ -217,7 +248,7 @@ def _reference_rows(struct, k, i):
 
 
 def _reference_gather(struct, block, row_sn, col_sn, rows, cols):
-    """The np.searchsorted + np.ix_ gather ``gather_block`` replaced."""
+    """The np.searchsorted + np.ix_ gather ``_ainv_operand`` replaced."""
     if row_sn > col_sn:
         posr = np.searchsorted(_reference_rows(struct, col_sn, row_sn), rows)
         posc = cols - struct.first_col(col_sn)
@@ -248,9 +279,11 @@ def _stored_shape(struct, row_sn, col_sn):
     st.data(),
 )
 def test_gather_block_matches_ix_reference(n, seed, max_size, dtype, data):
-    """Every GEMM operand ``Ainv(J,I)[rows(J in K), rows(I in K)]`` equals
-    the old gather byte for byte (values, dtype, shape, C order), on the
-    lower (J > I), diagonal (J == I) and upper (J < I) branch alike."""
+    """Every GEMM operand ``Ainv(J,I)[rows(J in K), rows(I in K)]`` the
+    drivers take through ``_ainv_operand`` (block offsets of K, the
+    locator stored with the block) equals the old gather byte for byte
+    (values, dtype, shape, C order), on the lower (J > I), diagonal
+    (J == I) and upper (J < I) branch alike."""
     rng = np.random.default_rng(seed)
     struct = supernodal_structure(
         prepared(random_spd_sparse(n, 3.0, rng=rng)), max_size=max_size
@@ -261,16 +294,27 @@ def test_gather_block_matches_ix_reference(n, seed, max_size, dtype, data):
     blocks = [int(x) for x in struct.block_rows[k]]
     i = data.draw(st.sampled_from(blocks), label="i")
     j = data.draw(st.sampled_from(blocks), label="j")
+    # A symbolic driver, numeric state set up by hand: K's block offsets,
+    # and the locator the lower one of I, J stores with the pair's blocks.
+    drv = SimulatedPSelInv(struct, ProcessorGrid(1, 1))
+    st_k = drv.states[k]
+    drv._block_offsets(st_k)
+    if i != j:
+        st_lo = drv.states[min(i, j)]
+        drv._block_offsets(st_lo)
+        drv._store_locator(st_lo, max(i, j))
     for x in (i, j):
         rows = struct.block_row_indices(k, x)
         assert np.array_equal(rows, _reference_rows(struct, k, x))
         assert struct.block_row_count(k, x) == len(rows)
+        assert np.array_equal(struct.rows_below[k][st_k.segs[x]], rows)
     for row_sn, col_sn in {(j, i), (i, j), (i, i)}:
         block = rng.standard_normal(_stored_shape(struct, row_sn, col_sn))
         block = block.astype(dtype)
         rows = _reference_rows(struct, k, row_sn)
         cols = _reference_rows(struct, k, col_sn)
-        got = gather_block(struct, block, row_sn, col_sn, rows, cols)
+        drv.ainv_data[(row_sn, col_sn)] = block
+        got = drv._ainv_operand(st_k.offs, row_sn, col_sn)
         want = _reference_gather(struct, block, row_sn, col_sn, rows, cols)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.flags.c_contiguous and want.flags.c_contiguous

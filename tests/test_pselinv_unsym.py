@@ -188,8 +188,8 @@ def test_unsym_parallel_equals_sequential_property(n, seed, scheme, pr, pc):
 
 
 # sha256 of ``to_dense_at_structure().tobytes()`` for the run below,
-# recorded with the np.searchsorted + np.ix_ gather that ``gather_block``
-# replaced.  A BLAS that rounds its GEMMs differently yields other
+# recorded with the np.searchsorted + np.ix_ gather that the GEMM operand
+# path replaced.  A BLAS that rounds its GEMMs differently yields other
 # bytes; re-record the digest against the old gather on such a stack.
 PINNED_UNSYM_INVERSE_SHA256 = (
     "48777e0fa12dbef761f4caa4cd5230b8a5577e2e6cd6b968c51ef8678de5f922"
