@@ -20,7 +20,12 @@ Two engines share this contract:
   fast-forwards the clock over empty buckets analytically
   (``engine="vectorized"``).  An entry carries its own state, so the
   engine holds only the events still pending: its memory follows the
-  queue depth, not the number of events run.
+  queue depth, not the number of events run.  The production drain of
+  this calendar is not :meth:`VecSimulator.run` but
+  :class:`~repro.simulate.machine.VecMachine`'s own copy of its loop,
+  which runs the per-message receive and delivery stages inline; the
+  engine's loops serve plain schedules and stepped ``run(until=...)``
+  drains.
 
 Both drain any schedule stream in the exact same ``(time, seq)`` order
 (pinned by a Hypothesis equivalence test), so every simulated outcome is
@@ -208,9 +213,10 @@ class VecSimulator:
       reserved for the generic :meth:`schedule` / :meth:`schedule_at`
       paths (0 = argless callable, 1 = ``(fn, arg)`` pair).
     * **Sorted buckets** -- a bucket is sorted once (C timsort on the
-      entry tuples) and executed in order; the events-processed and
-      pending counters are written back once per bucket, not once per
-      event.  A callback that schedules into the *active* bucket
+      entry tuples) and executed in order; the events-processed counter
+      is written back once per bucket, not once per event, and the
+      pending count is derived (``_seq`` minus events processed), never
+      kept.  A callback that schedules into the *active* bucket
       inserts its entry in sorted position via ``bisect.insort`` (the
       new entry always lands after the in-flight index because its
       time is >= ``now`` and its seq is the largest yet).
@@ -230,8 +236,10 @@ class VecSimulator:
 
     The machine layer (:class:`repro.simulate.machine.VecMachine`)
     inlines the push sequence of :meth:`_push` directly into its
-    send/receive stages -- any change to the scheduling invariants here
-    must be mirrored there.
+    send/receive/compute stages, and its own drain (``VecMachine.run``)
+    is a copy of :meth:`run` with the receive and delivery stages
+    inlined -- any change to the scheduling invariants or to the loop
+    here must be mirrored there.
     """
 
     #: Bucket width in virtual seconds.  Event spacing in the PSelInv
@@ -252,7 +260,6 @@ class VecSimulator:
         self._table: list[Callable[..., Any] | None] = [None, None]
         self._seq = 0
         self._events_processed = 0
-        self._npending = 0
         # Active-bucket state: schedules landing in the bucket currently
         # draining must join it in sorted position (see class docstring).
         self._active_bucket = -1
@@ -325,7 +332,6 @@ class VecSimulator:
     def _push(self, time: float, hid: int, arg: Any) -> None:
         s = self._seq
         self._seq = s + 1
-        self._npending += 1
         ev = (time, s, hid, arg)
         b = int(time * self._inv_width)
         if b == self._active_bucket:
@@ -350,10 +356,10 @@ class VecSimulator:
         ``max_events`` raises with the queue intact.  Bounded runs use
         the per-event :meth:`_run_scalar` loop.
 
-        The drain samples the exact queue depth before every event it
-        executes: ``_npending`` is written back once per bucket but
-        counts every push at once, so ``_npending - i`` is the depth at
-        position ``i`` of the active bucket.
+        With metrics attached the drain samples the exact queue depth
+        before every event it executes, ``_seq - executed``: every push
+        takes a seq at once, and ``executed`` counts the events run so
+        far.  Without metrics that sample is one local test per event.
         """
         if until is not None or max_events is not None:
             return self._run_scalar(until, max_events)
@@ -361,10 +367,11 @@ class VecSimulator:
         heap = self._bucket_heap
         table = self._table
         heappop = heapq.heappop
+        sample = self._metrics is not None
         drained = 0
         maxb = self.max_bucket_events
-        depth_hw = self._npending
         start_events = self._events_processed
+        depth_hw = self._seq - start_events
         start_wall = time.perf_counter()  # det: allow(DET003) observation-only
         while heap:
             b = heappop(heap)
@@ -374,13 +381,16 @@ class VecSimulator:
             self._active_bucket = b
             self._active_list = batch
             drained += 1
+            executed = self._events_processed
             # The C-level list iterator survives mid-drain growth (an
             # insort always lands strictly after the in-flight position,
             # see the class docstring).
-            for i, (t, _, h, a) in enumerate(batch):
-                d = self._npending - i
-                if d > depth_hw:
-                    depth_hw = d
+            for t, _, h, a in batch:
+                if sample:
+                    d = self._seq - executed
+                    if d > depth_hw:
+                        depth_hw = d
+                    executed += 1
                 self.now = t
                 if h >= 2:
                     table[h](a)
@@ -394,7 +404,6 @@ class VecSimulator:
             if n > maxb:
                 maxb = n
             self._events_processed += n
-            self._npending -= n
         self.buckets_drained += drained
         self.drained_events += self._events_processed - start_events
         self.max_bucket_events = maxb
@@ -414,8 +423,8 @@ class VecSimulator:
         heap = self._bucket_heap
         table = self._table
         heappop = heapq.heappop
-        depth_hw = self._npending
         start_events = self._events_processed
+        depth_hw = self._seq - start_events
         start_wall = time.perf_counter()  # det: allow(DET003) observation-only
         stopped = False
         while heap and not stopped:
@@ -437,12 +446,12 @@ class VecSimulator:
                         f"simulation exceeded {max_events} events -- likely a "
                         "protocol bug (deadlock would drain, livelock would not)"
                     )
-                if self._npending > depth_hw:
-                    depth_hw = self._npending
+                d = self._seq - self._events_processed
+                if d > depth_hw:
+                    depth_hw = d
                 i += 1
                 self.now = t
                 self._events_processed += 1
-                self._npending -= 1
                 if h >= 2:
                     table[h](a)
                 elif h == 0:
@@ -479,12 +488,14 @@ class VecSimulator:
         self._active_list = None
 
     def pending(self) -> int:
-        """Number of events still queued.
+        """Number of events still queued: seqs allocated minus events
+        processed.
 
         Exact between :meth:`run` calls; mid-bucket reads from callbacks
-        lag by up to one bucket on the unbounded path.
+        lag by up to one bucket on the unbounded path (the processed
+        count is written back once per bucket).
         """
-        return self._npending
+        return self._seq - self._events_processed
 
     def occupancy_stats(self) -> dict[str, float]:
         """Per-bucket occupancy summary of the unbounded drains so far."""

@@ -26,8 +26,10 @@ on the heapq :class:`~repro.simulate.engine.Simulator` (the reference
 oracle, ``engine="legacy"``: one :class:`Message` per message and the
 network's own cost methods) and :class:`VecMachine` on the
 calendar-queue :class:`~repro.simulate.engine.VecSimulator`
-(``engine="vectorized"``: fused per-stage closures), which reproduces
-it bit for bit.  Both drivers' protocols run unchanged on either.
+(``engine="vectorized"``: fused per-stage closures, and a
+:meth:`VecMachine.run` that drains the calendar itself with the receive
+and delivery stages inline), which reproduces it bit for bit.  Both
+drivers' protocols run unchanged on either.
 
 Implementation note: this is the simulator's innermost loop (millions of
 messages per run), so per-rank clocks and counters are plain Python lists
@@ -38,7 +40,8 @@ from __future__ import annotations
 
 import gc
 from bisect import insort
-from heapq import heappush
+from heapq import heappop, heappush
+from time import perf_counter
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -243,10 +246,13 @@ class Machine:
         self._nic_free = [0.0] * nranks  # outgoing (injection) port
         self._nic_in_free = [0.0] * nranks  # incoming (ejection) port
         self._cpu_free = [0.0] * nranks
-        # FIFO channel clocks: last delivery time per (src, dst), keyed
-        # ``src * nranks + dst`` and holding only the pairs that carried
-        # a message (an absent pair reads as 0.0).
-        self._channel_last: dict[int, float] = {}
+        # FIFO channel clocks: last delivery time per (src, dst), one
+        # dict per source rank keyed by the destination rank and holding
+        # only the destinations that src sent to (an absent pair reads
+        # as 0.0).
+        self._channel_last: list[dict[int, float]] = [
+            {} for _ in range(nranks)
+        ]
         self._recv_overhead = network.config.receive_overhead
         # Pre-bound network queries: send_pt/_receive run once per
         # message, and the two attribute hops per call add up.
@@ -313,12 +319,11 @@ class Machine:
         self.stats._nic_out_busy[src] += inj
         arrival = finish + self._transit_time(src, dst, nbytes)
         # Enforce MPI-style non-overtaking per (src, dst) channel.
-        ch = self._channel_last
-        idx = src * self.nranks + dst
-        last = ch.get(idx, 0.0)
+        ch = self._channel_last[src]
+        last = ch.get(dst, 0.0)
         if arrival < last:
             arrival = last
-        ch[idx] = arrival
+        ch[dst] = arrival
         if self._rec is not None:
             self._rec.record_send(msg, now, start, finish, arrival)
         sim.schedule_at(arrival, self._receive, msg)
@@ -419,10 +424,14 @@ class Machine:
             gc.collect()
         gc.disable()
         try:
-            return self.sim.run(max_events=max_events)
+            return self._drain(max_events)
         finally:
             if was_enabled:
                 gc.enable()
+
+    def _drain(self, max_events: int | None) -> float:
+        """The drain :meth:`run` wraps: the simulator's own loop."""
+        return self.sim.run(max_events=max_events)
 
 
 class VecMachine(Machine):
@@ -449,9 +458,9 @@ class VecMachine(Machine):
       :meth:`Network.pair_params`) in a list indexed ``node_of[src] *
       nnodes + node_of[dst]``.
 
-    Each per-message stage exists once, built in ``__init__`` as a
-    closure with all stable state (calendar buckets and heap, resource
-    clocks, stats columns, the node-pair cost memo) in cells:
+    Each per-message stage is built in ``__init__`` as a closure with
+    all stable state (calendar buckets and heap, resource clocks, stats
+    columns, the node-pair cost memo) in cells:
     ``send_pt(src, dst, tag, nbytes, cid, cb, aux=0, payload=None)``
     (``cid`` from :meth:`category_id`; a fan-out is one call per
     child), the receive stage (NIC-in ejection, then the receive-side
@@ -464,10 +473,21 @@ class VecMachine(Machine):
     arithmetic is expression-for-expression that of :class:`Machine`,
     so timestamps are bit-identical.
 
+    :meth:`run` drains the calendar with its own copy of
+    :meth:`VecSimulator.run`'s loop, in which a receive entry runs the
+    receive stage in the loop body and a delivery entry calls ``cb``
+    directly: a message makes no handler-table call.  The metrics'
+    exact depth sample lives in the same loop, so every production
+    drain runs it.  The registered receive/deliver handlers serve the
+    engine's own per-event loop (a budgeted ``run(max_events=...)`` or
+    a stepped ``sim.run(until=...)``), so the receive stage is written
+    twice; ``tests/test_vectorized_engine.py`` drains random traffic
+    both ways.
+
     The timeline recorder, the trace log and ``deliver_cpu_overhead``
     are one hook test per stage.  Metrics and hot spots need none: the
-    simulator reports its loop series, the compiled collectives tally
-    their shapes in :attr:`coll_shapes`, and
+    drain reports the simulator's loop series, the compiled collectives
+    tally their shapes in :attr:`coll_shapes`, and
     :meth:`repro.obs.Telemetry.finish` reads :attr:`stats` after the
     drain.
     """
@@ -502,7 +522,6 @@ class VecMachine(Machine):
         # -- the per-message stages (see the class docstring) ----------------
         sim = self.sim
         stats = self.stats
-        nranks = self.nranks
         sent_cols = self._sent_cols
         sent_counts = self._sent_counts
         recv_cols = self._recv_cols
@@ -516,7 +535,6 @@ class VecMachine(Machine):
         recv_oh_col = stats._recv_overhead_busy
         compute_busy = stats._compute_busy
         ch = self._channel_last
-        ch_get = ch.get
         node_of = network._node_list
         nnodes = network.nnodes
         # (latency, 1/bandwidth, jitter) per node pair, filled on first use.
@@ -536,10 +554,11 @@ class VecMachine(Machine):
             or event_log is not None
             or self._deliver_oh > 0.0
         )
-        # Engine internals (the inlined _push).
+        # Engine internals (the inlined _push and the drain loop).
         sbk = sim._buckets
         sheap = sim._bucket_heap
         inv_width = sim._inv_width
+        table = sim._table
 
         def deliver_pt(rec):
             if hooked:
@@ -572,7 +591,6 @@ class VecMachine(Machine):
                 )
             s = sim._seq
             sim._seq = s + 1
-            sim._npending += 1
             ev = (deliver_at, s, hid_deliver_pt, rec)
             b = int(deliver_at * inv_width)
             if b == sim._active_bucket:
@@ -616,17 +634,16 @@ class VecMachine(Machine):
                 lat, ibw, jit = pp
                 arrival = finish + (lat + nbytes * ibw) * jit
                 # Enforce MPI-style non-overtaking per (src, dst) channel.
-                pidx = src * nranks + dst
-                last = ch_get(pidx, 0.0)
+                chs = ch[src]
+                last = chs.get(dst, 0.0)
                 if arrival < last:
                     arrival = last
-                ch[pidx] = arrival
+                chs[dst] = arrival
                 if hooked:
                     hook_send(rec, now, start, finish, arrival)
                 hid = hid_receive_pt
             s = sim._seq
             sim._seq = s + 1
-            sim._npending += 1
             ev = (arrival, s, hid, rec)
             b = int(arrival * inv_width)
             if b == sim._active_bucket:
@@ -649,7 +666,6 @@ class VecMachine(Machine):
                 timeline.record_compute(rank, start, finish, labels[hid])
             s = sim._seq
             sim._seq = s + 1
-            sim._npending += 1
             ev = (finish, s, hid, arg)
             b = int(finish * inv_width)
             if b == sim._active_bucket:
@@ -661,8 +677,98 @@ class VecMachine(Machine):
                     sbk[b] = [ev]
                     heappush(sheap, b)
 
+        def drain(max_events):
+            # VecSimulator.run with the receive and deliver stages
+            # inlined (receive_pt / deliver_pt above, expression for
+            # expression).  A budgeted drain takes the engine's
+            # per-event loop, which runs the registered handlers.
+            if max_events is not None:
+                return sim.run(max_events=max_events)
+            sample = sim._metrics is not None
+            drained = 0
+            maxb = sim.max_bucket_events
+            start_events = sim._events_processed
+            depth_hw = sim._seq - start_events
+            start_wall = perf_counter()  # det: allow(DET003) observation-only
+            while sheap:
+                b = heappop(sheap)
+                batch = sbk.pop(b)
+                if len(batch) > 1:
+                    batch.sort()
+                sim._active_bucket = b
+                sim._active_list = batch
+                executed = sim._events_processed
+                # The C-level list iterator survives mid-drain growth:
+                # an insort lands strictly after the in-flight position.
+                for t, _, hid, rec in batch:
+                    if sample:
+                        d = sim._seq - executed
+                        if d > depth_hw:
+                            depth_hw = d
+                        executed += 1
+                    sim.now = t
+                    if hid == hid_receive_pt:
+                        dst = rec[0]
+                        nbytes = rec[1]
+                        col = recv_cols[rec[2]]
+                        if col is None:
+                            bind_recv(rec[2])
+                            col = recv_cols[rec[2]]
+                        col[dst] += nbytes
+                        eject = nbytes * ej_bw_inv
+                        nic = nic_in_free[dst]
+                        nic_start = nic if nic > t else t
+                        nic_done = nic_start + eject
+                        nic_in_free[dst] = nic_done
+                        nic_in_col[dst] += eject
+                        cpu = cpu_free[dst]
+                        start = cpu if cpu > nic_done else nic_done
+                        deliver_at = start + recv_oh
+                        cpu_free[dst] = deliver_at
+                        recv_oh_col[dst] += recv_oh
+                        if timeline is not None:
+                            timeline.record_receive(
+                                message(rec), nic_start, nic_done, start,
+                                deliver_at,
+                            )
+                        s = sim._seq
+                        sim._seq = s + 1
+                        ev = (deliver_at, s, hid_deliver_pt, rec)
+                        bd = int(deliver_at * inv_width)
+                        if bd == b:
+                            insort(batch, ev)
+                        else:
+                            try:
+                                sbk[bd].append(ev)
+                            except KeyError:
+                                sbk[bd] = [ev]
+                                heappush(sheap, bd)
+                    elif hid == hid_deliver_pt:
+                        if hooked:
+                            hook_deliver(rec)
+                        rec[3](rec[0], rec[5], rec[4])
+                    elif hid >= 2:
+                        table[hid](rec)
+                    elif hid == 0:
+                        rec()
+                    else:
+                        rec[0](rec[1])
+                n = len(batch)
+                sim._active_bucket = -1
+                sim._active_list = None
+                drained += 1
+                if n > maxb:
+                    maxb = n
+                sim._events_processed += n
+            sim.buckets_drained += drained
+            sim.drained_events += sim._events_processed - start_events
+            sim.max_bucket_events = maxb
+            sim._report(start_events, depth_hw, start_wall)
+            return sim.now
+
         self.send_pt = send_pt
         self.post_named = post_named
+        self._drain = drain
 
     # -- wiring --------------------------------------------------------------
 

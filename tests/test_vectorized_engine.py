@@ -16,7 +16,9 @@ the machine; the protocol itself is checked by the outcome digests of
 * **Machine.**  :class:`VecMachine` reproduces :class:`Machine`
   bit-for-bit on scripted traffic: same timestamps, same stats dicts,
   same trace events, including a wide same-timestamp fan-in drained
-  unbounded and bounded.
+  unbounded and bounded.  Its own drain (``VecMachine.run``, receive
+  and delivery inline, event budget included) matches both the
+  engine's handler route and the heapq machine on random traffic.
 * **Stats read-outs.**  A drained :class:`VecMachine`'s read-out views
   and totals match :class:`Machine`'s exactly, with integer message
   counts and copies, not aliases, of the live tallies.
@@ -28,6 +30,7 @@ the machine; the protocol itself is checked by the outcome digests of
 """
 
 import json
+from bisect import insort
 
 import numpy as np
 import pytest
@@ -438,7 +441,8 @@ class TestMachineParity:
             small_arrival = (big_done + net.injection_time(small)
                              + net.transit_time(0, 2, small))
             assert small_arrival < big_arrival
-            assert m._channel_last == {2: big_arrival}  # the clamp fired
+            # The clamp fired: one clock, rank 0's channel to rank 2.
+            assert m._channel_last == [{2: big_arrival}, {}, {}, {}]
             assert [tag for tag, _ in got] == ["big", "small"]
             outs.append(got)
         assert outs[0] == outs[1]
@@ -563,6 +567,193 @@ def test_vec_machine_stats_readouts_match_legacy():
     assert b.sent["a"][2] == 4096.0
     assert b.received["a"][0] == 4096.0 * (_N // 2 - 1)
     assert b.messages_sent["a"][2] == 1
+
+
+# ---------------------------------------------------------------------------
+# The two receive routes: VecMachine.run's inline stages vs the handlers
+# ---------------------------------------------------------------------------
+
+_RANKS = 8
+
+# Costs far below the 1e-7 bucket width, so receives, deliveries and
+# short tasks land in the bucket that is draining (the insort path).
+_FAST_NET = NetworkConfig(
+    cores_per_node=2, nodes_per_group=2, latency_intra_node=2e-8,
+    latency_intra_group=6e-8, latency_inter_group=1.5e-7,
+    injection_overhead=1e-8, receive_overhead=2e-8, jitter_sigma=0.3,
+)
+
+_rank_st = st.integers(min_value=0, max_value=_RANKS - 1)
+_short_st = st.sampled_from([0.0, 1e-9, 3e-8, 9e-8, 1e-7, 2.5e-7])
+# A message: its start (a task on its source), source, size and hops;
+# each hop is (next destination, size, compute before forwarding,
+# copies).  A hop of two copies also goes to the next rank up, so the
+# queue depth rises mid-drain.
+_traffic_st = st.lists(
+    st.tuples(
+        _short_st,
+        _rank_st,
+        st.sampled_from([8, 64, 4096]),
+        st.lists(
+            st.tuples(_rank_st, st.sampled_from([8, 512]), _short_st,
+                      st.sampled_from([1, 1, 2])),
+            max_size=4,
+        ),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def _play(m, traffic):
+    """Start ``traffic`` on ``m``; returns the delivery log.  Deliveries
+    forward along their hops, directly or after a compute task, so
+    sends, receives, deliveries and tasks all happen mid-drain."""
+    got = []
+    cid = m.category_id("hop")
+    cid_self = m.category_id("self")
+
+    def deliver(dst, hops, tag):
+        got.append((tag, dst, m.now))
+        if hops:
+            (nxt, nbytes, work, copies), rest = hops[0], hops[1:]
+            arg = (dst, nxt, nbytes, copies, rest, tag)
+            if work:
+                m.post_named(dst, work, hid_forward, arg)
+            else:
+                forward(arg)
+
+    def forward(arg):
+        src, first, nbytes, copies, hops, tag = arg
+        for k in range(copies):
+            dst = (first + k) % _RANKS
+            m.send_pt(src, dst, tag, nbytes,
+                      cid if src != dst else cid_self, deliver, tag + 1, hops)
+
+    hid_forward = m.register_task(forward, "forward")
+    for i, (start, src, nbytes, hops) in enumerate(traffic):
+        dst, nbytes0, _, copies = hops[0] if hops else (src, nbytes, 0.0, 1)
+        m.post_named(src, start, hid_forward,
+                     (src, dst, nbytes0, copies, tuple(hops[1:]), 1000 * i))
+    return got
+
+
+def _three_drains(traffic, with_metrics):
+    """Drain ``traffic`` through ``VecMachine.run``, through stepped
+    ``VecMachine.sim.run(until=...)`` and on the heapq ``Machine``."""
+    outs = []
+    for cls, stepped in ((VecMachine, False), (VecMachine, True),
+                         (Machine, False)):
+        m = cls(_RANKS, Network(_RANKS, _FAST_NET))
+        reg = MetricsRegistry()
+        if with_metrics:
+            m.sim.attach_metrics(reg)
+        got = _play(m, traffic)
+        if stepped:
+            horizon = 0.0
+            while m.sim.pending():
+                horizon += 1.3e-7
+                m.sim.run(until=horizon)
+        else:
+            m.run()
+        snap = reg.snapshot()
+        outs.append((
+            _drain_outcome(m, got),
+            list(m.stats._compute_busy),
+            list(m.stats._nic_out_busy),
+            m.sim.events_processed,
+            snap["counters"].get("sim.events"),
+            snap["gauges"].get("sim.queue_depth_high_water"),
+        ))
+    return outs
+
+
+@settings(max_examples=60, deadline=None)
+@given(traffic=_traffic_st, with_metrics=st.booleans())
+def test_inline_receive_matches_handler_routes(traffic, with_metrics):
+    """Jittered random traffic drains identically through the inline
+    receive/deliver stages of ``VecMachine.run``, through the registered
+    handlers of a stepped ``sim.run(until=...)`` and on the heapq
+    machine: delivery times, CommStats columns, event counts and, with
+    metrics attached, the queue-depth high-water mark."""
+    inline, stepped, heapq_ = _three_drains(traffic, with_metrics)
+    assert inline == stepped == heapq_
+
+
+@settings(max_examples=40, deadline=None)
+@given(traffic=_traffic_st, budget=st.integers(min_value=0, max_value=80))
+def test_budgeted_drain_matches_heapq(traffic, budget):
+    """``VecMachine.run(max_events=...)`` keeps the bounded-run contract
+    of the heapq machine: it raises before the same event, with the
+    same events processed and still queued, and a second ``run()``
+    finishes with the same outcome and metrics."""
+    outs = []
+    for cls in (VecMachine, Machine):
+        m = cls(_RANKS, Network(_RANKS, _FAST_NET))
+        reg = MetricsRegistry()
+        m.sim.attach_metrics(reg)
+        got = _play(m, traffic)
+        try:
+            m.run(max_events=budget)
+            stop = None
+        except RuntimeError as e:
+            stop = (str(e), m.now, m.sim.events_processed, m.sim.pending())
+        m.run()
+        outs.append((stop, _drain_outcome(m, got), m.sim.events_processed,
+                     _metrics_sans_wall_clock(reg.snapshot())))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("budget", [5, 10_000])
+def test_machine_occupancy_stats_ignore_budgeted_runs(budget):
+    """On ``VecMachine`` as on ``VecSimulator``, the occupancy tally
+    covers the unbounded drains only: a budgeted ``run`` -- stopped
+    early or run to the end -- adds no bucket and no event to it."""
+    traffic = [(0.0, r, 8, [((r + 1) % _RANKS, 8, 0.0, 1)])
+               for r in range(_RANKS)]
+    m = VecMachine(_RANKS, Network(_RANKS, _FAST_NET))
+    _play(m, traffic)
+    try:
+        m.run(max_events=budget)
+    except RuntimeError:
+        pass
+    bounded = m.sim.events_processed
+    assert bounded > 0
+    assert m.sim.occupancy_stats()["events"] == 0
+    m.run()
+    occ = m.sim.occupancy_stats()
+    assert occ["events"] == m.sim.events_processed - bounded
+    assert (occ["buckets_drained"] > 0) == (occ["events"] > 0)
+
+
+def test_inline_receive_inserts_into_the_active_bucket(monkeypatch):
+    """Non-vacuity of the property above: with these costs the inline
+    receive stage of ``VecMachine.run`` inserts deliveries into the
+    bucket it is draining."""
+    import repro.simulate.machine as machine_mod
+
+    traffic = [(0.0, r, 8, [((r + 1) % _RANKS, 8, 0.0, 1),
+                            ((r + 3) % _RANKS, 512, 3e-8, 2)])
+               for r in range(_RANKS)]
+    inline, stepped, heapq_ = _three_drains(traffic, True)
+    assert inline == stepped == heapq_
+    # The depth peaks mid-drain, above the eight tasks queued at start.
+    assert inline[-1] > _RANKS
+
+    m = VecMachine(_RANKS, Network(_RANKS, _FAST_NET))
+    table = m.sim._table
+    delivered = []
+
+    def counting_insort(batch, ev):
+        if table[ev[2]].__name__ == "deliver_pt":
+            delivered.append(ev)
+        insort(batch, ev)
+
+    got = _play(m, traffic)
+    monkeypatch.setattr(machine_mod, "insort", counting_insort)
+    m.run()
+    assert len(got) == 3 * _RANKS
+    assert delivered
 
 
 # ---------------------------------------------------------------------------
