@@ -30,7 +30,7 @@ the two.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -99,6 +99,9 @@ class SupernodePlan:
     row_reduces: list[CollectiveSpec]
     col_reduce: CollectiveSpec | None
     cross_backs: list[PointToPointSpec]
+    # The volume engine's read-out of this plan, built on first use by
+    # repro.core.volume (never by the planner or the DES).
+    _volume_columns: object = field(init=False, repr=False, compare=False, default=None)
 
     def collectives(self) -> Iterator[CollectiveSpec]:
         if self.diag_bcast is not None:

@@ -27,7 +27,7 @@ GEMM-U pipeline instead of being transposed copies of the lower ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..sparse.supernodes import SupernodalStructure
@@ -62,6 +62,9 @@ class UnsymSupernodePlan:
     row_reduces: list[CollectiveSpec]
     col_ureduces: list[CollectiveSpec]
     diag_rreduce: CollectiveSpec | None
+    # The volume engine's read-out of this plan, built on first use by
+    # repro.core.volume (never by the planner or the DES).
+    _volume_columns: object = field(init=False, repr=False, compare=False, default=None)
 
     def collectives(self) -> Iterator[CollectiveSpec]:
         for spec in (self.diag_bcast, self.diag_rbcast, self.diag_rreduce):

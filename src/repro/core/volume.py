@@ -10,17 +10,19 @@ Row-Reduce"), the histograms of Fig. 4 and the heat maps of Figs. 5-7.
 
 Two engines compute them:
 
-* :func:`communication_volumes` -- the vectorized production engine.  One
-  loop reads every collective's participants, as given, into flat slot
-  arrays.  Every tree scheme wires a shape that depends only on its
-  family and participant count, so each slot's child count is its
-  construction-order position (the sorted index ``j + 1``, rotated for
-  shifted trees, scattered through the permutation for randperm) looked
-  up in the positional shapes of :mod:`repro.comm.trees`.  Chunks of
-  about 16k slots are then charged with int64 ``np.add.at`` -- no
-  per-collective tree is built and the tree-structure cache is never
-  consulted.  Bytes are integers, so the order of accumulation cannot
-  change any result.
+* :func:`communication_volumes` -- the vectorized production engine.  The
+  first call on a plan reads its collectives out into compact columns
+  (kind, root, bytes, and each collective's sorted, distinct non-root
+  ranks) that stay memoized on the plan, so every later call, under any
+  scheme, starts from flat slot arrays.  Every tree scheme wires a shape
+  that depends only on its family and participant count, so each slot's
+  child count is its construction-order position (the sorted index
+  ``j + 1``, rotated for shifted trees, scattered through the
+  permutation for randperm) looked up in the positional shapes of
+  :mod:`repro.comm.trees`.  Chunks of about 16k slots are then charged
+  with int64 ``np.add.at`` -- no per-collective tree is built and the
+  tree-structure cache is never consulted.  Bytes are integers, so the
+  order of accumulation cannot change any result.
 * :func:`_communication_volumes_reference` -- the original
   one-tree-per-collective implementation, retained verbatim as the
   differential-testing oracle.
@@ -36,7 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+import threading
+from itertools import chain
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,11 +221,13 @@ _ENGINE_STATS = {
     "reference_calls": 0,
     "collectives": 0,
     "point_to_points": 0,
+    "chunks": 0,
 }
 
 
 def volume_engine_stats() -> dict[str, int]:
-    """Counters of the volume engines (calls, collectives, point-to-points)."""
+    """Counters of the volume engines (calls, collectives, point-to-points,
+    and the slot chunks the vectorized engine charged)."""
     return dict(_ENGINE_STATS)
 
 
@@ -296,9 +303,10 @@ def _communication_volumes_reference(
     return report
 
 
-# Participant slots charged per numpy pass.  The read-out loop flushes
-# once it has gathered this many, which bounds the scratch arrays (one
-# audikw_1 32x32 call reads ~416k slots) without losing the bulk charge.
+# Participant slots charged per numpy pass.  Each call cuts its
+# collectives into chunks of about this many slots, which bounds the
+# int64 scratch arrays (one audikw_1 32x32 call charges ~397k slots)
+# without losing the bulk charge.
 _CHUNK_SLOTS = 1 << 14
 
 # Positional-shape families by id; shifted and randperm trees only
@@ -311,86 +319,147 @@ _FAMILY_ID = {"flat": 0, "binary": 1, "binomial": 2, "shifted": 1, "randperm": 1
 # ``(3 * k + row) * p + r``.
 _SENT, _RECV, _MSGS = 0, 1, 2
 
+_KIND = attrgetter("kind")
+_KEY = attrgetter("key")
 _ROOT = attrgetter("root")
 _NBYTES = attrgetter("nbytes")
 _MEMBERS = attrgetter("participants")
 _SRC = attrgetter("src")
 _DST = attrgetter("dst")
 
+# Kind names by id, for every kind any plan has used in this process:
+# an append-only intern table (grown under the lock), so the ids in a
+# memoized column never change meaning.  No id reaches a report, whose
+# key order comes from first occurrence in the plans.
+_KIND_NAMES: list[str] = []
+_KIND_IDS: dict[str, int] = {}
+_KINDS_GROW = threading.Lock()
+
+
+def _kind_ids(kinds: list[str]) -> np.ndarray:
+    """The ids of ``kinds``, registering any kind not seen before."""
+    for kind in dict.fromkeys(kinds):
+        if kind not in _KIND_IDS:
+            with _KINDS_GROW:
+                if kind not in _KIND_IDS:
+                    _KIND_NAMES.append(kind)
+                    _KIND_IDS[kind] = len(_KIND_NAMES) - 1
+    return np.fromiter(map(_KIND_IDS.__getitem__, kinds), dtype=np.int64, count=len(kinds))
+
 
 def _column(getter, specs) -> np.ndarray:
     return np.fromiter(map(getter, specs), dtype=np.int64, count=len(specs))
 
 
+_NARROW_DTYPES = [(np.iinfo(t).min, np.iinfo(t).max, t) for t in (np.int8, np.int16, np.int32)]
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """``values`` in the smallest signed integer dtype that holds them."""
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    for tmin, tmax, dtype in _NARROW_DTYPES:
+        if tmin <= lo and hi <= tmax:
+            return values.astype(dtype)
+    return values
+
+
 def _check_ranks(ranks: np.ndarray, p: int) -> None:
     """Reject ranks outside the grid: a flat table index would silently
     charge them to another rank or counter."""
-    if ranks.size and (ranks.min() < 0 or ranks.max() >= p):
+    if ranks.size and (int(ranks.min()) < 0 or int(ranks.max()) >= p):
         bad = ranks[(ranks < 0) | (ranks >= p)][0]
         raise ValueError(f"rank {bad} out of range for a grid of {p} ranks")
 
 
-class _SlotCharger:
-    """Charges collectives, one chunk of participant slots at a time.
+def _first_seen(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of ``ids`` in first-occurrence order."""
+    uniq, first = np.unique(ids, return_index=True)
+    return uniq[np.argsort(first)]
 
-    The caller appends each collective to ``specs`` and its participants,
-    as given, to ``parts``, then calls :meth:`flush`; everything after
-    that read-out is numpy over the slot arrays.  Counters accumulate in
-    one int64 table (see ``_SENT``) that grows by one block per new kind.
+
+class _PlanColumns(NamedTuple):
+    """One plan's scheme-independent read-out, memoized on the plan.
+
+    ``head`` has one column per collective, then one per point-to-point
+    between distinct ranks; its rows are the kind id, the root (or
+    source) and the non-root participant count (or destination).
+    ``nbytes`` follows the same order.  ``ranks`` holds each
+    collective's sorted, distinct non-root participants in turn.  Every
+    column but ``nbytes`` is narrowed to the smallest dtype that holds
+    it; ranks are checked against the grid of each call, not here.
     """
 
-    def __init__(self, p, scheme, seed, hybrid_threshold):
+    ncoll: int
+    head: np.ndarray
+    nbytes: np.ndarray
+    ranks: np.ndarray
+
+
+def _plan_columns(plan) -> _PlanColumns:
+    cols = plan._volume_columns
+    if cols is None:
+        cols = plan._volume_columns = _read_out(plan)
+    return cols
+
+
+def _read_out(plan) -> _PlanColumns:
+    specs = list(plan.collectives())
+    p2ps = [q for q in plan.point_to_points() if q.src != q.dst]
+    ncoll = len(specs)
+    sizes = np.fromiter(map(len, map(_MEMBERS, specs)), dtype=np.int64, count=ncoll)
+    coll = np.repeat(np.arange(ncoll, dtype=np.int64), sizes)
+    ranks = np.fromiter(
+        chain.from_iterable(map(_MEMBERS, specs)), dtype=np.int64, count=coll.size
+    )
+    roots = _column(_ROOT, specs)
+    if ranks.size:
+        lo = ranks.min()
+        span = ranks.max() - lo + 1
+        key = coll * span + (ranks - lo)
+        if not (key[1:] > key[:-1]).all():
+            # Participants not given sorted and distinct: sort each
+            # collective's ranks and drop duplicates, as _normalize does.
+            key = np.unique(key)
+            coll = key // span
+            ranks = key - coll * span + lo
+        keep = ranks != roots[coll]
+        coll, ranks = coll[keep], ranks[keep]
+    entries = specs + p2ps
+    head = np.stack((
+        _kind_ids(list(map(_KIND, entries))),
+        np.concatenate((roots, _column(_SRC, p2ps))),
+        np.concatenate((np.bincount(coll, minlength=ncoll), _column(_DST, p2ps))),
+    ))
+    return _PlanColumns(ncoll, _narrow(head), _column(_NBYTES, entries), _narrow(ranks))
+
+
+class _Charger:
+    """Charges one call's collectives, a chunk of slots at a time, and
+    its point-to-points into one int64 table (see ``_SENT``).  Kinds are
+    numbered in first-charge order; ``heavy`` gives each kind the counter
+    row its kids-weighted side charges (senders of a broadcast,
+    receivers of a reduction)."""
+
+    def __init__(self, p, scheme, seed, hybrid_threshold, heavy):
         self.p = p
         self.scheme = scheme
         self.seed = seed
         self.hybrid_threshold = hybrid_threshold
-        self.table = np.zeros(0, dtype=np.int64)
-        self.max_degree = np.zeros(0, dtype=np.int64)
-        # Every kind charged, in first-charge order.
-        self.kind_ids: dict[str, int] = {}
-        # Per kind id: the counter row its kids-weighted side charges
-        # (senders of a broadcast, receivers of a reduction).
-        self.heavy_row: list[int] = []
-        self.specs: list = []
-        self.parts: list[int] = []
-        self.collectives = 0
+        self.heavy = heavy
+        self.table = np.zeros(3 * heavy.size * p, dtype=np.int64)
+        self.max_degree = np.zeros(heavy.size, dtype=np.int64)
+        self.chunks = 0
 
-    def kind_id(self, kind: str) -> int:
-        k = self.kind_ids.get(kind)
-        if k is None:
-            k = self.kind_ids[kind] = len(self.heavy_row)
-            self.heavy_row.append(_SENT if kind.endswith("bcast") else _RECV)
-            self.table = np.concatenate((self.table, np.zeros(3 * self.p, dtype=np.int64)))
-            self.max_degree = np.append(self.max_degree, 0)
-        return k
-
-    def flush(self) -> None:
-        specs = self.specs
-        ncoll = len(specs)
-        if not ncoll:
-            return
-        self.collectives += ncoll
+    def collectives(self, kind, root, nb, n, rank, keys) -> None:
+        """Charge one chunk: per collective its kind, root, bytes and
+        non-root count ``n``; ``rank`` holds the non-root ranks, and
+        ``keys`` the collective keys (rotated schemes only)."""
         p = self.p
-        kind = _column(lambda s: self.kind_ids[s.kind], specs)
-        root = _column(_ROOT, specs)
-        nb = _column(_NBYTES, specs)
-        sizes = np.fromiter(map(len, map(_MEMBERS, specs)), dtype=np.int64, count=ncoll)
-        coll = np.repeat(np.arange(ncoll, dtype=np.int64), sizes)
-        members = np.fromiter(self.parts, dtype=np.int64, count=len(self.parts))
-        _check_ranks(members, p)
-        _check_ranks(root, p)
-        slot = coll * p + members
-        if slot.size and not (slot[1:] > slot[:-1]).all():
-            # Participants not given sorted and distinct: sort by
-            # (collective, rank) and drop duplicates, as _normalize does.
-            slot = np.unique(slot)
-            coll = slot // p
-        rank = slot - coll * p
-        keep = rank != root[coll]
-        coll, rank = coll[keep], rank[keep]
-
-        # Non-root participant count, and each slot's sorted index j.
-        n = np.bincount(coll, minlength=ncoll)
+        _check_ranks(rank, p)
+        ncoll = n.size
+        self.chunks += 1
+        coll = np.repeat(np.arange(ncoll, dtype=np.int64), n)
+        # Each slot's sorted index j within its collective.
         start = np.cumsum(n) - n
         j = np.arange(coll.size, dtype=np.int64) - start[coll]
         pos = j + 1
@@ -407,7 +476,7 @@ class _SlotCharger:
             sel = np.flatnonzero(rotated)
             off = np.zeros(ncoll, dtype=np.int64)
             off[sel] = [
-                rotation_offset(collective_seed(seed, specs[c].key), counts[c])
+                rotation_offset(collective_seed(seed, keys[c]), counts[c])
                 for c in sel.tolist()
             ]
             pos = (j - off[coll]) % n[coll] + 1
@@ -416,9 +485,7 @@ class _SlotCharger:
             sel = np.flatnonzero(permuted)
             perm: list[int] = []
             for c in sel.tolist():
-                perm.extend(
-                    permutation_indices(collective_seed(seed, specs[c].key), counts[c])
-                )
+                perm.extend(permutation_indices(collective_seed(seed, keys[c]), counts[c]))
             # Sorted participant perm[q] sits at construction position q+1.
             target = np.repeat(start[sel], n[sel]) + np.asarray(perm, dtype=np.int64)
             pos[target] = j[permuted[coll]] + 1
@@ -440,46 +507,38 @@ class _SlotCharger:
         slot_kids = kids[base[coll] + pos]
         root_kids = kids[base[live]]
 
-        heavy = np.asarray(self.heavy_row, dtype=np.int64)[kind]
+        # Per collective, the flat table offsets of its kind's rows:
+        # the kids-weighted side, the once-per-participant side and the
+        # message counts.
+        heavy = self.heavy[kind]
         row0 = 3 * kind * p
-        s_row0, s_heavy, s_nb = row0[coll], heavy[coll], nb[coll]
-        l_row0, l_heavy = row0[live], heavy[live]
+        kids_row = row0 + heavy * p
+        once_row = row0 + (_SENT + _RECV - heavy) * p
+        msgs_row = row0 + _MSGS * p
         is_bcast = heavy == _SENT
-        idx = np.concatenate((
-            s_row0 + s_heavy * p + rank,
-            s_row0 + (_SENT + _RECV - s_heavy) * p + rank,
-            s_row0 + _MSGS * p + rank,
-            l_row0 + l_heavy * p + root[live],
-            l_row0 + _MSGS * p + root[live],
-        ))
-        weight = np.concatenate((
-            s_nb * slot_kids,
-            s_nb,
-            np.where(is_bcast[coll], slot_kids, 1),
-            nb[live] * root_kids,
-            np.where(is_bcast[live], root_kids, 0),
-        ))
-        np.add.at(self.table, idx, weight)
+        s_nb = nb[coll]
+        table = self.table
+        np.add.at(table, kids_row[coll] + rank, s_nb * slot_kids)
+        np.add.at(table, once_row[coll] + rank, s_nb)
+        np.add.at(table, msgs_row[coll] + rank, np.where(is_bcast[coll], slot_kids, 1))
+        l_root = root[live]
+        np.add.at(table, kids_row[live] + l_root, nb[live] * root_kids)
+        np.add.at(table, msgs_row[live] + l_root, np.where(is_bcast[live], root_kids, 0))
         np.maximum.at(
             self.max_degree, kind[live], np.maximum.reduceat(kids, shape_base)[which]
         )
-        specs.clear()
-        self.parts.clear()
 
-    def charge_point_to_points(self, p2ps) -> None:
-        if not p2ps:
-            return
+    def point_to_points(self, local, head, nb) -> None:
+        """Charge the point-to-points: ``head`` rows are the kind id,
+        source and destination, and ``local`` maps kind ids to kinds."""
         p = self.p
-        row0 = 3 * p * _column(lambda s: self.kind_ids[s.kind], p2ps)
-        nb = _column(_NBYTES, p2ps)
-        src, dst = _column(_SRC, p2ps), _column(_DST, p2ps)
+        kind, src, dst = head.astype(np.int64)
+        kind = local[kind]
         _check_ranks(src, p)
         _check_ranks(dst, p)
-        np.add.at(
-            self.table,
-            np.concatenate((row0 + _SENT * p + src, row0 + _RECV * p + dst)),
-            np.concatenate((nb, nb)),
-        )
+        row0 = 3 * p * kind
+        np.add.at(self.table, row0 + _SENT * p + src, nb)
+        np.add.at(self.table, row0 + _RECV * p + dst, nb)
 
     def counters(self, k: int, row: int) -> np.ndarray:
         p = self.p
@@ -504,11 +563,12 @@ def communication_volumes(
     symmetric plans (:func:`repro.core.plan.iter_plans`) or the
     unsymmetric ones (:func:`repro.core.plan_unsym.iter_unsym_plans`).
 
-    This is the vectorized engine: one loop reads every collective's
-    participants into flat slot arrays, and each chunk of slots is
-    charged to every tree edge with bulk numpy operations.  Counters are
-    bit-identical to :func:`_communication_volumes_reference`
-    (differentially tested) and to the discrete-event simulator.
+    This is the vectorized engine: each plan's participants are read out
+    once into compact columns memoized on the plan, and every call
+    charges them, chunk by chunk, to every tree edge with bulk numpy
+    operations.  Counters are bit-identical to
+    :func:`_communication_volumes_reference` (differentially tested) and
+    to the discrete-event simulator.
     """
     if scheme not in TREE_SCHEMES:
         raise ValueError(
@@ -517,44 +577,83 @@ def communication_volumes(
     p = grid.size
     if plans is None:
         plans = list(iter_plans(struct, grid))
-    charger = _SlotCharger(p, scheme, seed, hybrid_threshold)
-    specs, parts = charger.specs, charger.parts
-    kind_ids = charger.kind_ids
-    # Collective kinds in first-seen order (the messages/max_degree
-    # order).  Kind ids follow first-charge order over a plan's
-    # collectives and then its point-to-points: the order the reference
-    # engine creates its sent/received entries in.
-    coll_kinds: dict[str, int] = {}
-    p2ps: list = []
-    for plan in plans:
-        for spec in plan.collectives():
-            kind = spec.kind
-            if kind not in coll_kinds:
-                coll_kinds[kind] = charger.kind_id(kind)
-            specs.append(spec)
-            parts.extend(spec.participants)
-            if len(parts) >= _CHUNK_SLOTS:
-                charger.flush()
-        if include_cross:
-            for p2p in plan.point_to_points():
-                if p2p.src != p2p.dst:
-                    if p2p.kind not in kind_ids:
-                        charger.kind_id(p2p.kind)
-                    p2ps.append(p2p)
-    charger.flush()
-    charger.charge_point_to_points(p2ps)
+    cols = [_plan_columns(plan) for plan in plans]
+    # Columns run plan by plan, each plan's collectives before its
+    # point-to-points: the order the reference engine creates its
+    # counters in, so first occurrence gives every table's key order.
+    nplans = len(cols)
+    ncoll = np.fromiter((c.ncoll for c in cols), dtype=np.int64, count=nplans)
+    nentry = np.fromiter((c.nbytes.size for c in cols), dtype=np.int64, count=nplans)
+    is_coll = np.repeat(
+        np.tile([True, False], nplans), np.column_stack((ncoll, nentry - ncoll)).ravel()
+    )
+    if cols:
+        head = np.concatenate([c.head for c in cols], axis=1)
+        nbytes = np.concatenate([c.nbytes for c in cols])
+    else:
+        head, nbytes = np.zeros((3, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    kinds = _first_seen(head[0] if include_cross else head[0, is_coll])
+    coll_kinds = _first_seen(head[0, is_coll])
+    local = np.zeros(len(_KIND_NAMES), dtype=np.int64)
+    local[kinds] = np.arange(kinds.size)
+    names = [_KIND_NAMES[k] for k in kinds.tolist()]
+    heavy = np.array(
+        [_SENT if name.endswith("bcast") else _RECV for name in names], dtype=np.int64
+    )
+    charger = _Charger(p, scheme, seed, hybrid_threshold, heavy)
+    np2p = 0
+    if include_cross:
+        p2p = ~is_coll
+        np2p = int(np.count_nonzero(p2p))
+        charger.point_to_points(local, head[:, p2p], nbytes[p2p])
+
+    # The collectives' columns stay compact; each chunk widens its slice.
+    kind, root, count = head[:, is_coll]
+    coll_nb = nbytes[is_coll]
+    del head, nbytes
+    _check_ranks(root, p)
+    keys = None
+    if scheme in ("shifted", "hybrid", "randperm"):
+        keys = list(map(_KEY, chain.from_iterable(plan.collectives() for plan in plans)))
+    # Chunk bounds: cut after the collective whose slots reach each
+    # multiple of _CHUNK_SLOTS; a chunk's ranks come from the plans it
+    # spans.
+    slot_end = np.cumsum(count, dtype=np.int64)
+    nslots = int(slot_end[-1]) if slot_end.size else 0
+    cuts = np.searchsorted(slot_end, np.arange(_CHUNK_SLOTS, nslots, _CHUNK_SLOTS)) + 1
+    bounds = np.unique(np.concatenate(([0], cuts, [count.size]))).tolist()
+    ranks = [c.ranks for c in cols]
+    plan_end = np.cumsum(np.fromiter(map(len, ranks), dtype=np.int64, count=nplans))
+    for c0, c1 in zip(bounds, bounds[1:]):
+        s0 = int(slot_end[c0 - 1]) if c0 else 0
+        s1 = int(slot_end[c1 - 1])
+        if s1 == s0:
+            continue
+        q0 = int(np.searchsorted(plan_end, s0, side="right"))
+        q1 = int(np.searchsorted(plan_end, s1)) + 1
+        base = int(plan_end[q0]) - ranks[q0].size
+        charger.collectives(
+            local[kind[c0:c1]],
+            root[c0:c1].astype(np.int64),
+            coll_nb[c0:c1],
+            count[c0:c1].astype(np.int64),
+            np.concatenate(ranks[q0:q1])[s0 - base : s1 - base].astype(np.int64),
+            keys[c0:c1] if keys is not None else None,
+        )
 
     report = VolumeReport(grid=grid, scheme=scheme)
-    for kind, k in kind_ids.items():
-        report.sent[kind] = charger.counters(k, _SENT)
-        report.received[kind] = charger.counters(k, _RECV)
-    for kind, k in coll_kinds.items():
-        report.messages[kind] = charger.counters(k, _MSGS)
-        report.max_degree[kind] = int(charger.max_degree[k])
+    for k, name in enumerate(names):
+        report.sent[name] = charger.counters(k, _SENT)
+        report.received[name] = charger.counters(k, _RECV)
+    for kid in coll_kinds.tolist():
+        k = int(local[kid])
+        report.messages[_KIND_NAMES[kid]] = charger.counters(k, _MSGS)
+        report.max_degree[_KIND_NAMES[kid]] = int(charger.max_degree[k])
 
     _ENGINE_STATS["vectorized_calls"] += 1
-    _ENGINE_STATS["collectives"] += charger.collectives
-    _ENGINE_STATS["point_to_points"] += len(p2ps)
+    _ENGINE_STATS["collectives"] += count.size
+    _ENGINE_STATS["point_to_points"] += np2p
+    _ENGINE_STATS["chunks"] += charger.chunks
     return report
 
 

@@ -9,6 +9,11 @@ vectorized engine, because the reference is the spec the DES is pinned
 against.
 """
 
+import dataclasses
+import itertools
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,9 +29,13 @@ from repro.comm.trees import (
 )
 from repro.core import ProcessorGrid, communication_volumes
 from repro.core import volume
-from repro.core.plan import CollectiveSpec, PointToPointSpec, SupernodePlan
+from repro.core.plan import CollectiveSpec, PointToPointSpec, SupernodePlan, iter_plans
 from repro.core.plan_unsym import iter_unsym_plans
-from repro.core.volume import _communication_volumes_reference
+from repro.core.volume import (
+    _communication_volumes_reference,
+    reset_volume_engine_stats,
+    volume_engine_stats,
+)
 
 KINDS = ["diag-bcast", "col-bcast", "row-reduce", "col-reduce"]
 
@@ -193,21 +202,41 @@ def test_vectorized_matches_reference_across_chunks(scheme):
     assert_reports_equal(ref, vec)
 
 
+def _charged_chunks(call) -> int:
+    reset_volume_engine_stats()
+    call()
+    return volume_engine_stats()["chunks"]
+
+
 @pytest.mark.parametrize("chunk", [1, 5, 64])
 @pytest.mark.parametrize("scheme", ["shifted", "randperm", "hybrid"])
 def test_chunk_size_never_changes_counters(monkeypatch, scheme, chunk):
-    """Flushing after every collective, or every few, gives the same
-    report as one large chunk."""
+    """Charging every collective alone, or a few at a time, gives the
+    same report as one large chunk, and a patched chunk size reaches
+    calls on plans whose columns are already memoized."""
     from repro.sparse import analyze
     from repro.workloads import make_workload
 
     prob = analyze(make_workload("audikw_1", "tiny"), ordering="nd")
     grid = ProcessorGrid(3, 4)
-    whole = communication_volumes(prob.struct, grid, scheme, seed=5)
+    plans = list(iter_plans(prob.struct, grid))
+    # Distinct non-root participants: the slots a call charges.
+    sizes = [
+        len(set(c.participants) - {c.root}) for pl in plans for c in pl.collectives()
+    ]
+    nslots, largest = sum(sizes), max(sizes)
+
+    def call():
+        return communication_volumes(prob.struct, grid, scheme, seed=5, plans=plans)
+
+    whole = call()
+    assert _charged_chunks(call) <= math.ceil(nslots / volume._CHUNK_SLOTS)
     monkeypatch.setattr(volume, "_CHUNK_SLOTS", chunk)
-    assert_reports_equal(
-        whole, communication_volumes(prob.struct, grid, scheme, seed=5)
-    )
+    assert_reports_equal(whole, call())
+    # Every chunk stops at the collective that reaches the next multiple
+    # of the chunk size, so it holds fewer than chunk + largest slots.
+    chunks = _charged_chunks(call)
+    assert nslots / (chunk + largest - 1) <= chunks <= math.ceil(nslots / chunk)
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +264,80 @@ def test_vectorized_matches_reference_unsymmetric(
     )
     vec = communication_volumes(unsym_problem.struct, grid, scheme, **kwargs)
     assert_reports_equal(ref, vec)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["sym", "unsym"])
+def test_memoized_columns_serve_every_call(unsym_problem, symmetric):
+    """One plan list charged under every scheme, seed, hybrid threshold
+    and cross setting, in shuffled order: the columns the first call
+    memoizes serve all the others, and every report still equals the
+    oracle's."""
+    grid = ProcessorGrid(3, 5)
+    make = iter_plans if symmetric else iter_unsym_plans
+    plans = list(make(unsym_problem.struct, grid))
+    combos = list(
+        itertools.product(TREE_SCHEMES, (0, 20160523), (3, 8), (True, False))
+    )
+    random.Random(29).shuffle(combos)
+    memo = None
+    for scheme, seed, threshold, cross in combos:
+        kwargs = dict(
+            seed=seed, hybrid_threshold=threshold, include_cross=cross, plans=plans
+        )
+        ref = _communication_volumes_reference(None, grid, scheme, **kwargs)
+        vec = communication_volumes(None, grid, scheme, **kwargs)
+        assert_reports_equal(ref, vec)
+        columns = [plan._volume_columns for plan in plans]
+        assert all(c is not None for c in columns)
+        if memo is None:
+            memo = columns
+        assert all(a is b for a, b in zip(columns, memo)), "columns rebuilt"
+
+
+def test_replaced_plan_gets_fresh_columns():
+    grid = ProcessorGrid(2, 2)
+    spec = CollectiveSpec(
+        kind="col-bcast", key=("cb", 0), root=0, participants=(0, 1, 2, 3), nbytes=8
+    )
+    plan = _plan_from_specs(0, [spec], [])
+    communication_volumes(None, grid, "flat", plans=[plan])
+    columns = plan._volume_columns
+    assert columns is not None
+
+    narrower = dataclasses.replace(spec, participants=(0, 2), nbytes=16)
+    replaced = dataclasses.replace(plan, col_bcasts=[narrower])
+    assert replaced._volume_columns is None
+    for p in (plan, replaced):
+        assert_reports_equal(
+            _communication_volumes_reference(None, grid, "binomial", plans=[p]),
+            communication_volumes(None, grid, "binomial", plans=[p]),
+        )
+    assert plan._volume_columns is columns
+    assert replaced._volume_columns is not columns
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["sym", "unsym"])
+def test_memoized_ranks_checked_against_every_grid(unsym_problem, symmetric):
+    # Columns memoized on a 4x4 grid hold ranks up to 15; reused on a
+    # 2x2 grid they must be refused, not charged to other counters.
+    make = iter_plans if symmetric else iter_unsym_plans
+    plans = list(make(unsym_problem.struct, ProcessorGrid(4, 4)))
+    communication_volumes(None, ProcessorGrid(4, 4), "binary", plans=plans)
+    with pytest.raises(ValueError, match="out of range for a grid of 4 ranks"):
+        communication_volumes(None, ProcessorGrid(2, 2), "binary", plans=plans)
+
+
+def test_memoized_point_to_points_checked_against_every_grid():
+    coll = CollectiveSpec(
+        kind="col-bcast", key=("cb", 0), root=0, participants=(0, 1), nbytes=8
+    )
+    p2p = PointToPointSpec(kind="cross-send", key=("p2p", 0), src=0, dst=4, nbytes=8)
+    plans = [_plan_from_specs(0, [coll], [p2p])]
+    communication_volumes(None, ProcessorGrid(2, 3), "flat", plans=plans)
+    # Without the cross sends the out-of-range destination is never charged.
+    communication_volumes(None, ProcessorGrid(2, 2), "flat", plans=plans, include_cross=False)
+    with pytest.raises(ValueError, match="out of range for a grid of 4 ranks"):
+        communication_volumes(None, ProcessorGrid(2, 2), "flat", plans=plans)
 
 
 def test_unknown_scheme_rejected_upfront():
