@@ -21,11 +21,9 @@ Two engines share this contract:
   (``engine="vectorized"``).  An entry carries its own state, so the
   engine holds only the events still pending: its memory follows the
   queue depth, not the number of events run.  The production drain of
-  this calendar is not :meth:`VecSimulator.run` but
-  :class:`~repro.simulate.machine.VecMachine`'s own copy of its loop,
-  which runs the per-message receive and delivery stages inline; the
-  engine's loops serve plain schedules and stepped ``run(until=...)``
-  drains.
+  this calendar is :meth:`VecMachine.run
+  <repro.simulate.machine.VecMachine.run>`, this engine's loop with the
+  per-message receive and delivery stages inline.
 
 Both drain any schedule stream in the exact same ``(time, seq)`` order
 (pinned by a Hypothesis equivalence test), so every simulated outcome is
@@ -38,14 +36,42 @@ measures the scheduler and the machine, not the protocol.
 from __future__ import annotations
 
 import heapq
+import math
 import time
-from bisect import insort
+from bisect import bisect_right, insort
+from itertools import islice, takewhile
 from typing import Any, Callable
 
 __all__ = ["Simulator", "VecSimulator"]
 
 # Sentinel distinguishing "no argument" from a legitimate None argument.
 _NO_ARG = object()
+
+
+def _budget_error(max_events: int) -> str:
+    """The message of a drain that ran out of its event budget."""
+    return (
+        f"simulation exceeded {max_events} events -- likely a "
+        "protocol bug (deadlock would drain, livelock would not)"
+    )
+
+
+def _horizon(until: float | None) -> tuple:
+    """The entry key a bounded run stops after: ``(time, seq, ...) <=
+    (until, inf)`` holds exactly for the events at or before ``until``."""
+    return (math.inf if until is None else until, math.inf)
+
+
+def _report(metrics, events: int, depth_hw: int, start_wall: float) -> None:
+    """Emit one drain's loop series: ``sim.events``,
+    ``sim.queue_depth_high_water``, ``sim.wall_seconds`` and
+    ``sim.events_per_sec``."""
+    wall = time.perf_counter() - start_wall  # det: allow(DET003)
+    metrics.counter("sim.events").inc(events)
+    metrics.gauge("sim.queue_depth_high_water").update_max(depth_hw)
+    metrics.gauge("sim.wall_seconds").set(wall)
+    if wall > 0.0:
+        metrics.gauge("sim.events_per_sec").set(events / wall)
 
 
 class Simulator:
@@ -110,13 +136,24 @@ class Simulator:
         issuing repeated bounded ``run(until=...)`` calls must therefore
         pass absolute horizons, not increments relative to ``now``.
         Both engines honor this; it is pinned by tests.
+
+        With metrics attached the loop also tracks the queue-depth
+        high-water mark (one local test per event without them) and, at
+        the end, wall-clock throughput.  Only wall time is read -- the
+        event order and virtual clock are untouched.
         """
-        if self._metrics is not None:
-            return self._run_instrumented(until, max_events)
         queue = self._queue
         pop = heapq.heappop
         no_arg = _NO_ARG
+        sample = self._metrics is not None
+        depth_hw = len(queue)
+        start_events = self._events_processed
+        start_wall = time.perf_counter()  # det: allow(DET003) observation-only
         while queue:
+            if sample:
+                depth = len(queue)
+                if depth > depth_hw:
+                    depth_hw = depth
             t = queue[0][0]
             # Horizon first: an event beyond ``until`` would never
             # execute, so it must not trip the event budget (the
@@ -125,10 +162,7 @@ class Simulator:
             if until is not None and t > until:
                 break
             if max_events is not None and self._events_processed >= max_events:
-                raise RuntimeError(
-                    f"simulation exceeded {max_events} events -- likely a "
-                    "protocol bug (deadlock would drain, livelock would not)"
-                )
+                raise RuntimeError(_budget_error(max_events))
             _, _, fn, arg = pop(queue)
             self.now = t
             self._events_processed += 1
@@ -136,52 +170,9 @@ class Simulator:
                 fn()
             else:
                 fn(arg)
-        return self.now
-
-    def _run_instrumented(
-        self, until: float | None, max_events: int | None
-    ) -> float:
-        """The :meth:`run` loop plus telemetry (metrics attached).
-
-        A separate copy so the default loop carries zero extra work; this
-        one additionally tracks the queue-depth high-water mark and, at
-        the end, wall-clock throughput.  Only wall time is read -- the
-        event order and virtual clock are untouched.
-        """
-        metrics = self._metrics
-        queue = self._queue
-        pop = heapq.heappop
-        no_arg = _NO_ARG
-        depth_hw = len(queue)
-        start_events = self._events_processed
-        start_wall = time.perf_counter()  # det: allow(DET003) observation-only
-        while queue:
-            depth = len(queue)
-            if depth > depth_hw:
-                depth_hw = depth
-            t = queue[0][0]
-            # Horizon before budget, mirroring the uninstrumented loop.
-            if until is not None and t > until:
-                break
-            if max_events is not None and self._events_processed >= max_events:
-                raise RuntimeError(
-                    f"simulation exceeded {max_events} events -- likely a "
-                    "protocol bug (deadlock would drain, livelock would not)"
-                )
-            _, _, fn, arg = pop(queue)
-            self.now = t
-            self._events_processed += 1
-            if arg is no_arg:
-                fn()
-            else:
-                fn(arg)
-        wall = time.perf_counter() - start_wall  # det: allow(DET003)
-        n = self._events_processed - start_events
-        metrics.counter("sim.events").inc(n)
-        metrics.gauge("sim.queue_depth_high_water").update_max(depth_hw)
-        metrics.gauge("sim.wall_seconds").set(wall)
-        if wall > 0.0:
-            metrics.gauge("sim.events_per_sec").set(n / wall)
+        if sample:
+            _report(self._metrics, self._events_processed - start_events,
+                    depth_hw, start_wall)
         return self.now
 
     def pending(self) -> int:
@@ -225,10 +216,9 @@ class VecSimulator:
     seq, the same negative-delay / past-time errors, ``max_events``
     checked before each event, and a bounded ``run(until=...)`` leaving
     ``now`` at the last executed event (unexecuted tails are re-parked).
-    Bounded runs take a per-event loop with per-event counters.  With
-    metrics attached both loops report the ``sim.*`` series of
-    :class:`Simulator`, the queue-depth high-water mark included,
-    exactly.
+    One loop serves bounded and unbounded drains.  With metrics
+    attached it reports the ``sim.*`` series of :class:`Simulator`, the
+    queue-depth high-water mark included, exactly.
 
     Per-bucket occupancy of the unbounded drains is tallied
     (:meth:`occupancy_stats`) so benchmarks can report the scheduler-vs-
@@ -236,10 +226,9 @@ class VecSimulator:
 
     The machine layer (:class:`repro.simulate.machine.VecMachine`)
     inlines the push sequence of :meth:`_push` directly into its
-    send/receive/compute stages, and its own drain (``VecMachine.run``)
-    is a copy of :meth:`run` with the receive and delivery stages
-    inlined -- any change to the scheduling invariants or to the loop
-    here must be mirrored there.
+    send/receive/compute stages, and its drain (``VecMachine.run``) is
+    :meth:`run` with the receive and delivery stages inlined -- a
+    change to the scheduling invariants or to this loop goes there too.
     """
 
     #: Bucket width in virtual seconds.  Event spacing in the PSelInv
@@ -275,9 +264,8 @@ class VecSimulator:
     def events_processed(self) -> int:
         """Number of callbacks executed so far (for perf reporting).
 
-        Updated once per drained bucket on the unbounded path (per event
-        on the scalar path), so mid-bucket reads from callbacks lag by
-        up to one bucket.
+        Updated once per drained bucket, so mid-bucket reads from
+        callbacks lag by up to one bucket.
         """
         return self._events_processed
 
@@ -350,24 +338,24 @@ class VecSimulator:
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Drain the calendar; returns the final clock value.
 
-        Same bounded-run contract as :meth:`Simulator.run`: ``until``
-        leaves ``now`` at the last *executed* event (the fast-forward
-        never jumps past the horizon to an unexecuted bucket), and
-        ``max_events`` raises with the queue intact.  Bounded runs use
-        the per-event :meth:`_run_scalar` loop.
+        Same bounded-run contract as :meth:`Simulator.run` (the
+        fast-forward never jumps past the horizon to an unexecuted
+        bucket).  One loop serves every drain: a bounded run iterates
+        :meth:`_view` of each sorted bucket instead of the bucket, and
+        :meth:`_close_bounded` settles it, so the unbounded path pays one
+        test per bucket for bounds and none per event.
 
         With metrics attached the drain samples the exact queue depth
         before every event it executes, ``_seq - executed``: every push
         takes a seq at once, and ``executed`` counts the events run so
         far.  Without metrics that sample is one local test per event.
         """
-        if until is not None or max_events is not None:
-            return self._run_scalar(until, max_events)
         buckets = self._buckets
         heap = self._bucket_heap
         table = self._table
         heappop = heapq.heappop
         sample = self._metrics is not None
+        bounded = until is not None or max_events is not None
         drained = 0
         maxb = self.max_bucket_events
         start_events = self._events_processed
@@ -380,12 +368,11 @@ class VecSimulator:
                 batch.sort()
             self._active_bucket = b
             self._active_list = batch
-            drained += 1
             executed = self._events_processed
             # The C-level list iterator survives mid-drain growth (an
             # insort always lands strictly after the in-flight position,
             # see the class docstring).
-            for t, _, h, a in batch:
+            for t, _, h, a in self._view(batch, until, max_events) if bounded else batch:
                 if sample:
                     d = self._seq - executed
                     if d > depth_hw:
@@ -398,102 +385,60 @@ class VecSimulator:
                     a()
                 else:
                     a[0](a[1])
+            if bounded:
+                if self._close_bounded(b, batch, until, max_events):
+                    break
+                continue
             self._active_bucket = -1
             self._active_list = None
             n = len(batch)
+            drained += 1
             if n > maxb:
                 maxb = n
             self._events_processed += n
-        self.buckets_drained += drained
-        self.drained_events += self._events_processed - start_events
-        self.max_bucket_events = maxb
-        self._report(start_events, depth_hw, start_wall)
+        if not bounded:
+            self.buckets_drained += drained
+            self.drained_events += self._events_processed - start_events
+            self.max_bucket_events = maxb
+        if sample:
+            _report(self._metrics, self._events_processed - start_events,
+                    depth_hw, start_wall)
         return self.now
 
-    def _run_scalar(
-        self, until: float | None, max_events: int | None
-    ) -> float:
-        """The :meth:`run` loop one event at a time, with a horizon and/or
-        an event budget.
+    def _view(self, batch: list, until: float | None, max_events: int | None):
+        """A bounded run's view of the active bucket: its events up to
+        ``until``, at most the budget left.  The list iterator under it
+        still sees mid-drain inserts."""
+        room = None if max_events is None else max(0, max_events - self._events_processed)
+        return islice(takewhile(_horizon(until).__ge__, batch), room)
 
-        Counters update per event here.  Stopping at the horizon or the
-        budget re-parks the unexecuted tail of the active bucket.
-        """
-        buckets = self._buckets
-        heap = self._bucket_heap
-        table = self._table
-        heappop = heapq.heappop
-        start_events = self._events_processed
-        depth_hw = self._seq - start_events
-        start_wall = time.perf_counter()  # det: allow(DET003) observation-only
-        stopped = False
-        while heap and not stopped:
-            b = heappop(heap)
-            batch = buckets.pop(b)
-            if len(batch) > 1:
-                batch.sort()
-            self._active_bucket = b
-            self._active_list = batch
-            i = 0
-            while i < len(batch):
-                t, _, h, a = batch[i]
-                if until is not None and t > until:
-                    stopped = True
-                    break
-                if max_events is not None and self._events_processed >= max_events:
-                    self._repark(b, batch, i)
-                    raise RuntimeError(
-                        f"simulation exceeded {max_events} events -- likely a "
-                        "protocol bug (deadlock would drain, livelock would not)"
-                    )
-                d = self._seq - self._events_processed
-                if d > depth_hw:
-                    depth_hw = d
-                i += 1
-                self.now = t
-                self._events_processed += 1
-                if h >= 2:
-                    table[h](a)
-                elif h == 0:
-                    a()
-                else:
-                    a[0](a[1])
-            self._repark(b, batch, i)
-        self._report(start_events, depth_hw, start_wall)
-        return self.now
-
-    def _report(self, start_events: int, depth_hw: int, start_wall: float) -> None:
-        """Emit :meth:`Simulator._run_instrumented`'s series (metrics
-        attached only): ``sim.events``, ``sim.queue_depth_high_water``,
-        ``sim.wall_seconds``, ``sim.events_per_sec``."""
-        metrics = self._metrics
-        if metrics is None:
-            return
-        wall = time.perf_counter() - start_wall  # det: allow(DET003)
-        n = self._events_processed - start_events
-        metrics.counter("sim.events").inc(n)
-        metrics.gauge("sim.queue_depth_high_water").update_max(depth_hw)
-        metrics.gauge("sim.wall_seconds").set(wall)
-        if wall > 0.0:
-            metrics.gauge("sim.events_per_sec").set(n / wall)
-
-    def _repark(self, b: int, batch: list, i: int) -> None:
-        """Close the active bucket, returning ``batch[i:]`` (the events
-        a bounded run did not execute) to the calendar."""
-        tail = batch[i:]
+    def _close_bounded(self, b: int, batch: list, until: float | None,
+                       max_events: int | None) -> bool:
+        """Close a bucket a bounded run drained through :meth:`_view`:
+        count its executed events (one bisect), return the rest to the
+        calendar, and say whether the run stops at the horizon.  Raises
+        the budget error, queue intact, when an event within the horizon
+        is left over (horizon before budget)."""
+        done = bisect_right(batch, _horizon(until))
+        room = done if max_events is None else max(0, max_events - self._events_processed)
+        self._events_processed += min(done, room)
+        tail = batch[min(done, room):]
         if tail:
             self._buckets[b] = tail
             heapq.heappush(self._bucket_heap, b)
         self._active_bucket = -1
         self._active_list = None
+        if done > room:
+            raise RuntimeError(_budget_error(max_events))
+        return bool(tail)
 
     def pending(self) -> int:
         """Number of events still queued: seqs allocated minus events
         processed.
 
         Exact between :meth:`run` calls; mid-bucket reads from callbacks
-        lag by up to one bucket on the unbounded path (the processed
-        count is written back once per bucket).
+        lag by up to one bucket (the processed count is written back
+        once per bucket).
         """
         return self._seq - self._events_processed
 

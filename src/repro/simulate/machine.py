@@ -28,8 +28,8 @@ network's own cost methods) and :class:`VecMachine` on the
 calendar-queue :class:`~repro.simulate.engine.VecSimulator`
 (``engine="vectorized"``: fused per-stage closures, and a
 :meth:`VecMachine.run` that drains the calendar itself with the receive
-and delivery stages inline), which reproduces it bit for bit.  Both
-drivers' protocols run unchanged on either.
+and delivery stages inline, bounded runs included), which reproduces it
+bit for bit.  Both drivers' protocols run unchanged on either.
 
 Implementation note: this is the simulator's innermost loop (millions of
 messages per run), so per-rank clocks and counters are plain Python lists
@@ -46,7 +46,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .engine import Simulator, VecSimulator
+from .engine import Simulator, VecSimulator, _report
 from .network import Network
 
 __all__ = [
@@ -259,6 +259,10 @@ class Machine:
         self._injection_time = network.injection_time
         self._transit_time = network.transit_time
         self._ejection_time = network.ejection_time
+        # The drain run() wraps (VecMachine's own loop replaces it), and
+        # whether run() has made its one full collection.
+        self._drain = self.sim.run
+        self._collected = False
 
     # -- wiring --------------------------------------------------------------
 
@@ -406,32 +410,36 @@ class Machine:
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def run(self, max_events: int | None = None) -> float:
-        """Drain all events; returns the makespan (final virtual time).
+    def run(self, until: float | None = None,
+            max_events: int | None = None) -> float:
+        """Drain the events up to ``until`` (all of them by default);
+        returns the final virtual time, the makespan of a full drain.
+
+        ``until`` and ``max_events`` bound the drain with the
+        simulator's bounded-run contract (:meth:`Simulator.run`).
 
         The cyclic garbage collector is paused for the drain and its
         previous state restored afterwards: the live simulator holds
         hundreds of thousands of containers that every full collection
         re-walks while reclaiming almost nothing (the event records are
         acyclic and freed by reference counting).  One full collection
-        runs first, while the collector is enabled: a drain's
-        allocations no longer advance the collector's generation
-        counters, so without it the cyclic object graphs of finished
-        simulations would pile up across runs.
+        runs before a machine's first drain, while the collector is
+        enabled: a drain's allocations no longer advance the
+        collector's generation counters, so without it the cyclic
+        object graphs of finished simulations would pile up across
+        runs.  Later drains of the same machine (a stepped run) skip
+        it: they follow a drain that already collected.
         """
         was_enabled = gc.isenabled()
-        if was_enabled:
+        if was_enabled and not self._collected:
             gc.collect()
+            self._collected = True
         gc.disable()
         try:
-            return self._drain(max_events)
+            return self._drain(until, max_events)
         finally:
             if was_enabled:
                 gc.enable()
-
-    def _drain(self, max_events: int | None) -> float:
-        """The drain :meth:`run` wraps: the simulator's own loop."""
-        return self.sim.run(max_events=max_events)
 
 
 class VecMachine(Machine):
@@ -447,10 +455,11 @@ class VecMachine(Machine):
       argument column; delivery calls ``cb(dst, payload, aux)``, so a
       collective routes a message straight to its continuation with
       ``aux`` carrying the receiver's tree position.
-    * **Integer handler dispatch** -- the receive and deliver stages and
-      the protocol's compute completions (:meth:`register_task` +
-      ``post_named``) sit in the engine's handler table; every schedule
-      is a flat ``(time, hid, arg)`` triple.
+    * **Integer handler dispatch** -- every schedule is a flat ``(time,
+      hid, arg)`` triple.  The protocol's compute completions
+      (:meth:`register_task` + ``post_named``) sit in the engine's
+      handler table; the receive and deliver ids only tag entries for
+      the drain, and their table slot raises ``RuntimeError``.
     * **Fused network arithmetic** -- injection/ejection/transit costs
       are inlined from the network's flattened constants, with the
       ``(latency, 1/bandwidth, jitter)`` triple memoized per *node*
@@ -467,22 +476,21 @@ class VecMachine(Machine):
     CPU overhead), the deliver stage (hooks, then ``cb``) and
     ``post_named(rank, seconds, hid, arg)`` (occupy ``rank``'s CPU for
     the precomputed ``seconds``, then dispatch ``table[hid](arg)``).
+    The receive and deliver stages live in the drain itself (below).
     Each inlines :meth:`VecSimulator._push` without its past-time guard
     (every machine-scheduled time is ``now`` plus non-negative costs);
     only the engine's cursor state stays behind attribute loads.  The
     arithmetic is expression-for-expression that of :class:`Machine`,
     so timestamps are bit-identical.
 
-    :meth:`run` drains the calendar with its own copy of
-    :meth:`VecSimulator.run`'s loop, in which a receive entry runs the
-    receive stage in the loop body and a delivery entry calls ``cb``
-    directly: a message makes no handler-table call.  The metrics'
-    exact depth sample lives in the same loop, so every production
-    drain runs it.  The registered receive/deliver handlers serve the
-    engine's own per-event loop (a budgeted ``run(max_events=...)`` or
-    a stepped ``sim.run(until=...)``), so the receive stage is written
-    twice; ``tests/test_vectorized_engine.py`` drains random traffic
-    both ways.
+    :meth:`run` drains the calendar with :meth:`VecSimulator.run`'s
+    loop, in which a receive entry runs the receive stage in the loop
+    body and a delivery entry calls ``cb`` directly: a message makes no
+    handler-table call.  That one loop serves every drain: unbounded,
+    stepped (``run(until=...)``) and budgeted (``run(max_events=...)``)
+    alike, with the metrics' exact depth sample in it.  The engine's
+    own :meth:`VecSimulator.run` cannot drain a message (``sim.run()``
+    with one in flight raises), so each stage is written once.
 
     The timeline recorder, the trace log and ``deliver_cpu_overhead``
     are one hook test per stage.  Metrics and hot spots need none: the
@@ -560,50 +568,15 @@ class VecMachine(Machine):
         inv_width = sim._inv_width
         table = sim._table
 
-        def deliver_pt(rec):
-            if hooked:
-                hook_deliver(rec)
-            rec[3](rec[0], rec[5], rec[4])
+        def inline_only(rec):
+            raise RuntimeError(
+                "a VecMachine's messages drain only through VecMachine.run"
+            )
 
-        def receive_pt(rec):
-            dst = rec[0]
-            nbytes = rec[1]
-            col = recv_cols[rec[2]]
-            if col is None:
-                bind_recv(rec[2])
-                col = recv_cols[rec[2]]
-            col[dst] += nbytes
-            now = sim.now
-            eject = nbytes * ej_bw_inv
-            nic = nic_in_free[dst]
-            nic_start = nic if nic > now else now
-            nic_done = nic_start + eject
-            nic_in_free[dst] = nic_done
-            nic_in_col[dst] += eject
-            cpu = cpu_free[dst]
-            start = cpu if cpu > nic_done else nic_done
-            deliver_at = start + recv_oh
-            cpu_free[dst] = deliver_at
-            recv_oh_col[dst] += recv_oh
-            if timeline is not None:
-                timeline.record_receive(
-                    message(rec), nic_start, nic_done, start, deliver_at
-                )
-            s = sim._seq
-            sim._seq = s + 1
-            ev = (deliver_at, s, hid_deliver_pt, rec)
-            b = int(deliver_at * inv_width)
-            if b == sim._active_bucket:
-                insort(sim._active_list, ev)
-            else:
-                try:
-                    sbk[b].append(ev)
-                except KeyError:
-                    sbk[b] = [ev]
-                    heappush(sheap, b)
-
-        hid_receive_pt = sim.register_handler(receive_pt)
-        hid_deliver_pt = sim.register_handler(deliver_pt)
+        # Entry tags of the two message stages, which only drain() runs.
+        hid_receive_pt = sim.register_handler(inline_only)
+        hid_deliver_pt = sim.register_handler(inline_only)
+        self._hid_deliver = hid_deliver_pt
 
         def send_pt(src, dst, tag, nbytes, cid, cb, aux=0, payload=None):
             now = sim.now
@@ -677,14 +650,11 @@ class VecMachine(Machine):
                     sbk[b] = [ev]
                     heappush(sheap, b)
 
-        def drain(max_events):
+        def drain(until, max_events):
             # VecSimulator.run with the receive and deliver stages
-            # inlined (receive_pt / deliver_pt above, expression for
-            # expression).  A budgeted drain takes the engine's
-            # per-event loop, which runs the registered handlers.
-            if max_events is not None:
-                return sim.run(max_events=max_events)
+            # inlined; see that loop for the bounded view.
             sample = sim._metrics is not None
+            bounded = until is not None or max_events is not None
             drained = 0
             maxb = sim.max_bucket_events
             start_events = sim._events_processed
@@ -700,7 +670,8 @@ class VecMachine(Machine):
                 executed = sim._events_processed
                 # The C-level list iterator survives mid-drain growth:
                 # an insort lands strictly after the in-flight position.
-                for t, _, hid, rec in batch:
+                for t, _, hid, rec in (sim._view(batch, until, max_events)
+                                       if bounded else batch):
                     if sample:
                         d = sim._seq - executed
                         if d > depth_hw:
@@ -753,6 +724,10 @@ class VecMachine(Machine):
                         rec()
                     else:
                         rec[0](rec[1])
+                if bounded:
+                    if sim._close_bounded(b, batch, until, max_events):
+                        break
+                    continue
                 n = len(batch)
                 sim._active_bucket = -1
                 sim._active_list = None
@@ -760,10 +735,13 @@ class VecMachine(Machine):
                 if n > maxb:
                     maxb = n
                 sim._events_processed += n
-            sim.buckets_drained += drained
-            sim.drained_events += sim._events_processed - start_events
-            sim.max_bucket_events = maxb
-            sim._report(start_events, depth_hw, start_wall)
+            if not bounded:
+                sim.buckets_drained += drained
+                sim.drained_events += sim._events_processed - start_events
+                sim.max_bucket_events = maxb
+            if sample:
+                _report(sim._metrics, sim._events_processed - start_events,
+                        depth_hw, start_wall)
             return sim.now
 
         self.send_pt = send_pt

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.simulate import Machine, Network, NetworkConfig, Simulator
+from repro.simulate import Machine, Network, NetworkConfig, Simulator, VecMachine
 
 
 class TestSimulator:
@@ -285,6 +285,23 @@ class TestRunPausesCollector:
         m.run()
         assert seen == [False]
         assert not gc.isenabled()
+
+    @pytest.mark.parametrize("cls", [Machine, VecMachine])
+    def test_stepped_drain_collects_once(self, cls, monkeypatch):
+        # A stepped drain pauses the collector on every run() call but
+        # makes only the first call's full collection.
+        gc.enable()
+        calls = []
+        monkeypatch.setattr(gc, "collect", lambda *a: calls.append(a))
+        m = cls(2, Network(2, NetworkConfig()))
+        seen = []
+        for _ in range(3):
+            m.post_compute(0, 1.0, lambda: seen.append(gc.isenabled()))
+        for horizon in (1.5, 2.5, 3.5):
+            m.run(until=horizon)
+            assert gc.isenabled()
+        assert seen == [False] * 3
+        assert len(calls) == 1
 
 
 class TestNetworkConfigImmutability:

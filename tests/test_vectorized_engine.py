@@ -16,9 +16,11 @@ the machine; the protocol itself is checked by the outcome digests of
 * **Machine.**  :class:`VecMachine` reproduces :class:`Machine`
   bit-for-bit on scripted traffic: same timestamps, same stats dicts,
   same trace events, including a wide same-timestamp fan-in drained
-  unbounded and bounded.  Its own drain (``VecMachine.run``, receive
-  and delivery inline, event budget included) matches both the
-  engine's handler route and the heapq machine on random traffic.
+  unbounded and bounded.  Its drain (``VecMachine.run``, receive and
+  delivery inline) is the one route a message takes: stepped through
+  ``until`` horizons, stopped by an event budget or run to the end, it
+  matches the heapq machine on random traffic, and the engine's own
+  loop refuses to run a message.
 * **Stats read-outs.**  A drained :class:`VecMachine`'s read-out views
   and totals match :class:`Machine`'s exactly, with integer message
   counts and copies, not aliases, of the live tallies.
@@ -527,13 +529,13 @@ def test_bounded_fan_in_matches_legacy():
     got_l = _fan_in(ml)
     horizons = (1e-6, 5e-6, 1.0)
     for h in horizons:
-        ml.sim.run(until=h)
+        ml.run(until=h)
     assert ml.sim.pending() == 0
 
     mv = _machine(VecMachine)
     got_v = _fan_in(mv)
     for h in horizons:
-        mv.sim.run(until=h)
+        mv.run(until=h)
     assert mv.sim.pending() == 0
     assert mv.sim.events_processed == ml.sim.events_processed
     assert _drain_outcome(mv, got_v) == _drain_outcome(ml, got_l)
@@ -570,7 +572,7 @@ def test_vec_machine_stats_readouts_match_legacy():
 
 
 # ---------------------------------------------------------------------------
-# The two receive routes: VecMachine.run's inline stages vs the handlers
+# One message route: VecMachine.run, stepped, budgeted or unbounded
 # ---------------------------------------------------------------------------
 
 _RANKS = 8
@@ -639,8 +641,9 @@ def _play(m, traffic):
 
 
 def _three_drains(traffic, with_metrics):
-    """Drain ``traffic`` through ``VecMachine.run``, through stepped
-    ``VecMachine.sim.run(until=...)`` and on the heapq ``Machine``."""
+    """Drain ``traffic`` through an unbounded ``VecMachine.run()``,
+    through stepped ``VecMachine.run(until=...)`` and on the heapq
+    ``Machine``."""
     outs = []
     for cls, stepped in ((VecMachine, False), (VecMachine, True),
                          (Machine, False)):
@@ -653,7 +656,7 @@ def _three_drains(traffic, with_metrics):
             horizon = 0.0
             while m.sim.pending():
                 horizon += 1.3e-7
-                m.sim.run(until=horizon)
+                m.run(until=horizon)
         else:
             m.run()
         snap = reg.snapshot()
@@ -670,14 +673,32 @@ def _three_drains(traffic, with_metrics):
 
 @settings(max_examples=60, deadline=None)
 @given(traffic=_traffic_st, with_metrics=st.booleans())
-def test_inline_receive_matches_handler_routes(traffic, with_metrics):
-    """Jittered random traffic drains identically through the inline
-    receive/deliver stages of ``VecMachine.run``, through the registered
-    handlers of a stepped ``sim.run(until=...)`` and on the heapq
-    machine: delivery times, CommStats columns, event counts and, with
-    metrics attached, the queue-depth high-water mark."""
-    inline, stepped, heapq_ = _three_drains(traffic, with_metrics)
-    assert inline == stepped == heapq_
+def test_stepped_drain_matches_unbounded_and_heapq(traffic, with_metrics):
+    """Jittered random traffic drains identically through an unbounded
+    ``VecMachine.run()``, through ``VecMachine.run(until=...)`` stepped
+    over many horizons and on the heapq machine: delivery times,
+    CommStats columns, event counts and, with metrics attached, the
+    queue-depth high-water mark."""
+    unbounded, stepped, heapq_ = _three_drains(traffic, with_metrics)
+    assert unbounded == stepped == heapq_
+
+
+@pytest.mark.parametrize("dst", [0, 1])
+def test_engine_loop_refuses_messages(dst):
+    """A message in flight on a ``VecMachine`` drains only through
+    ``VecMachine.run``: the engine's own loop raises at its receive (or,
+    for a self-send, delivery) entry and runs no stage of it."""
+    m = VecMachine(_RANKS, Network(_RANKS, _FAST_NET))
+    got = []
+    m.send_pt(0, dst, "t", 64, m.category_id("x"),
+              lambda d, payload, aux: got.append(d))
+    with pytest.raises(RuntimeError,
+                       match="drain only through VecMachine.run"):
+        m.sim.run()
+    assert got == []
+    assert m.stats._received == {}
+    assert list(m.stats._nic_in_busy) == [0.0] * _RANKS
+    assert list(m.stats._recv_overhead_busy) == [0.0] * _RANKS
 
 
 @settings(max_examples=40, deadline=None)
@@ -735,17 +756,16 @@ def test_inline_receive_inserts_into_the_active_bucket(monkeypatch):
     traffic = [(0.0, r, 8, [((r + 1) % _RANKS, 8, 0.0, 1),
                             ((r + 3) % _RANKS, 512, 3e-8, 2)])
                for r in range(_RANKS)]
-    inline, stepped, heapq_ = _three_drains(traffic, True)
-    assert inline == stepped == heapq_
+    unbounded, stepped, heapq_ = _three_drains(traffic, True)
+    assert unbounded == stepped == heapq_
     # The depth peaks mid-drain, above the eight tasks queued at start.
-    assert inline[-1] > _RANKS
+    assert unbounded[-1] > _RANKS
 
     m = VecMachine(_RANKS, Network(_RANKS, _FAST_NET))
-    table = m.sim._table
     delivered = []
 
     def counting_insort(batch, ev):
-        if table[ev[2]].__name__ == "deliver_pt":
+        if ev[2] == m._hid_deliver:
             delivered.append(ev)
         insort(batch, ev)
 
