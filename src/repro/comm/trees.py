@@ -56,7 +56,6 @@ __all__ = [
     "hybrid_tree",
     "build_tree",
     "tree_arrays",
-    "canonical_tree_key",
     "structure_tree_key",
     "rotation_offset",
     "permutation_indices",
@@ -648,40 +647,6 @@ def _resolve_scheme(scheme: str, n_others: int, hybrid_threshold: int) -> str:
     if scheme == "hybrid":
         return "flat" if n_others + 1 <= hybrid_threshold else "shifted"
     return scheme
-
-
-def canonical_tree_key(
-    scheme: str,
-    root: int,
-    others: tuple[int, ...],
-    seed: int,
-    *,
-    hybrid_threshold: int = 8,
-) -> tuple:
-    """Canonical identity of one concrete tree: two collectives with the
-    same key build the same tree.
-
-    ``others`` is the sorted non-root participant tuple.  For ``shifted``
-    the seed only matters through the rotation offset; for ``randperm``
-    through the permutation; the deterministic schemes drop it entirely.
-
-    Compatibility shim: this is no longer the *cache* key (which would
-    make the keyspace scale with the number of distinct (root,
-    participants) pairs and thrash the LRU) -- the cache keys on
-    :func:`structure_tree_key`, which drops the absolute ranks.  This
-    function remains the equality predicate for "would these two calls
-    return the same tree", which planners and tests still rely on.
-    """
-    scheme = _resolve_scheme(scheme, len(others), hybrid_threshold)
-    if scheme == "shifted":
-        return ("shifted", root, others, rotation_offset(seed, len(others)))
-    if scheme == "randperm":
-        return ("randperm", root, others, permutation_indices(seed, len(others)))
-    if scheme in ("flat", "binary", "binomial"):
-        return (scheme, root, others)
-    raise ValueError(
-        f"unknown tree scheme {scheme!r}; expected one of {TREE_SCHEMES}"
-    )
 
 
 def structure_tree_key(

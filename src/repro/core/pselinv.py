@@ -68,8 +68,10 @@ pinned outcome digests (``tests/test_pselinv_pinned.py``) cover the
 protocol.  This driver and the unsymmetric one
 (:mod:`repro.core.pselinv_unsym`, the same compiled interface and
 collectives, on :class:`~repro.simulate.machine.VecMachine`) run on one
-skeleton, :class:`_PSelInvDriver` (window, numeric kernels, result), and
-every GEMM of both takes its ``Ainv`` operand through
+skeleton, :class:`_PSelInvDriver`: the window, the collective builders,
+the ``Ainv`` readiness table (int keys ``row * nsup + col``), the
+``diag-inv`` task, the numeric kernels and the result.  Every GEMM of
+both takes its ``Ainv`` operand through
 :meth:`_PSelInvDriver._ainv_operand`: one open-mesh index per GEMM, from
 block offsets computed once per numeric supernode on window entry and
 a locator per stored off-diagonal block (no search per GEMM).
@@ -84,7 +86,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from ..comm.collectives import VecBroadcast, VecReduce, record_shapes
-from ..comm.trees import compiled_tree, tree_cache_info
+from ..comm.trees import CompiledTree, compiled_tree, tree_cache_info
 from ..simulate.machine import CommStats, Machine, VecMachine
 from ..simulate.network import Network, NetworkConfig
 from ..sparse.factor import SupernodalFactor
@@ -254,13 +256,18 @@ class _PSelInvDriver:
     :class:`SimulatedPSelInv` and
     :class:`~repro.core.pselinv_unsym.SimulatedPSelInvUnsym` differ only
     in their protocol.  Shared here: the lookahead window (Algorithm 1's
-    second loop) with its root-supernode shortcut, the diagonal and
+    second loop) with its root-supernode shortcut, the collective
+    builders (:meth:`_tree`, :meth:`_bcast`, :meth:`_reduce`), the
+    ``Ainv`` readiness table, the ``diag-inv`` task, the diagonal and
     L-panel kernels, the GEMM operand and the result.  A subclass passes
     its machine class (``machine_cls``) and supplies ``_iter_plans`` and
     ``_state_cls`` (its plans and per-supernode bookkeeping),
     ``_enter_window(plan)`` (build supernode ``plan.k``'s collectives,
-    return the diagonal broadcasts to start), ``_mark_ainv_ready(key,
-    data)`` (``Ainv`` block ``key`` is available) and its handlers.
+    return the diagonal broadcasts to start) and its handlers.
+
+    ``Ainv`` readiness is one int set keyed ``row * nsup + col`` and one
+    waiter dict under the same keys, of ``(rank, seconds, task id,
+    argument)`` items posted in arrival order.
     """
 
     def __init__(
@@ -279,7 +286,24 @@ class _PSelInvDriver:
         plans: list | None,
         machine_cls: type[Machine],
         machine_kwargs: dict | None = None,
+        tree_cache: dict | None = None,
     ) -> None:
+        # Trees depend on (scheme, seed, hybrid threshold, grid, struct),
+        # not on the engine; callers sweeping over jitter/placement seeds
+        # may share a cache across runs with identical configuration.  A
+        # guard key catches accidental reuse.
+        if tree_cache is not None:
+            guard = (
+                "__config__", scheme, seed, hybrid_threshold, grid.pr,
+                grid.pc, struct.nsup,
+            )
+            prior = tree_cache.setdefault("__guard__", guard)
+            if prior != guard:
+                raise ValueError(
+                    "tree_cache was built for a different configuration: "
+                    f"{prior} vs {guard}"
+                )
+        self._tree_cache = tree_cache
         self.struct = struct
         self.grid = grid
         self.scheme = scheme
@@ -315,8 +339,86 @@ class _PSelInvDriver:
         # (see _store_locator).
         self.ainv_data: dict[tuple[int, int], Any] = {}
         self.ainv_loc: dict[tuple[int, int], np.ndarray] = {}
+        # Ainv readiness (see the class docstring).
+        self._nsup = struct.nsup
+        self._ready: set[int] = set()
+        self._waiters: dict[int, list] = {}
+        self._hid_base = self.machine.register_task(self._base_fin, "diag-inv")
         self.done_diag = 0
         self._ran = False
+
+    # -- collectives -------------------------------------------------------------
+
+    def _tree(self, spec) -> CompiledTree:
+        """The spec's :class:`CompiledTree`.  It is memoized only in a
+        caller's ``tree_cache``: every collective key is used once per
+        run, so a run keeps no memo of its own."""
+        cache = self._tree_cache
+        tree = None if cache is None else cache.get(spec.key)
+        if tree is None:
+            tree = compiled_tree(
+                self.scheme, spec.root, spec.participants,
+                collective_seed(self.seed, spec.key),
+                hybrid_threshold=self.hybrid_threshold,
+            )
+            if cache is not None:
+                cache[spec.key] = tree
+        return tree
+
+    def _bcast(self, spec, on_delivery, ctx) -> VecBroadcast:
+        """The (unstarted) broadcast of ``spec``; each delivery calls
+        ``on_delivery(ctx, rank, payload)``."""
+        return VecBroadcast(
+            self.machine, self._tree(spec), spec.key, spec.nbytes, spec.kind,
+            on_delivery, ctx,
+        )
+
+    def _reduce(self, spec, contributors, on_complete, ctx) -> tuple:
+        """The reduction of ``spec`` over the ranks ``contributors``, and
+        its rank -> tree position map: ``(red, pos)``.  Completion calls
+        ``on_complete(ctx, value)``."""
+        tree = self._tree(spec)
+        pos = dict(zip(tree.ranks, range(tree.size)))
+        red = VecReduce(
+            self.machine, tree, spec.key, spec.nbytes, spec.kind,
+            [pos[r] for r in contributors], on_complete, ctx,
+        )
+        return red, pos
+
+    # -- Ainv readiness ------------------------------------------------------------
+
+    def _mark_ready(self, rkey: int) -> None:
+        """``Ainv`` block ``rkey`` (``row * nsup + col``) is available:
+        post the tasks parked on it, in arrival order."""
+        self._ready.add(rkey)
+        items = self._waiters.pop(rkey, None)
+        if items is not None:
+            post = self.machine.post_named
+            for rank, sec, hid, arg in items:
+                post(rank, sec, hid, arg)
+
+    def _mark_ainv_ready(self, key: tuple[int, int], data: Any) -> None:
+        """``Ainv`` block ``key = (row, col)`` is available, with its
+        numeric ``data`` (kept in numeric runs only)."""
+        if self.numeric:
+            self.ainv_data[key] = data
+        self._mark_ready(key[0] * self._nsup + key[1])
+
+    def _post_when_ready(self, rkey: int, rank: int, sec: float, hid: int,
+                         arg: Any) -> None:
+        """Post task ``hid`` now if ``Ainv`` block ``rkey`` is ready,
+        else park it until :meth:`_mark_ready`."""
+        if rkey in self._ready:
+            self.machine.post_named(rank, sec, hid, arg)
+        else:
+            self._waiters.setdefault(rkey, []).append((rank, sec, hid, arg))
+
+    def _base_fin(self, arg) -> None:
+        """The ``diag-inv`` task: the base term ``inv(U_KK) inv(L_KK)``
+        at the diagonal owner, computed while the panels move."""
+        st, lu = arg
+        if lu is not None:
+            st.base = self._invert_diag(lu)
 
     # -- the lookahead window ------------------------------------------------
 
@@ -595,42 +697,11 @@ class SimulatedPSelInv(_PSelInvDriver):
             plans=plans,
             machine_cls=_MACHINES[engine],
             machine_kwargs=machine_kwargs,
+            tree_cache=tree_cache,
         )
         if metrics is not None:
             self.machine.sim.attach_metrics(metrics)
-        # Trees depend on (scheme, seed, hybrid threshold, grid, struct),
-        # not on the engine; callers sweeping over jitter/placement seeds
-        # may share a cache across runs with identical configuration.  A
-        # guard key catches accidental reuse.
-        self._tree_cache = tree_cache if tree_cache is not None else {}
-        guard = (
-            "__config__", scheme, seed, hybrid_threshold, grid.pr, grid.pc,
-            struct.nsup,
-        )
-        prior = self._tree_cache.setdefault("__guard__", guard)
-        if prior != guard:
-            raise ValueError(
-                "tree_cache was built for a different configuration: "
-                f"{prior} vs {guard}"
-            )
         self._init_vec_protocol()
-
-    # -- setup ------------------------------------------------------------
-
-    def _tree(self, spec) -> Any:
-        """The spec's :class:`CompiledTree`, memoized per run/config."""
-        key = spec.key
-        tree = self._tree_cache.get(key)
-        if tree is None:
-            tree = compiled_tree(
-                self.scheme,
-                spec.root,
-                spec.participants,
-                collective_seed(self.seed, key),
-                hybrid_threshold=self.hybrid_threshold,
-            )
-            self._tree_cache[key] = tree
-        return tree
 
     # -- the compiled protocol ---------------------------------------------------
     #
@@ -662,14 +733,10 @@ class SimulatedPSelInv(_PSelInvDriver):
         self._hid_diagc = task(
             self._diag_fin_num if num else self._diag_fin_vec, "diag-contrib"
         )
-        self._hid_base = task(self._base_fin_vec, "diag-inv")
         self._hid_colred = task(self._colred_fin_vec, "finish-diag")
-        self._ready: set[int] = set()
-        self._vwaiters: dict[int, list] = {}
         # Column broadcasts waiting on their cross-send, keyed
         # k * nsup + i (popped exactly once when the Lhat panel lands).
         self._vec_cb: dict[int, Any] = {}
-        self._nsup = self.struct.nsup
         self._nranks = self.grid.size
 
     def _setup_supernode_vec(self, plan: SupernodePlan) -> VecBroadcast:
@@ -683,7 +750,6 @@ class SimulatedPSelInv(_PSelInvDriver):
         are exact integers below 2^53, so factoring them elementwise
         cannot change a bit).
         """
-        m = self.machine
         k = plan.k
         st = self.states[k]
         nsup = self._nsup
@@ -691,7 +757,7 @@ class SimulatedPSelInv(_PSelInvDriver):
         pr, pc = self.grid.pr, self.grid.pc
         kc = k % pc
         kr_pc = (k % pr) * pc
-        cfg = m.network.config
+        cfg = self.machine.network.config
         task_oh = cfg.task_overhead
         rate = cfg.flop_rate
         blocks = plan.blocks
@@ -729,11 +795,7 @@ class SimulatedPSelInv(_PSelInvDriver):
         # reduces, col reduce): reduce construction can emit
         # degenerate-relay sends, so this order is part of the pinned
         # outcome.
-        spec = plan.diag_bcast
-        diag_bc = VecBroadcast(
-            m, self._tree(spec), spec.key, spec.nbytes, spec.kind,
-            self._on_diag_delivery_vec, st,
-        )
+        diag_bc = self._bcast(plan.diag_bcast, self._on_diag_delivery_vec, st)
         vcb = self._vec_cb
         kn = k * nsup
         # The delivery context of col-bcast i carries its GEMM-duration
@@ -743,24 +805,20 @@ class SimulatedPSelInv(_PSelInvDriver):
         idx_of = {sn_: x for x, sn_ in enumerate(snodes)}
         for spec in plan.col_bcasts:
             i = spec.key[2]
-            vcb[kn + i] = VecBroadcast(
-                m, self._tree(spec), spec.key, spec.nbytes, spec.kind,
-                self._on_colbcast_delivery_vec, (st, secs[idx_of[i]], i),
+            vcb[kn + i] = self._bcast(
+                spec, self._on_colbcast_delivery_vec, (st, secs[idx_of[i]], i),
             )
         gl: dict[int, int] = {}
         st.gemms_left = gl
         fin_args: dict[int, tuple] = {}
         # Each reduce's rank -> tree position map lives only in this
-        # call: the memoized trees carry none.
+        # call: the trees carry none.
         for spec in plan.row_reduces:
             j = spec.key[2]
-            tree = self._tree(spec)
-            pos = dict(zip(tree.ranks, range(tree.size)))
             jrow_j = (j % pr) * pc
             jn = j * nranks
-            red = VecReduce(
-                m, tree, spec.key, spec.nbytes, spec.kind,
-                [pos[jrow_j + c] for c in ucols],
+            red, pos = self._reduce(
+                spec, [jrow_j + c for c in ucols],
                 self._on_rowreduce_complete_vec, (st, j),
             )
             for c, cnt in zip(ucols, ucnts):
@@ -772,13 +830,8 @@ class SimulatedPSelInv(_PSelInvDriver):
         st.diag_left = dl
         for jrow, g in rowgroups.items():
             dl[jrow + kc] = len(g)
-        spec = plan.col_reduce
-        tree = self._tree(spec)
-        pos = dict(zip(tree.ranks, range(tree.size)))
-        cr = VecReduce(
-            m, tree, spec.key, spec.nbytes, spec.kind,
-            [pos[d] for d in dl],
-            self._on_colreduce_complete_vec, st,
+        cr, pos = self._reduce(
+            plan.col_reduce, dl, self._on_colreduce_complete_vec, st,
         )
         dfin = {d: (dl, d, cr, pos[d]) for d in dl}
         # Per row block j: everything its row-reduce completion touches.
@@ -832,15 +885,6 @@ class SimulatedPSelInv(_PSelInvDriver):
                 )
         return diag_bc
 
-    def _mark_ready_vec(self, rkey: int) -> None:
-        self._ready.add(rkey)
-        w = self._vwaiters.pop(rkey, None)
-        if w is not None:
-            post = self.machine.post_named
-            hid = self._hid_gemm
-            for rank, sec, arg in w:
-                post(rank, sec, hid, arg)
-
     def _on_diag_delivery_vec(self, st, rank: int, payload) -> None:
         if rank == st.plan.diag_owner:
             self.machine.post_named(
@@ -852,10 +896,6 @@ class SimulatedPSelInv(_PSelInvDriver):
             hid = self._hid_norm
             for sec, arg in ents:
                 post(rank, sec, hid, arg if payload is None else (arg, payload))
-
-    def _base_fin_vec(self, arg) -> None:
-        st, lu = arg
-        st.base = None if lu is None else self._invert_diag(lu)
 
     def _norm_fin_vec(self, arg) -> None:
         # (src, u_owner, ("cs", k, i), nbytes, col-bcast key)
@@ -887,8 +927,9 @@ class SimulatedPSelInv(_PSelInvDriver):
         if payload is not None:
             st.uhat[(i, rank)] = payload
             fins = [(f, i) for f in fins]
+        # _post_when_ready, inlined: one call per GEMM is the hot path.
         ready = self._ready
-        waiters = self._vwaiters
+        waiters = self._waiters
         post = self.machine.post_named
         hid = self._hid_gemm
         for x in range(len(group)):
@@ -896,7 +937,7 @@ class SimulatedPSelInv(_PSelInvDriver):
             if rkey in ready:
                 post(rank, sec_row[group[x]], hid, fins[x])
             else:
-                ent = (rank, sec_row[group[x]], fins[x])
+                ent = (rank, sec_row[group[x]], hid, fins[x])
                 w = waiters.get(rkey)
                 if w is None:
                     waiters[rkey] = [ent]
@@ -935,7 +976,7 @@ class SimulatedPSelInv(_PSelInvDriver):
             self._store_locator(st, j)
             back = ainv_jk.T
             dfin = (dfin, st, j)
-        self._mark_ready_vec(rkey)
+        self._mark_ready(rkey)
         self.machine.send_pt(
             dest, u_owner, xbtag, nbytes, self._cid_back,
             self._on_cross_back_vec, bkey, back,
@@ -946,7 +987,7 @@ class SimulatedPSelInv(_PSelInvDriver):
         if payload is not None:
             # Upper Ainv block (K, J), aux = k * nsup + j.
             self.ainv_data[divmod(aux, self._nsup)] = payload
-        self._mark_ready_vec(aux)
+        self._mark_ready(aux)
 
     def _diag_fin_vec(self, arg) -> None:
         dl, dest, cr, cpos = arg
@@ -971,11 +1012,10 @@ class SimulatedPSelInv(_PSelInvDriver):
 
     def _colred_fin_vec(self, arg) -> None:
         st, value = arg
-        k = st.plan.k
         if value is not None:
             st.diag_value = st.base - value
-            self.ainv_data[(k, k)] = st.diag_value
-        self._mark_ready_vec(k * self._nsup + k)
+        k = st.plan.k
+        self._mark_ainv_ready((k, k), st.diag_value)
         st.release()
         self._supernode_finished()
 
@@ -983,12 +1023,6 @@ class SimulatedPSelInv(_PSelInvDriver):
 
     def _enter_window(self, plan: SupernodePlan) -> tuple:
         return (self._setup_supernode_vec(plan),)
-
-    def _mark_ainv_ready(self, key: tuple[int, int], data: Any) -> None:
-        """A root supernode's diagonal block is ready (the skeleton's
-        hook; the compiled handlers call :meth:`_mark_ready_vec`)."""
-        self.ainv_data[key] = data
-        self._mark_ready_vec(key[0] * self._nsup + key[1])
 
     # -- driver ------------------------------------------------------------------
 

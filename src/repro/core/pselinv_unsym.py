@@ -18,22 +18,23 @@ U-side stage (see :mod:`repro.core.plan_unsym` for the event table):
   ``K mod Pr`` -- the ``Lhat`` factor is already present at each upper
   owner because it was that block's column-broadcast root.
 
-Everything but the protocol -- the lookahead window, the L-side numeric
+Everything but the protocol comes from the symmetric driver's
+skeleton, :class:`~repro.core.pselinv._PSelInvDriver`: the lookahead
+window, the collective builders, the ``Ainv`` readiness table (int keys
+``row * nsup + col``), the ``diag-inv`` task, the L-side numeric
 kernels, the GEMM operand (block offsets computed once per supernode,
-one locator per stored off-diagonal pair) and the result -- comes from
-the symmetric driver's skeleton,
-:class:`~repro.core.pselinv._PSelInvDriver`.  The protocol speaks the
-machine's compiled interface, like the symmetric one: collectives are
-:class:`~repro.comm.collectives.VecBroadcast` /
+one locator per stored off-diagonal pair) and the result.  The protocol
+speaks the machine's compiled interface, like the symmetric one:
+collectives are :class:`~repro.comm.collectives.VecBroadcast` /
 :class:`~repro.comm.collectives.VecReduce` over
 :class:`~repro.comm.trees.CompiledTree` tables, whose delivery and
 completion callbacks get the supernode's state as their ``ctx``; the two
 cross sends ride ``send_pt``; every compute task is a registered task
 posted with ``post_named``, its duration ``Network.compute_time`` of the
-task's flop count.  ``Ainv`` readiness is keyed ``(row, col)``.  The
-driver runs on :class:`~repro.simulate.machine.VecMachine` (no
-``engine=`` option); its pinned outcomes were recorded on the heapq
-machine and hold on either.
+task's flop count.  The driver runs on
+:class:`~repro.simulate.machine.VecMachine` (no ``engine=`` option); its
+pinned outcomes were recorded on the heapq machine and hold on either
+(the tests run them on both).
 
 Numeric mode is verified against the sequential unsymmetric oracle
 exactly, which is the strongest evidence the mirrored dataflow is right.
@@ -46,8 +47,7 @@ from typing import Any
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ..comm.collectives import VecBroadcast, VecReduce
-from ..comm.trees import compiled_tree
+from ..comm.collectives import VecBroadcast
 from ..simulate.machine import VecMachine
 from ..simulate.network import NetworkConfig
 from ..sparse.factor import SupernodalFactor
@@ -55,7 +55,6 @@ from ..sparse.supernodes import SupernodalStructure
 from .grid import ProcessorGrid
 from .plan_unsym import UnsymSupernodePlan, iter_unsym_plans
 from .pselinv import PSelInvResult, _accumulate, _PSelInvDriver
-from .volume import collective_seed
 
 __all__ = ["SimulatedPSelInvUnsym", "run_pselinv_unsym"]
 
@@ -211,40 +210,14 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
         self._seconds = m.network.compute_time
         self._cid_l2u = m.category_id("cross-l2u")
         self._cid_u2l = m.category_id("cross-u2l")
-        self._hid_base = task(self._base_fin, "diag-inv")
         self._hid_norm_l = task(self._norm_l_fin, "normalize")
         self._hid_norm_u = task(self._norm_u_fin, "normalize")
         self._hid_gemm_l = task(self._gemm_l_fin, "gemm")
         self._hid_gemm_u = task(self._gemm_u_fin, "gemm")
         self._hid_diagc = task(self._diagc_fin, "diag-contrib")
         self._hid_finish = task(self._finish_fin, "finish-diag")
-        # GEMMs parked until their Ainv operand, by (row_snode, col_snode);
-        # a key is ready once it is in ``ainv_data`` (None in symbolic runs).
-        self.waiters: dict[tuple[int, int], list] = {}
 
     # -- window entry -------------------------------------------------------
-
-    def _tree(self, spec):
-        return compiled_tree(
-            self.scheme, spec.root, spec.participants,
-            collective_seed(self.seed, spec.key),
-            hybrid_threshold=self.hybrid_threshold,
-        )
-
-    def _bcast(self, spec, on_delivery, ctx) -> VecBroadcast:
-        return VecBroadcast(
-            self.machine, self._tree(spec), spec.key, spec.nbytes, spec.kind,
-            on_delivery, ctx,
-        )
-
-    def _reduce(self, spec, contributors, on_complete, ctx) -> tuple:
-        tree = self._tree(spec)
-        pos = dict(zip(tree.ranks, range(tree.size)))
-        red = VecReduce(
-            self.machine, tree, spec.key, spec.nbytes, spec.kind,
-            [pos[r] for r in contributors], on_complete, ctx,
-        )
-        return red, pos
 
     def _dispatch_tables(self, plan: UnsymSupernodePlan) -> None:
         st = self.states[plan.k]
@@ -302,24 +275,6 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
         )
         return diag_col, diag_row
 
-    # -- Ainv readiness -------------------------------------------------------
-
-    def _post_gemm(self, key: tuple[int, int], rank: int, flops: float,
-                   hid: int, arg: tuple) -> None:
-        """Post a GEMM now if its operand ``Ainv`` block ``key`` is
-        ready, else park it until :meth:`_mark_ainv_ready`."""
-        item = (rank, self._seconds(flops), hid, arg)
-        if key in self.ainv_data:
-            self.machine.post_named(*item)
-        else:
-            self.waiters.setdefault(key, []).append(item)
-
-    def _mark_ainv_ready(self, key: tuple[int, int], data: Any) -> None:
-        self.ainv_data[key] = data
-        post = self.machine.post_named
-        for item in self.waiters.pop(key, ()):
-            post(*item)
-
     # -- the diagonal block and normalization ---------------------------------
 
     def _raw_u_block(self, k: int, i: int) -> np.ndarray:
@@ -343,11 +298,6 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
                 rank, self._seconds(s * s * b.nrows), self._hid_norm_u,
                 (st, b.snode, rank, payload),
             )
-
-    def _base_fin(self, arg) -> None:
-        st, lu = arg
-        if self.numeric:
-            st.base = self._invert_diag(lu)
 
     def _norm_l_fin(self, arg) -> None:
         st, i, rank, lu = arg
@@ -396,11 +346,11 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
             return  # a relay rank
         if payload is not None:
             st.bcast_l[(i, rank)] = payload
-        s, nrows = st.plan.width, st.nrows
+        s, nrows, nsup = st.plan.width, st.nrows, self._nsup
         for j in js:
-            self._post_gemm(
-                (j, i), rank, 2.0 * nrows[i] * nrows[j] * s, self._hid_gemm_l,
-                (st, i, j, rank),
+            self._post_when_ready(
+                j * nsup + i, rank, self._seconds(2.0 * nrows[i] * nrows[j] * s),
+                self._hid_gemm_l, (st, i, j, rank),
             )
 
     def _on_row_delivery(self, ctx, rank: int, payload: Any) -> None:
@@ -410,11 +360,11 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
             return  # a relay rank
         if payload is not None:
             st.bcast_u[(i, rank)] = payload
-        s, nrows = st.plan.width, st.nrows
+        s, nrows, nsup = st.plan.width, st.nrows, self._nsup
         for j in js:
-            self._post_gemm(
-                (i, j), rank, 2.0 * nrows[i] * nrows[j] * s, self._hid_gemm_u,
-                (st, i, j, rank),
+            self._post_when_ready(
+                i * nsup + j, rank, self._seconds(2.0 * nrows[i] * nrows[j] * s),
+                self._hid_gemm_u, (st, i, j, rank),
             )
 
     def _gemm_l_fin(self, arg) -> None:

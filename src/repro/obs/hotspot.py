@@ -112,10 +112,6 @@ class HotSpotMonitor:
         bytes sent per rank (matches ``VolumeReport.col_bcast_sent``)."""
         return self.sent("col-bcast") + self.sent("diag-bcast")
 
-    def row_reduce_sent(self) -> np.ndarray:
-        """Fig. 7's load vector: row-reduce bytes sent per rank."""
-        return self.sent("row-reduce")
-
     def imbalance(self, category: str | None = None, *, direction="sent"):
         """Imbalance statistics for one category (None = total)."""
         load = self.sent(category) if direction == "sent" else self.received(category)

@@ -349,6 +349,9 @@ class VecSimulator:
         before every event it executes, ``_seq - executed``: every push
         takes a seq at once, and ``executed`` counts the events run so
         far.  Without metrics that sample is one local test per event.
+        One closing sample when the run stops stands for the heapq
+        loop's sample at the iteration that finds the next event beyond
+        the horizon, so a bounded run reports the same high-water mark.
         """
         buckets = self._buckets
         heap = self._bucket_heap
@@ -402,7 +405,8 @@ class VecSimulator:
             self.max_bucket_events = maxb
         if sample:
             _report(self._metrics, self._events_processed - start_events,
-                    depth_hw, start_wall)
+                    max(depth_hw, self._seq - self._events_processed),
+                    start_wall)
         return self.now
 
     def _view(self, batch: list, until: float | None, max_events: int | None):

@@ -289,9 +289,6 @@ class Machine:
     def now(self) -> float:
         return self.sim.now
 
-    def cpu_busy_until(self, rank: int) -> float:
-        return self._cpu_free[rank]
-
     # -- communication ---------------------------------------------------------
 
     def send_pt(self, src, dst, tag, nbytes, cid, cb, aux=0, payload=None):
@@ -740,8 +737,10 @@ class VecMachine(Machine):
                 sim.drained_events += sim._events_processed - start_events
                 sim.max_bucket_events = maxb
             if sample:
+                # The closing sample of VecSimulator.run.
                 _report(sim._metrics, sim._events_processed - start_events,
-                        depth_hw, start_wall)
+                        max(depth_hw, sim._seq - sim._events_processed),
+                        start_wall)
             return sim.now
 
         self.send_pt = send_pt

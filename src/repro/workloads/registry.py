@@ -23,7 +23,7 @@ import numpy as np
 
 from ..sparse.matrix import SparseMatrix
 from .dg import dg_hamiltonian
-from .laplacian import grid_laplacian_2d, grid_laplacian_3d
+from .laplacian import grid_laplacian_3d
 
 __all__ = ["Workload", "WORKLOADS", "make_workload", "workload_names"]
 
@@ -63,13 +63,6 @@ def _dg(elems: tuple[int, ...], b: int, hops: int = 1):
 def _lap3(nx: int, ny: int, nz: int, stencil: int = 7):
     def gen(rng: np.random.Generator) -> SparseMatrix:
         return grid_laplacian_3d(nx, ny, nz, stencil=stencil, rng=rng)
-
-    return gen
-
-
-def _lap2(nx: int, ny: int, stencil: int = 5):
-    def gen(rng: np.random.Generator) -> SparseMatrix:
-        return grid_laplacian_2d(nx, ny, stencil=stencil, rng=rng)
 
     return gen
 

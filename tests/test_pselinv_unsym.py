@@ -17,10 +17,11 @@ from repro.core import (
     ProcessorGrid,
     SimulatedPSelInvUnsym,
     iter_unsym_plans,
+    pselinv_unsym,
     run_pselinv_unsym,
     unsym_supernode_plan,
 )
-from repro.simulate import NetworkConfig
+from repro.simulate import Machine, NetworkConfig, Simulator
 from repro.sparse import analyze, from_dense
 from repro.sparse.factor import factorize
 from repro.sparse.selinv import normalize, selected_inversion
@@ -269,16 +270,41 @@ PINNED_UNSYM_SYMBOLIC_DIGESTS = {
 }
 
 
+def _pinned_config(struct, grid, scheme, lookahead):
+    """The unsymmetric driver in the pinned digests' configuration."""
+    net = NetworkConfig(cores_per_node=2, nodes_per_group=2, jitter_sigma=0.25)
+    return SimulatedPSelInvUnsym(
+        struct, grid, scheme, network=net, seed=3, placement_seed=5,
+        jitter_seed=11, lookahead=lookahead, hybrid_threshold=3,
+    )
+
+
+@pytest.fixture
+def heapq_machine(monkeypatch):
+    """Build the unsymmetric driver on the heapq ``Machine`` (the
+    reference oracle) in place of ``VecMachine``."""
+    monkeypatch.setattr(pselinv_unsym, "VecMachine", Machine)
+
+
 @pytest.mark.parametrize("lookahead", [1, 4, None])
 @pytest.mark.parametrize("scheme", TREE_SCHEMES)
 def test_unsym_symbolic_outcome_pinned(scheme, lookahead, digest_struct):
-    net = NetworkConfig(cores_per_node=2, nodes_per_group=2, jitter_sigma=0.25)
-    res = SimulatedPSelInvUnsym(
-        digest_struct, ProcessorGrid(2, 4), scheme, network=net, seed=3,
-        placement_seed=5, jitter_seed=11, lookahead=lookahead,
-        hybrid_threshold=3,
-    ).run()
+    res = _pinned_config(digest_struct, ProcessorGrid(2, 4), scheme,
+                         lookahead).run()
     got = symbolic_outcome_digest(res)
+    assert got == PINNED_UNSYM_SYMBOLIC_DIGESTS[(scheme, lookahead)]
+
+
+@pytest.mark.parametrize("lookahead", [1, 4, None])
+@pytest.mark.parametrize("scheme", TREE_SCHEMES)
+def test_unsym_symbolic_outcome_pinned_on_heapq_machine(
+    scheme, lookahead, digest_struct, heapq_machine,
+):
+    """The same pins hold on the heapq machine and scheduler."""
+    sim = _pinned_config(digest_struct, ProcessorGrid(2, 4), scheme, lookahead)
+    assert type(sim.machine) is Machine
+    assert type(sim.machine.sim) is Simulator
+    got = symbolic_outcome_digest(sim.run())
     assert got == PINNED_UNSYM_SYMBOLIC_DIGESTS[(scheme, lookahead)]
 
 
@@ -298,9 +324,15 @@ PINNED_UNSYM_3X4_DIGESTS = {
 
 @pytest.mark.parametrize("scheme", TREE_SCHEMES)
 def test_unsym_symbolic_outcome_pinned_3x4(scheme, digest_struct):
-    net = NetworkConfig(cores_per_node=2, nodes_per_group=2, jitter_sigma=0.25)
-    res = SimulatedPSelInvUnsym(
-        digest_struct, ProcessorGrid(3, 4), scheme, network=net, seed=3,
-        placement_seed=5, jitter_seed=11, lookahead=4, hybrid_threshold=3,
-    ).run()
+    res = _pinned_config(digest_struct, ProcessorGrid(3, 4), scheme, 4).run()
     assert symbolic_outcome_digest(res) == PINNED_UNSYM_3X4_DIGESTS[scheme]
+
+
+@pytest.mark.parametrize("scheme", TREE_SCHEMES)
+def test_unsym_symbolic_outcome_pinned_3x4_on_heapq_machine(
+    scheme, digest_struct, heapq_machine,
+):
+    sim = _pinned_config(digest_struct, ProcessorGrid(3, 4), scheme, 4)
+    assert type(sim.machine) is Machine
+    assert type(sim.machine.sim) is Simulator
+    assert symbolic_outcome_digest(sim.run()) == PINNED_UNSYM_3X4_DIGESTS[scheme]

@@ -522,6 +522,31 @@ def test_queue_depth_high_water_on_fan_in():
     assert gauges[1] == gauges[0] == _N - 1
 
 
+def test_bounded_run_depth_high_water_matches_heapq():
+    """One bounded run with metrics: an event at t=1 schedules five at
+    t=10, and ``run(until=5.0)`` stops with those five queued.  The
+    heapq loop samples the depth at the iteration that stops, so every
+    drain reports 5: ``Simulator``, ``VecSimulator`` and
+    ``VecMachine.run``."""
+    def five_later(sim):
+        for _ in range(5):
+            sim.schedule_at(10.0, lambda: None)
+
+    heapq_sim, vec_sim, machine = (
+        Simulator(), VecSimulator(), _machine(VecMachine),
+    )
+    gauges = []
+    for sim, drain in ((heapq_sim, heapq_sim), (vec_sim, vec_sim),
+                       (machine.sim, machine)):
+        reg = MetricsRegistry()
+        sim.attach_metrics(reg)
+        sim.schedule_at(1.0, five_later, sim)
+        assert drain.run(until=5.0) == 1.0
+        assert sim.pending() == 5
+        gauges.append(reg.snapshot()["gauges"]["sim.queue_depth_high_water"])
+    assert gauges == [5, 5, 5]
+
+
 def test_bounded_fan_in_matches_legacy():
     """A fan-in drained through successive ``until`` horizons matches the
     legacy machine's bounded drain exactly."""
