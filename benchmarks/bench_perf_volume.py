@@ -8,12 +8,15 @@ the audikw_1 proxy) under both engines:
 * ``communication_volumes`` -- the vectorized engine (flat participant
   slot arrays, every tree edge charged with bulk numpy operations).
 
-The vectorized engine memoizes each plan's read-out on the plan, so its
-first pass over a plan list (*cold*) builds those columns and later
-passes (*warm*) reuse them.  Each repeat runs the reference pass, a
-cold vectorized pass on fresh copies of the plans and a warm pass on
-the same copies, ``REPEATS`` times in alternation, and the JSON records
-each pass's median with its quartiles.  The bench asserts
+The vectorized engine memoizes each plan's read-out and seeded tree
+orders on the plan, so its first pass over a plan list (*cold*) builds
+them and later passes (*warm*) reuse them.  Each repeat runs the
+reference pass, a cold vectorized pass on fresh copies of the plans and
+a warm pass on the same copies, ``REPEATS`` times in alternation, and
+the JSON records each pass's median with its quartiles.  Each repeat
+also times one warm pass per scheme of ``TREE_SCHEMES`` (the six-scheme
+row), and the bench asserts that warm shifted, hybrid and randperm stay
+within ``MAX_SEEDED_RATIO`` of warm binary.  The bench asserts
 bit-identical counters, then measures the tree-structure cache on the
 same plans through its remaining user, the vectorized simulator's
 ``compiled_tree`` (a cold pass over every collective on a fresh cache,
@@ -31,6 +34,7 @@ import numpy as np
 
 from repro.analysis import Table
 from repro.comm.trees import (
+    TREE_SCHEMES,
     compiled_tree,
     tree_cache_clear,
     tree_cache_info,
@@ -59,6 +63,11 @@ REPEATS = 5
 # least this factor (5x at paper tier; quick tier is smaller and keeps a
 # margin for noisy CI boxes).
 MIN_SPEEDUP = {"quick": 3.0, "paper": 5.0}
+
+# A warm shifted, hybrid or randperm pass reads its memoized orders, so
+# it may take at most this multiple of a warm binary pass (same shape).
+SEEDED_SCHEMES = ("shifted", "hybrid", "randperm")
+MAX_SEEDED_RATIO = 2.0
 
 
 def _table1(engine, struct, grid, plans):
@@ -117,6 +126,11 @@ def test_perf_volume_engine(benchmark):
     # pass runs under the benchmark fixture.  Fresh plan copies carry no
     # memoized columns (dataclasses.replace resets them).
     ref_samples, cold_samples, warm_samples = [], [], []
+    # The six-scheme row runs on the original plans, warmed once here
+    # (columns and every seeded order), so each repeat times warm passes.
+    scheme_samples = {scheme: [] for scheme in TREE_SCHEMES}
+    for scheme in TREE_SCHEMES:
+        communication_volumes(prob.struct, grid, scheme, seed=SEED, plans=plans)
     for i in range(REPEATS):
         ref_reports, seconds = _timed(reference)
         ref_samples.append(seconds)
@@ -133,6 +147,13 @@ def test_perf_volume_engine(benchmark):
         cold_samples.append(seconds)
         warm_reports, seconds = _timed(vectorized)
         warm_samples.append(seconds)
+        for scheme in TREE_SCHEMES:
+            _, seconds = _timed(
+                lambda: communication_volumes(
+                    prob.struct, grid, scheme, seed=SEED, plans=plans
+                )
+            )
+            scheme_samples[scheme].append(seconds)
 
     # Bit-identical counters -- the speedup is worthless otherwise.
     for scheme in SCHEMES:
@@ -166,6 +187,12 @@ def test_perf_volume_engine(benchmark):
     ref_seconds = ref_spread["median"]
     cold_seconds, warm_seconds = cold_spread["median"], warm_spread["median"]
     speedup = ref_seconds / cold_seconds
+    scheme_spreads = {scheme: _spread(scheme_samples[scheme]) for scheme in TREE_SCHEMES}
+    binary_warm = scheme_spreads["binary"]["median"]
+    seeded_ratio = {
+        scheme: round(scheme_spreads[scheme]["median"] / binary_warm, 2)
+        for scheme in SEEDED_SCHEMES
+    }
     result = {
         "bench": "table1_colbcast_4schemes",
         "scale": SCALE,
@@ -182,6 +209,9 @@ def test_perf_volume_engine(benchmark):
         "reference_collectives_per_sec": round(len(SCHEMES) * ncoll / ref_seconds),
         "vectorized_cold_collectives_per_sec": round(len(SCHEMES) * ncoll / cold_seconds),
         "vectorized_warm_collectives_per_sec": round(len(SCHEMES) * ncoll / warm_seconds),
+        "six_scheme_warm_seconds": scheme_spreads,
+        "seeded_warm_ratio_to_binary": seeded_ratio,
+        "max_seeded_ratio": MAX_SEEDED_RATIO,
         "tree_cache_source": "compiled_tree",
         "tree_cache": cache,
         "unix_time": int(time.time()),
@@ -208,6 +238,18 @@ def test_perf_volume_engine(benchmark):
             f"{spread['q1']:.3f}-{spread['q3']:.3f}",
             rate,
         )
+    six = Table(
+        f"Warm pass per scheme ({grid.pr}x{grid.pc}, median of {REPEATS} "
+        "alternated repeats; seeded orders memoized per plan)",
+        ["scheme", "seconds", "IQR", "x binary"],
+    )
+    for scheme, spread in scheme_spreads.items():
+        six.add(
+            scheme,
+            f"{spread['median']:.4f}",
+            f"{spread['q1']:.4f}-{spread['q3']:.4f}",
+            f"{spread['median'] / binary_warm:.2f}",
+        )
     thr = record_throughput(
         "bench_perf_volume",
         wall_seconds=warm_seconds,
@@ -224,9 +266,15 @@ def test_perf_volume_engine(benchmark):
             f"(hit rate {c['hit_rate']:.1%})"
             for sec, c in cache.items()
         )
+        + "\n" + six.render()
         + "\n" + thr,
     )
 
     assert speedup >= MIN_SPEEDUP.get(SCALE, 3.0), (
         f"vectorized engine (cold) only {speedup:.1f}x faster than reference"
     )
+    for scheme, ratio in seeded_ratio.items():
+        assert ratio <= MAX_SEEDED_RATIO, (
+            f"warm {scheme} pass {ratio:.2f}x warm binary "
+            f"(ceiling {MAX_SEEDED_RATIO}x)"
+        )

@@ -19,10 +19,16 @@ Two engines compute them:
   child count is its construction-order position (the sorted index
   ``j + 1``, rotated for shifted trees, scattered through the
   permutation for randperm) looked up in the positional shapes of
-  :mod:`repro.comm.trees`.  Chunks of about 16k slots are then charged
-  with int64 ``np.add.at`` -- no per-collective tree is built and the
-  tree-structure cache is never consulted.  Bytes are integers, so the
-  order of accumulation cannot change any result.
+  :mod:`repro.comm.trees`.  The seeded orders are memoized beside the
+  columns too: the first shifted or hybrid call under a seed derives one
+  rotation offset per collective, the first randperm call one
+  permutation of each collective's slots, and later calls under that
+  seed read them back (one seed per tree family; a new seed replaces
+  the old one).  Chunks of about 16k slots are then charged with int64
+  ``np.add.at`` -- no per-collective tree is built, and neither the
+  tree-structure cache nor the per-collective seed memos are consulted.
+  Bytes are integers, so the order of accumulation cannot change any
+  result.
 * :func:`_communication_volumes_reference` -- the original
   one-tree-per-collective implementation, retained verbatim as the
   differential-testing oracle.
@@ -119,8 +125,10 @@ def collective_seed(global_seed: int, key: tuple) -> int:
     """Per-collective tree seed, shared by the analytic model and the
     simulator so both build identical shifted trees.
 
-    Memoized: scheme sweeps, the DES, and both volume engines all derive
-    the seed of the same ``(global_seed, key)`` pair repeatedly.
+    Memoized: scheme sweeps, the DES and the reference volume engine all
+    derive the seed of the same ``(global_seed, key)`` pair repeatedly.
+    The vectorized engine derives each seed once per plan, through the
+    un-memoized ``__wrapped__``, into its memoized order columns.
     """
     out: list[int] = []
     for part in key:
@@ -313,6 +321,8 @@ _CHUNK_SLOTS = 1 << 14
 # reorder the ranks laid onto the binary shape.
 _FAMILIES = ("flat", "binary", "binomial")
 _FAMILY_ID = {"flat": 0, "binary": 1, "binomial": 2, "shifted": 1, "randperm": 1}
+# The seeded order column each scheme reads (see _plan_order).
+_ORDER_FAMILY = {"shifted": "shifted", "hybrid": "shifted", "randperm": "randperm"}
 
 # Counter rows per kind in the charging table: kind ``k``'s sent,
 # received and message counters of rank ``r`` sit at flat index
@@ -387,12 +397,16 @@ class _PlanColumns(NamedTuple):
     collective's sorted, distinct non-root participants in turn.  Every
     column but ``nbytes`` is narrowed to the smallest dtype that holds
     it; ranks are checked against the grid of each call, not here.
+
+    ``orders`` memoizes the seeded tree orders, keyed by family, each
+    entry one ``(seed, column)`` tuple (see :func:`_plan_order`).
     """
 
     ncoll: int
     head: np.ndarray
     nbytes: np.ndarray
     ranks: np.ndarray
+    orders: dict
 
 
 def _plan_columns(plan) -> _PlanColumns:
@@ -400,6 +414,48 @@ def _plan_columns(plan) -> _PlanColumns:
     if cols is None:
         cols = plan._volume_columns = _read_out(plan)
     return cols
+
+
+# The un-memoized derivations: an order column is built once per plan
+# and seed, so filling the process-wide memos would only hold it twice.
+_seed_of = collective_seed.__wrapped__
+_rotation = rotation_offset.__wrapped__
+_permutation = permutation_indices.__wrapped__
+
+
+def _plan_order(plan, cols: _PlanColumns, family: str, seed: int) -> np.ndarray:
+    """``plan``'s seeded order column of ``family``, memoized in ``cols``.
+
+    ``"shifted"`` (read by shifted and hybrid) holds one rotation offset
+    per collective, 0 where ``n <= 1``; ``"randperm"`` holds each
+    collective's permutation of its ``n`` sorted non-root slots, in turn,
+    lined up with ``cols.ranks``.  The memo keeps one seed per family: a
+    new seed replaces the entry, and seed and column are one tuple, so a
+    concurrent call never reads one seed's column under another seed.
+    """
+    entry = cols.orders.get(family)
+    if entry is not None and entry[0] == seed:
+        return entry[1]
+    counts = cols.head[2, : cols.ncoll].tolist()
+    pairs = zip(map(_KEY, plan.collectives()), counts)
+    if family == "shifted":
+        column = np.fromiter(
+            (_rotation(_seed_of(seed, key), n) if n > 1 else 0 for key, n in pairs),
+            dtype=np.int64,
+            count=cols.ncoll,
+        )
+    else:
+        column = np.fromiter(
+            chain.from_iterable(
+                _permutation(_seed_of(seed, key), n) if n > 1 else range(n)
+                for key, n in pairs
+            ),
+            dtype=np.int64,
+            count=cols.ranks.size,
+        )
+    column = _narrow(column)
+    cols.orders[family] = (seed, column)
+    return column
 
 
 def _read_out(plan) -> _PlanColumns:
@@ -430,7 +486,9 @@ def _read_out(plan) -> _PlanColumns:
         np.concatenate((roots, _column(_SRC, p2ps))),
         np.concatenate((np.bincount(coll, minlength=ncoll), _column(_DST, p2ps))),
     ))
-    return _PlanColumns(ncoll, _narrow(head), _column(_NBYTES, entries), _narrow(ranks))
+    return _PlanColumns(
+        ncoll, _narrow(head), _column(_NBYTES, entries), _narrow(ranks), {}
+    )
 
 
 class _Charger:
@@ -440,20 +498,22 @@ class _Charger:
     row its kids-weighted side charges (senders of a broadcast,
     receivers of a reduction)."""
 
-    def __init__(self, p, scheme, seed, hybrid_threshold, heavy):
+    def __init__(self, p, scheme, hybrid_threshold, heavy):
         self.p = p
         self.scheme = scheme
-        self.seed = seed
         self.hybrid_threshold = hybrid_threshold
         self.heavy = heavy
         self.table = np.zeros(3 * heavy.size * p, dtype=np.int64)
         self.max_degree = np.zeros(heavy.size, dtype=np.int64)
         self.chunks = 0
 
-    def collectives(self, kind, root, nb, n, rank, keys) -> None:
+    def collectives(self, kind, root, nb, n, rank, order) -> None:
         """Charge one chunk: per collective its kind, root, bytes and
-        non-root count ``n``; ``rank`` holds the non-root ranks, and
-        ``keys`` the collective keys (rotated schemes only)."""
+        non-root count ``n``; ``rank`` holds the non-root ranks.
+        ``order`` is the chunk's slice of the memoized seeded order
+        (see :func:`_plan_order`): one rotation offset per collective
+        for shifted and hybrid, one permutation entry per slot for
+        randperm, ``None`` for the unseeded schemes."""
         p = self.p
         _check_ranks(rank, p)
         ncoll = n.size
@@ -462,33 +522,19 @@ class _Charger:
         # Each slot's sorted index j within its collective.
         start = np.cumsum(n) - n
         j = np.arange(coll.size, dtype=np.int64) - start[coll]
-        pos = j + 1
         fam = np.full(ncoll, _FAMILY_ID.get(self.scheme, 0), dtype=np.int64)
-        rotated = None
-        if self.scheme == "shifted":
-            rotated = n > 1
-        elif self.scheme == "hybrid":
+        if self.scheme == "hybrid":
             big = n + 1 > self.hybrid_threshold
             fam[big] = _FAMILY_ID["shifted"]
-            rotated = big & (n > 1)
-        seed, counts = self.seed, n.tolist()
-        if rotated is not None and rotated.any():
-            sel = np.flatnonzero(rotated)
-            off = np.zeros(ncoll, dtype=np.int64)
-            off[sel] = [
-                rotation_offset(collective_seed(seed, keys[c]), counts[c])
-                for c in sel.tolist()
-            ]
-            pos = (j - off[coll]) % n[coll] + 1
+            order = np.where(big, order, 0)
+        if self.scheme in ("shifted", "hybrid"):
+            pos = (j - order[coll]) % n[coll] + 1
         elif self.scheme == "randperm":
-            permuted = n > 1
-            sel = np.flatnonzero(permuted)
-            perm: list[int] = []
-            for c in sel.tolist():
-                perm.extend(permutation_indices(collective_seed(seed, keys[c]), counts[c]))
-            # Sorted participant perm[q] sits at construction position q+1.
-            target = np.repeat(start[sel], n[sel]) + np.asarray(perm, dtype=np.int64)
-            pos[target] = j[permuted[coll]] + 1
+            # Sorted participant order[q] sits at construction position q+1.
+            pos = np.empty_like(j)
+            pos[start[coll] + order] = j + 1
+        else:
+            pos = j + 1
 
         # One concatenated child-count table over the (family, size)
         # shapes present; position 0 of each shape is the root.
@@ -600,7 +646,7 @@ def communication_volumes(
     heavy = np.array(
         [_SENT if name.endswith("bcast") else _RECV for name in names], dtype=np.int64
     )
-    charger = _Charger(p, scheme, seed, hybrid_threshold, heavy)
+    charger = _Charger(p, scheme, hybrid_threshold, heavy)
     np2p = 0
     if include_cross:
         p2p = ~is_coll
@@ -612,12 +658,17 @@ def communication_volumes(
     coll_nb = nbytes[is_coll]
     del head, nbytes
     _check_ranks(root, p)
-    keys = None
-    if scheme in ("shifted", "hybrid", "randperm"):
-        keys = list(map(_KEY, chain.from_iterable(plan.collectives() for plan in plans)))
+    # The seeded orders, memoized per plan: rotation offsets line up
+    # with the collectives, permutations with the ranks.
+    family = _ORDER_FAMILY.get(scheme)
+    orders = offsets = None
+    if family is not None:
+        orders = [_plan_order(plan, c, family, seed) for plan, c in zip(plans, cols)]
+        if family == "shifted" and orders:
+            offsets = np.concatenate(orders)
     # Chunk bounds: cut after the collective whose slots reach each
-    # multiple of _CHUNK_SLOTS; a chunk's ranks come from the plans it
-    # spans.
+    # multiple of _CHUNK_SLOTS; a chunk's ranks (and permutations) come
+    # from the plans it spans.
     slot_end = np.cumsum(count, dtype=np.int64)
     nslots = int(slot_end[-1]) if slot_end.size else 0
     cuts = np.searchsorted(slot_end, np.arange(_CHUNK_SLOTS, nslots, _CHUNK_SLOTS)) + 1
@@ -632,13 +683,22 @@ def communication_volumes(
         q0 = int(np.searchsorted(plan_end, s0, side="right"))
         q1 = int(np.searchsorted(plan_end, s1)) + 1
         base = int(plan_end[q0]) - ranks[q0].size
+
+        def slots(per_plan):
+            return np.concatenate(per_plan[q0:q1])[s0 - base : s1 - base].astype(np.int64)
+
+        order = None
+        if offsets is not None:
+            order = offsets[c0:c1].astype(np.int64)
+        elif orders is not None:
+            order = slots(orders)
         charger.collectives(
             local[kind[c0:c1]],
             root[c0:c1].astype(np.int64),
             coll_nb[c0:c1],
             count[c0:c1].astype(np.int64),
-            np.concatenate(ranks[q0:q1])[s0 - base : s1 - base].astype(np.int64),
-            keys[c0:c1] if keys is not None else None,
+            slots(ranks),
+            order,
         )
 
     report = VolumeReport(grid=grid, scheme=scheme)

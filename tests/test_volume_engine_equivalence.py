@@ -13,6 +13,8 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -314,6 +316,115 @@ def test_replaced_plan_gets_fresh_columns():
         )
     assert plan._volume_columns is columns
     assert replaced._volume_columns is not columns
+
+
+SEEDED_SCHEMES = ("shifted", "hybrid", "randperm")
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["sym", "unsym"])
+def test_seed_sweep_matches_reference(unsym_problem, symmetric):
+    """A sweep over tree seeds, each seed charged under every seeded
+    scheme: every call equals the oracle, and each plan's order memo
+    holds only the latest seed per family."""
+    grid = ProcessorGrid(3, 5)
+    make = iter_plans if symmetric else iter_unsym_plans
+    plans = list(make(unsym_problem.struct, grid))
+    for seed in (0, 1, 20160523, 2**31 - 1, 7):
+        for scheme in SEEDED_SCHEMES:
+            kwargs = dict(seed=seed, hybrid_threshold=3, plans=plans)
+            assert_reports_equal(
+                _communication_volumes_reference(None, grid, scheme, **kwargs),
+                communication_volumes(None, grid, scheme, **kwargs),
+            )
+        for plan in plans:
+            orders = plan._volume_columns.orders
+            assert sorted(orders) == ["randperm", "shifted"]
+            assert all(entry[0] == seed for entry in orders.values())
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["sym", "unsym"])
+def test_hybrid_reuses_the_shifted_offsets(unsym_problem, symmetric):
+    grid = ProcessorGrid(3, 5)
+    make = iter_plans if symmetric else iter_unsym_plans
+    plans = list(make(unsym_problem.struct, grid))
+    communication_volumes(None, grid, "shifted", seed=11, plans=plans)
+    offsets = [plan._volume_columns.orders["shifted"][1] for plan in plans]
+    vec = communication_volumes(None, grid, "hybrid", seed=11, plans=plans)
+    assert_reports_equal(
+        _communication_volumes_reference(None, grid, "hybrid", seed=11, plans=plans), vec
+    )
+    for plan, column in zip(plans, offsets):
+        # Hybrid read the shifted entry and built none of its own.
+        assert list(plan._volume_columns.orders) == ["shifted"]
+        assert plan._volume_columns.orders["shifted"][1] is column
+    # One offset per collective; the permutation column lines up with
+    # the ranks.
+    communication_volumes(None, grid, "randperm", seed=11, plans=plans)
+    for plan in plans:
+        cols = plan._volume_columns
+        assert cols.orders["shifted"][1].size == cols.ncoll
+        assert cols.orders["randperm"][1].size == cols.ranks.size
+
+
+def test_concurrent_seeds_never_mix_orders(unsym_problem):
+    """Threads charging one plan list under different seeds keep
+    replacing each other's order entries; every report must still be
+    its own seed's (a seed read apart from its column would mix them)."""
+    grid = ProcessorGrid(3, 5)
+    plans = list(iter_unsym_plans(unsym_problem.struct, grid))
+    jobs = [(scheme, seed) for scheme in SEEDED_SCHEMES for seed in (1, 2, 3)]
+    # Threshold 3: hybrid rotates the 3- to 5-member collectives here.
+    expected = {
+        job: _communication_volumes_reference(
+            None, grid, job[0], seed=job[1], hybrid_threshold=3, plans=plans
+        )
+        for job in jobs
+    }
+    failures = []
+
+    def worker(offset):
+        for i in range(3 * len(jobs)):
+            scheme, seed = jobs[(offset + i) % len(jobs)]
+            vec = communication_volumes(
+                None, grid, scheme, seed=seed, hybrid_threshold=3, plans=plans
+            )
+            try:
+                assert_reports_equal(expected[scheme, seed], vec)
+            except AssertionError as exc:
+                failures.append((scheme, seed, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures, failures[0]
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["sym", "unsym"])
+def test_replaced_plan_starts_with_no_orders(unsym_problem, symmetric):
+    grid = ProcessorGrid(3, 5)
+    make = iter_plans if symmetric else iter_unsym_plans
+    plans = list(make(unsym_problem.struct, grid))
+    for scheme in SEEDED_SCHEMES:
+        communication_volumes(None, grid, scheme, seed=5, plans=plans)
+    assert all(plan._volume_columns.orders for plan in plans)
+    fresh = [dataclasses.replace(plan) for plan in plans]
+    assert all(plan._volume_columns is None for plan in fresh)
+    communication_volumes(None, grid, "binary", plans=fresh)
+    assert all(plan._volume_columns.orders == {} for plan in fresh)
+    kwargs = dict(seed=6, plans=fresh)
+    assert_reports_equal(
+        _communication_volumes_reference(None, grid, "randperm", **kwargs),
+        communication_volumes(None, grid, "randperm", **kwargs),
+    )
+    assert all(list(plan._volume_columns.orders) == ["randperm"] for plan in fresh)
 
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["sym", "unsym"])
