@@ -1,14 +1,16 @@
-"""CI gate: the tree cache must actually work on the volume sweep.
+"""CI gate: collectives must share tree structures.
 
 Reads the ``BENCH_volume_engine.json`` that ``bench_perf_volume.py``
-just wrote and asserts the structure cache's effectiveness on the full
-Table I sweep:
+just wrote and asserts the tree-structure cache's counters from one
+``compiled_tree`` call per collective of the Table I plans (the
+``tree_cache`` section; the volume engine itself does not consult the
+cache):
 
 * cold-pass hit rate at least ``--min-hit-rate`` (default 90%; the
   structure-keyed cache measures ~99.9% -- the old rank-keyed cache
   measured ~5%, which is the regression this gate exists to catch);
 * zero evictions in either section (the structure keyspace is bounded
-  by participant counts x offsets, so any eviction at the default
+  by participant counts x offsets, so any eviction at the fixed
   capacity means the keys regressed to per-rank-set identity);
 * warm-pass hit rate of exactly 100% (every structure is already
   cached after the cold pass).

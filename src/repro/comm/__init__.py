@@ -3,7 +3,6 @@
 from .trees import (
     TREE_SCHEMES,
     CommTree,
-    TreeArrays,
     binary_tree,
     binomial_tree,
     build_tree,
@@ -15,18 +14,14 @@ from .trees import (
     rotation_offset,
     shifted_binary_tree,
     structure_tree_key,
-    tree_arrays,
     tree_cache_clear,
-    tree_cache_hit_rate,
     tree_cache_info,
     tree_cache_reset_counters,
-    tree_cache_resize,
 )
 
 __all__ = [
     "TREE_SCHEMES",
     "CommTree",
-    "TreeArrays",
     "binary_tree",
     "binomial_tree",
     "build_tree",
@@ -38,10 +33,7 @@ __all__ = [
     "rotation_offset",
     "shifted_binary_tree",
     "structure_tree_key",
-    "tree_arrays",
     "tree_cache_clear",
-    "tree_cache_hit_rate",
     "tree_cache_info",
     "tree_cache_reset_counters",
-    "tree_cache_resize",
 ]

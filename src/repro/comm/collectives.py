@@ -15,9 +15,9 @@ just count.
 :class:`VecBroadcast` / :class:`VecReduce` are compiled against a
 :class:`~repro.comm.trees.CompiledTree`:
 
-* positions, adjacency and child counts come straight from the
-  per-shape memos (shared across every tree of the same family and
-  size);
+* positions, adjacency and child counts come straight from the tree's
+  positional shape (one record shared across every tree of the same
+  family and size);
 * forwarded messages travel on the machine's point route
   (:meth:`~repro.simulate.machine.Machine.send_pt`) with the receiver's
   tree position in ``aux`` and a direct delivery callback, so a delivery
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .trees import CompiledTree, _child_counts_list, _shape_depth
+from .trees import CompiledTree, _shape
 
 __all__ = [
     "VecBroadcast",
@@ -61,12 +61,13 @@ def record_shapes(metrics, counts: dict) -> None:
     depth, one fan-out observation per position, and one forwarded
     message of ``nbytes`` per tree edge, each times the shape's count."""
     for (op, category, family, size, nbytes), n in counts.items():
+        shape = _shape(family, size)
         metrics.histogram("coll.depth", op=op, category=category).observe(
-            _shape_depth(family, size), n
+            shape.depth, n
         )
         fanout = metrics.histogram("coll.fanout", op=op, category=category)
         degrees: dict[int, int] = {}
-        for c in _child_counts_list(family, size):
+        for c in shape.counts:
             degrees[c] = degrees.get(c, 0) + 1
         for c, m in degrees.items():
             fanout.observe(c, m * n)

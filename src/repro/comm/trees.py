@@ -29,24 +29,32 @@ built here.  Five schemes:
 Trees are direction-agnostic: a broadcast pushes data root -> leaves along
 child edges, a reduction pulls contributions leaves -> root along the same
 edges reversed, exactly as MPI_Bcast/MPI_Reduce share tree shapes.
+
+Every scheme wires a positional *shape* (one per family -- flat, binary,
+binomial -- and participant count, memoized in ``_shape``) over a seeded
+construction *order* of the ranks (``_order``).  :func:`compiled_tree`
+(the simulator's list form) and :func:`build_tree` (the dict-based
+:class:`CommTree` of the plan checker, ``repro check`` and the reference
+volume engine) are two views of that one order; the per-scheme
+constructors above remain the spec both are tested against.  The
+vectorized volume engine reads the shapes' child counts directly.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "CommTree",
     "CompiledTree",
-    "TreeArrays",
     "compiled_tree",
     "flat_tree",
     "binary_tree",
@@ -55,15 +63,12 @@ __all__ = [
     "random_perm_tree",
     "hybrid_tree",
     "build_tree",
-    "tree_arrays",
     "structure_tree_key",
     "rotation_offset",
     "permutation_indices",
     "tree_cache_info",
     "tree_cache_clear",
     "tree_cache_reset_counters",
-    "tree_cache_resize",
-    "tree_cache_hit_rate",
     "derive_seed",
     "TREE_SCHEMES",
 ]
@@ -132,9 +137,8 @@ class CommTree:
 
 
 def _normalize(root: int, participants: Iterable[int]) -> list[int]:
-    """Sorted, deduplicated non-root participant list (root validated in)."""
-    s = set(int(p) for p in participants)
-    s.add(int(root))
+    """Sorted, deduplicated non-root participant list."""
+    s = set(map(int, participants))
     s.discard(int(root))
     return sorted(s)
 
@@ -291,271 +295,121 @@ def hybrid_tree(
 
 TREE_SCHEMES = ("flat", "binary", "shifted", "randperm", "hybrid", "binomial")
 
-
-# ---------------------------------------------------------------------------
-# Array-based fast path
-#
-# Every scheme above is "pick a construction order, then wire edges by
-# *position* in that order".  The per-position shape (child counts and
-# parent positions) therefore depends only on the scheme family and the
-# participant count -- tiny, heavily reused arrays -- while a concrete tree
-# is that shape composed with a rank ordering.  The vectorized volume
-# engine (repro.core.volume) looks child counts up in these shapes by
-# position, without building any tree or consulting the cache below.
-# ---------------------------------------------------------------------------
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-@lru_cache(maxsize=4096)
-def _flat_positions(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(child_counts, parent_pos) per construction-order position, star."""
-    kids = np.zeros(p, dtype=np.int64)
-    par = np.full(p, -1, dtype=np.int64)
-    if p > 1:
-        kids[0] = p - 1
-        par[1:] = 0
-    return _freeze(kids), _freeze(par)
-
-
-@lru_cache(maxsize=4096)
-def _binary_positions(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positional shape of the recursive-halving binary tree over ``p``
-    ranks (position 0 = root).  Mirrors :func:`_binary_from_order` with
-    ranks replaced by their position in the construction order."""
-    kids = np.zeros(p, dtype=np.int64)
-    par = np.full(p, -1, dtype=np.int64)
-    stack: list[tuple[int, int, int]] = [(0, 1, p)]  # (owner, lo, hi)
-    while stack:
-        owner, lo, hi = stack.pop()
-        m = hi - lo
-        if m == 0:
-            continue
-        half = (m + 1) // 2
-        for a, b in ((lo, lo + half), (lo + half, hi)):
-            if b > a:
-                par[a] = owner
-                kids[owner] += 1
-                stack.append((a, a + 1, b))
-    return _freeze(kids), _freeze(par)
-
-
-@lru_cache(maxsize=4096)
-def _binomial_positions(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positional shape of the binomial tree over ``p`` ranks."""
-    kids = np.zeros(p, dtype=np.int64)
-    par = np.full(p, -1, dtype=np.int64)
-    for r in range(1, p):
-        pr_pos = r - (1 << (r.bit_length() - 1))
-        par[r] = pr_pos
-        kids[pr_pos] += 1
-    return _freeze(kids), _freeze(par)
-
-
-_POSITION_SHAPES = {
-    "flat": _flat_positions,
-    "binary": _binary_positions,
-    "binomial": _binomial_positions,
+# Positional-shape family per resolved scheme: shifted and randperm
+# trees only reorder the ranks laid onto the binary shape (hybrid
+# resolves to flat or shifted by group size, see _resolve_scheme).
+_FAMILY_OF = {
+    "flat": "flat",
+    "binary": "binary",
+    "binomial": "binomial",
+    "shifted": "binary",
+    "randperm": "binary",
 }
 
 
-@lru_cache(maxsize=4096)
-def _children_csr(family: str, p: int) -> tuple[list[int], list[int]]:
-    """CSR adjacency (indptr, child positions) of one positional shape.
+# ---------------------------------------------------------------------------
+# Shapes and orders
+#
+# Every scheme above is "pick a construction order, then wire edges by
+# *position* in that order".  The positional shape therefore depends only
+# on the family and the participant count -- one small, heavily reused
+# record per (family, p) -- and a concrete tree is that shape laid over
+# one seeded order of the ranks.
+# ---------------------------------------------------------------------------
 
-    Plain Python lists: the compiled collectives index them per
-    forwarded message.  Children appear in ascending position, matching the
-    append order of the dict-based tree builders bit for bit.
+
+class _Shape(NamedTuple):
+    """One positional shape (position 0 is the root).
+
+    ``kids`` is the read-only child-count array the volume engine
+    indexes.  The list forms serve the DES: ``parents`` (the root's is
+    -1), ``counts``, the CSR adjacency ``indptr``/``childpos`` with each
+    position's children in ascending position (the append order of the
+    per-scheme constructors), and ``depth``, the longest root-to-leaf
+    path in edges.
     """
-    kids, par = _POSITION_SHAPES[family](p)
-    counts = kids.tolist()
-    parents = par.tolist()
-    indptr = [0] * (p + 1)
-    for i in range(p):
-        indptr[i + 1] = indptr[i] + counts[i]
-    childpos = [0] * (p - 1 if p > 0 else 0)
+
+    kids: np.ndarray
+    parents: list[int]
+    counts: list[int]
+    indptr: list[int]
+    childpos: list[int]
+    depth: int
+
+
+@lru_cache(maxsize=4096)
+def _shape(family: str, p: int) -> _Shape:
+    """The shape of ``family`` over ``p`` ranks: the per-scheme
+    constructors with each rank replaced by its construction-order
+    position."""
+    parents = [-1] * p
+    if family == "flat":
+        parents[1:] = [0] * (p - 1)
+    elif family == "binary":
+        # _binary_from_order over positions: (owner, lo, hi) sublists.
+        stack = [(0, 1, p)]
+        while stack:
+            owner, lo, hi = stack.pop()
+            half = (hi - lo + 1) // 2
+            for a, b in ((lo, lo + half), (lo + half, hi)):
+                if b > a:
+                    parents[a] = owner
+                    stack.append((a, a + 1, b))
+    elif family == "binomial":
+        for r in range(1, p):
+            parents[r] = r - (1 << (r.bit_length() - 1))
+    else:
+        raise ValueError(f"unknown tree family {family!r}")
+    # Every parent precedes its children, so one ascending pass fills
+    # the counts, the depths and the CSR slots.
+    counts = [0] * p
+    depths = [0] * p
+    for i in range(1, p):
+        counts[parents[i]] += 1
+        depths[i] = depths[parents[i]] + 1
+    indptr = [0, *accumulate(counts)]
+    childpos = [0] * max(p - 1, 0)
     cursor = indptr[:p]
     for i in range(1, p):
-        pp = parents[i]
-        childpos[cursor[pp]] = i
-        cursor[pp] += 1
-    return indptr, childpos
-
-
-@lru_cache(maxsize=4096)
-def _parent_positions(family: str, p: int) -> list[int]:
-    """Parent position per position (root -1) as a plain Python list."""
-    _, par = _POSITION_SHAPES[family](p)
-    return par.tolist()
-
-
-@lru_cache(maxsize=4096)
-def _shape_depth(family: str, p: int) -> int:
-    """Longest root-to-leaf path (edges) of one positional shape."""
-    _, par = _POSITION_SHAPES[family](p)
-    parents = par.tolist()
-    depths = [0] * p
-    best = 0
-    for i in range(1, p):
-        d = depths[parents[i]] + 1
-        depths[i] = d
-        if d > best:
-            best = d
-    return best
-
-
-@dataclass(frozen=True)
-class TreeArrays:
-    """Array view of one communication tree (what :func:`build_tree` wires).
-
-    ``ranks[i]`` is the rank at construction-order position ``i``
-    (``ranks[0]`` is the root); ``parent_pos[i]`` indexes ``ranks``
-    (-1 for the root) and ``child_counts[i]`` is position ``i``'s
-    out-degree.  Arrays are read-only: the shape arrays
-    (``parent_pos``/``child_counts``) are shared across every tree of the
-    same family and size via the structure cache.
-    """
-
-    root: int
-    ranks: np.ndarray
-    parent_pos: np.ndarray
-    child_counts: np.ndarray
-    # Largest out-degree, precomputed once per cached structure.
-    max_degree: int
-    # Positional-shape family ("flat" / "binary" / "binomial"; the
-    # shifted and randperm schemes reuse the binary shape).
-    family: str = "binary"
-
-    @property
-    def size(self) -> int:
-        return len(self.ranks)
-
-    def to_comm_tree(self) -> CommTree:
-        """Materialize the dict-based :class:`CommTree` view.
-
-        Child lists are filled in ascending construction-order position,
-        which reproduces the append order of the original dict-based
-        builders exactly.
-        """
-        ranks = self.ranks
-        order = tuple(int(r) for r in ranks)
-        parent: dict[int, int] = {}
-        children: dict[int, list[int]] = {r: [] for r in order}
-        ppos = self.parent_pos
-        for i in range(1, len(order)):
-            p = order[ppos[i]]
-            parent[order[i]] = p
-            children[p].append(order[i])
-        return CommTree(
-            root=self.root,
-            order=order,
-            parent=parent,
-            children={r: tuple(c) for r, c in children.items()},
-        )
-
-
-@dataclass(frozen=True)
-class _TreeStructure:
-    """One cached tree *structure*: everything about a tree except which
-    concrete ranks sit at its positions.
-
-    The positional shape (``child_counts``/``parent_pos``) is shared with
-    the per-family memos; ``offset``/``perm`` record the relative
-    reordering of the sorted non-root participants (rotation for shifted
-    trees, full permutation for randperm, identity otherwise).  A
-    concrete :class:`TreeArrays` is produced by :meth:`relabel`, which
-    only has to lay the caller's ranks onto the cached structure.
-    """
-
-    family: str
-    size: int
-    child_counts: np.ndarray
-    parent_pos: np.ndarray
-    max_degree: int
-    offset: int = 0
-    perm: tuple[int, ...] | None = None
-
-    def order(self, root: int, others: Sequence[int]) -> list[int]:
-        """Construction order over a concrete rank set.
-
-        Reproduces the construction order of the dict-based builders bit
-        for bit: root first, then the sorted non-root participants under
-        the structure's rotation/permutation.
-        """
-        if self.offset:
-            k = self.offset
-            return [root, *others[k:], *others[:k]]
-        if self.perm is not None:
-            return [root, *(others[i] for i in self.perm)]
-        return [root, *others]
-
-    def relabel(self, root: int, others: tuple[int, ...]) -> TreeArrays:
-        """Compose this structure with a concrete rank set (ndarray view)."""
-        return TreeArrays(
-            root=root,
-            ranks=_freeze(np.asarray(self.order(root, others), dtype=np.int64)),
-            parent_pos=self.parent_pos,
-            child_counts=self.child_counts,
-            max_degree=self.max_degree,
-            family=self.family,
-        )
+        childpos[cursor[parents[i]]] = i
+        cursor[parents[i]] += 1
+    kids = np.array(counts, dtype=np.int64)
+    kids.setflags(write=False)
+    return _Shape(kids, parents, counts, indptr, childpos, max(depths, default=0))
 
 
 class _TreeLRU:
-    """Small LRU cache for :class:`_TreeStructure` with hit/miss counters.
+    """LRU of structural keys (see :func:`structure_tree_key`) with
+    hit/miss/eviction counters.
 
-    Keys are *structural* (see :func:`structure_tree_key`): they carry
-    the resolved scheme, the participant count, and the relative
-    rotation/permutation -- never absolute ranks.  The keyspace is
-    therefore O(distinct participant counts x offsets), thousands of
-    times smaller than the per-collective (root, participants) space that
-    used to thrash this cache, and every collective over *any* rank set
-    of the same size and rotation shares one entry.
+    A key carries the resolved scheme, the participant count and the
+    rotation offset or permutation -- never absolute ranks -- so it *is*
+    the tree's structure: :func:`_order` lays the ranks out from the key
+    itself, and the cache stores only keys, counting how often
+    collectives over any rank sets share one structure.
     """
 
     def __init__(self, maxsize: int) -> None:
-        self.maxsize = int(maxsize)
-        self._data: OrderedDict[tuple, _TreeStructure] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.maxsize = maxsize
+        self._keys: OrderedDict[tuple, None] = OrderedDict()
+        self.hits = self.misses = self.evictions = 0
 
-    def get(self, key: tuple) -> _TreeStructure | None:
-        struct = self._data.get(key)
-        if struct is None:
+    def touch(self, key: tuple) -> None:
+        """Count one lookup of ``key``, inserting it on a miss."""
+        keys = self._keys
+        try:
+            keys.move_to_end(key)
+        except KeyError:
             self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return struct
-
-    def put(self, key: tuple, struct: _TreeStructure) -> None:
-        self._data[key] = struct
-        self._data.move_to_end(key)
-        self._evict_over_capacity()
-
-    def resize(self, maxsize: int) -> None:
-        """Change capacity, evicting LRU entries when shrinking.
-
-        The single eviction path (shared with :meth:`put`) keeps the
-        eviction counter consistent no matter how the cache shrinks.
-        """
-        if maxsize < 1:
-            raise ValueError("tree cache maxsize must be positive")
-        self.maxsize = int(maxsize)
-        self._evict_over_capacity()
-
-    def _evict_over_capacity(self) -> None:
-        data = self._data
-        while len(data) > self.maxsize:
-            data.popitem(last=False)
-            self.evictions += 1
+            keys[key] = None
+            if len(keys) > self.maxsize:
+                keys.popitem(last=False)
+                self.evictions += 1
+        else:
+            self.hits += 1
 
     def clear(self) -> None:
-        self._data.clear()
+        self._keys.clear()
         self.reset_counters()
 
     def reset_counters(self) -> None:
@@ -566,58 +420,22 @@ class _TreeLRU:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "size": len(self._data),
+            "size": len(self._keys),
             "maxsize": self.maxsize,
         }
 
 
-_DEFAULT_TREE_CACHE_SIZE = 1 << 16
-_TREE_CACHE: _TreeLRU | None = None
-
-
-def _env_cache_size() -> int:
-    """Capacity from ``REPRO_TREE_CACHE_SIZE`` (validated, with a clear
-    error naming the knob instead of a bare int() traceback)."""
-    raw = os.environ.get("REPRO_TREE_CACHE_SIZE")
-    if raw is None or not raw.strip():
-        return _DEFAULT_TREE_CACHE_SIZE
-    try:
-        size = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_TREE_CACHE_SIZE={raw!r} is not a valid tree-cache "
-            "capacity; expected a positive integer (number of cached "
-            "tree structures)"
-        ) from None
-    if size < 1:
-        raise ValueError(
-            f"REPRO_TREE_CACHE_SIZE={raw!r} must be a positive integer"
-        )
-    return size
-
-
-def _cache() -> _TreeLRU:
-    """The shared structure cache, created on first use.
-
-    Lazy so a malformed ``REPRO_TREE_CACHE_SIZE`` surfaces as a clear
-    :class:`ValueError` at the first cache operation rather than as an
-    opaque crash at ``import repro`` time.
-    """
-    global _TREE_CACHE
-    c = _TREE_CACHE
-    if c is None:
-        c = _TREE_CACHE = _TreeLRU(_env_cache_size())
-    return c
+_TREE_CACHE = _TreeLRU(1 << 16)
 
 
 def tree_cache_info() -> dict[str, int]:
     """Hit/miss/eviction counters of the shared tree-structure cache."""
-    return _cache().info()
+    return _TREE_CACHE.info()
 
 
 def tree_cache_clear() -> None:
     """Drop all cached tree structures and reset the counters."""
-    _cache().clear()
+    _TREE_CACHE.clear()
 
 
 def tree_cache_reset_counters() -> None:
@@ -627,19 +445,7 @@ def tree_cache_reset_counters() -> None:
     stats (a warm section's hit rate is not diluted by the cold section's
     compulsory misses) without giving up the warmed cache.
     """
-    _cache().reset_counters()
-
-
-def tree_cache_resize(maxsize: int) -> None:
-    """Change the cache capacity (evicts LRU entries if shrinking)."""
-    _cache().resize(maxsize)
-
-
-def tree_cache_hit_rate() -> float:
-    """Lifetime hit rate of the shared cache (0.0 when never consulted)."""
-    c = _cache()
-    lookups = c.hits + c.misses
-    return c.hits / lookups if lookups else 0.0
+    _TREE_CACHE.reset_counters()
 
 
 def _resolve_scheme(scheme: str, n_others: int, hybrid_threshold: int) -> str:
@@ -679,88 +485,45 @@ def structure_tree_key(
     )
 
 
-# Positional-shape family per resolved scheme (shifted/randperm only
-# reorder the ranks laid onto the binary shape).
-_FAMILY_OF = {
-    "flat": "flat",
-    "binary": "binary",
-    "binomial": "binomial",
-    "shifted": "binary",
-    "randperm": "binary",
-}
-
-
-def _build_structure(key: tuple) -> _TreeStructure:
-    """Construct the rank-free structure for a structural key (miss path)."""
-    scheme, p, extra = key
-    family = _FAMILY_OF[scheme]
-    kids, par = _POSITION_SHAPES[family](p)
-    return _TreeStructure(
-        family=family,
-        size=p,
-        child_counts=kids,
-        parent_pos=par,
-        max_degree=int(kids.max()) if p else 0,
-        offset=extra if scheme == "shifted" else 0,
-        perm=extra if scheme == "randperm" else None,
-    )
-
-
-def tree_arrays(
+def _order(
     scheme: str,
     root: int,
     participants: Iterable[int],
-    seed: int = 0,
-    *,
-    hybrid_threshold: int = 8,
-) -> TreeArrays:
-    """Cached array view of one communication tree (any scheme).
+    seed: int,
+    hybrid_threshold: int,
+) -> tuple[str, list[int]]:
+    """One collective's shape family and seeded construction order.
 
-    The path :func:`build_tree` goes through (the unsymmetric driver's
-    tag dispatch, the plan checker and the reference volume engine).  The cache holds
-    rank-free :class:`_TreeStructure` entries keyed by
-    :func:`structure_tree_key`; the caller's concrete ranks are laid onto
-    the cached structure by a cheap relabeling step.  Bit-identical in shape to the dict-based
-    scheme constructors (pinned by regression tests); repeated calls with
-    the same arguments return equal ``TreeArrays`` whose shape arrays
-    (``parent_pos``/``child_counts``) are shared instances.
+    The order is the root, then the sorted, distinct non-root
+    participants (the root is a participant whether or not it is
+    listed), rotated or permuted as the structural key says: the order
+    of the per-scheme constructors, bit for bit.  Counts one lookup in
+    the tree-structure cache.
     """
     root = int(root)
-    others = tuple(_normalize(root, participants))
+    others = _normalize(root, participants)
     key = structure_tree_key(
         scheme, len(others), seed, hybrid_threshold=hybrid_threshold
     )
-    cache = _cache()
-    struct_ = cache.get(key)
-    if struct_ is None:
-        struct_ = _build_structure(key)
-        cache.put(key, struct_)
-    return struct_.relabel(root, others)
-
-
-@lru_cache(maxsize=4096)
-def _child_counts_list(family: str, p: int) -> list[int]:
-    """Per-position out-degrees of one positional shape as a plain list.
-
-    The vectorized reduce state machines copy this once per collective to
-    seed their pending counters; sharing the memo keeps that copy a C-level
-    ``list()`` call instead of an ndarray round trip.
-    """
-    kids, _ = _POSITION_SHAPES[family](p)
-    return kids.tolist()
+    _TREE_CACHE.touch(key)
+    resolved, _, extra = key
+    if resolved == "shifted" and extra:
+        others = others[extra:] + others[:extra]
+    elif resolved == "randperm":
+        others = [others[i] for i in extra]
+    return _FAMILY_OF[resolved], [root, *others]
 
 
 class CompiledTree:
     """One tree compiled for the vectorized collective state machines.
 
-    Where :class:`TreeArrays` is an ndarray view (behind
-    :func:`build_tree`), this is the DES hot-path format: plain Python
-    lists indexed by construction-order position, sharing the per-shape
-    CSR adjacency, parent-position, and child-count memos across every
-    tree of the same family and size.  ``ranks[i]`` is the rank at position ``i`` (root at
-    position 0); ``indptr``/``childpos`` give each position's children in
-    ascending position -- the exact forwarding order of the dict-based
-    builders.
+    The DES hot-path format: plain Python lists indexed by
+    construction-order position, sharing its shape's CSR adjacency,
+    parent positions and child counts with every tree of the same
+    family and size.  ``ranks[i]`` is the rank at position ``i`` (root
+    at position 0); ``indptr``/``childpos`` give each position's
+    children in ascending position -- the exact forwarding order of the
+    per-scheme constructors.
     """
 
     __slots__ = (
@@ -781,49 +544,35 @@ class CompiledTree:
         family: str,
     ) -> None:
         p = len(ranks)
+        shape = _shape(family, p)
         self.root = root
         self.ranks = ranks
         self.size = p
         self.family = family
-        self.indptr, self.childpos = _children_csr(family, p)
-        self.parentpos = _parent_positions(family, p)
-        self.child_counts = _child_counts_list(family, p)
+        self.indptr = shape.indptr
+        self.childpos = shape.childpos
+        self.parentpos = shape.parents
+        self.child_counts = shape.counts
 
     def depth(self) -> int:
         """Longest root-to-leaf path length in edges."""
-        return _shape_depth(self.family, self.size)
+        return _shape(self.family, self.size).depth
 
 
 def compiled_tree(
     scheme: str,
     root: int,
-    participants: Sequence[int],
+    participants: Iterable[int],
     seed: int = 0,
     *,
     hybrid_threshold: int = 8,
 ) -> CompiledTree:
-    """Cached :class:`CompiledTree` for one collective (any scheme).
-
-    ``participants`` is expected in the planner's canonical form: a
-    sorted tuple that includes the root (``CollectiveSpec.participants``).
-    The structure comes from the same :func:`structure_tree_key` cache as
-    :func:`tree_arrays` (so DES lookups show in :func:`tree_cache_info`),
-    and the orderings produced are bit-identical to :func:`tree_arrays` /
-    :func:`build_tree` for the same arguments (pinned by tests); only the
-    container types differ.
-    """
-    root = int(root)
-    i = participants.index(root)
-    others = participants[:i] + participants[i + 1 :]
-    key = structure_tree_key(
-        scheme, len(others), seed, hybrid_threshold=hybrid_threshold
-    )
-    cache = _cache()
-    struct_ = cache.get(key)
-    if struct_ is None:
-        struct_ = _build_structure(key)
-        cache.put(key, struct_)
-    return CompiledTree(root, struct_.order(root, others), struct_.family)
+    """:class:`CompiledTree` for one collective (any scheme): the DES's
+    view of the seeded construction order, which it shares with
+    :func:`build_tree` (same tree, same cache lookup, on any
+    participant list)."""
+    family, order = _order(scheme, root, participants, seed, hybrid_threshold)
+    return CompiledTree(order[0], order, family)
 
 
 def build_tree(
@@ -835,16 +584,26 @@ def build_tree(
     hybrid_threshold: int = 8,
 ) -> CommTree:
     """Dict-based tree for the plan checker, the happens-before model of
-    ``repro check`` and the reference volume engine (the simulator runs
-    on :func:`compiled_tree`, which lays out the same trees).
+    ``repro check`` and the reference volume engine: the seeded
+    construction order wired by its shape's parent positions.
 
-    Goes through the shared :func:`tree_arrays` cache and materializes the
-    dict-based :class:`CommTree` view on top (identical trees to the
-    per-scheme constructors above, which remain the spec).
+    Identical to the per-scheme constructors above, which remain the
+    spec (pinned by tests), and to :func:`compiled_tree`.
     """
-    return tree_arrays(
-        scheme, root, participants, seed, hybrid_threshold=hybrid_threshold
-    ).to_comm_tree()
+    family, order = _order(scheme, root, participants, seed, hybrid_threshold)
+    parents = _shape(family, len(order)).parents
+    parent: dict[int, int] = {}
+    children: dict[int, list[int]] = {r: [] for r in order}
+    for i in range(1, len(order)):
+        up = order[parents[i]]
+        parent[order[i]] = up
+        children[up].append(order[i])
+    return CommTree(
+        root=order[0],
+        order=tuple(order),
+        parent=parent,
+        children={r: tuple(c) for r, c in children.items()},
+    )
 
 
 def derive_seed(global_seed: int, *components: int) -> int:

@@ -52,8 +52,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ..comm.trees import (
-    _POSITION_SHAPES,
+    _FAMILY_OF,
     TREE_SCHEMES,
+    _shape,
     build_tree,
     derive_seed,
     permutation_indices,
@@ -317,10 +318,10 @@ def _communication_volumes_reference(
 # without losing the bulk charge.
 _CHUNK_SLOTS = 1 << 14
 
-# Positional-shape families by id; shifted and randperm trees only
-# reorder the ranks laid onto the binary shape.
+# Positional-shape families by id, and each resolved scheme's id (from
+# the trees module's scheme -> family table).
 _FAMILIES = ("flat", "binary", "binomial")
-_FAMILY_ID = {"flat": 0, "binary": 1, "binomial": 2, "shifted": 1, "randperm": 1}
+_FAMILY_ID = {s: _FAMILIES.index(f) for s, f in _FAMILY_OF.items()}
 # The seeded order column each scheme reads (see _plan_order).
 _ORDER_FAMILY = {"shifted": "shifted", "hybrid": "shifted", "randperm": "randperm"}
 
@@ -542,8 +543,7 @@ class _Charger:
         shape = fam[live] * (p + 2) + n[live] + 1
         uniq, which = np.unique(shape, return_inverse=True)
         shapes = [
-            _POSITION_SHAPES[_FAMILIES[s // (p + 2)]](s % (p + 2))[0]
-            for s in uniq.tolist()
+            _shape(_FAMILIES[s // (p + 2)], s % (p + 2)).kids for s in uniq.tolist()
         ]
         kids = np.concatenate(shapes) if shapes else np.zeros(0, dtype=np.int64)
         lens = np.fromiter(map(len, shapes), dtype=np.int64, count=len(shapes))

@@ -1,7 +1,7 @@
 """Persistent content-addressed store for experiment results.
 
-The structure cache in :mod:`repro.comm.trees` avoids rebuilding a tree
-whose shape is already known; this module applies the same
+The shape memo in :mod:`repro.comm.trees` avoids rebuilding a tree
+shape that is already known; this module applies the same
 recompute-avoidance one layer up, at sweep granularity.  A
 :class:`RunStore` maps a **stable spec hash** -- a sha256 over the
 canonical JSON form of an :class:`~repro.runner.spec.ExperimentSpec` --

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.comm import (
     CommTree,
     binary_tree,
+    binomial_tree,
     build_tree,
     derive_seed,
     flat_tree,
@@ -15,6 +16,7 @@ from repro.comm import (
     random_perm_tree,
     shifted_binary_tree,
 )
+from repro.comm.trees import compiled_tree
 
 
 def check_valid_tree(tree: CommTree, root: int, participants: set[int]):
@@ -261,16 +263,15 @@ class TestMemoizedRandomness:
 
 
 class TestArrayFastPath:
-    """build_tree routes through the cached array engine; the per-scheme
-    dict constructors above are the spec it must reproduce exactly."""
+    """build_tree wires the shared seeded order onto its positional
+    shape; the per-scheme dict constructors above are the spec it must
+    reproduce exactly."""
 
     @pytest.mark.parametrize(
         "scheme", ["flat", "binary", "binomial", "shifted", "randperm", "hybrid"]
     )
     def test_build_tree_matches_dict_constructors(self, scheme):
         import random
-
-        from repro.comm.trees import binomial_tree
 
         constructors = {
             "flat": lambda r, p, s: flat_tree(r, p),
@@ -292,61 +293,56 @@ class TestArrayFastPath:
             assert fast.parent == ref.parent
             assert fast.children == ref.children
 
-    def test_tree_arrays_consistent_with_comm_tree(self):
-        from repro.comm.trees import tree_arrays
-
-        arrs = tree_arrays("shifted", 3, range(20), seed=5)
-        tree = arrs.to_comm_tree()
-        assert tree.root == 3
-        assert list(arrs.ranks) == list(tree.order)
-        for i, r in enumerate(tree.order):
-            assert arrs.child_counts[i] == tree.child_count(r)
-            if r != tree.root:
-                assert tree.parent[r] == tree.order[arrs.parent_pos[i]]
-        assert arrs.max_degree == max(
-            tree.child_count(r) for r in tree.ranks()
-        )
-
 
 class TestStructureCacheRelabeling:
-    """The structure cache + relabel path must be *bit-identical* to
-    direct construction: the cache stores rank-free shapes keyed on
-    ``(scheme, p, offset/perm)`` and lays the caller's ranks on at
-    lookup, so any divergence here silently changes every experiment."""
+    """``compiled_tree`` and ``build_tree`` lay the caller's ranks onto a
+    structure keyed on ``(scheme, p, offset/perm)``; both must be
+    *bit-identical* to the per-scheme constructors (the spec) on any
+    participant list, or every experiment silently changes."""
 
     CONSTRUCTORS = {
         "flat": lambda r, p, s: flat_tree(r, p),
         "binary": lambda r, p, s: binary_tree(r, p),
+        "binomial": lambda r, p, s: binomial_tree(r, p),
         "shifted": shifted_binary_tree,
         "randperm": random_perm_tree,
         "hybrid": lambda r, p, s: hybrid_tree(r, p, s, threshold=8),
     }
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
-        st.sets(st.integers(0, 2000), min_size=1, max_size=48),
+        st.lists(st.integers(0, 2000), min_size=1, max_size=48),
         st.integers(0, 2**31 - 1),
         st.sampled_from(["flat", "binary", "binomial", "shifted", "randperm", "hybrid"]),
         st.integers(0, 2**31 - 1),
+        st.booleans(),
     )
     def test_relabel_bit_identical_to_direct_construction(
-        self, participants, seed, scheme, root_pick
+        self, participants, seed, scheme, root_pick, list_root
     ):
-        from repro.comm.trees import binomial_tree, tree_arrays
+        """Unsorted lists, duplicates and a root left out of the list
+        all give the constructors' tree (the root always takes part)."""
+        root = participants[root_pick % len(participants)]
+        if not list_root:
+            participants = [r for r in participants if r != root]
+        ref = self.CONSTRUCTORS[scheme](root, participants, seed)
 
-        ranks = sorted(participants)
-        root = ranks[root_pick % len(ranks)]
-        arrs = tree_arrays(scheme, root, participants, seed)
-        fast = arrs.to_comm_tree()
-        ctors = {**self.CONSTRUCTORS, "binomial": lambda r, p, s: binomial_tree(r, p)}
-        ref = ctors[scheme](root, set(participants), seed)
-        assert fast.order == ref.order
-        assert fast.parent == ref.parent
-        assert fast.children == ref.children
-        # The ndarray view agrees elementwise with the dict order too
-        # (int64 exactness, not just same set of ranks).
-        assert arrs.ranks.dtype == np.int64
-        assert tuple(int(r) for r in arrs.ranks) == ref.order
+        tree = build_tree(scheme, root, participants, seed)
+        assert tree.order == ref.order
+        assert tree.parent == ref.parent
+        assert tree.children == ref.children
+
+        ct = compiled_tree(scheme, root, participants, seed)
+        assert tuple(ct.ranks) == ref.order
+        assert ct.root == root and ct.size == ref.size
+        assert ct.parentpos[0] == -1
+        for i, r in enumerate(ct.ranks):
+            kids = ct.childpos[ct.indptr[i] : ct.indptr[i + 1]]
+            assert tuple(ct.ranks[c] for c in kids) == ref.children[r]
+            assert ct.child_counts[i] == ref.child_count(r)
+            if i:
+                assert ct.ranks[ct.parentpos[i]] == ref.parent[r]
+        assert ct.depth() == ref.depth()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -356,18 +352,17 @@ class TestStructureCacheRelabeling:
         st.sampled_from(["flat", "binary", "binomial", "shifted", "randperm"]),
     )
     def test_same_size_groups_share_one_structure(self, a, b, seed, scheme):
-        """Two disjoint rank sets of equal size (same seed) must share
-        the cached structure object -- the property that collapses the
-        keyspace from per-collective to per-(size, offset)."""
-        from repro.comm.trees import tree_arrays
-
+        """Two disjoint rank sets of equal size (same seed) share one
+        shape: their compiled trees hold the same list objects."""
         size = min(len(a), len(b))
         a, b = sorted(a)[:size], sorted(b)[:size]
-        ta = tree_arrays(scheme, a[0], a, seed)
-        tb = tree_arrays(scheme, b[0], b, seed)
-        assert ta.parent_pos is tb.parent_pos
-        assert ta.child_counts is tb.child_counts
+        ta = compiled_tree(scheme, a[0], a, seed)
+        tb = compiled_tree(scheme, b[0], b, seed)
         assert ta.family == tb.family
+        assert ta.indptr is tb.indptr
+        assert ta.childpos is tb.childpos
+        assert ta.parentpos is tb.parentpos
+        assert ta.child_counts is tb.child_counts
 
 
 class TestBinomialTree:

@@ -21,13 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.comm import trees
 from repro.comm.trees import (
     TREE_SCHEMES,
     build_tree,
-    tree_arrays,
+    compiled_tree,
     tree_cache_clear,
     tree_cache_info,
-    tree_cache_resize,
 )
 from repro.core import ProcessorGrid, communication_volumes
 from repro.core import volume
@@ -496,111 +496,75 @@ class TestTreeCacheEviction:
     """A tiny cache must still return *correct* trees, just more slowly."""
 
     def teardown_method(self):
-        tree_cache_resize(1 << 16)
         tree_cache_clear()
 
-    def test_eviction_preserves_correctness(self):
+    def test_eviction_preserves_correctness(self, monkeypatch):
         tree_cache_clear()
-        tree_cache_resize(4)
         groups = [set(range(r, r + 9)) for r in range(30)]
         expected = {}
         for i, g in enumerate(groups):
-            root = min(g)
-            expected[i] = build_tree("shifted", root, g, seed=i)
+            expected[i] = build_tree("shifted", min(g), g, seed=i)
+        monkeypatch.setattr(trees, "_TREE_CACHE", trees._TreeLRU(4))
+        for _ in range(2):
+            for i, g in enumerate(groups):
+                t = build_tree("shifted", min(g), g, seed=i)
+                e = expected[i]
+                assert t.order == e.order
+                assert t.parent == e.parent
+                assert t.children == e.children
         info = tree_cache_info()
         assert info["size"] <= 4
         assert info["evictions"] > 0
-        # Re-request everything (all evicted by now): same trees again.
-        for i, g in enumerate(groups):
-            root = min(g)
-            t = build_tree("shifted", root, g, seed=i)
-            e = expected[i]
-            assert t.order == e.order
-            assert t.parent == e.parent
-            assert t.children == e.children
 
     def test_cache_hit_shares_structure_arrays(self):
-        # The cache holds rank-free structures: repeated calls return
-        # equal TreeArrays whose shape arrays are the *same* objects
-        # (relabeling only lays ranks onto the cached structure).
+        # The cache holds rank-free structure keys: repeated calls return
+        # equal trees whose shape lists are the *same* objects.
         tree_cache_clear()
-        a1 = tree_arrays("binary", 0, range(10))
-        a2 = tree_arrays("binary", 0, range(10))
-        assert (a1.ranks == a2.ranks).all()
-        assert a1.parent_pos is a2.parent_pos
+        a1 = compiled_tree("binary", 0, range(10))
+        a2 = compiled_tree("binary", 0, range(10))
+        assert a1.ranks == a2.ranks
+        assert a1.parentpos is a2.parentpos
         assert a1.child_counts is a2.child_counts
-        assert a1.max_degree == a2.max_degree and a1.family == a2.family
+        assert a1.family == a2.family
         info = tree_cache_info()
         assert info["hits"] >= 1
 
     def test_structure_cache_shared_across_rank_sets(self):
-        # The tentpole property: collectives over *different* rank sets
-        # of the same size hit the same cache entry instead of each
-        # claiming their own — the keyspace no longer scales with the
-        # number of distinct (root, participants) pairs.
+        # Collectives over *different* rank sets of the same size hit the
+        # same cache entry instead of each claiming their own -- the
+        # keyspace does not scale with the number of distinct
+        # (root, participants) pairs.
         tree_cache_clear()
-        tree_arrays("binary", 0, range(10))
+        compiled_tree("binary", 0, range(10))
         info = tree_cache_info()
         for base in range(1, 50):
-            tree_arrays("binary", base, range(base, base + 10))
+            compiled_tree("binary", base, range(base, base + 10))
         after = tree_cache_info()
         assert after["size"] == info["size"] == 1
         assert after["hits"] == info["hits"] + 49
         assert after["misses"] == info["misses"]
 
-    def test_resize_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            tree_cache_resize(0)
-
-    def test_resize_shrink_counts_evictions_exactly(self):
-        # Shrinking must evict through the same counter as put(): the
-        # eviction count rises by exactly the number of dropped entries
-        # and size lands at the new capacity (no drift between the two
-        # code paths -- the old resize duplicated the loop and could).
-        tree_cache_clear()
-        for n in range(2, 12):  # 10 distinct (scheme, p) structures
-            tree_arrays("binary", 0, range(n))
-        before = tree_cache_info()
-        assert before["size"] == 10 and before["evictions"] == 0
-        tree_cache_resize(3)
-        after = tree_cache_info()
-        assert after["size"] == 3
-        assert after["evictions"] == before["size"] - 3
-        assert after["maxsize"] == 3
-        # Growing evicts nothing.
-        tree_cache_resize(100)
-        assert tree_cache_info()["evictions"] == after["evictions"]
-
     def test_eviction_counter_consistent_under_churn(self):
-        # Invariant: evictions == total inserts (misses) - live entries,
-        # under any interleaving of puts and resizes.
-        tree_cache_clear()
-        tree_cache_resize(4)
+        # Invariant: evictions == inserts (misses) - live entries, and
+        # the least recently used key is the one that goes.
+        lru = trees._TreeLRU(4)
+        hot = ("binary", 2, None)
         for n in range(2, 30):
-            tree_arrays("binary", 0, range(n))
-        tree_cache_resize(2)
-        for n in range(2, 12):
-            tree_arrays("flat", 0, range(n))
-        info = tree_cache_info()
+            lru.touch(("binary", n, None))
+            lru.touch(hot)
+        info = lru.info()
+        assert info["size"] == 4 and info["maxsize"] == 4
+        assert info["misses"] == 28 and info["hits"] == 28
         assert info["evictions"] == info["misses"] - info["size"]
-
-    def test_env_cache_size_invalid_raises_clear_error(self, monkeypatch):
-        # A malformed REPRO_TREE_CACHE_SIZE must fail at first cache use
-        # with an error naming the knob -- not crash `import repro`.
-        from repro.comm import trees
-
-        monkeypatch.setattr(trees, "_TREE_CACHE", None)
-        monkeypatch.setenv("REPRO_TREE_CACHE_SIZE", "lots")
-        with pytest.raises(ValueError, match="REPRO_TREE_CACHE_SIZE"):
-            tree_arrays("binary", 0, range(4))
-        monkeypatch.setenv("REPRO_TREE_CACHE_SIZE", "-3")
-        with pytest.raises(ValueError, match="REPRO_TREE_CACHE_SIZE"):
-            tree_cache_info()
-        # Valid value: the lazy init succeeds and applies the capacity.
-        monkeypatch.setenv("REPRO_TREE_CACHE_SIZE", "17")
-        assert tree_cache_info()["maxsize"] == 17
-        # Restore the shared cache for other tests (teardown_method then
-        # resizes/clears it).
-        monkeypatch.setattr(trees, "_TREE_CACHE", None)
-        monkeypatch.delenv("REPRO_TREE_CACHE_SIZE")
-        assert tree_cache_info()["maxsize"] == 1 << 16
+        # The hot key was re-touched after every insert, so it survived;
+        # key 26 was the least recently used and went.
+        lru.touch(hot)
+        lru.touch(("binary", 26, None))
+        after = lru.info()
+        assert after["hits"] == info["hits"] + 1
+        assert after["misses"] == info["misses"] + 1
+        assert after["evictions"] == info["evictions"] + 1
+        lru.clear()
+        assert lru.info() == {
+            "hits": 0, "misses": 0, "evictions": 0, "size": 0, "maxsize": 4,
+        }
