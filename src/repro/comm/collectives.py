@@ -26,15 +26,20 @@ just count.
 * delivery and completion callbacks receive a caller-supplied ``ctx``
   object, so the protocol layer binds no lambdas per collective;
 * reductions are driven by contributor *positions* precomputed by the
-  protocol (:meth:`VecReduce.contribute_pos`), with no per-call rank ->
-  position lookup;
+  protocol, each with its number of local tasks (a PSelInv rank's GEMMs
+  of one row, say): :meth:`VecReduce.contribute_pos` is called once per
+  finished local task, with no per-call rank -> position lookup, and a
+  position sends up the tree once its children and all its local tasks
+  are in;
 * every fan-out, flat and hybrid trees' wide ones included, is one point
   send per child, in ascending child position (the order in which
   :func:`~repro.comm.trees.build_tree` lists a rank's children), and a
   broadcast forwards before it delivers locally;
-* reductions combine with ``+`` in arrival order, and zero-input
-  positions (a degenerate tree's leaf relays) finish at construction in
-  ascending position;
+* reductions combine with ``+`` in arrival order: a position's local
+  values sum into a local partial, which joins the tree value as one
+  term when its last local task finishes; zero-input positions (a
+  degenerate tree's leaf relays) finish at construction in ascending
+  position;
 * the ``coll.*`` telemetry series come from the tree shapes: with metrics
   attached, each collective bumps one ``(op, category, family, size,
   nbytes)`` count in the machine's ``coll_shapes`` dict when it is
@@ -168,14 +173,21 @@ class VecBroadcast:
 class VecReduce:
     """Restricted reduction over a :class:`CompiledTree`.
 
-    The protocol layer supplies contributor *positions* up front and
-    drives progress through :meth:`contribute_pos`; per-position pending
-    counters start from the shared child-count list.  Values (numeric
-    mode) combine with ``+`` in arrival order; ``None`` values (symbolic
-    mode) only count.
+    The protocol layer supplies contributor *positions* up front, each
+    with its number of local tasks, and drives progress through
+    :meth:`contribute_pos`, once per finished local task.  Per-position
+    pending counters start from the shared child-count list plus the
+    local task counts, so a position sends its partial up the tree (or
+    the root completes) once its children's messages and all its local
+    tasks are in.  In numeric mode a position's local values sum in
+    arrival order into a local partial, which joins the tree value with
+    ``+`` as one term when the last local task finishes; children's
+    partials join with ``+`` in arrival order.  ``None`` values
+    (symbolic mode) only count.
     ``on_complete(ctx, value)`` fires on the root.  Zero-input positions
     (degenerate trees) finish at construction in ascending position
-    order.
+    order.  ``contributor_pos`` and ``task_counts`` are read, not
+    copied, by the first value, so the caller must not change them.
     """
 
     __slots__ = (
@@ -189,6 +201,9 @@ class VecReduce:
         "_ranks",
         "_parents",
         "_pending",
+        "_tasks",
+        "_left",
+        "_local",
         "_value",
         "_send",
     )
@@ -201,6 +216,7 @@ class VecReduce:
         nbytes: int,
         category: str,
         contributor_pos,
+        task_counts,
         on_complete: Callable[[Any, Any], None],
         ctx: Any,
     ) -> None:
@@ -214,24 +230,32 @@ class VecReduce:
         self._ranks = tree.ranks
         self._parents = tree.parentpos
         pending = list(tree.child_counts)
-        for p in contributor_pos:
-            pending[p] += 1
+        for p, n in zip(contributor_pos, task_counts):
+            pending[p] += n
         self._pending = pending
-        # Partial value per position, allocated by the first value.
+        # Numeric values only: outstanding local tasks per position, their
+        # running local sums, and the tree value per position, allocated
+        # by the first value (symbolic runs never build them).
+        self._tasks = (contributor_pos, task_counts)
+        self._left: list[int] | None = None
+        self._local: list[Any] | None = None
         self._value: list[Any] | None = None
         self._send = machine.send_pt
         if machine.coll_shapes is not None:
             _count_shape(machine.coll_shapes, "reduce", category, tree, self.nbytes)
-        for i, expected in enumerate(pending):
-            if expected == 0:
-                # A pure relay with no children and no contribution can
-                # only happen for a degenerate tree; fire immediately.
-                self._finish(i)
+        if 0 in pending:
+            for i, expected in enumerate(pending):
+                if expected == 0:
+                    # A pure relay with no children and no contribution
+                    # can only happen for a degenerate tree; fire
+                    # immediately.
+                    self._finish(i)
 
     def contribute_pos(self, pos: int, value: Any = None) -> None:
-        """Provide the contribution of the rank at ``pos`` (exactly once)."""
+        """One local task of the rank at ``pos`` finished, with its
+        ``value`` (``None`` in symbolic mode)."""
         if value is not None:
-            self._combine(pos, value)
+            self._add_local(pos, value)
         pending = self._pending
         n = pending[pos] - 1
         pending[pos] = n
@@ -247,6 +271,26 @@ class VecReduce:
         pending[aux] = n
         if n == 0:
             self._finish(aux)
+
+    def _add_local(self, pos: int, value: Any) -> None:
+        local = self._local
+        if local is None:
+            size = len(self._pending)
+            local = self._local = [None] * size
+            left = self._left = [0] * size
+            for p, n in zip(*self._tasks):
+                left[p] += n
+        cur = local[pos]
+        if cur is not None:
+            value = cur + value
+        left = self._left
+        n = left[pos] - 1
+        left[pos] = n
+        if n:
+            local[pos] = value
+        else:
+            local[pos] = None
+            self._combine(pos, value)
 
     def _combine(self, pos: int, value: Any) -> None:
         vals = self._value

@@ -44,10 +44,14 @@ bulk with numpy, collectives run as
 :class:`~repro.comm.collectives.VecBroadcast` /
 :class:`~repro.comm.collectives.VecReduce` state machines over shared
 :class:`~repro.comm.trees.CompiledTree` tables, and the handlers are
-closure-free (registered task ids + tuple arguments).  Numeric payloads
-ride the same point records (numeric tasks get their data wrapped onto
-the precomputed argument and a numeric handler variant under the same
-id).  The protocol speaks only the machine's compiled interface --
+closure-free (registered task ids + tuple arguments).  A rank's GEMMs
+of one row and its diagonal contributions are local tasks of their
+reduction, which counts them and sums their values itself: each finished
+task is one :meth:`~repro.comm.collectives.VecReduce.contribute_pos`
+call, and the driver keeps no countdown.  Numeric payloads ride the same
+point records (numeric tasks get their data wrapped onto the
+precomputed argument, or onto the GEMM argument built at post time, and
+a numeric handler variant under the same id).  The protocol speaks only the machine's compiled interface --
 ``category_id``, ``register_task``, ``send_pt`` and ``post_named`` --
 which both machines implement:
 
@@ -102,13 +106,6 @@ __all__ = ["PSelInvResult", "SimulatedPSelInv", "run_pselinv"]
 _MACHINES = {"vectorized": VecMachine, "legacy": Machine}
 
 
-def _accumulate(partials: dict, key: Any, contrib: Any) -> None:
-    """Add ``contrib`` to ``partials[key]`` (first contribution stored
-    as is), in arrival order -- the order both engines share."""
-    cur = partials.get(key)
-    partials[key] = contrib if cur is None else cur + contrib
-
-
 @dataclass
 class PSelInvResult:
     """Outcome of one simulated selected inversion."""
@@ -140,12 +137,7 @@ class _SupernodeState:
     __slots__ = (
         "plan",
         "lhat",
-        "uhat",
         "ainv_low",
-        "row_partial",
-        "gemms_left",
-        "diag_partial",
-        "diag_left",
         "base",
         "diag_value",
         "bcast_gemms",
@@ -160,23 +152,19 @@ class _SupernodeState:
     def __init__(self, plan: SupernodePlan):
         self.plan = plan
         self.lhat: dict[int, Any] = {}  # I -> Lhat(I,K) at owner of L(I,K)
-        self.uhat: dict[tuple[int, int], Any] = {}  # (I, rank) -> Uhat(K,I)
         self.ainv_low: dict[int, Any] = {}  # J -> Ainv(J,K) at owner L(J,K)
-        self.row_partial: dict[int, Any] = {}  # J * nranks + rank -> sum
-        self.diag_partial: dict[int, Any] = {}  # rank -> partial (s, s)
         self.base: Any = None  # inv(U_KK) inv(L_KK) at the diagonal owner
         self.diag_value: Any = None
         # Tables compiled on window entry (_setup_supernode_vec), which
         # also sets the diagonal task durations base_sec / finish_sec:
-        # gemms_left is J * nranks + rank -> outstanding GEMMs and
-        # diag_left rank -> outstanding rows J; bcast_gemms is rank ->
-        # (group, fins, jsn), that rank's row-group block indices, the
-        # GEMM countdown tuples of its (J, rank) pairs and J * nsup per
-        # block, shared by every col-bcast delivered there; rr_info is
-        # J -> the row-reduce completion's arguments; norm_vec is L-panel
-        # owner rank -> [(normalize seconds, cross-send arguments)].
-        self.gemms_left: dict[int, int] | None = None
-        self.diag_left: dict[int, int] | None = None
+        # bcast_gemms is grid row (J mod Pr) * Pc -> (group, reds, jsn),
+        # that row's block indices, the row reduction (with its rank ->
+        # position map) and J * nsup of each block, shared by every
+        # col-bcast delivered to a rank of that row; rr_info is J -> the
+        # row-reduce completion's arguments; norm_vec is L-panel owner
+        # rank -> [(normalize seconds, cross-send arguments)].  The GEMM
+        # and diagonal-contribution countdowns live in the reductions
+        # (VecReduce counts each contributor's local tasks).
         self.bcast_gemms: dict[int, tuple] | None = None
         self.rr_info: dict[int, tuple] | None = None
         self.norm_vec: dict[int, list] | None = None
@@ -189,17 +177,14 @@ class _SupernodeState:
         """Drop the protocol's tables and the numeric panels of a
         finished supernode.  Late diag/col-bcast deliveries to relay
         ranks still look themselves up in ``norm_vec`` / ``bcast_gemms``,
-        so those two become empty; ``rr_info``, the two countdown dicts,
-        ``lhat``, ``uhat``, ``base`` and the block offsets become
-        ``None``.  Dropping the countdown tuples also drops the last
-        references to the supernode's reductions."""
+        so those two become empty; ``rr_info``, ``lhat``, ``base`` and
+        the block offsets become ``None``.  Dropping ``bcast_gemms`` and
+        ``rr_info`` also drops the last references to the supernode's
+        reductions."""
         self.bcast_gemms = {}
         self.norm_vec = {}
         self.rr_info = None
-        self.gemms_left = None
-        self.diag_left = None
         self.lhat = None
-        self.uhat = None
         self.base = None
         self.offs = None
         self.segs = None
@@ -373,15 +358,17 @@ class _PSelInvDriver:
             on_delivery, ctx,
         )
 
-    def _reduce(self, spec, contributors, on_complete, ctx) -> tuple:
-        """The reduction of ``spec`` over the ranks ``contributors``, and
-        its rank -> tree position map: ``(red, pos)``.  Completion calls
-        ``on_complete(ctx, value)``."""
+    def _reduce(self, spec, contributors, task_counts, on_complete,
+                ctx) -> tuple:
+        """The reduction of ``spec`` over the ranks ``contributors``, of
+        ``task_counts`` local tasks each, and its rank -> tree position
+        map: ``(red, pos)``.  Completion calls ``on_complete(ctx,
+        value)``."""
         tree = self._tree(spec)
         pos = dict(zip(tree.ranks, range(tree.size)))
         red = VecReduce(
             self.machine, tree, spec.key, spec.nbytes, spec.kind,
-            [pos[r] for r in contributors], on_complete, ctx,
+            [pos[r] for r in contributors], task_counts, on_complete, ctx,
         )
         return red, pos
 
@@ -714,9 +701,12 @@ class SimulatedPSelInv(_PSelInvDriver):
     # engines.
     #
     # Numeric mode changes no event: payloads ride the point records,
-    # and the three task kinds whose precomputed argument is shared
-    # (normalize, GEMM, diag-contrib) get the data they need wrapped onto
-    # it at post time, handled by a numeric variant under the same id.
+    # the two task kinds whose precomputed argument is shared (normalize,
+    # diag-contrib) get the data they need wrapped onto it at post time,
+    # and a GEMM's argument, built when it is posted, carries the
+    # col-bcast payload; a numeric handler variant runs under the same
+    # id.  GEMMs and diagonal contributions are their reduction's local
+    # tasks: each finished one is one VecReduce.contribute_pos call.
 
     def _init_vec_protocol(self) -> None:
         m = self.machine
@@ -725,35 +715,36 @@ class SimulatedPSelInv(_PSelInvDriver):
         self._cid_cross = m.category_id("cross-send")
         self._cid_back = m.category_id("cross-back")
         self._hid_gemm = task(
-            self._gemm_fin_num if num else self._gemm_fin_vec, "gemm"
+            self._gemm_fin_num if num else self._contribute_vec, "gemm"
         )
         self._hid_norm = task(
             self._norm_fin_num if num else self._norm_fin_vec, "normalize"
         )
         self._hid_diagc = task(
-            self._diag_fin_num if num else self._diag_fin_vec, "diag-contrib"
+            self._diag_fin_num if num else self._contribute_vec,
+            "diag-contrib",
         )
         self._hid_colred = task(self._colred_fin_vec, "finish-diag")
         # Column broadcasts waiting on their cross-send, keyed
         # k * nsup + i (popped exactly once when the Lhat panel lands).
         self._vec_cb: dict[int, Any] = {}
-        self._nranks = self.grid.size
+        self._pc = self.grid.pc
 
     def _setup_supernode_vec(self, plan: SupernodePlan) -> VecBroadcast:
         """Window entry: compile supernode ``plan.k``'s whole protocol;
         returns its (unstarted) diagonal broadcast.
 
-        Builds the collectives and the per-rank GEMM, normalize and
-        diagonal tables, and precomputes, in bulk numpy expressions,
-        every compute duration.  All duration arithmetic reproduces
-        ``Network.compute_time``'s exact float expression (the products
-        are exact integers below 2^53, so factoring them elementwise
-        cannot change a bit).
+        Builds the collectives (each reduction counting its
+        contributors' local GEMMs or diagonal contributions), the
+        per-grid-row GEMM table and the per-rank normalize table, and
+        precomputes, in bulk numpy expressions, every compute duration.
+        All duration arithmetic reproduces ``Network.compute_time``'s
+        exact float expression (the products are exact integers below
+        2^53, so factoring them elementwise cannot change a bit).
         """
         k = plan.k
         st = self.states[k]
         nsup = self._nsup
-        nranks = self.grid.size
         pr, pc = self.grid.pr, self.grid.pc
         kc = k % pc
         kr_pc = (k % pr) * pc
@@ -799,41 +790,33 @@ class SimulatedPSelInv(_PSelInvDriver):
         vcb = self._vec_cb
         kn = k * nsup
         # The delivery context of col-bcast i carries its GEMM-duration
-        # row and snode id directly; the per-rank work tables are shared
-        # across every i (a rank's row group does the same j's for each
-        # broadcast it receives).
+        # row and snode id directly; the per-grid-row work tables are
+        # shared across every i (a rank's row group does the same j's for
+        # each broadcast it receives).
         idx_of = {sn_: x for x, sn_ in enumerate(snodes)}
         for spec in plan.col_bcasts:
             i = spec.key[2]
             vcb[kn + i] = self._bcast(
                 spec, self._on_colbcast_delivery_vec, (st, secs[idx_of[i]], i),
             )
-        gl: dict[int, int] = {}
-        st.gemms_left = gl
-        fin_args: dict[int, tuple] = {}
-        # Each reduce's rank -> tree position map lives only in this
-        # call: the trees carry none.
-        for spec in plan.row_reduces:
-            j = spec.key[2]
-            jrow_j = (j % pr) * pc
-            jn = j * nranks
-            red, pos = self._reduce(
-                spec, [jrow_j + c for c in ucols],
-                self._on_rowreduce_complete_vec, (st, j),
+        # Row reduce J (block order): grid row J mod Pr, one contributor
+        # per column position c, holding colcount[c] of J's GEMMs.  Each
+        # reduce's rank -> tree position map lives only in its (red, pos)
+        # pair: the trees carry none.
+        reds = [
+            self._reduce(
+                spec, [jrow + c for c in ucols], ucnts,
+                self._on_rowreduce_complete_vec, (st, spec.key[2]),
             )
-            for c, cnt in zip(ucols, ucnts):
-                r = jrow_j + c
-                gkey = jn + r
-                gl[gkey] = cnt
-                fin_args[gkey] = (gl, gkey, red, pos[r])
-        dl: dict[int, int] = {}
-        st.diag_left = dl
-        for jrow, g in rowgroups.items():
-            dl[jrow + kc] = len(g)
+            for spec, jrow in zip(plan.row_reduces, jrows_l)
+        ]
+        # Col reduce: one contributor per grid row, with one diagonal
+        # contribution per row block of its group.
+        dests = [jrow + kc for jrow in rowgroups]
         cr, pos = self._reduce(
-            plan.col_reduce, dl, self._on_colreduce_complete_vec, st,
+            plan.col_reduce, dests, [len(g) for g in rowgroups.values()],
+            self._on_colreduce_complete_vec, st,
         )
-        dfin = {d: (dl, d, cr, pos[d]) for d in dl}
         # Per row block j: everything its row-reduce completion touches.
         # Cross-sends and cross-backs are in block order.
         backs = plan.cross_backs
@@ -850,7 +833,7 @@ class SimulatedPSelInv(_PSelInvDriver):
                 backs[idx].nbytes,
                 kn + j,                 # readiness key of Ainv(K,J)
                 dc_secs[idx],
-                dfin[dest],
+                (cr, pos[dest]),        # diag-contrib argument
             )
         # Per L-panel owner: normalize duration + cross-send arguments.
         sends = plan.cross_sends
@@ -868,21 +851,14 @@ class SimulatedPSelInv(_PSelInvDriver):
                 nv[lowner] = [ent]
             else:
                 g.append(ent)
-        # Per contributing rank: its row group's block indices, the
-        # shared countdown tuples of its (j, rank) pairs, and the j-part
-        # of each readiness key -- one table per rank, reused by every
-        # col-bcast delivery there (block order throughout).
-        bg: dict[int, tuple] = {}
-        st.bcast_gemms = bg
-        for jrow, group in rowgroups.items():
-            jsn = [snodes[x] * nsup for x in group]
-            for c in ucols:
-                rank = jrow + c
-                bg[rank] = (
-                    group,
-                    [fin_args[snodes[x] * nranks + rank] for x in group],
-                    jsn,
-                )
+        # Per grid row: its block indices, their row reductions and the
+        # j-part of each readiness key -- one table per row, shared by
+        # every col-bcast delivery to its ranks (block order throughout).
+        st.bcast_gemms = {
+            jrow: (group, [reds[x] for x in group],
+                   [snodes[x] * nsup for x in group])
+            for jrow, group in rowgroups.items()
+        }
         return diag_bc
 
     def _on_diag_delivery_vec(self, st, rank: int, payload) -> None:
@@ -920,50 +896,43 @@ class SimulatedPSelInv(_PSelInvDriver):
 
     def _on_colbcast_delivery_vec(self, ctx, rank: int, payload) -> None:
         st, sec_row, i = ctx
-        tab = st.bcast_gemms.get(rank)
+        tab = st.bcast_gemms.get(rank - rank % self._pc)
         if tab is None:
             return
-        group, fins, jsn = tab
-        if payload is not None:
-            st.uhat[(i, rank)] = payload
-            fins = [(f, i) for f in fins]
+        group, reds, jsn = tab
         # _post_when_ready, inlined: one call per GEMM is the hot path.
         ready = self._ready
         waiters = self._waiters
         post = self.machine.post_named
         hid = self._hid_gemm
-        for x in range(len(group)):
-            rkey = jsn[x] + i
-            if rkey in ready:
-                post(rank, sec_row[group[x]], hid, fins[x])
+        for x, (red, pos), jn in zip(group, reds, jsn):
+            if payload is None:
+                arg = (red, pos[rank])
             else:
-                ent = (rank, sec_row[group[x]], hid, fins[x])
+                arg = (red, pos[rank], i, payload)
+            rkey = jn + i
+            if rkey in ready:
+                post(rank, sec_row[x], hid, arg)
+            else:
+                ent = (rank, sec_row[x], hid, arg)
                 w = waiters.get(rkey)
                 if w is None:
                     waiters[rkey] = [ent]
                 else:
                     w.append(ent)
 
-    def _gemm_fin_vec(self, arg) -> None:
-        gl, gkey, red, cpos = arg
-        n = gl[gkey] - 1
-        gl[gkey] = n
-        if n == 0:
-            red.contribute_pos(cpos)
+    @staticmethod
+    def _contribute_vec(arg) -> None:
+        # A symbolic GEMM or diagonal contribution: (reduction, position).
+        arg[0].contribute_pos(arg[1])
 
     def _gemm_fin_num(self, arg) -> None:
-        (gl, gkey, red, cpos), i = arg
-        st = self.states[red.tag[1]]  # the row reduce's tag is ("rr", k, j)
-        j, rank = divmod(gkey, self._nranks)
-        partial = st.row_partial
+        red, cpos, i, uhat = arg
+        _, k, j = red.tag  # the row reduce's tag is ("rr", k, j)
         # Ainv(J,I)[needed rows, needed cols] @ Lhat(I,K), where
         # uhat.T = Lhat(I,K), (r_i, s).
-        sub = self._ainv_operand(st.offs, j, i)
-        _accumulate(partial, gkey, sub @ st.uhat[(i, rank)].T)
-        n = gl[gkey] - 1
-        gl[gkey] = n
-        if n == 0:
-            red.contribute_pos(cpos, partial.pop(gkey))
+        sub = self._ainv_operand(self.states[k].offs, j, i)
+        red.contribute_pos(cpos, sub @ uhat.T)
 
     def _on_rowreduce_complete_vec(self, ctx, value) -> None:
         st, j = ctx
@@ -975,7 +944,7 @@ class SimulatedPSelInv(_PSelInvDriver):
             self.ainv_data[(j, st.plan.k)] = ainv_jk
             self._store_locator(st, j)
             back = ainv_jk.T
-            dfin = (dfin, st, j)
+            dfin = dfin + (st, j)
         self._mark_ready(rkey)
         self.machine.send_pt(
             dest, u_owner, xbtag, nbytes, self._cid_back,
@@ -989,21 +958,10 @@ class SimulatedPSelInv(_PSelInvDriver):
             self.ainv_data[divmod(aux, self._nsup)] = payload
         self._mark_ready(aux)
 
-    def _diag_fin_vec(self, arg) -> None:
-        dl, dest, cr, cpos = arg
-        n = dl[dest] - 1
-        dl[dest] = n
-        if n == 0:
-            cr.contribute_pos(cpos)
-
     def _diag_fin_num(self, arg) -> None:
-        (dl, dest, cr, cpos), st, j = arg
+        cr, cpos, st, j = arg
         # Local diagonal contribution Lhat(J,K)^T @ Ainv(J,K).
-        _accumulate(st.diag_partial, dest, st.lhat[j].T @ st.ainv_low[j])
-        n = dl[dest] - 1
-        dl[dest] = n
-        if n == 0:
-            cr.contribute_pos(cpos, st.diag_partial.pop(dest))
+        cr.contribute_pos(cpos, st.lhat[j].T @ st.ainv_low[j])
 
     def _on_colreduce_complete_vec(self, st, value) -> None:
         self.machine.post_named(

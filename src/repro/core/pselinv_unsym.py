@@ -42,6 +42,7 @@ exactly, which is the strongest evidence the mirrored dataflow is right.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any
 
 import numpy as np
@@ -54,7 +55,7 @@ from ..sparse.factor import SupernodalFactor
 from ..sparse.supernodes import SupernodalStructure
 from .grid import ProcessorGrid
 from .plan_unsym import UnsymSupernodePlan, iter_unsym_plans
-from .pselinv import PSelInvResult, _accumulate, _PSelInvDriver
+from .pselinv import PSelInvResult, _PSelInvDriver
 
 __all__ = ["SimulatedPSelInvUnsym", "run_pselinv_unsym"]
 
@@ -62,12 +63,17 @@ __all__ = ["SimulatedPSelInvUnsym", "run_pselinv_unsym"]
 class _UnsymState:
     """Per-supernode bookkeeping for the mirrored pipelines.
 
-    A reduction is held here, with its rank -> tree position map, only
-    until it completes (the diagonal one until the diagonal finishes):
-    its completion context holds this state, so a reduction kept for
-    good would be a reference cycle outliving the run while the drain
-    pauses the cyclic collector.  Each broadcast
-    waiting on a cross send is held until that send starts it.
+    A reduction counts its contributors' local tasks itself (a rank's
+    GEMMs of one row or column, its diagonal contributions) and sums
+    their values, so each finished task is one
+    :meth:`~repro.comm.collectives.VecReduce.contribute_pos` call and
+    the state keeps no countdown.  A reduction is held here, with its
+    rank -> tree position map, only until it completes (the diagonal
+    one until the diagonal finishes): its completion context holds this
+    state, so a reduction kept for good would be a reference cycle
+    outliving the run while the drain pauses the cyclic collector.
+    Each broadcast waiting on a cross send is held until that send
+    starts it.
 
     A supernode is done once its diagonal is finished and every row
     reduction has landed (the diagonal does not wait for the row
@@ -85,12 +91,6 @@ class _UnsymState:
         "bcast_u",    # (I, rank) -> Uhat payload from row-bcast
         "ainv_low",   # J -> Ainv(J,K)
         "ainv_up",    # J -> Ainv(K,J)
-        "rowp",       # (J, rank) -> GEMM-L partial
-        "colp",       # (J, rank) -> GEMM-U partial
-        "gl_left",
-        "gu_left",
-        "diag_partial",
-        "diag_left",
         "base",
         "diag_value",
         "norm_l",
@@ -116,12 +116,6 @@ class _UnsymState:
         self.bcast_u: dict[tuple[int, int], Any] = {}
         self.ainv_low: dict[int, Any] = {}
         self.ainv_up: dict[int, Any] = {}
-        self.rowp: dict[tuple[int, int], Any] = {}
-        self.colp: dict[tuple[int, int], Any] = {}
-        self.gl_left: dict[tuple[int, int], int] = {}
-        self.gu_left: dict[tuple[int, int], int] = {}
-        self.diag_partial: dict[int, Any] = {}
-        self.diag_left: dict[int, int] = {}
         self.base: Any = None
         self.diag_value: Any = None
         self.norm_l: dict[int, list] = {}
@@ -153,29 +147,12 @@ class _UnsymState:
         self.bcast_l = None
         self.bcast_u = None
         self.ainv_up = None
-        self.rowp = None
-        self.colp = None
-        self.gl_left = None
-        self.gu_left = None
-        self.diag_partial = None
-        self.diag_left = None
         self.base = None
         self.nrows = None
         self.l2u_nbytes = None
         self.u2l_nbytes = None
         self.offs = None
         self.segs = None
-
-
-def _count_down(left: dict, partials: dict, key: Any, reduction: tuple,
-                rank: int) -> None:
-    """One of the ``left[key]`` local tasks of ``rank`` finished; the
-    last hands their summed ``partials[key]`` to ``reduction``."""
-    n = left[key] - 1
-    left[key] = n
-    if n == 0:
-        red, pos = reduction
-        red.contribute_pos(pos[rank], partials.pop(key, None))
 
 
 class SimulatedPSelInvUnsym(_PSelInvDriver):
@@ -228,13 +205,10 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
             for bi in plan.blocks:
                 i = bi.snode
                 rl = self.grid.rank(j % pr, i % pc)  # GEMM-L site
-                st.gl_left[(j, rl)] = st.gl_left.get((j, rl), 0) + 1
                 st.gemms_l.setdefault((i, rl), []).append(j)
                 ru = self.grid.rank(i % pr, j % pc)  # GEMM-U site
-                st.gu_left[(j, ru)] = st.gu_left.get((j, ru), 0) + 1
                 st.gemms_u.setdefault((i, ru), []).append(j)
             udest = self.grid.rank(kr, j % pc)
-            st.diag_left[udest] = st.diag_left.get(udest, 0) + 1
             st.norm_l.setdefault(self.grid.rank(j % pr, kc), []).append(bj)
             st.norm_u.setdefault(udest, []).append(bj)
 
@@ -243,8 +217,17 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
         st = self.states[plan.k]
         rank = self.grid.rank
         pr, pc = self.grid.pr, self.grid.pc
-        c_rows = sorted({b.snode % pr for b in plan.blocks})
-        c_cols = sorted({b.snode % pc for b in plan.blocks})
+        # Blocks per grid row and per grid column: the local task count
+        # of every contributor.  Row reduce J's rank in grid column c
+        # does a GEMM-L per block in that column, column reduce J's rank
+        # in grid row r a GEMM-U per block in that row, and the diagonal
+        # reduce's rank in grid column c a contribution per block there.
+        row_n = Counter(b.snode % pr for b in plan.blocks)
+        col_n = Counter(b.snode % pc for b in plan.blocks)
+        c_rows = sorted(row_n)
+        c_cols = sorted(col_n)
+        n_rows = [row_n[r] for r in c_rows]
+        n_cols = [col_n[c] for c in c_cols]
         # Collectives go up in a fixed order (diag bcasts, col bcasts, row
         # bcasts, row reduces, col reduces, diag reduce): reduce
         # construction can emit degenerate-relay sends, so this order is
@@ -260,18 +243,18 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
         for spec in plan.row_reduces:
             j = spec.key[2]
             st.rr[j] = self._reduce(
-                spec, [rank(j % pr, c) for c in c_cols],
+                spec, [rank(j % pr, c) for c in c_cols], n_cols,
                 self._on_rowreduce, (st, j),
             )
         for spec in plan.col_ureduces:
             j = spec.key[2]
             st.cu[j] = self._reduce(
-                spec, [rank(r, j % pc) for r in c_rows],
+                spec, [rank(r, j % pc) for r in c_rows], n_rows,
                 self._on_col_ureduce, (st, j),
             )
         st.dq = self._reduce(
             plan.diag_rreduce, [rank(plan.k % pr, c) for c in c_cols],
-            self._on_diag_reduce, st,
+            n_cols, self._on_diag_reduce, st,
         )
         return diag_col, diag_row
 
@@ -369,19 +352,21 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
 
     def _gemm_l_fin(self, arg) -> None:
         st, i, j, rank = arg
-        key = (j, rank)
+        value = None
         if self.numeric:
             sub = self._ainv_operand(st.offs, j, i)
-            _accumulate(st.rowp, key, sub @ st.bcast_l[(i, rank)])
-        _count_down(st.gl_left, st.rowp, key, st.rr[j], rank)
+            value = sub @ st.bcast_l[(i, rank)]
+        red, pos = st.rr[j]
+        red.contribute_pos(pos[rank], value)
 
     def _gemm_u_fin(self, arg) -> None:
         st, i, j, rank = arg
-        key = (j, rank)
+        value = None
         if self.numeric:
             sub = self._ainv_operand(st.offs, i, j)
-            _accumulate(st.colp, key, st.bcast_u[(i, rank)] @ sub)
-        _count_down(st.gu_left, st.colp, key, st.cu[j], rank)
+            value = st.bcast_u[(i, rank)] @ sub
+        red, pos = st.cu[j]
+        red.contribute_pos(pos[rank], value)
 
     # -- reductions -------------------------------------------------------------
 
@@ -422,11 +407,10 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
 
     def _diagc_fin(self, arg) -> None:
         st, j, dest = arg
-        if self.numeric:
-            # (s, rj) @ (rj, s)
-            contrib = st.ainv_up[j] @ st.lhat_at_u[j]
-            _accumulate(st.diag_partial, dest, contrib)
-        _count_down(st.diag_left, st.diag_partial, dest, st.dq, dest)
+        # (s, rj) @ (rj, s)
+        value = st.ainv_up[j] @ st.lhat_at_u[j] if self.numeric else None
+        red, pos = st.dq
+        red.contribute_pos(pos[dest], value)
 
     def _on_diag_reduce(self, st: _UnsymState, value: Any) -> None:
         """The diagonal reduction landed: the diagonal owner finishes

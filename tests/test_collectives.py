@@ -1,14 +1,19 @@
 """Tests for the compiled tree broadcast / reduce over both machines.
 
 Every test runs on the heapq :class:`Machine` and on :class:`VecMachine`,
-the two machines both drivers run their protocols on.
+the two machines both drivers run their protocols on -- except the
+counted-reduction property, which delivers a reduction's messages by
+hand (on a recording stand-in machine) to control their interleaving
+with the local tasks.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm.collectives import VecBroadcast, VecReduce
-from repro.comm.trees import compiled_tree
+from repro.comm.trees import TREE_SCHEMES, compiled_tree
 from repro.simulate import Machine, Network, NetworkConfig, VecMachine
 
 MACHINES = (Machine, VecMachine)
@@ -29,7 +34,7 @@ def reduce_over(m, tree, contributors, out, nbytes=64, tag="r"):
     pos = dict(zip(tree.ranks, range(tree.size)))
     red = VecReduce(
         m, tree, tag, nbytes, "row-reduce", [pos[r] for r in contributors],
-        lambda ctx, value: out.append(value), None,
+        [1] * len(contributors), lambda ctx, value: out.append(value), None,
     )
     return red, pos
 
@@ -168,3 +173,107 @@ class TestConcurrentCollectives:
             m.run()
             for t, bc in enumerate(bcasts):
                 assert delivered[t] == set(bc.tree.ranks)
+
+
+class _Wire:
+    """A stand-in machine for one reduction: it records every send as
+    ``(clock, src rank, parent position, payload)`` and delivers none."""
+
+    coll_shapes = None
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.sent = []
+
+    def category_id(self, name):
+        return 0
+
+    def send_pt(self, src, dst, tag, nbytes, cid, cb, aux=0, payload=None):
+        self.sent.append((self.clock[0], src, aux, payload))
+
+
+# Magnitudes far apart, so that a different summation order changes bits.
+_TERMS = st.sampled_from([1e16, -1e16, 1.0, -2.5, 0.1, 3e-8, 7.0, 1e-3])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), scheme=st.sampled_from(TREE_SCHEMES),
+       numeric=st.booleans(), max_tasks=st.sampled_from([1, 4]))
+def test_counted_reduce_matches_countdown_oracle(data, scheme, numeric,
+                                                 max_tasks):
+    """A reduction that counts each contributor's local tasks behaves as
+    the driver pattern it replaces: a countdown dict and a partial sum
+    per contributor outside the collective, then one contribution per
+    contributor to a count-of-one reduction.  Over a random tree, random
+    local task counts (all one when ``max_tasks`` is 1) and a random
+    interleaving of local tasks and child messages, every position sends
+    at the same step, the root completes at the same step, and the root
+    value is the same to the bit."""
+    ranks = sorted(data.draw(st.sets(st.integers(0, 15), min_size=1,
+                                     max_size=12)))
+    root = data.draw(st.sampled_from(ranks))
+    tree = compiled_tree(scheme, root, tuple(ranks),
+                         data.draw(st.integers(0, 99)))
+    counts = {
+        p: data.draw(st.integers(1, max_tasks))
+        for p in data.draw(st.sets(st.integers(0, tree.size - 1)))
+    }
+    tasks = {
+        p: [np.array([data.draw(_TERMS)]) if numeric else None
+            for _ in range(n)]
+        for p, n in counts.items()
+    }
+    clock = [0]
+    new, old = _Wire(clock), _Wire(clock)
+    done_new, done_old = [], []
+    red = VecReduce(
+        new, tree, "r", 8, "row-reduce", list(counts), list(counts.values()),
+        lambda ctx, value: done_new.append((clock[0], value)), None,
+    )
+    # The oracle: a countdown dict, a partial sum accumulated in arrival
+    # order and one contribute_pos per contributor.
+    oracle = VecReduce(
+        old, tree, "r", 8, "row-reduce", list(counts), [1] * len(counts),
+        lambda ctx, value: done_old.append((clock[0], value)), None,
+    )
+    left = dict(counts)
+    partials = {}
+
+    def oracle_task(pos, value):
+        if value is not None:
+            cur = partials.get(pos)
+            partials[pos] = value if cur is None else cur + value
+        left[pos] -= 1
+        if left[pos] == 0:
+            oracle.contribute_pos(pos, partials.pop(pos, None))
+
+    inflight: list[int] = []
+    seen = 0
+    while True:
+        assert [s[:3] for s in new.sent] == [s[:3] for s in old.sent]
+        inflight += range(seen, len(new.sent))
+        seen = len(new.sent)
+        choices = [("task", p) for p in sorted(tasks) if tasks[p]]
+        choices += [("msg", x) for x in inflight]
+        if not choices:
+            break
+        kind, x = data.draw(st.sampled_from(choices))
+        clock[0] += 1
+        if kind == "task":
+            value = tasks[x].pop(0)
+            red.contribute_pos(x, value)
+            oracle_task(x, value)
+        else:
+            inflight.remove(x)
+            for wire, r in ((new, red), (old, oracle)):
+                _, _, parent, payload = wire.sent[x]
+                r.on_message(tree.ranks[parent], payload, parent)
+    # Every non-root position sent once; the root completed once.
+    assert sorted(s[1] for s in new.sent) == sorted(tree.ranks[1:])
+    assert len(done_new) == len(done_old) == 1
+    assert done_new[0][0] == done_old[0][0]
+    got, want = done_new[0][1], done_old[0][1]
+    if numeric and counts:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got is None and want is None

@@ -115,8 +115,7 @@ def _assert_protocol_released(sim: SimulatedPSelInv) -> None:
         k = st.plan.k
         assert st.bcast_gemms == {} and st.norm_vec == {}, k
         assert st.rr_info is None, k
-        assert st.gemms_left is None and st.diag_left is None, k
-        assert st.lhat is None and st.uhat is None and st.base is None, k
+        assert st.lhat is None and st.base is None, k
         assert st.diag_value is not None or not sim.numeric, k
 
 
@@ -165,10 +164,8 @@ def _assert_unsym_protocol_released(sim: SimulatedPSelInvUnsym) -> None:
         # Only what the inverse is gathered from stays.
         assert st.gemms_l == {} and st.gemms_u == {}, k
         assert st.norm_l == {} and st.norm_u == {}, k
-        for name in ("gl_left", "gu_left", "diag_left", "nrows",
-                     "l2u_nbytes", "u2l_nbytes", "rowp", "colp",
-                     "diag_partial", "lhat_at_u", "bcast_l", "bcast_u",
-                     "ainv_up", "base"):
+        for name in ("nrows", "l2u_nbytes", "u2l_nbytes", "lhat_at_u",
+                     "bcast_l", "bcast_u", "ainv_up", "base"):
             assert getattr(st, name) is None, (k, name)
         assert len(st.ainv_low) == len(st.plan.blocks), k
         assert st.diag_value is not None or not sim.numeric, k
