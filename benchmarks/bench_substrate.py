@@ -8,6 +8,10 @@ Unlike the figure benches these use real repetition (pytest-benchmark's
 adaptive rounds) since each operation is cheap.
 """
 
+import json
+import os
+import subprocess
+import sys
 from time import perf_counter
 
 import numpy as np
@@ -101,6 +105,40 @@ class TestNumericThroughput:
         assert inv.struct is prob.struct
 
 
+# One numeric PSelInv op, timed in a child process: a BLAS reads its
+# thread count when it loads, and this process has loaded it already.
+_NUMERIC_OP = """
+import json, sys
+from time import perf_counter
+import numpy as np
+from repro.core import ProcessorGrid, SimulatedPSelInv, iter_plans
+from repro.sparse import analyze, factorize
+from repro.workloads import dg_hamiltonian
+
+rounds = int(sys.argv[1])
+a = dg_hamiltonian((7, 7), 16, rng=np.random.default_rng(0))
+prob = analyze(a, ordering="nd", max_supernode=8)
+grid = ProcessorGrid(8, 8)
+plans = list(iter_plans(prob.struct, grid))
+fac = factorize(prob.matrix, prob.struct)
+seconds = []
+for r in range(rounds + 1):  # round 0 warms the process up
+    t0 = perf_counter()
+    res = SimulatedPSelInv(
+        prob.struct, grid, "shifted", factor=fac, plans=plans
+    ).run()
+    seconds.append(perf_counter() - t0)
+print(json.dumps({
+    "seconds": seconds[1:],
+    "events": res.events,
+    "gemms": sum(len(p.blocks) ** 2 for p in plans),
+}))
+"""
+_ONE_THREAD = {
+    v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+}
+
+
 def _drop(dst, payload, aux):
     """A delivery callback that discards the message."""
 
@@ -159,6 +197,34 @@ class TestCommThroughput:
             events=tally["events"]
         ))
         assert res.makespan > 0
+
+
+class TestNumericPSelInvThroughput:
+    def test_pselinv_numeric_dg(self):
+        """``numeric_dg_64``'s op outside the e2e harness:
+        ``SimulatedPSelInv`` with numeric payloads on the DG 7x7x16
+        matrix (n=784), 8x8, shifted, one BLAS thread.  Records the
+        median op's wall time and its GEMMs per second (a GEMM is one
+        ``Ainv(J,I) @ Lhat(I,K)`` task, ``sum |C_K|^2`` of them)."""
+        rounds = 5
+        out = subprocess.run(
+            [sys.executable, "-c", _NUMERIC_OP, str(rounds)],
+            env={**os.environ, **_ONE_THREAD},
+            capture_output=True, text=True, check=True,
+        )
+        run = json.loads(out.stdout.splitlines()[-1])
+        wall = float(np.median(run["seconds"]))
+        print(record_throughput(
+            "substrate_pselinv_numeric", wall_seconds=wall,
+            events=run["events"],
+            extra={
+                "gemms": run["gemms"],
+                "gemms_per_sec": round(run["gemms"] / wall, 1),
+                "op_seconds": [round(t, 4) for t in run["seconds"]],
+                "blas_threads": 1,
+            },
+        ))
+        assert run["gemms"] > 0
 
 
 class TestPlanThroughput:

@@ -76,9 +76,13 @@ skeleton, :class:`_PSelInvDriver`: the window, the collective builders,
 the ``Ainv`` readiness table (int keys ``row * nsup + col``), the
 ``diag-inv`` task, the numeric kernels and the result.  Every GEMM of
 both takes its ``Ainv`` operand through
-:meth:`_PSelInvDriver._ainv_operand`: one open-mesh index per GEMM, from
-block offsets computed once per numeric supernode on window entry and
-a locator per stored off-diagonal block (no search per GEMM).
+:meth:`_PSelInvDriver._ainv_operand`: a basic slice of the stored block
+(made C-contiguous) whenever both sides are contiguous ranges, else one
+open-mesh index, from block offsets computed once per numeric supernode
+on window entry and a locator per stored off-diagonal block (``None``
+when it is the identity; no search per GEMM).  The triangular solves go
+straight to LAPACK ``?trtrs`` through
+:func:`repro.sparse.factor._trsolve`, bit for bit scipy's result.
 """
 
 from __future__ import annotations
@@ -87,13 +91,12 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ..comm.collectives import VecBroadcast, VecReduce, record_shapes
 from ..comm.trees import CompiledTree, compiled_tree, tree_cache_info
 from ..simulate.machine import CommStats, Machine, VecMachine
 from ..simulate.network import Network, NetworkConfig
-from ..sparse.factor import SupernodalFactor
+from ..sparse.factor import SupernodalFactor, _trsolve
 from ..sparse.selinv import SelectedInverse
 from ..sparse.supernodes import SupernodalStructure
 from .grid import ProcessorGrid
@@ -121,6 +124,16 @@ class PSelInvResult:
     compute_time: float = 0.0
     communication_time: float = 0.0
     inverse: SelectedInverse | None = None
+
+
+def _locate(loc: np.ndarray, offs: slice | np.ndarray) -> slice | np.ndarray:
+    """Stored-block indices of the local offsets ``offs`` through the
+    locator ``loc``; a range maps to the range that starts at its first
+    offset's row (see :meth:`_PSelInvDriver._ainv_operand`)."""
+    if offs.__class__ is slice:
+        lo = int(loc[offs.start])
+        return slice(lo, lo + offs.stop - offs.start)
+    return loc[offs]
 
 
 class _SupernodeState:
@@ -169,8 +182,9 @@ class _SupernodeState:
         self.rr_info: dict[int, tuple] | None = None
         self.norm_vec: dict[int, list] | None = None
         # Numeric runs only (_PSelInvDriver._block_offsets): I -> local
-        # column offsets of block I's rows, and I -> its panel rows.
-        self.offs: dict[int, np.ndarray] | None = None
+        # column offsets of block I's rows (a slice when contiguous), and
+        # I -> its panel rows.
+        self.offs: dict[int, slice | np.ndarray] | None = None
         self.segs: dict[int, slice] | None = None
 
     def release(self) -> None:
@@ -323,7 +337,7 @@ class _PSelInvDriver:
         # of each stored off-diagonal pair by its lower key (J, K), J > K
         # (see _store_locator).
         self.ainv_data: dict[tuple[int, int], Any] = {}
-        self.ainv_loc: dict[tuple[int, int], np.ndarray] = {}
+        self.ainv_loc: dict[tuple[int, int], np.ndarray | None] = {}
         # Ainv readiness (see the class docstring).
         self._nsup = struct.nsup
         self._ready: set[int] = set()
@@ -480,18 +494,27 @@ class _PSelInvDriver:
         segment ``seg_I`` itself (``st.segs``).  Blocks are in
         ``rows_below`` order, so the segments are the running sum of
         the plan's ``nrows``, and one vector expression gives every
-        offset."""
+        offset.  Offsets that form one contiguous range are stored as
+        that ``slice``, the others as an int array (the offsets are
+        strictly increasing, so a block is contiguous iff its last
+        offset minus its first is ``nrows - 1``)."""
         struct = self.struct
         blocks = st.plan.blocks
         sn = [b.snode for b in blocks]
         nr = [b.nrows for b in blocks]
         local = struct.rows_below[st.plan.k] - np.repeat(struct.sn_ptr[sn], nr)
-        offs: dict[int, np.ndarray] = {}
+        ends = np.cumsum(nr)
+        firsts = local[ends - nr].tolist()
+        lasts = local[ends - 1].tolist()
+        offs: dict[int, slice | np.ndarray] = {}
         segs: dict[int, slice] = {}
         lo = 0
-        for i, hi in zip(sn, np.cumsum(nr).tolist()):
+        for i, n, hi, first, last in zip(sn, nr, ends.tolist(), firsts, lasts):
             seg = segs[i] = slice(lo, hi)
-            offs[i] = local[seg]
+            if last - first + 1 == n:
+                offs[i] = slice(first, last + 1)
+            else:
+                offs[i] = local[seg]
             lo = hi
         st.offs = offs
         st.segs = segs
@@ -502,29 +525,58 @@ class _PSelInvDriver:
         in ``rows_below[K]`` (by all columns of ``K``), the upper one is
         its mirror.  Both share one locator, keyed ``(J, K)``: a
         ``width(J)`` int map from ``J``'s local column to the stored
-        row.  Built once, when the first of the two is stored."""
+        row, or ``None`` when that map is the identity (the stored
+        block holds every row of ``J``).  Built once, when the first of
+        the two is stored."""
         key = (j, st.plan.k)
         if key not in self.ainv_loc:
             o = st.offs[j]
-            loc = np.zeros(self.struct.width(j), np.intp)
-            loc[o] = np.arange(o.size)
+            width = self.struct.width(j)
+            if o.__class__ is slice and o.stop - o.start == width:
+                self.ainv_loc[key] = None
+                return
+            n = o.stop - o.start if o.__class__ is slice else o.size
+            loc = np.zeros(width, np.intp)
+            loc[o] = np.arange(n)
             self.ainv_loc[key] = loc
 
     def _ainv_operand(self, offs: dict, row_sn: int, col_sn: int) -> np.ndarray:
         """The GEMM operand of Algorithm 1 for supernode ``K`` (whose
         block offsets are ``offs``): the stored ``Ainv(row_sn, col_sn)``
         at the rows of ``row_sn`` and the columns of ``col_sn`` present
-        in ``rows_below[K]``.  A diagonal block is dense, so the offsets
-        index it directly; the structural side of an off-diagonal block
-        (rows of a lower block, columns of an upper one) goes through
-        its locator."""
+        in ``rows_below[K]``, C-ordered.  A diagonal block is dense, so
+        the offsets index it directly; the structural side of an
+        off-diagonal block (rows of a lower block, columns of an upper
+        one) goes through its locator, unless that is the identity.
+
+        A contiguous range stays a range through a locator: the stored
+        block holds every row of ``row_sn`` that ``K`` needs (its
+        structure contains ``K``'s), so consecutive needed rows sit in
+        consecutive stored rows.  When both sides are ranges the
+        operand is the basic slice, made C-contiguous: a no-op on a
+        C-ordered stored block, one copy of a mirrored ``.T`` view,
+        which gives the layout the gather gave and so the same GEMM
+        bytes.  Otherwise it is the open-mesh gather
+        ``block[rows[:, None], cols]``.  The operand may alias the
+        stored block: read it, never write it."""
         rows = offs[row_sn]
         cols = offs[col_sn]
         if row_sn > col_sn:
-            rows = self.ainv_loc[(row_sn, col_sn)][rows]
+            loc = self.ainv_loc[(row_sn, col_sn)]
+            if loc is not None:
+                rows = _locate(loc, rows)
         elif row_sn < col_sn:
-            cols = self.ainv_loc[(col_sn, row_sn)][cols]
-        return self.ainv_data[(row_sn, col_sn)][rows[:, None], cols]
+            loc = self.ainv_loc[(col_sn, row_sn)]
+            if loc is not None:
+                cols = _locate(loc, cols)
+        block = self.ainv_data[(row_sn, col_sn)]
+        if rows.__class__ is slice:
+            if cols.__class__ is slice:
+                return np.ascontiguousarray(block[rows, cols])
+            rows = np.arange(rows.start, rows.stop)
+        elif cols.__class__ is slice:
+            cols = np.arange(cols.start, cols.stop)
+        return block[rows[:, None], cols]
 
     def _raw_l_block(self, k: int, i: int) -> np.ndarray:
         """Slice the raw factor panel block L(I,K) (numeric mode)."""
@@ -534,13 +586,13 @@ class _PSelInvDriver:
     def _invert_diag(lu: np.ndarray) -> np.ndarray:
         """``inv(U_KK) inv(L_KK)`` from the packed LU of a diagonal block."""
         ident = np.eye(lu.shape[0])
-        linv = solve_triangular(lu, ident, lower=True, unit_diagonal=True)
-        return solve_triangular(lu, linv, lower=False)
+        linv = _trsolve(lu, ident, lower=True, unit_diagonal=True)
+        return _trsolve(lu, linv, lower=False)
 
     def _normalize(self, k: int, i: int, lu: np.ndarray) -> np.ndarray:
         """``Lhat(I,K) = L(I,K) inv(L_KK)`` (numeric mode)."""
         raw = self._raw_l_block(k, i)
-        return solve_triangular(
+        return _trsolve(
             lu, raw.T, lower=True, unit_diagonal=True, trans="T"
         ).T
 

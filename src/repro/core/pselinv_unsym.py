@@ -46,12 +46,11 @@ from collections import Counter
 from typing import Any
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ..comm.collectives import VecBroadcast
 from ..simulate.machine import VecMachine
 from ..simulate.network import NetworkConfig
-from ..sparse.factor import SupernodalFactor
+from ..sparse.factor import SupernodalFactor, _trsolve
 from ..sparse.supernodes import SupernodalStructure
 from .grid import ProcessorGrid
 from .plan_unsym import UnsymSupernodePlan, iter_unsym_plans
@@ -130,7 +129,7 @@ class _UnsymState:
         self.rr: dict[int, tuple] = {}
         self.cu: dict[int, tuple] = {}
         self.dq: tuple | None = None
-        self.offs: dict[int, np.ndarray] | None = None
+        self.offs: dict[int, slice | np.ndarray] | None = None
         self.segs: dict[int, slice] | None = None
 
     def release(self) -> None:
@@ -296,7 +295,7 @@ class SimulatedPSelInvUnsym(_PSelInvDriver):
         st, i, rank, lu = arg
         k = st.plan.k
         if self.numeric:
-            uhat = solve_triangular(lu, self._raw_u_block(k, i), lower=False)
+            uhat = _trsolve(lu, self._raw_u_block(k, i), lower=False)
         else:
             uhat = None
         l_owner = self.grid.rank(i % self.grid.pr, k % self.grid.pc)

@@ -13,6 +13,12 @@ which mirrors the static-pivoting mode of SuperLU_DIST used with PEXSI.
 A zero (or tiny) pivot raises :class:`ZeroPivotError` rather than
 silently corrupting the factor.
 
+The panel solves (here and in the PSelInv drivers' numeric kernels) go
+through :func:`_trsolve`, LAPACK ``?trtrs`` called directly with every
+check of ``scipy.linalg.solve_triangular`` kept and the same bytes out;
+the sequential oracle (:mod:`repro.sparse.selinv`) and
+:mod:`repro.sparse.solve` keep scipy's function.
+
 Storage per supernode ``K`` (width ``s``, ``m`` below-diagonal rows)::
 
     LX[K] : (s + m, s) dense -- rows = cols(K) ++ rows_below(K)
@@ -25,9 +31,10 @@ Storage per supernode ``K`` (width ``s``, ``m`` below-diagonal rows)::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .matrix import SparseMatrix
 from .supernodes import SupernodalStructure
@@ -37,6 +44,70 @@ __all__ = ["ZeroPivotError", "SupernodalFactor", "factorize"]
 
 class ZeroPivotError(RuntimeError):
     """Raised when a diagonal pivot is exactly zero / numerically tiny."""
+
+
+# LAPACK ``?trtrs`` by (a.dtype, b.dtype), looked up once per pair.
+_TRTRS: dict[tuple[np.dtype, np.dtype], Any] = {}
+_TRANS = {"N": 0, "T": 1, "C": 2}
+
+
+def _trsolve(
+    a: np.ndarray,
+    b: np.ndarray,
+    *,
+    lower: bool = False,
+    trans: int | str = 0,
+    unit_diagonal: bool = False,
+) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(a, b, trans, lower, unit_diagonal)``
+    on ndarrays, bit for bit, straight through LAPACK ``?trtrs``.
+
+    The same checks in the same order -- finite ``a`` and ``b``, a
+    square ``a``, matching rows -- raise the same exceptions; an empty
+    ``b`` gives scipy's empty result; a C-ordered ``a`` is solved as
+    ``a.T`` with ``lower`` and ``trans`` flipped, as scipy does, so the
+    routine sees the same operands.  What it drops is scipy's per-call
+    wrapper work (array-like conversion, batch dimensions, the
+    sparse/masked/object checks, the LAPACK lookup), which at the
+    ≤ 8-column systems of a supernodal factor costs ten times the
+    solve: ``a`` is one 2-D ndarray, ``b`` a 1-D or 2-D one.  Numeric kernels use
+    it; the sequential oracle (:mod:`repro.sparse.selinv`) keeps
+    scipy's function, so the dense-inverse check stays independent.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected square matrix")
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(
+            f"shapes of a {a.shape} and b {b.shape} are incompatible"
+        )
+    if b.size == 0:
+        dt = _trsolve(np.eye(2, dtype=a.dtype), np.ones(2, dtype=b.dtype))
+        return np.empty_like(b, dtype=dt.dtype)
+    key = (a.dtype, b.dtype)
+    trtrs = _TRTRS.get(key)
+    if trtrs is None:
+        (trtrs,) = get_lapack_funcs(("trtrs",), (a, b))
+        _TRTRS[key] = trtrs
+    trans = _TRANS.get(trans, trans)
+    if a.flags.f_contiguous or trans == 2:
+        x, info = trtrs(
+            a, b, overwrite_b=False, lower=lower, trans=trans,
+            unitdiag=unit_diagonal,
+        )
+    else:
+        x, info = trtrs(
+            a.T, b, overwrite_b=False, lower=not lower, trans=not trans,
+            unitdiag=unit_diagonal,
+        )
+    if info == 0:
+        return x
+    if info > 0:
+        raise LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
 
 
 def _dense_lu_nopivot(d: np.ndarray, *, tol: float) -> None:
@@ -170,11 +241,9 @@ def factorize(
         lp = LX[k][s:, :]
         up = UX[k]
         # lp <- lp * inv(U_kk) : solve X U = B  via  U^T X^T = B^T.
-        lp[:] = solve_triangular(d, lp.T, lower=False, trans="T").T
+        lp[:] = _trsolve(d, lp.T, lower=False, trans="T").T
         # up <- inv(L_kk) * up : unit lower triangular solve.
-        up[:] = solve_triangular(
-            d, up, lower=True, unit_diagonal=True, trans="N"
-        )
+        up[:] = _trsolve(d, up, lower=True, unit_diagonal=True, trans="N")
         w = lp @ up  # (m, m) Schur update for rows/cols ``rows``
         # Scatter-subtract into ancestor supernodes, grouped by the
         # supernode owning each target column.

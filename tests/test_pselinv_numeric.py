@@ -270,6 +270,38 @@ def _stored_shape(struct, row_sn, col_sn):
     return struct.width(row_sn), struct.width(row_sn)
 
 
+def _random_block(rng, shape, dtype):
+    block = rng.standard_normal(shape)
+    if np.dtype(dtype).kind == "c":
+        block = block + 1j * rng.standard_normal(shape)
+    return block.astype(dtype)
+
+
+def _store_pair(drv, rng, struct, lo, hi, dtype):
+    """Store the pair ``(hi, lo)`` as the symmetric driver does: a
+    C-ordered lower block and its ``.T`` view as the upper one."""
+    lower = _random_block(rng, _stored_shape(struct, hi, lo), dtype)
+    drv.ainv_data[(hi, lo)] = lower
+    drv.ainv_data[(lo, hi)] = lower.T
+
+
+def _operand_kind(drv, struct, offs, k, row_sn, col_sn):
+    """Check ``_ainv_operand`` against the old gather byte for byte
+    (values, dtype, shape, C order); return which path it took: the
+    whole stored block, a contiguous sub-range of it, or the gather."""
+    rows = _reference_rows(struct, k, row_sn)
+    cols = _reference_rows(struct, k, col_sn)
+    block = drv.ainv_data[(row_sn, col_sn)]
+    got = drv._ainv_operand(offs, row_sn, col_sn)
+    want = _reference_gather(struct, block, row_sn, col_sn, rows, cols)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous and want.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    if not (isinstance(offs[row_sn], slice) and isinstance(offs[col_sn], slice)):
+        return "gather"
+    return "whole" if got.shape == block.shape else "range"
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=6, max_value=48),
@@ -283,7 +315,8 @@ def test_gather_block_matches_ix_reference(n, seed, max_size, dtype, data):
     drivers take through ``_ainv_operand`` (block offsets of K, the
     locator stored with the block) equals the old gather byte for byte
     (values, dtype, shape, C order), on the lower (J > I), diagonal
-    (J == I) and upper (J < I) branch alike."""
+    (J == I) and upper (J < I) branch alike, with the upper block the
+    ``.T`` view of the lower one as the symmetric driver stores it."""
     rng = np.random.default_rng(seed)
     struct = supernodal_structure(
         prepared(random_spd_sparse(n, 3.0, rng=rng)), max_size=max_size
@@ -303,19 +336,55 @@ def test_gather_block_matches_ix_reference(n, seed, max_size, dtype, data):
         st_lo = drv.states[min(i, j)]
         drv._block_offsets(st_lo)
         drv._store_locator(st_lo, max(i, j))
+        _store_pair(drv, rng, struct, min(i, j), max(i, j), dtype)
     for x in (i, j):
         rows = struct.block_row_indices(k, x)
         assert np.array_equal(rows, _reference_rows(struct, k, x))
         assert struct.block_row_count(k, x) == len(rows)
         assert np.array_equal(struct.rows_below[k][st_k.segs[x]], rows)
+    drv.ainv_data[(i, i)] = _random_block(rng, _stored_shape(struct, i, i), dtype)
     for row_sn, col_sn in {(j, i), (i, j), (i, i)}:
-        block = rng.standard_normal(_stored_shape(struct, row_sn, col_sn))
-        block = block.astype(dtype)
-        rows = _reference_rows(struct, k, row_sn)
-        cols = _reference_rows(struct, k, col_sn)
-        drv.ainv_data[(row_sn, col_sn)] = block
-        got = drv._ainv_operand(st_k.offs, row_sn, col_sn)
-        want = _reference_gather(struct, block, row_sn, col_sn, rows, cols)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.flags.c_contiguous and want.flags.c_contiguous
-        assert got.tobytes() == want.tobytes()
+        _operand_kind(drv, struct, st_k.offs, k, row_sn, col_sn)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_every_operand_path_matches_ix_reference(dtype):
+    """The deterministic companion of the property above: every GEMM
+    operand of every supernode of three fixed structures, with every
+    block stored as the symmetric driver stores it, matches the gather
+    byte for byte; between them the structures reach all three operand
+    paths (whole block, contiguous sub-range, gather), both kinds of
+    offsets (range, index array) and both kinds of locator (identity
+    ``None``, int map)."""
+    kinds = set()
+    offsets = set()
+    locators = set()
+    for seed, n, max_size in ((0, 40, 4), (1, 48, 8), (2, 30, 3)):
+        rng = np.random.default_rng(seed)
+        struct = supernodal_structure(
+            prepared(random_spd_sparse(n, 3.0, rng=rng)), max_size=max_size
+        )
+        drv = SimulatedPSelInv(struct, ProcessorGrid(1, 1))
+        for st_k in drv.states:
+            k = st_k.plan.k
+            drv.ainv_data[(k, k)] = _random_block(
+                rng, _stored_shape(struct, k, k), dtype
+            )
+            if not st_k.plan.blocks:
+                continue
+            drv._block_offsets(st_k)
+            for b in st_k.plan.blocks:
+                drv._store_locator(st_k, b.snode)
+                _store_pair(drv, rng, struct, k, b.snode, dtype)
+                offsets.add(type(st_k.offs[b.snode]))
+        locators |= {loc is None for loc in drv.ainv_loc.values()}
+        for st_k in drv.states:
+            blocks = [b.snode for b in st_k.plan.blocks]
+            for i in blocks:
+                for j in blocks:
+                    kinds.add(
+                        _operand_kind(drv, struct, st_k.offs, st_k.plan.k, j, i)
+                    )
+    assert kinds == {"whole", "range", "gather"}
+    assert offsets == {slice, np.ndarray}
+    assert locators == {True, False}
