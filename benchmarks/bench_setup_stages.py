@@ -15,10 +15,14 @@ runner's problem cache uses), and also times the two composites:
   ``cache.get_plans``: workload generation, analysis and planning as the
   e2e benchmark's ``setup_s`` times it.
 
-Inputs: ``audikw_1`` small on 32x32 (the Fig. 8 reference run) and
-``audikw_1`` medium on 80x80 (the paper-scale run).  Each round runs
-both inputs, in alternating order; every stage reports its median and
-IQR over the rounds.  The chain's output is checked once per input:
+Inputs: ``audikw_1`` small on 32x32 (the Fig. 8 reference run),
+``audikw_1`` medium on 80x80 (the paper-scale run) and the e2e numeric
+shape, a DG Hamiltonian of 7x7 elements of 16 basis functions (seed 0,
+n=784) on 8x8.  The numeric input also times ``factorize`` on the
+chain's output, and its ``setup`` is the e2e numeric set-up: matrix,
+``analyze()``, ``iter_plans`` and ``factorize``, no runner cache.  Each
+round runs every input, in alternating order; every stage reports its
+median and IQR over the rounds.  The chain's output is checked once per input:
 its permutation, tree and supernode partition against ``analyze()``,
 its tree against a second ``elimination_tree`` run on the permuted
 matrix, and its column counts against the sizes of
@@ -49,6 +53,7 @@ from repro.sparse import (
     column_counts,
     column_structures,
     elimination_tree,
+    factorize,
     nested_dissection,
     permute_symmetric,
     postorder,
@@ -56,19 +61,36 @@ from repro.sparse import (
     symmetrize_pattern,
 )
 from repro.sparse.etree import relabel_tree
-from repro.workloads import make_workload
+from repro.workloads import dg_hamiltonian, make_workload
 
+DG_ELEMS, DG_BLOCK, DG_SEED = (7, 7), 16, 0
+#: name -> (workload, scale, grid side); a ``dg_hamiltonian`` input is
+#: the e2e numeric shape and is factorized.
 INPUTS = {
     "audikw_1-small": ("audikw_1", "small", 32),
     "audikw_1-medium": ("audikw_1", "medium", 80),
+    "dg-7x7x16": ("dg_hamiltonian", "7x7 elements x 16, seed 0", 8),
 }
 ROUNDS = 5
 MAX_SUPERNODE = 8
 STAGES = (
     "symmetrize", "nested_dissection", "permute_1", "etree_1", "postorder",
     "permute_2", "etree_2", "column_counts", "supernodal_structure",
-    "iter_plans", "analyze", "setup",
+    "iter_plans", "factorize", "analyze", "setup",
 )
+
+
+def _numeric(name: str) -> bool:
+    return INPUTS[name][0] == "dg_hamiltonian"
+
+
+def _matrix(name: str):
+    w, s, _ = INPUTS[name]
+    if _numeric(name):
+        return dg_hamiltonian(
+            DG_ELEMS, DG_BLOCK, rng=np.random.default_rng(DG_SEED)
+        )
+    return make_workload(w, s)
 
 
 def _iqr(values: list[float]) -> float:
@@ -76,9 +98,12 @@ def _iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def _chain(a, grid: ProcessorGrid) -> tuple[dict[str, float], dict]:
-    """One pass of every stage; returns the seconds per stage and the
-    chain's outputs for the check against ``analyze()``."""
+def _chain(
+    a, grid: ProcessorGrid, numeric: bool
+) -> tuple[dict[str, float], dict]:
+    """One pass of every stage (``factorize`` only if ``numeric``);
+    returns the seconds per stage and the chain's outputs for the check
+    against ``analyze()``."""
     secs: dict[str, float] = {}
 
     def timed(name, fn, *args, **kwargs):
@@ -101,13 +126,23 @@ def _chain(a, grid: ProcessorGrid) -> tuple[dict[str, float], dict]:
         parent=parent, counts=counts, max_size=MAX_SUPERNODE,
     )
     timed("iter_plans", lambda: list(iter_plans(struct, grid)))
+    if numeric:
+        timed("factorize", factorize, matrix, struct)
     timed("analyze", analyze, a, ordering="nd", max_supernode=MAX_SUPERNODE)
     return secs, {
         "perm": perm, "parent": parent, "counts": counts, "sn_ptr": struct.sn_ptr,
     }
 
 
-def _setup(workload: str, scale: str, grid: ProcessorGrid) -> float:
+def _setup(name: str, grid: ProcessorGrid) -> float:
+    if _numeric(name):
+        # As the e2e numeric workload's set-up: no runner cache.
+        t0 = perf_counter()
+        prob = analyze(_matrix(name), ordering="nd", max_supernode=MAX_SUPERNODE)
+        list(iter_plans(prob.struct, grid))
+        factorize(prob.matrix, prob.struct)
+        return perf_counter() - t0
+    workload, scale, _ = INPUTS[name]
     t0 = perf_counter()
     cache.clear()
     cache.get_plans(cache.get_problem(workload, scale, MAX_SUPERNODE), grid)
@@ -117,12 +152,10 @@ def _setup(workload: str, scale: str, grid: ProcessorGrid) -> float:
 
 
 def measure() -> dict:
-    matrices = {
-        name: make_workload(w, s) for name, (w, s, _) in INPUTS.items()
-    }
+    matrices = {name: _matrix(name) for name in INPUTS}
     grids = {name: ProcessorGrid(g, g) for name, (_, _, g) in INPUTS.items()}
     for name, a in matrices.items():
-        _, got = _chain(a, grids[name])
+        _, got = _chain(a, grids[name], _numeric(name))
         prob = analyze(a, ordering="nd", max_supernode=MAX_SUPERNODE)
         want = {
             "perm": prob.perm,
@@ -134,15 +167,17 @@ def measure() -> dict:
         assert np.array_equal(got["parent"], elimination_tree(prob.matrix)), name
         sizes = [len(s) + 1 for s in column_structures(prob.matrix, prob.parent)]
         assert np.array_equal(got["counts"], sizes), name
-    samples = {name: {s: [] for s in STAGES} for name in INPUTS}
+    samples = {
+        name: {s: [] for s in STAGES if s != "factorize" or _numeric(name)}
+        for name in INPUTS
+    }
     names = list(INPUTS)
     for r in range(ROUNDS):
         for name in names if r % 2 == 0 else names[::-1]:
-            w, s, _ = INPUTS[name]
             gc.collect()
-            secs, _ = _chain(matrices[name], grids[name])
+            secs, _ = _chain(matrices[name], grids[name], _numeric(name))
             gc.collect()
-            secs["setup"] = _setup(w, s, grids[name])
+            secs["setup"] = _setup(name, grids[name])
             for stage, dt in secs.items():
                 samples[name][stage].append(dt)
     out = {}
@@ -174,8 +209,8 @@ def test_setup_stages(benchmark):
     )
     for stage in STAGES:
         table.add(stage, *(
-            f"{r['median_s']:.4f} [{r['iqr_s']:.4f}]"
-            for r in (results[n]["stages"][stage] for n in names)
+            f"{r['median_s']:.4f} [{r['iqr_s']:.4f}]" if r else "-"
+            for r in (results[n]["stages"].get(stage) for n in names)
         ))
     emit("setup_stages", table.render())
     payload = dict(

@@ -26,6 +26,17 @@ Storage per supernode ``K`` (width ``s``, ``m`` below-diagonal rows)::
                           (unit L strictly below, U on and above)
             bottom (m,s): the L panel  L(rows_below, K)
     UX[K] : (s, m) dense -- the U panel U(K, rows_below)
+
+Every ``LX[K]`` is a C-contiguous view into one flat store for the L
+side, every ``UX[K]`` one into a flat store for the U side, and every
+``rows_full[K]`` one into a flat row-index array.  Assembly is
+whole-array: one ``searchsorted`` over the sorted keys
+``K * n + row`` of the concatenated ``rows_below`` locates every entry
+of ``A`` (an entry outside the symbolic structure is a ``ValueError``
+before anything is written), then two fancy assignments scatter the
+lower/diagonal-block and the strictly-upper entries.  The Schur update
+subtracts each supernode's ``L U`` product from its ancestors one group
+of target columns at a time, in supernode order.
 """
 
 from __future__ import annotations
@@ -179,39 +190,76 @@ class SupernodalFactor:
 def _assemble(
     a: SparseMatrix, struct: SupernodalStructure
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """Scatter the entries of ``A`` into zero-initialized block storage."""
-    nsup = struct.nsup
+    """Scatter the entries of ``A`` into one zero-initialized flat store
+    per side; returns ``LX``, ``UX`` and ``rows_full`` as per-supernode
+    views.
+
+    An entry of ``A`` outside the symbolic structure raises
+    ``ValueError`` before anything is written.
+    """
+    n, nsup = struct.n, struct.nsup
+    sn_ptr, snode_of = struct.sn_ptr, struct.snode_of
     dt = np.result_type(a.data.dtype, np.float64)
+    widths = struct.widths()
+    counts = np.fromiter(map(len, struct.rows_below), np.int64, nsup)
+    heights = widths + counts
+    l_ofs = np.concatenate(([0], np.cumsum(heights * widths)))
+    u_ofs = np.concatenate(([0], np.cumsum(widths * counts)))
+    f_ofs = np.concatenate(([0], np.cumsum(heights)))
+    b_ofs = np.concatenate(([0], np.cumsum(counts)))
+    below = np.concatenate([np.empty(0, np.int64), *struct.rows_below])
+    below_sn = np.repeat(np.arange(nsup, dtype=np.int64), counts)
+    # Every supernode's rows_below, keyed ``k * n + row``: sorted, so one
+    # searchsorted locates any (supernode, row) pair; the sentinel past
+    # the last key keeps a miss past the end in bounds.
+    keys = np.append(below_sn * n + below, nsup * n)
+
+    # rows_full[k] = cols(k) ++ rows_below(k), in one flat array.
+    cols = np.arange(n, dtype=np.int64)
+    full = np.empty(int(f_ofs[-1]), np.int64)
+    full[f_ofs[snode_of] + cols - sn_ptr[snode_of]] = cols
+    at = np.arange(len(below)) - b_ofs[below_sn]  # index in rows_below[k]
+    full[f_ofs[below_sn] + widths[below_sn] + at] = below
+
+    # Lower + diagonal-block entries go to LX[k] of their column's
+    # supernode k; strictly-upper ones to UX of their row's supernode,
+    # at the position of their column in its rows_below.
+    col = a.column_of()
+    row = a.indices
+    k = snode_of[col]
+    lo = row >= sn_ptr[k]
+    up = ~lo
+    k_lo, r_lo, c_lo = k[lo], row[lo], col[lo]
+    fc_lo, s_lo = sn_ptr[k_lo], widths[k_lo]
+    pos = r_lo - fc_lo  # position in rows_full[k]
+    off = pos >= s_lo
+    r_up, c_up = row[up], col[up]
+    k_up = snode_of[r_up]
+    query = np.concatenate((k_lo[off] * n + r_lo[off], k_up * n + c_up))
+    hit = np.searchsorted(keys, query)
+    if not np.array_equal(keys[hit], query):
+        raise ValueError("entry of A outside the symbolic structure")
+    n_off = int(np.count_nonzero(off))
+    pos[off] = s_lo[off] + hit[:n_off] - b_ofs[k_lo[off]]
+    cpos = hit[n_off:] - b_ofs[k_up]
+
+    lbuf = np.zeros(int(l_ofs[-1]), dtype=dt)
+    ubuf = np.zeros(int(u_ofs[-1]), dtype=dt)
+    lbuf[l_ofs[k_lo] + pos * s_lo + c_lo - fc_lo] = a.data[lo]
+    ubuf[u_ofs[k_up] + (r_up - sn_ptr[k_up]) * counts[k_up] + cpos] = a.data[up]
+
     LX: list[np.ndarray] = []
     UX: list[np.ndarray] = []
     rows_full: list[np.ndarray] = []
-    for k in range(nsup):
-        s = struct.width(k)
-        rows = struct.rows_below[k]
-        full = np.concatenate(
-            [np.arange(struct.first_col(k), struct.first_col(k) + s), rows]
-        )
-        rows_full.append(full)
-        LX.append(np.zeros((s + len(rows), s), dtype=dt))
-        UX.append(np.zeros((s, len(rows)), dtype=dt))
-    for j in range(a.n):
-        k = int(struct.snode_of[j])
-        fc = struct.first_col(k)
-        rows, vals = a.column(j)
-        # Lower + diagonal-block part -> LX[k]; strictly-upper part -> the
-        # UX of the supernode owning each row.
-        split = np.searchsorted(rows, fc)
-        lo_rows, lo_vals = rows[split:], vals[split:]
-        pos = np.searchsorted(rows_full[k], lo_rows)
-        if len(pos) and not np.array_equal(rows_full[k][pos], lo_rows):
-            raise ValueError("entry of A outside the symbolic structure")
-        LX[k][pos, j - fc] = lo_vals
-        for r, v in zip(rows[:split], vals[:split]):
-            jk = int(struct.snode_of[r])
-            cpos = np.searchsorted(struct.rows_below[jk], j)
-            if struct.rows_below[jk][cpos] != j:
-                raise ValueError("entry of A outside the symbolic structure")
-            UX[jk][r - struct.first_col(jk), cpos] = v
+    for s, h, l0, l1, u0, u1, f0, f1 in zip(
+        widths.tolist(), heights.tolist(),
+        l_ofs[:-1].tolist(), l_ofs[1:].tolist(),
+        u_ofs[:-1].tolist(), u_ofs[1:].tolist(),
+        f_ofs[:-1].tolist(), f_ofs[1:].tolist(),
+    ):
+        LX.append(lbuf[l0:l1].reshape(h, s))
+        UX.append(ubuf[u0:u1].reshape(s, h - s))
+        rows_full.append(full[f0:f1])
     return LX, UX, rows_full
 
 
@@ -229,12 +277,12 @@ def factorize(
     (normalization) lives in :mod:`repro.sparse.selinv`.
     """
     LX, UX, rows_full = _assemble(a, struct)
-    nsup = struct.nsup
-    for k in range(nsup):
-        s = struct.width(k)
+    snode_of = struct.snode_of
+    sn_ptr = struct.sn_ptr.tolist()
+    for k, rows in enumerate(struct.rows_below):
+        s = sn_ptr[k + 1] - sn_ptr[k]
         d = LX[k][:s, :]
         _dense_lu_nopivot(d, tol=pivot_tol)
-        rows = struct.rows_below[k]
         m = len(rows)
         if m == 0:
             continue
@@ -245,26 +293,20 @@ def factorize(
         # up <- inv(L_kk) * up : unit lower triangular solve.
         up[:] = _trsolve(d, up, lower=True, unit_diagonal=True, trans="N")
         w = lp @ up  # (m, m) Schur update for rows/cols ``rows``
-        # Scatter-subtract into ancestor supernodes, grouped by the
-        # supernode owning each target column.
-        sn = struct.snode_of[rows]
-        groups, starts = np.unique(sn, return_index=True)
-        starts = list(starts) + [m]
-        for g, jsn in enumerate(groups):
-            jsn = int(jsn)
-            j0, j1 = int(starts[g]), int(starts[g + 1])
-            fcj = struct.first_col(jsn)
-            lcj = struct.last_col(jsn)
-            cols_local = rows[j0:j1] - fcj
-            # L side: target entries (r, c) with r >= first col of jsn.
-            i0 = int(np.searchsorted(rows, fcj))
-            posr = np.searchsorted(rows_full[jsn], rows[i0:])
-            LX[jsn][np.ix_(posr, cols_local)] -= w[i0:, j0:j1]
-            # U side: target entries (r, c) with c > last col of jsn.
-            i2 = int(np.searchsorted(rows, lcj + 1))
-            if i2 < m:
-                posc = np.searchsorted(struct.rows_below[jsn], rows[i2:])
-                UX[jsn][np.ix_(cols_local, posc)] -= w[j0:j1, i2:]
+        # Scatter-subtract into ancestor supernodes, one group per
+        # supernode owning a run of ``rows``.  Group ``[j0, j1)`` holds
+        # exactly the rows in that supernode's columns, so ``j0``/``j1``
+        # are also where ``rows`` crosses its first column (the L-side
+        # targets start) and its last column (the U-side targets start).
+        sn = snode_of[rows]
+        bounds = [0, *(np.flatnonzero(sn[1:] != sn[:-1]) + 1).tolist(), m]
+        for jsn, j0, j1 in zip(sn[bounds[:-1]].tolist(), bounds, bounds[1:]):
+            cols_local = rows[j0:j1] - sn_ptr[jsn]
+            posr = rows_full[jsn].searchsorted(rows[j0:])
+            LX[jsn][posr[:, None], cols_local] -= w[j0:, j0:j1]
+            if j1 < m:
+                posc = posr[j1 - j0 :] - (sn_ptr[jsn + 1] - sn_ptr[jsn])
+                UX[jsn][cols_local[:, None], posc] -= w[j0:j1, j1:]
     return SupernodalFactor(struct=struct, LX=LX, UX=UX, rows_full=rows_full)
 
 

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.sparse import ZeroPivotError, analyze, from_dense
+from repro.sparse import ZeroPivotError, analyze, from_coo, from_dense
 from repro.sparse.factor import (
     _dense_lu_nopivot,
     factorization_flops,
@@ -88,6 +88,35 @@ class TestFactorize:
         with pytest.raises(ZeroPivotError):
             factorize(prob.matrix, prob.struct, pivot_tol=1e-12)
 
+    @pytest.mark.parametrize(
+        "arrow, extra",
+        [
+            (False, (5, 0)),  # lower, past the end of rows_full[0]
+            (True, (3, 0)),  # lower, in a gap of rows_full[0]
+            (False, (0, 5)),  # upper, past the end of rows_below[0]
+            (True, (0, 3)),  # upper, in a gap of rows_below[0]
+        ],
+        ids=["lower-past-end", "lower-in-gap", "upper-past-end", "upper-in-gap"],
+    )
+    def test_entry_outside_structure_raises(self, arrow, extra):
+        """Supernodes of one column on a tridiagonal (rows_below[0] is
+        [1]) or a tridiagonal plus A[5, 0] and A[0, 5] (rows_below[0] is
+        [1, 5]); one more entry of column or row 0 lies outside."""
+        a = 4.0 * np.eye(6) + np.eye(6, k=1) + np.eye(6, k=-1)
+        if arrow:
+            a[5, 0] = a[0, 5] = 1.0
+        prob = analyze(from_dense(a), ordering="natural", max_supernode=1)
+        assert prob.struct.rows_below[0].tolist() == ([1, 5] if arrow else [1])
+        m = prob.matrix
+        bad = from_coo(
+            m.n,
+            np.append(m.indices, extra[0]),
+            np.append(m.column_of(), extra[1]),
+            np.append(m.data, 1.0),
+        )
+        with pytest.raises(ValueError, match="outside the symbolic structure"):
+            factorize(bad, prob.struct)
+
     def test_1x1_matrix(self):
         prob = analyze(from_dense(np.array([[3.0]])), ordering="natural")
         fac = factorize(prob.matrix, prob.struct)
@@ -107,14 +136,66 @@ class TestFlopModels:
         assert factorization_flops(prob2.struct) > f
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=2, max_value=30), st.integers(0, 2**31 - 1))
-def test_factorization_property(n, seed):
-    """A = L U holds for random symmetric diagonally dominant inputs under
-    the default pipeline."""
-    rng = np.random.default_rng(seed)
+def _draw_matrix(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "unsymmetric":
+        return random_unsymmetric_dense(n, 2.5, rng)
     a = random_symmetric_dense(n, 2.5, rng)
+    if kind == "complex":
+        # Complex symmetric, as PEXSI's H - zS: a shifted diagonal and
+        # imaginary parts on the pattern of A.
+        im = rng.normal(size=(n, n))
+        a = a + 0.3j * np.where(a != 0, im + im.T, 0.0) + 0.5j * np.eye(n)
+    return a
+
+
+KINDS = ["symmetric", "unsymmetric", "complex"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=30),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(KINDS),
+)
+def test_factorization_property(n, seed, kind):
+    """A = L U holds for random diagonally dominant inputs -- real
+    symmetric, unsymmetric and complex symmetric -- under the default
+    pipeline."""
+    rng = np.random.default_rng(seed)
+    a = _draw_matrix(kind, n, rng)
     prob = analyze(from_dense(a), ordering="amd")
     fac = factorize(prob.matrix, prob.struct)
     L, U = fac.unpack_dense()
     assert np.abs(L @ U - prob.matrix.to_dense()).max() < 1e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=30),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(KINDS),
+    st.data(),
+)
+def test_off_structure_entry_raises_property(n, seed, kind, data):
+    """Any entry added outside struct(L + U) is a ValueError."""
+    rng = np.random.default_rng(seed)
+    prob = analyze(from_dense(_draw_matrix(kind, n, rng)), ordering="amd")
+    struct = prob.struct
+    inside = np.zeros((n, n), dtype=bool)
+    for k in range(struct.nsup):
+        fc, s = struct.first_col(k), struct.width(k)
+        full = np.concatenate([np.arange(fc, fc + s), struct.rows_below[k]])
+        inside[np.ix_(full, np.arange(fc, fc + s))] = True
+        inside[np.ix_(np.arange(fc, fc + s), full)] = True
+    outside = np.argwhere(~inside)
+    assume(len(outside) > 0)
+    r, c = outside[data.draw(st.integers(0, len(outside) - 1))]
+    m = prob.matrix
+    bad = from_coo(
+        n,
+        np.append(m.indices, r),
+        np.append(m.column_of(), c),
+        np.append(m.data, 1.0),
+    )
+    with pytest.raises(ValueError, match="outside the symbolic structure"):
+        factorize(bad, struct)
